@@ -11,13 +11,13 @@ Subpackages by job:
 - experiments / reports / cli: deterministic experiment pipelines
 """
 
+__version__ = "0.1.0"
+
 from .coefficients import CYCLO, QQ, CycloNum, PrimeField, TruncatedPadicRing
 from .polynomials import Poly, RingPresentation
 from .groebner import GroebnerBasis, MembershipCertificate, colon, groebner, ideal_member, normal_form
 from .reports import ExperimentReport, diff_reports
 from .experiments import run_experiment
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CYCLO",

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .coefficients import PrimeField
-from .groebner import GroebnerBasis, groebner, normal_form
+from .groebner import GroebnerBasis, colon, groebner, intersect, normal_form
 from .polynomials import Poly, RingPresentation, format_poly
 
 
@@ -23,28 +23,12 @@ def fermat_ring(p: int) -> RingPresentation:
     return RingPresentation(PrimeField(p), ("z", "x", "y"), relations=["z^3 + x^3 + y^3"])
 
 
-@dataclass(frozen=True)
-class FrobeniusPower:
-    base: tuple[Poly, ...]
-    e: int
-
-    @property
-    def p(self) -> int:
-        return self.base[0].ring.domain.p
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.e
-
-    def generators(self) -> list[Poly]:
-        return [g ** self.q for g in self.base]
-
-
 def frobenius_power(gens, e: int) -> list[Poly]:
     """Bracket power I^[q]: the q-th powers of the generators, q = p^e."""
     if e < 0:
         raise ValueError("Frobenius exponent must be >= 0")
-    return FrobeniusPower(tuple(gens), e).generators()
+    q = gens[0].ring.domain.p ** e
+    return [g ** q for g in gens]
 
 
 @lru_cache(maxsize=None)
@@ -121,29 +105,15 @@ def find_multiplier(f: Poly, gens, deg_bound: int, e_max: int) -> Poly | None:
     # the colon ideals (I^[q] : f^q); a qualifying form of degree <= bound
     # exists iff the reduced basis of that intersection contains one that
     # stays nonzero in the quotient
-    from .groebner import colon
-
+    relations = list(ring.relations)
     current = None
     for e in range(1, e_max + 1):
         piece = colon(frobenius_power(gens, e), f ** (p ** e), ring)
-        current = piece if current is None else _intersect(current, piece, ring)
+        current = piece if current is None else intersect(current + relations, piece + relations, ring)
     for g in groebner(current, ring).generators:
         if g.degree() <= deg_bound and not normal_form(g, rel_basis).is_zero():
             return g.monic()
     return None
-
-
-def _intersect(gens_a, gens_b, ring: RingPresentation):
-    """Intersection of two ideals via a second elimination round."""
-    from .groebner import elimination_ring, _lift, _drop, groebner as _gb
-
-    ext = elimination_ring(ring)
-    t = ext.var("_t")
-    one_minus_t = ext.one() - t
-    lifted = [t * _lift(g, ext) for g in list(gens_a) + list(ring.relations)]
-    lifted += [one_minus_t * _lift(g, ext) for g in list(gens_b) + list(ring.relations)]
-    gb = _gb(lifted, ext, include_relations=False)
-    return [_drop(g, ring) for g in gb.generators if g.lm()[0] == 0]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .experiments import ConfigError, run_experiment
+from .experiments import SCHEMAS, ConfigError, run_experiment
 from .reports import ExperimentReport, ReportMismatchError, diff_reports
 
 EXIT_PASS = 0
@@ -18,12 +18,22 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--report", metavar="PATH", help="write the report to this file")
-    sub.add_argument("--format", choices=("json", "text"), default="json")
+_SUMMARIES = {
+    "tower-verify": "exact identity checks for tower levels",
+    "tower-colon": "low-valuation colon certificates and z^2 membership",
+    "tower-trace": "group-average retraction properties",
+    "charp": "Frobenius and tight closure tests",
+    "isogeny": "Hesse doubling lift and membership mod p^n",
+    "padic": "successive approximation on the truncated model",
+    "all": "run every experiment with defaults",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per experiment with a --<field> flag per schema field.
+
+    Flags hand the raw text to the experiment's validator, which casts it
+    and checks its bound; an unset flag leaves the schema default."""
     parser = argparse.ArgumentParser(
         prog="closurelab",
         description="Exact verification experiments: Fermat cubic tower, "
@@ -31,61 +41,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("tower-verify", help="exact identity checks for tower levels")
-    sp.add_argument("--max-level", type=int, default=3)
-    _add_common(sp)
-
-    sp = subs.add_parser("tower-colon", help="low-valuation colon certificates and z^2 membership")
-    sp.add_argument("--max-level", type=int, default=3)
-    sp.add_argument("--full-colon-max-level", type=int, default=2)
-    sp.add_argument("--z2-max-level", type=int, default=2)
-    _add_common(sp)
-
-    sp = subs.add_parser("tower-trace", help="group-average retraction properties")
-    sp.add_argument("--pairs", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp)
-
-    sp = subs.add_parser("charp", help="Frobenius and tight closure tests")
-    sp.add_argument("--p", type=int, default=0, help="prime, or 0 for the default matrix")
-    sp.add_argument("--e-max", type=int, default=2)
-    sp.add_argument("--deg-bound", type=int, default=3)
-    _add_common(sp)
-
-    sp = subs.add_parser("isogeny", help="Hesse doubling lift and membership mod p^n")
-    sp.add_argument("--check", choices=("all",), default="all")
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--n", type=int, default=2)
-    _add_common(sp)
-
-    sp = subs.add_parser("padic", help="successive approximation on the truncated model")
-    sp.add_argument("--p", type=int, default=5)
-    sp.add_argument("--precision", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=5)
-    sp.add_argument("--input", metavar="PATH", help="JSON document with alpha and an oracle script")
-    _add_common(sp)
-
-    sp = subs.add_parser("all", help="run every experiment with defaults")
-    sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp)
+    for name, schema in SCHEMAS.items():
+        sp = subs.add_parser(name, help=_SUMMARIES[name])
+        for field, (default, _, _, description) in schema.items():
+            sp.add_argument(
+                "--" + field.replace("_", "-"),
+                dest=field,
+                default=None,
+                help=f"{description} (default: {default})",
+            )
+        sp.add_argument("--report", metavar="PATH", help="write the report to this file")
+        sp.add_argument("--format", choices=("json", "text"), default="json")
 
     sp = subs.add_parser("diff", help="structural diff of two report files")
     sp.add_argument("left")
     sp.add_argument("right")
 
     return parser
-
-
-_CONFIG_KEYS = {
-    "tower-verify": ("max_level",),
-    "tower-colon": ("max_level", "full_colon_max_level", "z2_max_level"),
-    "tower-trace": ("pairs", "seed"),
-    "charp": ("p", "e_max", "deg_bound"),
-    "isogeny": ("check", "p", "n"),
-    "padic": ("p", "precision", "seed", "samples", "input"),
-    "all": ("seed",),
-}
 
 
 def main(argv=None) -> int:
@@ -106,10 +78,10 @@ def main(argv=None) -> int:
         return EXIT_PASS if not diffs else EXIT_CHECK_FAILED
 
     config = {}
-    for key in _CONFIG_KEYS[args.command]:
-        value = getattr(args, key, None)
+    for field in SCHEMAS[args.command]:
+        value = getattr(args, field)
         if value is not None:
-            config[key] = value
+            config[field] = value
     try:
         report = run_experiment(args.command, config)
     except ConfigError as exc:

@@ -372,7 +372,7 @@ class TruncatedPadic:
 
 
 # ---------------------------------------------------------------------------
-# domain descriptors
+# coefficient domains
 
 
 class RationalField:
@@ -399,9 +399,6 @@ class RationalField:
 
     def format(self, x: Fraction, parenthesize: bool = False) -> str:
         return str(x)
-
-    def descriptor(self) -> dict:
-        return {"kind": "rational"}
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -438,9 +435,6 @@ class CyclotomicField9:
         if parenthesize and needs_parens:
             return f"({text})"
         return text
-
-    def descriptor(self) -> dict:
-        return {"kind": "cyclotomic9"}
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField9)
@@ -481,9 +475,6 @@ class PrimeField:
 
     def format(self, x: PrimeFieldElem, parenthesize: bool = False) -> str:
         return str(x.residue)
-
-    def descriptor(self) -> dict:
-        return {"kind": "prime_field", "p": self.p}
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -531,9 +522,6 @@ class TruncatedPadicRing:
     def format(self, x: TruncatedPadic, parenthesize: bool = False) -> str:
         return str(x.residue)
 
-    def descriptor(self) -> dict:
-        return {"kind": "padic", "p": self.p, "precision": self.precision}
-
     def __eq__(self, other):
         return isinstance(other, TruncatedPadicRing) and (other.p, other.precision) == (self.p, self.precision)
 
@@ -545,16 +533,3 @@ QQ = RationalField()
 CYCLO = CyclotomicField9()
 
 THETA = CycloNum.zeta_power(3)
-
-
-def domain_from_descriptor(desc: dict):
-    kind = desc.get("kind")
-    if kind == "rational":
-        return QQ
-    if kind == "cyclotomic9":
-        return CYCLO
-    if kind == "prime_field":
-        return PrimeField(int(desc["p"]))
-    if kind == "padic":
-        return TruncatedPadicRing(int(desc["p"]), int(desc["precision"]))
-    raise DomainError(f"unknown coefficient domain {desc!r}")

@@ -18,7 +18,46 @@ class ConfigError(ValueError):
     """Bad experiment configuration; messages name the offending field."""
 
 
-def _validated(config: dict, schema: dict, experiment: str) -> dict:
+# Every experiment's config fields: field -> (default, caster, predicate,
+# description).  The validator and the command-line flags both read it.
+SCHEMAS = {
+    "tower-verify": {
+        "max_level": (3, int, lambda v: 1 <= v <= 6, "an integer in 1..6"),
+    },
+    "tower-colon": {
+        "max_level": (3, int, lambda v: 1 <= v <= 5, "an integer in 1..5"),
+        "full_colon_max_level": (2, int, lambda v: 0 <= v <= 2, "an integer in 0..2"),
+        "z2_max_level": (2, int, lambda v: 0 <= v <= 2, "an integer in 0..2"),
+    },
+    "tower-trace": {
+        "pairs": (100, int, lambda v: 1 <= v <= 2000, "an integer in 1..2000"),
+        "seed": (0, int, lambda v: True, "an integer"),
+    },
+    "charp": {
+        "p": (0, int, lambda v: v == 0 or (is_prime(v) and v != 3), "0 (full matrix) or a prime != 3"),
+        "e_max": (2, int, lambda v: 1 <= v <= 4, "an integer in 1..4"),
+        "deg_bound": (3, int, lambda v: 0 <= v <= 6, "an integer in 0..6"),
+    },
+    "isogeny": {
+        "p": (2, int, lambda v: v == 2, "2 (the only lift shipped here)"),
+        "n": (2, int, lambda v: 1 <= v <= 3, "an integer in 1..3"),
+        "check": ("all", str, lambda v: v == "all", "'all'"),
+    },
+    "padic": {
+        "p": (5, int, lambda v: is_prime(v) and v != 3, "a prime != 3"),
+        "precision": (4, int, lambda v: 1 <= v <= 8, "an integer in 1..8"),
+        "seed": (0, int, lambda v: True, "an integer"),
+        "samples": (5, int, lambda v: 0 <= v <= 50, "an integer in 0..50"),
+        "input": (None, lambda v: v, lambda v: v is None or isinstance(v, (str, dict)), "a path or document"),
+    },
+    "all": {
+        "seed": (0, int, lambda v: True, "an integer"),
+    },
+}
+
+
+def _validated(config: dict, experiment: str) -> dict:
+    schema = SCHEMAS[experiment]
     config = dict(config or {})
     unknown = set(config) - set(schema)
     if unknown:
@@ -49,11 +88,7 @@ _PRIMES_DEFAULT = (2, 5, 7, 13)
 
 
 def run_tower_verify(config: dict) -> ExperimentReport:
-    cfg = _validated(
-        config,
-        {"max_level": (3, int, lambda v: 1 <= v <= 6, "an integer in 1..6")},
-        "tower-verify",
-    )
+    cfg = _validated(config, "tower-verify")
     checks = []
     for n in range(1, cfg["max_level"] + 1):
         for c in tower.verify_level(n):
@@ -62,15 +97,7 @@ def run_tower_verify(config: dict) -> ExperimentReport:
 
 
 def run_tower_colon(config: dict) -> ExperimentReport:
-    cfg = _validated(
-        config,
-        {
-            "max_level": (3, int, lambda v: 1 <= v <= 5, "an integer in 1..5"),
-            "full_colon_max_level": (2, int, lambda v: 0 <= v <= 2, "an integer in 0..2"),
-            "z2_max_level": (2, int, lambda v: 0 <= v <= 2, "an integer in 0..2"),
-        },
-        "tower-colon",
-    )
+    cfg = _validated(config, "tower-colon")
     checks = []
     for n in range(0, cfg["z2_max_level"] + 1):
         outside = tower.z2_not_in_xy(n)
@@ -86,12 +113,10 @@ def run_tower_colon(config: dict) -> ExperimentReport:
             "witness_element": format_poly(probe.witness_element),
             "certificate": probe.witness.to_json(),
         }
+        # colon_probe has re-expanded the witness; it raises VerificationError
+        # when the certificate does not reproduce its target
         checks.append(
-            _check(
-                f"level{n}/colon_witness_certified",
-                probe.witness.verify() and probe.min_valuation <= bound,
-                **values,
-            )
+            _check(f"level{n}/colon_witness_certified", probe.min_valuation <= bound, **values)
         )
         rhs = list(map(str, probe.recurrence_rhs))
         checks.append(
@@ -134,14 +159,7 @@ def _random_level_poly(rng: random.Random, ring, max_exp=4, terms=4):
 
 
 def run_tower_trace(config: dict) -> ExperimentReport:
-    cfg = _validated(
-        config,
-        {
-            "pairs": (100, int, lambda v: 1 <= v <= 2000, "an integer in 1..2000"),
-            "seed": (0, int, lambda v: True, "an integer"),
-        },
-        "tower-trace",
-    )
+    cfg = _validated(config, "tower-trace")
     level = tower.build_level(1)
     ring = level.ring
     basis = tower.relation_basis(1)
@@ -177,15 +195,7 @@ def run_tower_trace(config: dict) -> ExperimentReport:
 
 
 def run_charp(config: dict) -> ExperimentReport:
-    cfg = _validated(
-        config,
-        {
-            "p": (0, int, lambda v: v == 0 or (is_prime(v) and v != 3), "0 (full matrix) or a prime != 3"),
-            "e_max": (2, int, lambda v: 1 <= v <= 4, "an integer in 1..4"),
-            "deg_bound": (3, int, lambda v: 0 <= v <= 6, "an integer in 0..6"),
-        },
-        "charp",
-    )
+    cfg = _validated(config, "charp")
     primes = _PRIMES_DEFAULT if cfg["p"] == 0 else (cfg["p"],)
     checks = []
     for p in primes:
@@ -223,15 +233,7 @@ def run_charp(config: dict) -> ExperimentReport:
 
 
 def run_isogeny(config: dict) -> ExperimentReport:
-    cfg = _validated(
-        config,
-        {
-            "p": (2, int, lambda v: v == 2, "2 (the only lift shipped here)"),
-            "n": (2, int, lambda v: 1 <= v <= 3, "an integer in 1..3"),
-            "check": ("all", str, lambda v: v == "all", "'all'"),
-        },
-        "isogeny",
-    )
+    cfg = _validated(config, "isogeny")
     checks = []
     e = isogeny.hesse_double()
     checks.append(
@@ -286,17 +288,7 @@ def run_isogeny(config: dict) -> ExperimentReport:
 
 
 def run_padic(config: dict) -> ExperimentReport:
-    cfg = _validated(
-        config,
-        {
-            "p": (5, int, lambda v: is_prime(v) and v != 3, "a prime != 3"),
-            "precision": (4, int, lambda v: 1 <= v <= 8, "an integer in 1..8"),
-            "seed": (0, int, lambda v: True, "an integer"),
-            "samples": (5, int, lambda v: 0 <= v <= 50, "an integer in 0..50"),
-            "input": (None, lambda v: v, lambda v: v is None or isinstance(v, (str, dict)), "a path or document"),
-        },
-        "padic",
-    )
+    cfg = _validated(config, "padic")
     p, N = cfg["p"], cfg["precision"]
     checks = [
         _check("regular_sequence_on_truncated_model", padic.regular_sequence_check(p, N), p=p, precision=N)
@@ -340,22 +332,27 @@ def run_padic(config: dict) -> ExperimentReport:
         )
     )
     if cfg["input"] is not None:
-        doc = cfg["input"]
-        if isinstance(doc, str):
-            with open(doc, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        alpha = m.parse(doc["alpha"])
-        oracle_cfg = doc.get("oracle", {"mode": "honest"})
-        mode = oracle_cfg.get("mode", "honest")
-        if mode == "honest":
-            oracle = padic.honest_oracle(m)
-        elif mode == "adversarial":
-            oracle = padic.adversarial_oracle(m, int(oracle_cfg.get("seed", 0)))
-        elif mode == "scripted":
-            oracle = padic.scripted_oracle(m, oracle_cfg["steps"])
-        else:
-            raise ConfigError(f"padic: unknown oracle mode {mode!r}")
-        run_one("input_alpha", alpha, oracle)
+        # the document comes from outside: failing to read it, parse it or
+        # lift its alpha is bad input, not a failed check
+        try:
+            doc = cfg["input"]
+            if isinstance(doc, str):
+                with open(doc, "r", encoding="utf-8") as fh:
+                    doc = json.load(fh)
+            alpha = m.parse(doc["alpha"])
+            oracle_cfg = doc.get("oracle", {"mode": "honest"})
+            mode = oracle_cfg.get("mode", "honest")
+            if mode == "honest":
+                oracle = padic.honest_oracle(m)
+            elif mode == "adversarial":
+                oracle = padic.adversarial_oracle(m, int(oracle_cfg.get("seed", 0)))
+            elif mode == "scripted":
+                oracle = padic.scripted_oracle(m, oracle_cfg["steps"])
+            else:
+                raise ValueError(f"unknown oracle mode {mode!r}")
+            run_one("input_alpha", alpha, oracle)
+        except (OSError, KeyError, ValueError) as exc:
+            raise ConfigError(f"padic: bad input document: {type(exc).__name__}: {exc}") from exc
     rng = random.Random(cfg["seed"])
     all_ok = True
     final_residuals_zero = True
@@ -387,7 +384,7 @@ def run_padic(config: dict) -> ExperimentReport:
 
 
 def run_all(config: dict) -> ExperimentReport:
-    cfg = _validated(config, {"seed": (0, int, lambda v: True, "an integer")}, "all")
+    cfg = _validated(config, "all")
     checks = []
     for name in ("tower-verify", "tower-colon", "tower-trace", "charp", "isogeny", "padic"):
         sub_cfg = {"seed": cfg["seed"]} if name in ("tower-trace", "padic") else {}

@@ -1,10 +1,12 @@
 """Buchberger Groebner bases with representation tracking, normal forms,
 certified ideal membership, and colon ideals.
 
-All ideal computations use quotient-ring semantics: the ring's relation
-polynomials are appended to every generator set internally.  Representation
-vectors are carried through the whole computation so that a membership
-answer comes with cofactors whose expansion reproduces the target exactly.
+Ideal computations use quotient-ring semantics: the ring's relation
+polynomials are appended to every generator set internally.  The one
+exception is ``intersect``, which meets two ideals exactly as given.
+Representation vectors are carried through the whole computation so that a
+membership answer comes with cofactors whose expansion reproduces the
+target exactly.
 """
 
 from __future__ import annotations
@@ -54,16 +56,12 @@ class GroebnerBasis:
         self.inputs = tuple(inputs)  # caller generators followed by relations
         self.generators = tuple(t.poly for t in basis)
         self.reps = tuple(t.rep for t in basis)
-        self.reduced = True
 
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self):
         return len(self.generators)
-
-    def contains(self, f: Poly) -> bool:
-        return normal_form(f, self).is_zero()
 
     def __repr__(self):
         return "{" + ", ".join(format_poly(g) for g in self.generators) + "}"
@@ -152,10 +150,6 @@ def normal_form(f: Poly, basis, with_quotients: bool = False):
         return (f, []) if with_quotients else f
     rem, quots = _divide(f, divisors, track=with_quotients)
     return (rem, quots) if with_quotients else rem
-
-
-def _spair_data(fi: _Tracked, fj: _Tracked):
-    return mono_lcm(fi.poly.lm(), fj.poly.lm())
 
 
 def groebner(gens, ring: RingPresentation, include_relations: bool = True) -> GroebnerBasis:
@@ -342,14 +336,15 @@ def _drop(poly: Poly, ring: RingPresentation) -> Poly:
     return Poly(ring, {m[1:]: c for m, c in poly.terms})
 
 
-def intersect_principal(gens, f: Poly, ring: RingPresentation) -> list:
-    """Generators of ((gens) + relations) intersected with the principal
-    ideal (f), via elimination of an auxiliary variable."""
+def intersect(gens_a, gens_b, ring: RingPresentation) -> list:
+    """Generators of (gens_a) intersected with (gens_b) in the polynomial
+    ring, via elimination of an auxiliary variable.  The ring's relations
+    are not added: callers pass them on whichever side they belong."""
     ext = elimination_ring(ring)
     t = ext.var("_t")
     one_minus_t = ext.one() - t
-    lifted = [t * _lift(g, ext) for g in list(gens) + list(ring.relations)]
-    lifted.append(one_minus_t * _lift(f, ext))
+    lifted = [t * _lift(g, ext) for g in gens_a]
+    lifted += [one_minus_t * _lift(g, ext) for g in gens_b]
     gb = groebner(lifted, ext, include_relations=False)
     return [_drop(g, ring) for g in gb.generators if g.lm()[0] == 0]
 
@@ -366,7 +361,7 @@ def colon(gens, f: Poly, ring: RingPresentation | None = None) -> list:
     rel_gb = groebner([], ring)
     if rel_gb.generators and normal_form(f, rel_gb).is_zero():
         raise ZeroDivisionError(f"{format_poly(f)} reduces to zero in the quotient ring")
-    meet = intersect_principal(gens, f, ring)
+    meet = intersect(list(gens) + list(ring.relations), [f], ring)
     quotients = [exact_divide(g, f) for g in meet]
     gb = groebner(quotients, ring)
     return list(gb.generators)

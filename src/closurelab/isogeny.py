@@ -307,8 +307,3 @@ def membership_digits(e: GradedEndo, p: int, n: int):
             next_terms[m] = f / p
         residual = Poly(ring_z, next_terms)
     return True, None
-
-
-def membership_mod_pn(e: GradedEndo, p: int, n: int) -> bool:
-    ok, _ = membership_digits(e, p, n)
-    return ok

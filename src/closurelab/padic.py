@@ -65,12 +65,6 @@ class TruncatedModel:
     def parse(self, text: str) -> Poly:
         return self.canon(self.ring.parse(text))
 
-    def mul(self, f: Poly, g: Poly) -> Poly:
-        return self.canon(f * g)
-
-    def scale(self, f: Poly, n: int) -> Poly:
-        return f * self.domain.from_int(n)
-
     def equal(self, f: Poly, g: Poly) -> bool:
         return self.canon(f - g).is_zero()
 

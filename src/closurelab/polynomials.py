@@ -94,7 +94,7 @@ class RingPresentation:
     semantics: every ideal computation appends the relations internally.
     """
 
-    def __init__(self, domain, variables, weights=None, relations=(), order_tag="wgrevlex"):
+    def __init__(self, domain, variables, weights=None, relations=()):
         self.domain = domain
         self.variables = tuple(variables)
         if weights is None:
@@ -104,9 +104,6 @@ class RingPresentation:
             raise ValueError("one weight per variable required")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
-        if order_tag != "wgrevlex":
-            raise ValueError(f"unknown order tag {order_tag!r}")
-        self.order_tag = order_tag
         self.order = WeightedGrevlex(self.weights)
         self._index = {v: i for i, v in enumerate(self.variables)}
         rels = []
@@ -147,33 +144,11 @@ class RingPresentation:
             self.domain == other.domain
             and self.variables == other.variables
             and self.weights == other.weights
-            and self.order_tag == other.order_tag
         )
-
-    def descriptor(self) -> dict:
-        return {
-            "domain": self.domain.descriptor(),
-            "variables": list(self.variables),
-            "weights": [str(w) for w in self.weights],
-            "order": self.order_tag,
-            "relations": [format_poly(r) for r in self.relations],
-        }
 
     def __repr__(self):
         rel = f" / ({', '.join(format_poly(r) for r in self.relations)})" if self.relations else ""
         return f"{self.domain.name}[{', '.join(self.variables)}]{rel}"
-
-
-def ring_from_descriptor(desc: dict) -> RingPresentation:
-    from .coefficients import domain_from_descriptor
-
-    return RingPresentation(
-        domain_from_descriptor(desc["domain"]),
-        desc["variables"],
-        [Fraction(w) for w in desc.get("weights", [])] or None,
-        desc.get("relations", ()),
-        desc.get("order", "wgrevlex"),
-    )
 
 
 class Poly:
@@ -325,9 +300,6 @@ class Poly:
                 term = term * img
             out = out + term
         return out
-
-    def map_coefficients(self, fn, target: RingPresentation) -> "Poly":
-        return Poly(target, {m: fn(c) for m, c in self.terms})
 
     def __repr__(self):
         return format_poly(self)

@@ -14,7 +14,7 @@ import json
 import os
 from pathlib import Path
 
-ENGINE_VERSION = "0.1.0"
+from . import __version__ as ENGINE_VERSION
 
 _FINGERPRINT_FIELDS = ("experiment", "config", "checks")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
-from .coefficients import CYCLO, CycloNum
+from .coefficients import CYCLO, THETA, CycloNum
 from .groebner import (
     GroebnerBasis,
     MembershipCertificate,
@@ -29,8 +29,6 @@ from .groebner import (
     normal_form,
 )
 from .polynomials import Poly, RingPresentation, format_poly
-
-THETA = CycloNum.zeta_power(3)
 
 # the three linear forms l_1, l_2, l_3 with l_1*l_2*l_3 = theta*u^3 + theta^2*v^3:
 # coefficients (theta^(1/3), theta^(k/3)) for k = 2, 5, 8

@@ -172,6 +172,38 @@ class TestFindMultiplier:
         assert [format_poly(m) for m in monos] == ["x^2", "x*y", "z*x", "y^2", "z*y", "z^2"]
 
 
+class TestIntersectionPath:
+    """When no monomial qualifies, find_multiplier intersects the colon
+    ideals (I^[q] : f^q) for q = p, p^2."""
+
+    @pytest.mark.parametrize(
+        "p, target, deg_bound, expected",
+        [
+            (5, "1", 3, ["z^3 + x^3 + y^3", "y^25", "x^25"]),
+            (7, "z^2", 0, ["y", "x", "z"]),
+        ],
+    )
+    def test_no_multiplier_and_meet_lies_in_both_ideals(self, monkeypatch, p, target, deg_bound, expected):
+        calls = []
+        intersect = charp.intersect
+
+        def recording(gens_a, gens_b, ring):
+            meet = intersect(gens_a, gens_b, ring)
+            calls.append((gens_a, gens_b, meet))
+            return meet
+
+        monkeypatch.setattr(charp, "intersect", recording)
+        ring = charp.fermat_ring(p)
+        gens = [ring.parse("x"), ring.parse("y")]
+        assert charp.find_multiplier(ring.parse(target), gens, deg_bound, 2) is None
+        assert len(calls) == 1
+        gens_a, gens_b, meet = calls[0]
+        assert [format_poly(g) for g in meet] == expected
+        for side in (gens_a, gens_b):
+            basis = groebner(side, ring, include_relations=False)
+            assert all(normal_form(g, basis).is_zero() for g in meet)
+
+
 class TestContrast:
     @pytest.mark.parametrize("p", [2, 5, 7, 13])
     def test_z2_outside_xy(self, p):

@@ -9,7 +9,6 @@ from closurelab.coefficients import (
     PrimeField,
     TruncatedPadic,
     TruncatedPadicRing,
-    domain_from_descriptor,
 )
 
 THETA = CycloNum.zeta_power(3)
@@ -168,8 +167,3 @@ class TestTruncatedPadic:
     def test_char_three_rejected(self):
         with pytest.raises(ValueError, match="degenerates"):
             TruncatedPadicRing(3, 2)
-
-
-def test_domain_descriptors_round_trip():
-    for domain in (CYCLO, PrimeField(7), TruncatedPadicRing(2, 4)):
-        assert domain_from_descriptor(domain.descriptor()) == domain

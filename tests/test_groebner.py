@@ -9,6 +9,7 @@ from closurelab.groebner import (
     colon,
     groebner,
     ideal_member,
+    intersect,
     normal_form,
 )
 from closurelab.polynomials import (
@@ -264,3 +265,30 @@ class TestColon:
             assert ok == expected
             if ok:
                 assert cert.verify()
+
+
+class TestIntersect:
+    def test_against_monomial_oracle(self):
+        # a monomial lies in the intersection of two monomial ideals iff a
+        # generator of each divides it
+        rng = random.Random(31)
+        ring = RingPresentation(QQ, ("x", "y", "z"))
+
+        def random_monomials():
+            out = []
+            for _ in range(rng.randrange(1, 3)):
+                m = [0, 0, 0]
+                for _ in range(rng.randrange(1, 4)):
+                    m[rng.randrange(3)] += 1
+                out.append(tuple(m))
+            return out
+
+        for _ in range(20):
+            monos_a, monos_b = random_monomials(), random_monomials()
+            meet = intersect(
+                [ring.monomial(m) for m in monos_a], [ring.monomial(m) for m in monos_b], ring
+            )
+            gb = groebner(meet, ring)
+            for m in all_monomials(3, 6):
+                expected = monomial_oracle_member(m, monos_a) and monomial_oracle_member(m, monos_b)
+                assert normal_form(ring.monomial(m), gb).is_zero() == expected, (monos_a, monos_b, m)

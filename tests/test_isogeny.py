@@ -108,10 +108,10 @@ class TestCompose:
 
 class TestMembershipModPn:
     def test_n1(self):
-        assert isogeny.membership_mod_pn(isogeny.hesse_double(), 2, 1) is True
+        assert isogeny.membership_digits(isogeny.hesse_double(), 2, 1)[0] is True
 
     def test_n0_identity(self):
-        assert isogeny.membership_mod_pn(isogeny.identity_endo(), 2, 0) is True
+        assert isogeny.membership_digits(isogeny.identity_endo(), 2, 0)[0] is True
 
     def test_n2_via_composition(self):
         e = isogeny.hesse_double()
@@ -121,6 +121,6 @@ class TestMembershipModPn:
 
     def test_degree_convention_enforced(self):
         with pytest.raises(isogeny.ConventionViolationError):
-            isogeny.membership_mod_pn(isogeny.hesse_double(), 2, 2)
+            isogeny.membership_digits(isogeny.hesse_double(), 2, 2)
         with pytest.raises(isogeny.ConventionViolationError):
-            isogeny.membership_mod_pn(isogeny.identity_endo(), 2, 1)
+            isogeny.membership_digits(isogeny.identity_endo(), 2, 1)

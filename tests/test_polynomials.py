@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from closurelab.coefficients import CYCLO, QQ, PrimeField
+from closurelab.coefficients import CYCLO, QQ
 from closurelab.polynomials import (
     Poly,
     PolyParseError,
@@ -11,7 +11,6 @@ from closurelab.polynomials import (
     exact_divide,
     format_poly,
     parse_cyclo,
-    ring_from_descriptor,
 )
 
 
@@ -110,15 +109,6 @@ def test_exact_divide(qq_ring):
     assert exact_divide(f, g) == qq_ring.parse("x + y")
     with pytest.raises(ValueError, match="does not divide"):
         exact_divide(qq_ring.parse("x^2 + y"), g)
-
-
-def test_ring_descriptor_round_trip():
-    ring = RingPresentation(
-        PrimeField(7), ("z", "x", "y"), relations=["z^3 + x^3 + y^3"]
-    )
-    clone = ring_from_descriptor(ring.descriptor())
-    assert clone.compatible(ring)
-    assert [format_poly(r) for r in clone.relations] == [format_poly(r) for r in ring.relations]
 
 
 def test_incompatible_ring_arithmetic_rejected(qq_ring):

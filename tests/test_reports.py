@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from closurelab.cli import main
-from closurelab.experiments import ConfigError, run_experiment
+from closurelab.cli import build_parser, main
+from closurelab.experiments import SCHEMAS, ConfigError, run_experiment
 from closurelab.reports import (
     ExperimentReport,
     ReportMismatchError,
@@ -84,9 +85,38 @@ class TestCli:
         assert code == 0
         assert "[PASS]" in out and "fingerprint:" in out
 
-    def test_config_error_exit_code(self, capsys):
-        code = main(["charp", "--p", "9"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["charp", "--p", "9"],
+            ["tower-verify", "--max-level", "7"],
+            ["tower-colon", "--max-level", "6"],
+            ["tower-trace", "--pairs", "0"],
+            ["charp", "--e-max", "5"],
+            ["isogeny", "--p", "3"],
+            ["padic", "--precision", "9"],
+            ["tower-verify", "--max-level", "abc"],
+            ["isogeny", "--check", "foo"],
+        ],
+        ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+    )
+    def test_config_error_exit_code(self, capsys, argv):
+        code = main(argv)
         assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_flags_come_from_the_schemas(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, schema in SCHEMAS.items():
+            flags = {
+                opt
+                for action in subparsers.choices[name]._actions
+                for opt in action.option_strings
+                if opt not in ("-h", "--help")
+            }
+            expected = {"--" + field.replace("_", "-") for field in schema} | {"--report", "--format"}
+            assert flags == expected, name
 
     def test_diff_subcommand(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -110,6 +140,39 @@ class TestCli:
         assert code == 0
         body = json.loads(report.read_text())
         assert any(c["name"].startswith("input_alpha/") for c in body["checks"])
+
+    @pytest.mark.parametrize(
+        "document",
+        [None, "{not json", {"alpha": "x $ y"}, {"oracle": {"mode": "honest"}}, {"alpha": "z^2"}],
+        ids=["missing_file", "bad_json", "unparsable_alpha", "no_alpha", "alpha_outside_xy"],
+    )
+    def test_bad_padic_input_is_a_config_error(self, tmp_path, capsys, document):
+        path = tmp_path / "input.json"
+        if document is not None:
+            path.write_text(document if isinstance(document, str) else json.dumps(document))
+        assert main(["padic", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""
+
+
+class TestPinnedFingerprints:
+    """Default-configuration fingerprints; a change to any of them is a
+    change to the mathematics the report records."""
+
+    PINNED = {
+        "tower-verify": "067cfab9e04927e73997b26f10c97a43131727045acc720580cbc1bfcb585374",
+        "tower-colon": "5b3c6a018001ab07f73bcffb76587af6e3c3ddbdfad2358944c8fcb06e362123",
+        "isogeny": "c8b2c6acf12a96810a19060a4823e7f60b28c527fce41cac92258dba250cb04c",
+        "padic": "a26c67452daf52b827b1c8d7153f38df96ea333d50832f74871dc2e7ad90acc9",
+        "charp --p 7": "974051447e60ae7309b56bc0df2090085320437e6742c6c285fb4c14a95195cc",
+        "tower-trace --pairs 10": "08ae18a7bb80dc7e057b7090465e423c652ea6b7024f1dd0e3db02e238d14a28",
+    }
+
+    @pytest.mark.parametrize("command", list(PINNED), ids=lambda c: c.replace(" --", "_").replace(" ", "_"))
+    def test_default_fingerprint(self, capsys, command):
+        assert main(command.split()) == 0
+        assert json.loads(capsys.readouterr().out)["fingerprint"] == self.PINNED[command]
 
 
 class TestGoldenFixtures:
