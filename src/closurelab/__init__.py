@@ -2,7 +2,7 @@
 
 Subpackages by job:
 
-- coefficients: rationals, Q(zeta_9), prime fields, truncated p-adics
+- coefficients: rationals, Q(zeta_9), residues mod p^N (F_p is N = 1)
 - polynomials / groebner: sparse polynomial engine with certified membership
 - tower: the cube-root extension tower, valuations, colon certificates
 - charp: Frobenius powers and tight-closure multiplier searches

@@ -1,6 +1,6 @@
 """Exact coefficient domains: rationals, the degree-6 cyclotomic field
-generated by a primitive ninth root of unity, prime fields, and truncated
-p-adic rings.
+generated by a primitive ninth root of unity, and residues mod p^N (F_p is
+N = 1).
 
 Every domain exposes the same small interface (``zero``, ``one``,
 ``from_int``, ``inv``, ``coerce``, ``is_field``) and its elements are
@@ -237,113 +237,62 @@ def format_cyclo(value: CycloNum) -> str:
     return " ".join(parts) if parts else "0"
 
 
-class PrimeFieldElem:
-    """Residue in F_p; p = 3 is rejected because the cubic degenerates."""
-
-    __slots__ = ("p", "residue")
-
-    def __init__(self, p: int, residue: int):
-        self.p = p
-        self.residue = residue % p
-
-    def _check(self, other):
-        if other.p != self.p:
-            raise ValueError(f"mixed characteristics {self.p} and {other.p}")
-
-    def __bool__(self) -> bool:
-        return self.residue != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PrimeFieldElem):
-            return self.p == other.p and self.residue == other.residue
-        if isinstance(other, int):
-            return self.residue == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.residue))
-
-    def __neg__(self):
-        return PrimeFieldElem(self.p, -self.residue)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return PrimeFieldElem(self.p, self.residue + other)
-        self._check(other)
-        return PrimeFieldElem(self.p, self.residue + other.residue)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, PrimeFieldElem) else PrimeFieldElem(self.p, -other))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PrimeFieldElem(self.p, self.residue * other)
-        self._check(other)
-        return PrimeFieldElem(self.p, self.residue * other.residue)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.residue == 0:
-            raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
-        return PrimeFieldElem(self.p, pow(self.residue, -1, self.p))
-
-    def __repr__(self):
-        return f"{self.residue}"
-
-
 class TruncatedPadic:
-    """Residue in Z/p^N; the p-adic valuation of a nonzero residue is < N."""
+    """Residue mod p^N, an element of a ``TruncatedPadicRing`` (F_p is
+    N = 1); the p-adic valuation of a nonzero residue is < N."""
 
-    __slots__ = ("p", "precision", "residue")
+    __slots__ = ("ring", "residue")
 
-    def __init__(self, p: int, precision: int, residue: int):
-        self.p = p
-        self.precision = precision
-        self.residue = residue % (p ** precision)
+    def __init__(self, ring: "TruncatedPadicRing", residue: int):
+        self.ring = ring
+        self.residue = residue % ring.modulus
 
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.precision
-
-    def _check(self, other):
-        if (other.p, other.precision) != (self.p, self.precision):
-            raise ValueError("mixed truncated p-adic rings")
+    def _residue_of(self, other):
+        """Residue of an int or of an element of an equal ring; None for
+        any other type.  Elements of different rings never mix."""
+        if isinstance(other, int):
+            return other
+        if not isinstance(other, TruncatedPadic):
+            return None
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise ValueError(f"mixed residue rings {self.ring.name} and {other.ring.name}")
+        return other.residue
 
     def __bool__(self):
         return self.residue != 0
 
     def __eq__(self, other):
         if isinstance(other, TruncatedPadic):
-            return (self.p, self.precision, self.residue) == (other.p, other.precision, other.residue)
+            return self.residue == other.residue and (other.ring is self.ring or other.ring == self.ring)
         if isinstance(other, int):
-            return self.residue == other % self.modulus
+            return self.residue == other % self.ring.modulus
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.precision, self.residue))
+        return hash((self.ring.p, self.ring.precision, self.residue))
 
     def __neg__(self):
-        return TruncatedPadic(self.p, self.precision, -self.residue)
+        return TruncatedPadic(self.ring, -self.residue)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            return TruncatedPadic(self.p, self.precision, self.residue + other)
-        self._check(other)
-        return TruncatedPadic(self.p, self.precision, self.residue + other.residue)
+        r = self._residue_of(other)
+        if r is None:
+            return NotImplemented
+        return TruncatedPadic(self.ring, self.residue + r)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedPadic) else TruncatedPadic(self.p, self.precision, -other))
+        r = self._residue_of(other)
+        if r is None:
+            return NotImplemented
+        return TruncatedPadic(self.ring, self.residue - r)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncatedPadic(self.p, self.precision, self.residue * other)
-        self._check(other)
-        return TruncatedPadic(self.p, self.precision, self.residue * other.residue)
+        r = self._residue_of(other)
+        if r is None:
+            return NotImplemented
+        return TruncatedPadic(self.ring, self.residue * r)
 
     __rmul__ = __mul__
 
@@ -351,21 +300,22 @@ class TruncatedPadic:
         """Largest k with p^k dividing the residue; raises on zero."""
         if self.residue == 0:
             raise ZeroDivisionError("valuation of zero is unbounded")
+        p = self.ring.p
         k, r = 0, self.residue
-        while r % self.p == 0:
-            r //= self.p
+        while r % p == 0:
+            r //= p
             k += 1
         return k
 
     def inverse(self):
-        if self.residue % self.p == 0:
-            raise ZeroDivisionError(f"{self.residue} is not a unit mod {self.p}^{self.precision}")
-        return TruncatedPadic(self.p, self.precision, pow(self.residue, -1, self.modulus))
+        if self.residue % self.ring.p == 0:
+            raise ZeroDivisionError(f"{self.residue} is not a unit in {self.ring.name}")
+        return TruncatedPadic(self.ring, pow(self.residue, -1, self.ring.modulus))
 
     def reduce_to(self, precision: int) -> "TruncatedPadic":
-        if precision > self.precision:
+        if precision > self.ring.precision:
             raise ValueError("cannot increase precision")
-        return TruncatedPadic(self.p, precision, self.residue)
+        return TruncatedPadicRing(self.ring.p, precision).from_int(self.residue)
 
     def __repr__(self):
         return f"{self.residue}"
@@ -443,49 +393,10 @@ class CyclotomicField9:
         return hash(self.name)
 
 
-class PrimeField:
-    is_field = True
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if p == 3:
-            raise ValueError("p = 3 is rejected: the Fermat cubic degenerates in characteristic 3")
-        self.p = p
-        self.name = f"F_{p}"
-        self.zero = PrimeFieldElem(p, 0)
-        self.one = PrimeFieldElem(p, 1)
-
-    def from_int(self, n: int) -> PrimeFieldElem:
-        return PrimeFieldElem(self.p, n)
-
-    def coerce(self, x) -> PrimeFieldElem:
-        if isinstance(x, PrimeFieldElem):
-            if x.p != self.p:
-                raise TypeError("wrong characteristic")
-            return x
-        if isinstance(x, int):
-            return PrimeFieldElem(self.p, x)
-        if isinstance(x, Fraction) and x.denominator == 1:
-            return PrimeFieldElem(self.p, x.numerator)
-        raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
-
-    def inv(self, x: PrimeFieldElem) -> PrimeFieldElem:
-        return x.inverse()
-
-    def format(self, x: PrimeFieldElem, parenthesize: bool = False) -> str:
-        return str(x.residue)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(self.name)
-
-
 class TruncatedPadicRing:
     """Z/p^N.  Not a field: the Groebner engine rejects it and the digit-wise
-    machinery in the p-adic module is used instead."""
+    machinery in the p-adic module is used instead.  Equal rings share type,
+    p and N, so ``PrimeField(p)`` differs from ``TruncatedPadicRing(p, 1)``."""
 
     is_field = False
 
@@ -498,17 +409,18 @@ class TruncatedPadicRing:
             raise ValueError("precision must be >= 1")
         self.p = p
         self.precision = precision
+        self.modulus = p ** precision
         self.name = f"Z/{p}^{precision}"
-        self.zero = TruncatedPadic(p, precision, 0)
-        self.one = TruncatedPadic(p, precision, 1)
+        self.zero = TruncatedPadic(self, 0)
+        self.one = TruncatedPadic(self, 1)
 
     def from_int(self, n: int) -> TruncatedPadic:
-        return TruncatedPadic(self.p, self.precision, n)
+        return TruncatedPadic(self, n)
 
     def coerce(self, x) -> TruncatedPadic:
         if isinstance(x, TruncatedPadic):
-            if (x.p, x.precision) != (self.p, self.precision):
-                raise TypeError("wrong truncated ring")
+            if x.ring is not self and x.ring != self:
+                raise TypeError(f"cannot coerce an element of {x.ring.name} into {self.name}")
             return x
         if isinstance(x, int):
             return self.from_int(x)
@@ -523,10 +435,20 @@ class TruncatedPadicRing:
         return str(x.residue)
 
     def __eq__(self, other):
-        return isinstance(other, TruncatedPadicRing) and (other.p, other.precision) == (self.p, self.precision)
+        return type(other) is type(self) and (other.p, other.precision) == (self.p, self.precision)
 
     def __hash__(self):
         return hash(self.name)
+
+
+class PrimeField(TruncatedPadicRing):
+    """F_p = Z/p^1, the residue ring that is a field."""
+
+    is_field = True
+
+    def __init__(self, p: int):
+        super().__init__(p, 1)
+        self.name = f"F_{p}"
 
 
 QQ = RationalField()

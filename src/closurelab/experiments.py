@@ -287,6 +287,28 @@ def run_isogeny(config: dict) -> ExperimentReport:
     return ExperimentReport("isogeny", cfg, checks)
 
 
+def _check_input_shape(doc):
+    """Reject a ``padic --input`` document of the wrong JSON shape before any
+    field is used; a missing ``alpha`` or ``steps`` is left to the KeyError."""
+    if not isinstance(doc, dict):
+        raise ValueError("the document must be a JSON object")
+    if "alpha" in doc and not isinstance(doc["alpha"], str):
+        raise ValueError("alpha must be a string")
+    oracle = doc.get("oracle", {})
+    if not isinstance(oracle, dict):
+        raise ValueError("oracle must be an object")
+    if not isinstance(oracle.get("mode", "honest"), str):
+        raise ValueError("oracle mode must be a string")
+    seed = oracle.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError("oracle seed must be an integer")
+    steps = oracle.get("steps", [])
+    if not isinstance(steps, list) or not all(
+        isinstance(step, dict) and all(isinstance(step.get(k), str) for k in "abc") for step in steps
+    ):
+        raise ValueError("oracle steps must be a list of objects with string a, b and c")
+
+
 def run_padic(config: dict) -> ExperimentReport:
     cfg = _validated(config, "padic")
     p, N = cfg["p"], cfg["precision"]
@@ -339,13 +361,14 @@ def run_padic(config: dict) -> ExperimentReport:
             if isinstance(doc, str):
                 with open(doc, "r", encoding="utf-8") as fh:
                     doc = json.load(fh)
+            _check_input_shape(doc)
             alpha = m.parse(doc["alpha"])
             oracle_cfg = doc.get("oracle", {"mode": "honest"})
             mode = oracle_cfg.get("mode", "honest")
             if mode == "honest":
                 oracle = padic.honest_oracle(m)
             elif mode == "adversarial":
-                oracle = padic.adversarial_oracle(m, int(oracle_cfg.get("seed", 0)))
+                oracle = padic.adversarial_oracle(m, oracle_cfg.get("seed", 0))
             elif mode == "scripted":
                 oracle = padic.scripted_oracle(m, oracle_cfg["steps"])
             else:

@@ -99,6 +99,20 @@ class MembershipCertificate:
         }
 
 
+def _combination(quots, reps):
+    """The cofactor vector sum(q_i * reps_i) over the nonzero quotients q_i,
+    or None when every quotient is zero."""
+    acc = None
+    for q, rep in zip(quots, reps):
+        if q.is_zero():
+            continue
+        if acc is None:
+            acc = [q * r for r in rep]
+        else:
+            acc = [a + q * r for a, r in zip(acc, rep)]
+    return acc
+
+
 def _divide(f: Poly, divisors, track: bool = True):
     """Full multivariate division: f = sum(q_i * divisors_i) + remainder.
 
@@ -228,12 +242,11 @@ def groebner(gens, ring: RingPresentation, include_relations: bool = True) -> Gr
         basis.append(tr)
         add_pairs(tr, len(basis) - 1)
 
-    def reduce_tracked(poly: Poly, rep: list) -> tuple[Poly, list]:
-        rem, quots = _divide(poly, [t.poly for t in basis], track=True)
-        for q, t in zip(quots, basis):
-            if q.is_zero():
-                continue
-            rep = [r - q * tr for r, tr in zip(rep, t.rep)]
+    def reduce_tracked(poly: Poly, rep, against: list) -> tuple:
+        rem, quots = _divide(poly, [t.poly for t in against], track=True)
+        used = _combination(quots, [t.rep for t in against])
+        if used is not None:
+            rep = [r - u for r, u in zip(rep, used)]
         return rem, rep
 
     while pairs:
@@ -249,7 +262,7 @@ def groebner(gens, ring: RingPresentation, include_relations: bool = True) -> Gr
             ri.mul_term(mi, ci) - rj.mul_term(mj, cj)
             for ri, rj in zip(fi.rep, fj.rep)
         ]
-        rem, rep = reduce_tracked(spoly, rep)
+        rem, rep = reduce_tracked(spoly, rep, basis)
         if rem.is_zero():
             continue
         inv = dom.inv(rem.lc())
@@ -270,17 +283,7 @@ def groebner(gens, ring: RingPresentation, include_relations: bool = True) -> Gr
     # tail-reduce each element against the others
     reduced: list[_Tracked] = []
     for t in minimal:
-        others = [u.poly for u in minimal if u is not t]
-        rem, quots = _divide(t.poly, others, track=True)
-        rep = list(t.rep)
-        qi = 0
-        for u in minimal:
-            if u is t:
-                continue
-            q = quots[qi]
-            qi += 1
-            if not q.is_zero():
-                rep = [r - q * ur for r, ur in zip(rep, u.rep)]
+        rem, rep = reduce_tracked(t.poly, t.rep, [u for u in minimal if u is not t])
         inv = dom.inv(rem.lc())
         reduced.append(_Tracked(rem * inv, tuple(r * inv for r in rep), t.sugar))
     reduced.sort(key=lambda t: order_key(t.poly.lm()))
@@ -300,13 +303,7 @@ def membership_with_basis(f: Poly, gb: GroebnerBasis):
     rem, quots = normal_form(f, gb, with_quotients=True)
     if not rem.is_zero():
         return False, None
-    n = len(gb.inputs)
-    cof = [f.ring.zero() for _ in range(n)]
-    for q, rep in zip(quots, gb.reps):
-        if q.is_zero():
-            continue
-        for k in range(n):
-            cof[k] = cof[k] + q * rep[k]
+    cof = _combination(quots, gb.reps) or [f.ring.zero() for _ in gb.inputs]
     cert = MembershipCertificate(f, gb.inputs, cof)
     cert.check()
     return True, cert

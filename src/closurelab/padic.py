@@ -85,16 +85,7 @@ class TruncatedModel:
 
     def coeff_val_floor(self, f: Poly) -> int:
         """Largest k with p^k dividing every coefficient (precision if f = 0)."""
-        if f.is_zero():
-            return self.precision
-        out = self.precision
-        for _, c in f.terms:
-            r, k = c.residue, 0
-            while r % self.p == 0 and k < self.precision:
-                r //= self.p
-                k += 1
-            out = min(out, k)
-        return out
+        return min((c.val() for _, c in f.terms), default=self.precision)
 
     def random_poly(self, rng: random.Random, max_degree: int = 3, terms: int = 3) -> Poly:
         picked = {}
@@ -116,12 +107,9 @@ def model(p: int, precision: int) -> TruncatedModel:
 @lru_cache(maxsize=None)
 def regular_sequence_check(p: int, precision: int) -> bool:
     """x is a nonzerodivisor on T/(p) and y on T/(p, x), via colon ideals
-    over F_p.  p = 3 is rejected before any arithmetic."""
-    if p == 3:
-        raise ValueError("p = 3 is rejected: the Fermat cubic degenerates in characteristic 3")
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    ring = fermat_ring(p)
+    over F_p.  p = 3 and precision < 1 are rejected by the model before any
+    arithmetic."""
+    ring = model(p, precision).field_ring
     rel_basis = groebner([], ring)
     x, y = ring.parse("x"), ring.parse("y")
     # ((0) : x) must be (0) in the quotient

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 from .coefficients import CYCLO, THETA, CycloNum
 from .groebner import (
@@ -33,50 +33,6 @@ from .polynomials import Poly, RingPresentation, format_poly
 # the three linear forms l_1, l_2, l_3 with l_1*l_2*l_3 = theta*u^3 + theta^2*v^3:
 # coefficients (theta^(1/3), theta^(k/3)) for k = 2, 5, 8
 _FORM_EXPONENTS = ((1, 2), (1, 5), (1, 8))
-
-
-@total_ordering
-class Valuation:
-    """Value of the graded valuation: an exact Fraction, or infinite at 0."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Fraction | None):
-        self.value = None if value is None else Fraction(value)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __eq__(self, other):
-        if isinstance(other, Valuation):
-            return self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == other
-        return NotImplemented
-
-    def __lt__(self, other):
-        mine = self.value
-        theirs = other.value if isinstance(other, Valuation) else Fraction(other)
-        if mine is None:
-            return False
-        if theirs is None:
-            return True
-        return mine < theirs
-
-    def __add__(self, other):
-        if self.is_infinite or other.is_infinite:
-            return Valuation(None)
-        return Valuation(self.value + other.value)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return "inf" if self.value is None else str(self.value)
-
-
-INFINITE = Valuation(None)
 
 
 def level_variables(n: int) -> tuple[str, str, str]:
@@ -162,12 +118,13 @@ def relation_basis(n: int) -> GroebnerBasis:
     return groebner([], build_level(n).ring)
 
 
-def valuation(f: Poly, level: TowerLevel) -> Valuation:
-    """Minimal weighted degree of the normal form; infinite iff f is 0 in A_n."""
+def valuation(f: Poly, level: TowerLevel) -> Fraction | None:
+    """Minimal weighted degree of the normal form; None (infinite) iff f is 0
+    in A_n."""
     nf = normal_form(f, relation_basis(level.n))
     if nf.is_zero():
-        return INFINITE
-    return Valuation(nf.min_degree())
+        return None
+    return nf.min_degree()
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +287,20 @@ def colon_probe(n: int, full_colon_max_level: int = 2) -> ColonProbe:
     zp = variable_images(n - 1, n)[level_variables(n - 1)[0]]
     lhs = valuation(zp, level)
     rhs = (
-        valuation(xn, level),
+        val_x,
         valuation(level.var("y"), level),
         valuation(level.var("z"), level),
     )
-    if lhs.value != sum(r.value for r in rhs):
+    if lhs != sum(rhs):
         raise VerificationError(f"valuation recurrence fails at level {n}")
 
     full = None
     if n <= full_colon_max_level:
         gens = colon([X0, Y0], z2_image(n), ring)
-        min_val = min(valuation(g, level) for g in gens)
-        full = (tuple(format_poly(g) for g in gens), min_val.value)
+        # the reduced basis contains relation multiples, which are 0 in A_n
+        vals = [valuation(g, level) for g in gens]
+        min_val = min((v for v in vals if v is not None), default=None)
+        full = (tuple(format_poly(g) for g in gens), min_val)
 
     rejected = None
     if n == 1:
@@ -359,11 +318,11 @@ def colon_probe(n: int, full_colon_max_level: int = 2) -> ColonProbe:
 
     return ColonProbe(
         n=n,
-        min_valuation=val_x.value,
+        min_valuation=val_x,
         witness=witness,
         witness_element=xn,
-        recurrence_lhs=lhs.value,
-        recurrence_rhs=tuple(r.value for r in rhs),
+        recurrence_lhs=lhs,
+        recurrence_rhs=rhs,
         full_colon=full,
         rejected_variant=rejected,
     )

@@ -7,7 +7,6 @@ from closurelab.coefficients import (
     CYCLO,
     CycloNum,
     PrimeField,
-    TruncatedPadic,
     TruncatedPadicRing,
 )
 
@@ -162,8 +161,33 @@ class TestTruncatedPadic:
                 b = r.from_int(rng.randrange(0, 5 ** 4))
                 assert (a + b).reduce_to(m) == a.reduce_to(m) + b.reduce_to(m)
                 assert (a * b).reduce_to(m) == a.reduce_to(m) * b.reduce_to(m)
-        assert r.one.reduce_to(2) == TruncatedPadic(5, 2, 1)
+        assert r.one.reduce_to(2) == TruncatedPadicRing(5, 2).one
 
     def test_char_three_rejected(self):
         with pytest.raises(ValueError, match="degenerates"):
             TruncatedPadicRing(3, 2)
+
+
+class TestResidueRingContract:
+    """F_p is Z/p^1 with the field flag; elements of different residue rings
+    never mix, in either operand order."""
+
+    def test_mixed_rings_raise(self):
+        a = PrimeField(5).from_int(2)
+        b = TruncatedPadicRing(5, 2).from_int(13)
+        for op in (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: u - v):
+            with pytest.raises(ValueError, match="mixed residue rings"):
+                op(a, b)
+            with pytest.raises(ValueError, match="mixed residue rings"):
+                op(b, a)
+
+    def test_prime_field_is_not_z_mod_p(self):
+        assert PrimeField(5) != TruncatedPadicRing(5, 1)
+        assert PrimeField(5) == PrimeField(5)
+        assert TruncatedPadicRing(5, 1) == TruncatedPadicRing(5, 1)
+        assert PrimeField(5).from_int(2) != TruncatedPadicRing(5, 1).from_int(2)
+
+    def test_field_flag(self):
+        assert PrimeField(5).is_field
+        assert not TruncatedPadicRing(5, 2).is_field
+        assert not TruncatedPadicRing(5, 1).is_field

@@ -143,8 +143,32 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "document",
-        [None, "{not json", {"alpha": "x $ y"}, {"oracle": {"mode": "honest"}}, {"alpha": "z^2"}],
-        ids=["missing_file", "bad_json", "unparsable_alpha", "no_alpha", "alpha_outside_xy"],
+        [
+            None,
+            "{not json",
+            {"alpha": "x $ y"},
+            {"oracle": {"mode": "honest"}},
+            {"alpha": "z^2"},
+            [],
+            {"alpha": 5},
+            {"alpha": "x", "oracle": []},
+            {"alpha": "x", "oracle": {"mode": "scripted", "steps": 5}},
+            {"alpha": "x", "oracle": {"mode": "scripted", "steps": [{"a": 1}]}},
+            {"alpha": "x", "oracle": {"mode": "adversarial", "seed": []}},
+        ],
+        ids=[
+            "missing_file",
+            "bad_json",
+            "unparsable_alpha",
+            "no_alpha",
+            "alpha_outside_xy",
+            "list_document",
+            "non_string_alpha",
+            "non_object_oracle",
+            "non_list_steps",
+            "non_string_step",
+            "non_integer_seed",
+        ],
     )
     def test_bad_padic_input_is_a_config_error(self, tmp_path, capsys, document):
         path = tmp_path / "input.json"

@@ -108,8 +108,8 @@ class TestValuation:
     def test_zero_is_infinite(self):
         level = tower.build_level(1)
         v = tower.valuation(level.ring.zero(), level)
-        assert v.is_infinite
-        assert tower.valuation(level.ring.relations[0], level).is_infinite
+        assert v is None
+        assert tower.valuation(level.ring.relations[0], level) is None
 
     def test_multiplicativity_and_ultrametric(self):
         rng = random.Random(8)
@@ -120,9 +120,10 @@ class TestValuation:
                 g = rand_poly(rng, level.ring, max_exp=3, terms=3)
                 vf, vg = tower.valuation(f, level), tower.valuation(g, level)
                 vfg = tower.valuation(f * g, level)
+                assert vf is not None and vg is not None
                 assert vfg == vf + vg
                 vsum = tower.valuation(f + g, level)
-                assert vsum.is_infinite or vsum >= min(vf, vg)
+                assert vsum is None or vsum >= min(vf, vg)
 
     def test_compatibility_with_embedding(self):
         rng = random.Random(12)
