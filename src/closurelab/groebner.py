@@ -15,10 +15,9 @@ from fractions import Fraction
 
 from .coefficients import DomainError
 from .polynomials import (
-    BlockElimination,
     Poly,
     RingPresentation,
-    exact_divide,
+    WeightedGrevlex,
     format_poly,
     mono_coprime,
     mono_div,
@@ -153,6 +152,17 @@ def _divide(f: Poly, divisors, track: bool = True):
     if track:
         return rem, [Poly(ring, q) for q in quotients]
     return rem, None
+
+
+def exact_divide(f: Poly, g: Poly) -> Poly:
+    """Quotient f / g when g divides f exactly; raises otherwise.  A single
+    polynomial is a Groebner basis, so the remainder is zero iff g | f."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem, (q,) = _divide(f, [g])
+    if rem:
+        raise ValueError(f"{g} does not divide {f} exactly")
+    return q
 
 
 def normal_form(f: Poly, basis, with_quotients: bool = False):
@@ -321,7 +331,7 @@ def elimination_ring(ring: RingPresentation) -> RingPresentation:
         (Fraction(1),) + ring.weights,
         (),
     )
-    ext.order = BlockElimination(1, ring.order)
+    ext.order = WeightedGrevlex(ext.weights, block=1)
     return ext
 
 

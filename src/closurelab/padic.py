@@ -1,9 +1,10 @@
 """Successive approximation on the truncated model T_N =
 (Z/p^N)[x, y, z] / (x^3 + y^3 + z^3).
 
-Elements of T_N are kept in canonical form (z-degree <= 2) by the monic
-rewrite z^3 -> -(x^3 + y^3), so coefficientwise p-divisibility statements
-are well defined.  Coefficient arithmetic never needs Groebner bases over
+Elements of T_N are kept in canonical form: the normal form modulo the
+monic relation, whose leading monomial is z^3, so every z-degree is <= 2
+and coefficientwise p-divisibility statements are well defined.  Beyond
+that division, coefficient arithmetic never needs Groebner bases over
 Z/p^N: every digit is solved over F_p and lifted, mirroring the way the
 correction argument itself proceeds one p-power at a time.
 """
@@ -39,28 +40,16 @@ class TruncatedModel:
             self.domain, ("z", "x", "y"), relations=["z^3 + x^3 + y^3"]
         )
         self.field_ring = fermat_ring(p)
+        self.field_relation_basis = groebner([], self.field_ring)
+        self.field_y_basis = groebner([self.field_ring.parse("y")], self.field_ring)
         self.x = self.canon(self.ring.var("x"))
         self.y = self.canon(self.ring.var("y"))
 
     def canon(self, f: Poly) -> Poly:
-        """Rewrite z^3 -> -(x^3 + y^3) until every z-exponent is <= 2."""
-        terms = dict(f.terms)
-        while True:
-            high = [m for m in terms if m[0] >= 3]
-            if not high:
-                break
-            # highest z-exponent first, re-fetching the live coefficient, so
-            # rewrites landing on other high monomials stay consistent
-            m = max(high, key=lambda mm: mm[0])
-            c = terms.pop(m)
-            z, x, y = m
-            for key in ((z - 3, x + 3, y), (z - 3, x, y + 3)):
-                val = terms.get(key, self.domain.zero) - c
-                if val:
-                    terms[key] = val
-                elif key in terms:
-                    del terms[key]
-        return Poly(self.ring, terms)
+        """Normal form modulo the relation z^3 + x^3 + y^3: unique because a
+        single monic polynomial is a Groebner basis over any coefficient
+        ring, and every z-exponent of it is <= 2."""
+        return normal_form(f, self.ring.relations)
 
     def parse(self, text: str) -> Poly:
         return self.canon(self.ring.parse(text))
@@ -109,8 +98,8 @@ def regular_sequence_check(p: int, precision: int) -> bool:
     """x is a nonzerodivisor on T/(p) and y on T/(p, x), via colon ideals
     over F_p.  p = 3 and precision < 1 are rejected by the model before any
     arithmetic."""
-    ring = model(p, precision).field_ring
-    rel_basis = groebner([], ring)
+    m = model(p, precision)
+    ring, rel_basis = m.field_ring, m.field_relation_basis
     x, y = ring.parse("x"), ring.parse("y")
     # ((0) : x) must be (0) in the quotient
     for g in colon([], x, ring):
@@ -256,24 +245,20 @@ def _koszul_correct(m: TruncatedModel, i: int, a: Poly, b: Poly):
     multiple t * (y, -x) of the Koszul syzygy; subtracting its lift raises
     the divisibility by one power of p.
     """
-    field = m.field_ring
-    rel = field.relations[0]
-    rel_basis = groebner([], field)
-    y_basis = groebner([field.parse("y")], field)
-    xf, yf = field.parse("x"), field.parse("y")
+    xf = m.field_ring.parse("x")
     for j in range(i - 1):
         abar = m.digit_slice(a, j)
         bbar = m.digit_slice(b, j)
         if abar.is_zero() and bbar.is_zero():
             continue
-        member, cert = membership_with_basis(abar, y_basis)
+        member, cert = membership_with_basis(abar, m.field_y_basis)
         if not member:
             raise LiftingObstructionError(
                 f"digit {j} of step {i}: {format_poly(abar)} is not a multiple of y modulo the relation"
             )
         t, w_a = cert.cofactors  # abar = t*y + w_a*rel exactly
         # the solved t must reproduce b as well: bbar + t*x is a relation multiple
-        check, quots = normal_form(bbar + t * xf, rel_basis, with_quotients=True)
+        check, quots = normal_form(bbar + t * xf, m.field_relation_basis, with_quotients=True)
         if not check.is_zero():
             raise LiftingObstructionError(
                 f"digit {j} of step {i}: Koszul syzygy does not reproduce b"

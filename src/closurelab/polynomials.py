@@ -1,15 +1,19 @@
 """Sparse multivariate polynomials over a pluggable exact coefficient domain.
 
 Monomials are plain exponent tuples indexed by the ring's variable list.
-The monomial order is graded reverse lexicographic by weighted degree with
-ties broken by reverse lex on the declared variable order; weights are exact
-Fractions so towers with weights 3^-n stay exact.
+There is one monomial order, ``WeightedGrevlex``: graded reverse
+lexicographic by weighted degree with ties broken by reverse lex on the
+declared variable order, optionally preceded by a block of leading
+variables that it eliminates.  Weights are exact Fractions so towers with
+weights 3^-n stay exact; the order key compares them scaled to integers.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from operator import mul
 
 from .coefficients import CYCLO, CycloNum
 
@@ -37,53 +41,31 @@ def mono_coprime(a, b):
 
 
 class WeightedGrevlex:
-    """Weighted grevlex order.  Sort keys increase with the order."""
+    """Weighted grevlex order with an optional leading elimination block.
 
-    tag = "wgrevlex"
+    The first ``block`` variables are compared first by their total degree,
+    then by their exponent tuple; the remaining variables by weighted degree
+    with ties broken by reverse lex.  Sort keys increase with the order.
+    The key sums weights scaled to integers by the lcm of their
+    denominators; ``degree`` stays an exact Fraction.
+    """
 
-    def __init__(self, weights):
+    def __init__(self, weights, block: int = 0):
         self.weights = tuple(Fraction(w) for w in weights)
+        self.block = block
+        self._scale = math.lcm(*(w.denominator for w in self.weights))
+        self._int_weights = tuple(int(w * self._scale) for w in self.weights)
 
     def degree(self, exps) -> Fraction:
-        return sum((w * e for w, e in zip(self.weights, exps)), Fraction(0))
+        return Fraction(sum(map(mul, self._int_weights, exps)), self._scale)
 
     def key(self, exps):
-        return (self.degree(exps), tuple(-e for e in reversed(exps)))
-
-    def __eq__(self, other):
-        return isinstance(other, WeightedGrevlex) and other.weights == self.weights
-
-    def __hash__(self):
-        return hash((self.tag, self.weights))
-
-
-class BlockElimination:
-    """First block of k variables compared by total degree first, then the
-    inner order on the remaining variables.  Eliminates the leading block."""
-
-    tag = "elim"
-
-    def __init__(self, block_size: int, inner: WeightedGrevlex):
-        self.block_size = block_size
-        self.inner = inner
-        self.weights = (Fraction(1),) * block_size + inner.weights
-
-    def degree(self, exps) -> Fraction:
-        return sum((w * e for w, e in zip(self.weights, exps)), Fraction(0))
-
-    def key(self, exps):
-        head = exps[: self.block_size]
-        return (sum(head), head, self.inner.key(exps[self.block_size :]))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BlockElimination)
-            and other.block_size == self.block_size
-            and other.inner == self.inner
-        )
-
-    def __hash__(self):
-        return hash((self.tag, self.block_size, self.inner))
+        b = self.block
+        if not b:
+            return (sum(map(mul, self._int_weights, exps)), tuple(-e for e in reversed(exps)))
+        head, tail = exps[:b], exps[b:]
+        inner = (sum(map(mul, self._int_weights[b:], tail)), tuple(-e for e in reversed(tail)))
+        return (sum(head), head, inner)
 
 
 class RingPresentation:
@@ -461,26 +443,3 @@ def parse_cyclo(text: str) -> CycloNum:
     if not poly.terms:
         return CYCLO.zero
     return poly.terms[0][1]
-
-
-def exact_divide(f: Poly, g: Poly) -> Poly:
-    """Quotient f / g when g divides f exactly; raises otherwise.
-
-    Single-divisor multivariate division: a one-element set is always a
-    Groebner basis of the principal ideal it generates.
-    """
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = f.ring
-    inv_lc = ring.domain.inv(g.lc())
-    q: dict = {}
-    work = f
-    while work.terms:
-        m, c = work.lt()
-        if not mono_divides(g.lm(), m):
-            raise ValueError(f"{g} does not divide {f} exactly")
-        qm = mono_div(m, g.lm())
-        qc = c * inv_lc
-        q[qm] = q.get(qm, ring.domain.zero) + qc
-        work = work - g.mul_term(qm, qc)
-    return Poly(ring, q)

@@ -61,7 +61,6 @@ def build_level(n: int) -> TowerLevel:
         raise ValueError("level index must be >= 0")
     zv, xv, yv = level_variables(n)
     weight = Fraction(1, 3 ** n)
-    theta = THETA
     ring = RingPresentation(
         CYCLO,
         (zv, xv, yv),
@@ -138,7 +137,7 @@ class IdentityCheck:
     detail: str
 
 
-def _linear_forms(ring: RingPresentation, x: Poly, y: Poly) -> list[Poly]:
+def _linear_forms(x: Poly, y: Poly) -> list[Poly]:
     forms = []
     for ex, ey in _FORM_EXPONENTS:
         forms.append(x * CycloNum.zeta_power(ex) + y * CycloNum.zeta_power(ey))
@@ -162,7 +161,7 @@ def verify_level(n: int) -> list[IdentityCheck]:
     theta = THETA
     checks = []
 
-    l1, l2, l3 = _linear_forms(ring, X, Y)
+    l1, l2, l3 = _linear_forms(X, Y)
     combo = l1 * theta + l2 * (theta * theta) + l3
     checks.append(
         IdentityCheck(
@@ -223,12 +222,7 @@ def z2_image(n: int) -> Poly:
 
 def z2_not_in_xy(n: int) -> bool:
     """True iff z^2 stays outside (x, y) at level n, by Groebner normal form."""
-    if n == 0:
-        level = build_level(0)
-        f = level.ring.parse("z^2")
-    else:
-        f = z2_image(n)
-    return not normal_form(f, xy_image_basis(n)).is_zero()
+    return not normal_form(z2_image(n), xy_image_basis(n)).is_zero()
 
 
 @dataclass(frozen=True)
@@ -376,7 +370,7 @@ def retraction_preimage(pi: Poly) -> Poly:
     base = build_level(0)
     ring0 = base.ring
     x0, y0, z0 = ring0.var("x"), ring0.var("y"), ring0.var("z")
-    forms = _linear_forms(ring0, x0, y0)
+    forms = _linear_forms(x0, y0)
     out = ring0.zero()
     for m, c in pi.terms:
         k, i, j = m

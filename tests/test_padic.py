@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closurelab import padic
-from closurelab.polynomials import format_poly
+from closurelab.groebner import exact_divide
+from closurelab.polynomials import Poly, format_poly
 
 
 class TestRegularSequence:
@@ -36,6 +39,24 @@ class TestCanonicalForm:
         m = padic.model(5, 3)
         rel = m.ring.relations[0]
         assert m.canon(rel).is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pn=st.sampled_from([(2, 4), (5, 1), (5, 3), (7, 2)]),
+        terms=st.dictionaries(
+            st.tuples(st.integers(0, 9), st.integers(0, 4), st.integers(0, 4)),
+            st.integers(0, 10 ** 6),
+            max_size=6,
+        ),
+    )
+    def test_canon_is_a_remainder_modulo_the_relation(self, pn, terms):
+        m = padic.model(*pn)
+        f = Poly(m.ring, {mono: m.domain.from_int(c) for mono, c in terms.items()})
+        r = m.canon(f)
+        assert all(mono[0] <= 2 for mono, _ in r.terms)
+        rel = m.ring.relations[0]
+        q = exact_divide(f - r, rel)
+        assert q * rel + r == f
 
 
 class TestHonestRuns:

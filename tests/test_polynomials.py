@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from closurelab.coefficients import CYCLO, QQ
+from closurelab.groebner import exact_divide
 from closurelab.polynomials import (
     Poly,
     PolyParseError,
     RingPresentation,
-    exact_divide,
+    WeightedGrevlex,
     format_poly,
     parse_cyclo,
 )
@@ -66,6 +69,42 @@ def test_grevlex_tie_break(qq_ring):
     assert [format_poly(qq_ring.monomial(m)) for m, _ in p.terms] == ["x^2", "x*y", "y*z"]
 
 
+def _fraction_key(weights, block, exps):
+    """The order key summed in Fractions, as it was before integer scaling."""
+
+    def grevlex(ws, es):
+        return (sum((w * e for w, e in zip(ws, es)), Fraction(0)), tuple(-e for e in reversed(es)))
+
+    if not block:
+        return grevlex(weights, exps)
+    head = exps[:block]
+    return (sum(head), head, grevlex(weights[block:], exps[block:]))
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+@given(
+    data=st.data(),
+    nvars=st.integers(1, 4),
+    block=st.integers(0, 1),
+)
+def test_integer_key_matches_the_fraction_key(data, nvars, block):
+    weights = data.draw(
+        st.lists(st.integers(0, 5).map(lambda n: Fraction(1, 3 ** n)), min_size=nvars, max_size=nvars)
+    )
+    exps = st.tuples(*[st.integers(0, 7)] * nvars)
+    a, b = data.draw(exps), data.draw(exps)
+    order = WeightedGrevlex(weights, block=block)
+    assert _sign(order.key(a), order.key(b)) == _sign(
+        _fraction_key(weights, block, a), _fraction_key(weights, block, b)
+    )
+    degree = order.degree(a)
+    assert isinstance(degree, Fraction)
+    assert degree == sum((w * e for w, e in zip(weights, a)), Fraction(0))
+
+
 def test_weighted_degrees_are_exact_fractions():
     ring = RingPresentation(CYCLO, ("z1", "x1", "y1"), weights=(Fraction(1, 3),) * 3)
     p = ring.parse("x1^2*y1")
@@ -109,6 +148,8 @@ def test_exact_divide(qq_ring):
     assert exact_divide(f, g) == qq_ring.parse("x + y")
     with pytest.raises(ValueError, match="does not divide"):
         exact_divide(qq_ring.parse("x^2 + y"), g)
+    with pytest.raises(ZeroDivisionError):
+        exact_divide(f, qq_ring.zero())
 
 
 def test_incompatible_ring_arithmetic_rejected(qq_ring):
