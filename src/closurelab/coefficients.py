@@ -2,6 +2,11 @@
 generated by a primitive ninth root of unity, and residues mod p^N (F_p is
 N = 1).
 
+A cyclotomic element is stored fraction-free, as six ints over one positive
+common denominator; products fold t^6 + t^3 + 1 inline and cancel with one
+gcd, and inverses come from the norm (Cohen, *A Course in Computational
+Algebraic Number Theory*, 4.2).
+
 Every domain exposes the same small interface (``zero``, ``one``,
 ``from_int``, ``inv``, ``coerce``, ``is_field``) and its elements are
 immutable, hashable, and support ``+ - * ==`` and truth testing.
@@ -10,6 +15,7 @@ immutable, hashable, and support ``+ - * ==`` and truth testing.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 # Minimal polynomial of the generator zeta (a primitive 9th root of unity):
 # t^6 + t^3 + 1.  Reduction of t^(6+j) is the two-term rewrite
@@ -44,36 +50,39 @@ class CycloNum:
 
     theta, the primitive cube root of unity used throughout, is t^3; the
     cube roots theta^(k/3) are the basis monomials t^k.
+
+    Stored fraction-free: ``num`` is a tuple of six ints and ``den`` one
+    positive int, always in lowest terms (``gcd(den, *num) == 1``), so each
+    element has exactly one stored form.  The coordinates are ``num[k] / den``.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coords):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
-        if len(cs) > CYCLO_DEGREE:
-            # reduce high powers t^(6+j) -> -t^(3+j) - t^j, highest first
-            for k in range(len(cs) - 1, CYCLO_DEGREE - 1, -1):
-                c = cs[k]
-                if c:
-                    cs[k - 3] -= c
-                    cs[k - 6] -= c
-                cs[k] = Fraction(0)
-            cs = cs[:CYCLO_DEGREE]
-        elif len(cs) < CYCLO_DEGREE:
-            cs = cs + [Fraction(0)] * (CYCLO_DEGREE - len(cs))
-        self.coords = tuple(cs)
+        """Coordinates in powers of t: ints or Fractions, any length (powers
+        t^6 and above are folded into the basis)."""
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
+        den = lcm(*(c.denominator for c in cs))
+        x = _reduced(_fold([c.numerator * (den // c.denominator) for c in cs]), den)
+        self.num = x.num
+        self.den = x.den
+
+    @property
+    def coords(self) -> tuple:
+        """The six coordinates as Fractions (derived, not stored)."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     @classmethod
     def from_rational(cls, r) -> "CycloNum":
-        return cls([Fraction(r)])
+        r = Fraction(r)
+        return _make((r.numerator, 0, 0, 0, 0, 0), r.denominator)
 
     @classmethod
     def zeta_power(cls, k: int) -> "CycloNum":
         """t^k reduced into the power basis (k may be any integer >= 0)."""
         k %= 9
-        cs = [Fraction(0)] * (k + 1)
-        cs[k] = Fraction(1)
-        return cls(cs)
+        return cls([0] * k + [1])
 
     @classmethod
     def theta_power(cls, numerator: int, denominator: int = 1) -> "CycloNum":
@@ -83,69 +92,116 @@ class CycloNum:
         exp = numerator * 3 if denominator == 1 else numerator
         return cls.zeta_power(exp)
 
+    def _is_rational(self) -> bool:
+        return not any(self.num[1:])
+
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return any(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CycloNum):
-            return self.coords == other.coords
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self == CycloNum.from_rational(other)
+            return (
+                self.num[0] == other.numerator
+                and self.den == other.denominator
+                and self._is_rational()
+            )
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coords)
+        # a rational element hashes like the int or Fraction it equals
+        if self._is_rational():
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.num, self.den))
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum([-c for c in self.coords])
+        return _make(tuple([-c for c in self.num]), self.den)
 
     def __add__(self, other) -> "CycloNum":
-        if isinstance(other, (int, Fraction)):
-            other = CycloNum.from_rational(other)
-        if not isinstance(other, CycloNum):
-            return NotImplemented
-        return CycloNum([a + b for a, b in zip(self.coords, other.coords)])
+        if isinstance(other, CycloNum):
+            a0, a1, a2, a3, a4, a5 = self.num
+            b0, b1, b2, b3, b4, b5 = other.num
+            da, db = self.den, other.den
+            if da == db:
+                num = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
+                return _make(num, 1) if da == 1 else _reduced(num, da)
+            num = (a0 * db + b0 * da, a1 * db + b1 * da, a2 * db + b2 * da,
+                   a3 * db + b3 * da, a4 * db + b4 * da, a5 * db + b5 * da)
+            return _reduced(num, da * db)
+        if isinstance(other, int):
+            # a0 + other*den is a0 modulo den: the result stays in lowest terms
+            num = self.num
+            return _make((num[0] + other * self.den,) + num[1:], self.den)
+        if isinstance(other, Fraction):
+            n, d = other.numerator, other.denominator
+            num = [c * d for c in self.num]
+            num[0] += n * self.den
+            return _reduced(tuple(num), self.den * d)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "CycloNum":
-        return self + (-other if isinstance(other, CycloNum) else CycloNum.from_rational(-Fraction(other)))
+        if isinstance(other, (CycloNum, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other) -> "CycloNum":
         return (-self) + other
 
     def __mul__(self, other) -> "CycloNum":
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CycloNum([c * f for c in self.coords])
-        if not isinstance(other, CycloNum):
-            return NotImplemented
-        # sparse convolution; most tower scalars are single basis monomials
-        out = [Fraction(0)] * (2 * CYCLO_DEGREE - 1)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if b:
-                    out[i + j] += a * b
-        return CycloNum(out)
+        if isinstance(other, CycloNum):
+            a0, a1, a2, a3, a4, a5 = self.num
+            b0, b1, b2, b3, b4, b5 = other.num
+            # coefficients of t^6 .. t^10 of the 6x6 convolution, folded by
+            # t^(6+j) -> -t^(3+j) - t^j (highest first)
+            c6 = a1 * b5 + a2 * b4 + a3 * b3 + a4 * b2 + a5 * b1
+            c7 = a2 * b5 + a3 * b4 + a4 * b3 + a5 * b2
+            c8 = a3 * b5 + a4 * b4 + a5 * b3
+            c9 = a4 * b5 + a5 * b4
+            c10 = a5 * b5
+            num = (
+                a0 * b0 - c6 + c9,
+                a0 * b1 + a1 * b0 - c7 + c10,
+                a0 * b2 + a1 * b1 + a2 * b0 - c8,
+                a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - c6,
+                a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0 - c7,
+                a0 * b5 + a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1 + a5 * b0 - c8,
+            )
+            den = self.den * other.den
+            return _make(num, 1) if den == 1 else _reduced(num, den)
+        if isinstance(other, int):
+            # gcd(den, *num) == 1, so the content to cancel is gcd(den, other)
+            den = self.den
+            g = gcd(den, other)
+            if g != 1:
+                other //= g
+                den //= g
+            return _make(tuple([c * other for c in self.num]), den)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return _reduced(tuple([c * n for c in self.num]), self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Extended Euclid in Q[t] modulo t^6 + t^3 + 1."""
+        """The norm formula: 1/a is the product of the other five Galois
+        conjugates t -> t^k divided by the rational norm a * (that product)."""
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_9)")
-        modulus = [Fraction(1), Fraction(0), Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(1)]
-        r0, r1 = modulus, _trim(list(self.coords))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r1 is a nonzero constant: gcd with the irreducible modulus
-        c = r1[0]
-        return CycloNum([x / c for x in s1])
+        num, den = self.num, self.den
+        others = None
+        for k in (2, 4, 5, 7, 8):
+            cs = [0] * 9
+            for i, c in enumerate(num):
+                cs[i * k % 9] = c
+            conj = _make(_fold(cs), den)
+            others = conj if others is None else others * conj
+        norm = self * others
+        n, d = norm.num[0], norm.den
+        return _reduced(tuple([c * d for c in others.num]), others.den * n)
 
     def __truediv__(self, other) -> "CycloNum":
         if isinstance(other, (int, Fraction)):
@@ -171,52 +227,40 @@ class CycloNum:
         return format_cyclo(self)
 
 
-def _trim(cs):
-    while len(cs) > 1 and not cs[-1]:
-        cs.pop()
-    return cs
+def _make(num: tuple, den: int) -> CycloNum:
+    """A CycloNum from a form already in lowest terms (no normalisation)."""
+    x = object.__new__(CycloNum)
+    x.num = num
+    x.den = den
+    return x
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
+def _reduced(num: tuple, den: int) -> CycloNum:
+    """The CycloNum num/den (den > 0), cancelling the common content."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple([c // g for c in num])
+        den //= g
+    return _make(num, den)
 
 
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        if not a[-1]:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = a[-1] / b[-1]
-        q[shift] += c
-        for i, y in enumerate(b):
-            a[shift + i] -= c * y
-        a.pop()
-    return _trim(q), _trim(a if a else [Fraction(0)])
+def _fold(cs: list) -> tuple:
+    """Six ints: an int coefficient list in t reduced modulo t^6 + t^3 + 1."""
+    for k in range(len(cs) - 1, CYCLO_DEGREE - 1, -1):
+        c = cs[k]
+        if c:
+            cs[k - 3] -= c
+            cs[k - 6] -= c
+    cs += [0] * (CYCLO_DEGREE - len(cs))
+    return tuple(cs[:CYCLO_DEGREE])
 
 
 def format_cyclo(value: CycloNum) -> str:
     """Canonical text form, e.g. ``-t^5 - t^2`` or ``1/2``."""
+    coords = value.coords
     parts = []
     for k in range(CYCLO_DEGREE - 1, -1, -1):
-        c = value.coords[k]
+        c = coords[k]
         if not c:
             continue
         mono = "1" if k == 0 else ("t" if k == 1 else f"t^{k}")
@@ -373,7 +417,7 @@ class CyclotomicField9:
         if isinstance(x, CycloNum):
             return x
         if isinstance(x, (int, Fraction)):
-            return CycloNum([Fraction(x)])
+            return CycloNum.from_rational(x)
         raise TypeError(f"cannot coerce {x!r} into Q(zeta9)")
 
     def inv(self, x: CycloNum) -> CycloNum:

@@ -1,14 +1,20 @@
 import random
 from fractions import Fraction
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closurelab.coefficients import (
     CYCLO,
     CycloNum,
     PrimeField,
     TruncatedPadicRing,
+    format_cyclo,
 )
+from closurelab.polynomials import RingPresentation
 
 THETA = CycloNum.zeta_power(3)
 
@@ -112,6 +118,103 @@ class TestCycloFieldAxioms:
             v = (Fraction(rng.randrange(-9, 10)), Fraction(rng.randrange(-9, 10)))
             assert embed(eis_mul(u, v)) == embed(u) * embed(v)
             assert embed((u[0] + v[0], u[1] + v[1])) == embed(u) + embed(v)
+
+
+class TestCycloContract:
+    def test_sub_defers_to_the_other_operand(self):
+        x1 = RingPresentation(CYCLO, ("x1",)).var("x1")
+        assert THETA - x1 == -(x1 - THETA)
+        assert 1 - THETA == CycloNum([1, 0, 0, -1])
+        assert THETA - Fraction(1, 2) == CycloNum([Fraction(-1, 2), 0, 0, 1])
+
+    def test_equal_elements_hash_equal(self):
+        assert len({CYCLO.one, 1}) == 1
+        assert hash(CycloNum([Fraction(1, 2)])) == hash(Fraction(1, 2))
+        halves = CycloNum([Fraction(1, 2), Fraction(3, 2), 0, Fraction(-5, 2), 0, Fraction(7, 2)])
+        whole = CycloNum([1, 3, 0, -5, 0, 7])
+        for doubled in (halves * 2, halves + halves, halves * Fraction(2)):
+            assert doubled == whole
+            assert hash(doubled) == hash(whole)
+
+
+# Reference arithmetic on six Fractions: the convolution and the fold by
+# t^6 + t^3 + 1 exactly as CycloNum did them before it went fraction-free.
+def _ref_fold(cs):
+    cs = [Fraction(c) for c in cs]
+    for k in range(len(cs) - 1, 5, -1):
+        c = cs[k]
+        if c:
+            cs[k - 3] -= c
+            cs[k - 6] -= c
+        cs[k] = Fraction(0)
+    return tuple(cs[:6] + [Fraction(0)] * (6 - len(cs)))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * 11
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_fold(out)
+
+
+def _ref_pow(a, n):
+    out = _ref_fold([1])
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _assert_canonical(result):
+    assert isinstance(result, CycloNum)
+    assert all(type(c) is int for c in result.num) and type(result.den) is int
+    assert result.den >= 1 and gcd(result.den, *result.num) == 1
+
+
+def _assert_matches(result, ref):
+    _assert_canonical(result)
+    assert result.coords == ref
+    assert format_cyclo(result) == format_cyclo(SimpleNamespace(coords=ref))
+
+
+_RATIONALS = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+)
+_ELEMENTS = st.lists(_RATIONALS, min_size=0, max_size=13)
+
+
+@settings(max_examples=150, deadline=None)
+@given(xs=_ELEMENTS, ys=_ELEMENTS, s=_RATIONALS, n=st.integers(-3, 4))
+def test_arithmetic_matches_the_fraction_reference(xs, ys, s, n):
+    a, b = CycloNum(xs), CycloNum(ys)
+    ra, rb = _ref_fold(xs), _ref_fold(ys)
+    fs = Fraction(s)
+    one = _ref_fold([1])
+    _assert_matches(a, ra)
+    _assert_matches(a + b, tuple(x + y for x, y in zip(ra, rb)))
+    _assert_matches(a - b, tuple(x - y for x, y in zip(ra, rb)))
+    _assert_matches(a * b, _ref_mul(ra, rb))
+    _assert_matches(-a, tuple(-x for x in ra))
+    _assert_matches(a * s, tuple(x * fs for x in ra))
+    _assert_matches(s * a, tuple(x * fs for x in ra))
+    _assert_matches(a + s, (ra[0] + fs,) + ra[1:])
+    _assert_matches(s + a, (ra[0] + fs,) + ra[1:])
+    _assert_matches(a - s, (ra[0] - fs,) + ra[1:])
+    _assert_matches(s - a, (fs - ra[0],) + tuple(-x for x in ra[1:]))
+    if n >= 0:
+        _assert_matches(a ** n, _ref_pow(ra, n))
+    if a:
+        inv = a.inverse()
+        _assert_canonical(inv)
+        assert _ref_mul(inv.coords, ra) == one
+        if n < 0:
+            power = a ** n
+            _assert_canonical(power)
+            assert _ref_mul(power.coords, _ref_pow(ra, -n)) == one
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
 
 
 class TestPrimeField:
