@@ -206,7 +206,9 @@ class CycloNum:
     def __truediv__(self, other) -> "CycloNum":
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
-        return self * other.inverse()
+        if isinstance(other, CycloNum):
+            return self * other.inverse()
+        return NotImplemented
 
     def __pow__(self, n: int) -> "CycloNum":
         if n < 0:

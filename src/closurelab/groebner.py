@@ -12,6 +12,7 @@ target exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .coefficients import DomainError
 from .polynomials import (
@@ -116,7 +117,11 @@ def _divide(f: Poly, divisors, track: bool = True):
     """Full multivariate division: f = sum(q_i * divisors_i) + remainder.
 
     Deterministic: the first divisor whose leading monomial divides the
-    current leading term is used.  Returns (remainder, quotients).
+    current leading term is used.  The work set is a dict of pending terms
+    beside a min-heap of (heap key, monomial) entries, so each monomial's
+    order key is computed once, when it enters the work set; an entry whose
+    monomial has cancelled or was already taken is skipped when popped.
+    Returns (remainder, quotients).
     """
     ring = f.ring
     dom = ring.domain
@@ -125,11 +130,13 @@ def _divide(f: Poly, divisors, track: bool = True):
     quotients = [dict() for _ in divisors] if track else None
     remainder: dict = {}
     work = dict(f.terms)
-    order_key = ring.order.key
-    while work:
-        m = max(work, key=order_key)
-        c = work.pop(m)
-        if not c:
+    heap_key = ring.order.heap_key
+    heap = [(heap_key(m), m) for m in work]
+    heapify(heap)
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
             continue
         for i, lm in enumerate(lms):
             if mono_divides(lm, m):
@@ -140,10 +147,13 @@ def _divide(f: Poly, divisors, track: bool = True):
                     qdict[qm] = qdict.get(qm, dom.zero) + qc
                 for dm, dc in divisors[i].terms[1:]:
                     key = mono_mul(qm, dm)
-                    s = work.get(key, dom.zero) - qc * dc
+                    old = work.get(key)
+                    s = (dom.zero if old is None else old) - qc * dc
                     if s:
+                        if old is None:
+                            heappush(heap, (heap_key(key), key))
                         work[key] = s
-                    elif key in work:
+                    elif old is not None:
                         del work[key]
                 break
         else:

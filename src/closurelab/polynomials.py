@@ -45,9 +45,10 @@ class WeightedGrevlex:
 
     The first ``block`` variables are compared first by their total degree,
     then by their exponent tuple; the remaining variables by weighted degree
-    with ties broken by reverse lex.  Sort keys increase with the order.
-    The key sums weights scaled to integers by the lcm of their
-    denominators; ``degree`` stays an exact Fraction.
+    with ties broken by reverse lex.  Sort keys increase with the order;
+    heap keys are flat int tuples that decrease with it.  Both sum weights
+    scaled to integers by the lcm of their denominators; ``degree`` stays
+    an exact Fraction.
     """
 
     def __init__(self, weights, block: int = 0):
@@ -66,6 +67,20 @@ class WeightedGrevlex:
         head, tail = exps[:b], exps[b:]
         inner = (sum(map(mul, self._int_weights[b:], tail)), tuple(-e for e in reversed(tail)))
         return (sum(head), head, inner)
+
+    def heap_key(self, exps):
+        """``key`` flattened to one tuple of ints with every comparison
+        reversed, so the smallest heap key is the largest monomial."""
+        b = self.block
+        if not b:
+            return (-sum(map(mul, self._int_weights, exps)),) + exps[::-1]
+        head, tail = exps[:b], exps[b:]
+        return (
+            (-sum(head),)
+            + tuple(-e for e in head)
+            + (-sum(map(mul, self._int_weights[b:], tail)),)
+            + tail[::-1]
+        )
 
 
 class RingPresentation:
@@ -160,9 +175,6 @@ class Poly:
 
     def lc(self):
         return self.terms[0][1]
-
-    def lt(self):
-        return self.terms[0]
 
     def degree(self) -> Fraction:
         """Maximal weighted degree among terms; -1 for the zero polynomial."""

@@ -115,6 +115,32 @@ class TestFrobeniusClosure:
                 assert got == slice_membership_oracle(f ** p, p)
 
 
+def lucas_binomial_nonzero(k: int, i: int, p: int) -> bool:
+    """C(k, i) != 0 mod p, by Lucas's theorem: no base-p digit of i exceeds
+    the matching digit of k."""
+    while i:
+        if i % p > k % p:
+            return False
+        k, i = k // p, i // p
+    return True
+
+
+def witness_oracle(mono, p: int, e: int) -> bool:
+    """Closed-form decision of z^a x^b y^d * z^(2q) in (x^q, y^q), q = p^e.
+    With the order (z, x, y), {z^3 + x^3 + y^3, x^q, y^q} is a Groebner basis
+    (pairwise coprime leading monomials), and with a + 2q = 3k + r the
+    product reduces to (-1)^k z^r x^b y^d (x^3 + y^3)^k; it lies in the ideal
+    iff every term with C(k, i) != 0 mod p is divisible by x^q or y^q."""
+    a, b, d = mono
+    q = p ** e
+    k = (a + 2 * q) // 3
+    return all(
+        b + 3 * i >= q or d + 3 * (k - i) >= q
+        for i in range(k + 1)
+        if lucas_binomial_nonzero(k, i, p)
+    )
+
+
 class TestTightClosure:
     def test_witness_with_found_multiplier_p7(self):
         ring = charp.fermat_ring(7)
@@ -132,6 +158,21 @@ class TestTightClosure:
         ring = charp.fermat_ring(5)
         gens = [ring.parse("x"), ring.parse("y")]
         assert charp.tight_closure_witness(ring.parse("x"), gens, ring.one(), 3) == [True] * 3
+
+    def test_matches_the_closed_form_oracle(self):
+        # the 20 monomial multipliers of degree <= 3 for each p, at e = 1, 2;
+        # every one qualifies except the unit 1 for p = 7, 13
+        decided = []
+        for p in (2, 5, 7, 13):
+            ring = charp.fermat_ring(p)
+            gens = [ring.parse("x"), ring.parse("y")]
+            z2 = ring.parse("z^2")
+            for d in range(4):
+                for c in charp.monomials_of_degree(ring, d):
+                    got = charp.tight_closure_witness(z2, gens, c, 2)
+                    assert got == [witness_oracle(c.lm(), p, e) for e in (1, 2)], (p, c)
+                    decided += got
+        assert len(decided) == 160 and True in decided and False in decided
 
     def test_zero_multiplier_rejected(self):
         ring = charp.fermat_ring(5)

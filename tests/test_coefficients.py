@@ -127,6 +127,17 @@ class TestCycloContract:
         assert 1 - THETA == CycloNum([1, 0, 0, -1])
         assert THETA - Fraction(1, 2) == CycloNum([Fraction(-1, 2), 0, 0, 1])
 
+    def test_truediv_defers_to_the_other_operand(self):
+        x1 = RingPresentation(CYCLO, ("x1",)).var("x1")
+        for other in (x1, "a"):
+            with pytest.raises(TypeError):
+                THETA / other
+        assert THETA / THETA == CYCLO.one
+        assert THETA / 2 == CycloNum([0, 0, 0, Fraction(1, 2)])
+        assert THETA / Fraction(2, 3) == CycloNum([0, 0, 0, Fraction(3, 2)])
+        zeta = CycloNum.zeta_power(1)
+        assert zeta / THETA == zeta * THETA.inverse() == CycloNum.zeta_power(-2)
+
     def test_equal_elements_hash_equal(self):
         assert len({CYCLO.one, 1}) == 1
         assert hash(CycloNum([Fraction(1, 2)])) == hash(Fraction(1, 2))

@@ -1,12 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from closurelab.charp import _basis_for, fermat_ring
 from closurelab.coefficients import CYCLO, QQ, DomainError, TruncatedPadicRing
 from closurelab.groebner import (
+    _divide,
     colon,
+    elimination_ring,
     groebner,
     ideal_member,
     intersect,
@@ -15,10 +21,12 @@ from closurelab.groebner import (
 from closurelab.polynomials import (
     Poly,
     RingPresentation,
+    WeightedGrevlex,
     format_poly,
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mul,
 )
 
 
@@ -100,6 +108,106 @@ class TestNormalForm:
             shuffled = gens[:]
             rng.shuffle(shuffled)
             assert normal_form(f, shuffled) == baseline
+
+
+def _max_scan_divide(f, divisors, track=True):
+    """The division loop as it was before the heap: every step scans the
+    whole work set for its largest monomial.  It also returns the number of
+    monomials that entered the work set after the start."""
+    ring = f.ring
+    dom = ring.domain
+    lms = [d.lm() for d in divisors]
+    inv_lcs = [dom.inv(d.lc()) for d in divisors]
+    quotients = [dict() for _ in divisors] if track else None
+    remainder = {}
+    work = dict(f.terms)
+    entered = 0
+    order_key = ring.order.key
+    while work:
+        m = max(work, key=order_key)
+        c = work.pop(m)
+        if not c:
+            continue
+        for i, lm in enumerate(lms):
+            if mono_divides(lm, m):
+                qm = mono_div(m, lm)
+                qc = c * inv_lcs[i]
+                if track:
+                    qdict = quotients[i]
+                    qdict[qm] = qdict.get(qm, dom.zero) + qc
+                for dm, dc in divisors[i].terms[1:]:
+                    key = mono_mul(qm, dm)
+                    s = work.get(key, dom.zero) - qc * dc
+                    if s:
+                        entered += key not in work
+                        work[key] = s
+                    elif key in work:
+                        del work[key]
+                break
+        else:
+            remainder[m] = c
+    rem = Poly(ring, remainder)
+    if track:
+        return rem, [Poly(ring, q) for q in quotients], entered
+    return rem, None, entered
+
+
+@st.composite
+def _division_problems(draw):
+    """A ring over F_p or QQ, plain or with an elimination block, and a
+    polynomial with one to three nonzero divisors in it."""
+    p = draw(st.sampled_from([0, 2, 5, 13]))
+    base = RingPresentation(QQ, ("z", "x", "y")) if p == 0 else fermat_ring(p)
+    ring = elimination_ring(base) if draw(st.booleans()) else base
+    dom = ring.domain
+    mono = st.tuples(*[st.integers(0, 4)] * len(ring.variables))
+    coeff = st.integers(-3, 3).map(dom.from_int)
+
+    def poly(min_terms):
+        terms = draw(st.dictionaries(mono, coeff, min_size=min_terms, max_size=6))
+        return Poly(ring, terms)
+
+    divisors = [d for d in (poly(1) for _ in range(draw(st.integers(1, 3)))) if d]
+    if not divisors:
+        divisors = [ring.one() + ring.monomial((1,) * len(ring.variables))]
+    return poly(0), divisors
+
+
+class TestHeapDivision:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=_division_problems(), track=st.booleans())
+    def test_matches_the_max_scan_loop(self, problem, track):
+        f, divisors = problem
+        rem, quots = _divide(f, divisors, track=track)
+        ref_rem, ref_quots, _ = _max_scan_divide(f, divisors, track=track)
+        assert rem.terms == ref_rem.terms
+        if track:
+            assert [q.terms for q in quots] == [q.terms for q in ref_quots]
+        else:
+            assert quots is None
+
+    def test_each_monomial_is_keyed_once_on_entry(self, monkeypatch):
+        # z^338 = z^(2 * 13^2) against (x^169, y^169) in the Fermat quotient
+        # over F_13: the division expands (x^3 + y^3)^112 term by term
+        ring = fermat_ring(13)
+        basis = _basis_for([ring.parse("x"), ring.parse("y")], 2)
+        f = ring.parse("z^338")
+        calls = Counter()
+        for name in ("key", "heap_key"):
+            original = getattr(WeightedGrevlex, name)
+
+            def counted(self, exps, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, exps)
+
+            monkeypatch.setattr(WeightedGrevlex, name, counted)
+        rem = normal_form(f, basis)
+        monkeypatch.undo()
+        ref_rem, _, entered = _max_scan_divide(f, list(basis.generators), track=False)
+        assert rem == ref_rem
+        assert calls["heap_key"] <= len(f.terms) + entered
+        # the only ascending keys are those that sort the remainder
+        assert calls["key"] <= len(rem.terms)
 
 
 class TestBuchbergerProperty:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -103,6 +104,28 @@ def test_integer_key_matches_the_fraction_key(data, nvars, block):
     degree = order.degree(a)
     assert isinstance(degree, Fraction)
     assert degree == sum((w * e for w, e in zip(weights, a)), Fraction(0))
+
+
+@given(
+    data=st.data(),
+    nvars=st.integers(1, 4),
+    block=st.integers(0, 2),
+)
+def test_heap_key_order_is_the_reverse_of_the_key_order(data, nvars, block):
+    block = min(block, nvars)
+    weights = data.draw(
+        st.lists(st.integers(0, 1).map(lambda n: Fraction(1, 3 ** n)), min_size=nvars, max_size=nvars)
+    )
+    exps = st.tuples(*[st.integers(0, 7)] * nvars)
+    a = data.draw(exps)
+    order = WeightedGrevlex(weights, block=block)
+    # the permutations of a tie on weighted degree wherever the weights do,
+    # so the tie-breaks are compared too
+    for b in set(permutations(a)) | {data.draw(exps)}:
+        ha, hb = order.heap_key(a), order.heap_key(b)
+        assert all(type(k) is int for k in ha)
+        assert _sign(ha, hb) == -_sign(order.key(a), order.key(b))
+        assert (ha == hb) == (a == b)
 
 
 def test_weighted_degrees_are_exact_fractions():
