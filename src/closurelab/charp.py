@@ -8,7 +8,7 @@ unbounded statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -116,14 +116,10 @@ def find_multiplier(f: Poly, gens, deg_bound: int, e_max: int) -> Poly | None:
     return None
 
 
-@dataclass(frozen=True)
-class ContrastRow:
-    p: int
-    z2_in_xy: bool
-    frobenius_closure_e1: bool
-    multiplier: str | None
-    multiplier_degree: int | None
-    witness_checks: tuple[bool, ...]
+ContrastRow = namedtuple(
+    "ContrastRow",
+    "p z2_in_xy frobenius_closure_e1 multiplier multiplier_degree witness_checks",
+)
 
 
 def contrast_row(p: int, e_max: int = 2, deg_bound: int = 3) -> ContrastRow:

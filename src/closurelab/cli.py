@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 configuration
-error.  Reports go to stdout or --report, as canonical JSON or as text.
+error or a --report path that cannot be written.  Reports go to stdout or
+--report, as canonical JSON or as text.
 """
 
 from __future__ import annotations
@@ -90,8 +91,12 @@ def main(argv=None) -> int:
 
     body = report.to_json() + "\n" if args.format == "json" else report.to_text()
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
     else:
         sys.stdout.write(body)
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILED

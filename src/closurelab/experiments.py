@@ -329,23 +329,23 @@ def run_padic(config: dict) -> ExperimentReport:
         return trace
 
     alpha_x = m.parse("x")
-    tr = run_one("alpha_x", alpha_x, padic.honest_oracle(m))
+    A, B = run_one("alpha_x", alpha_x, padic.honest_oracle(m)).sums
     checks.append(
         _check(
             "alpha_x/closed_form",
-            tr.A == m.ring.one() and tr.B.is_zero(),
-            A=format_poly(tr.A),
-            B=format_poly(tr.B),
+            A == m.ring.one() and B.is_zero(),
+            A=format_poly(A),
+            B=format_poly(B),
         )
     )
     alpha_z3 = m.parse("z^3")
-    tr = run_one("alpha_z3", alpha_z3, padic.honest_oracle(m))
+    A, B = run_one("alpha_z3", alpha_z3, padic.honest_oracle(m)).sums
     checks.append(
         _check(
             "alpha_z3/closed_form",
-            tr.A == m.canon(-(m.ring.var("x") ** 2)) and tr.B == m.canon(-(m.ring.var("y") ** 2)),
-            A=format_poly(tr.A),
-            B=format_poly(tr.B),
+            A == m.canon(-(m.ring.var("x") ** 2)) and B == m.canon(-(m.ring.var("y") ** 2)),
+            A=format_poly(A),
+            B=format_poly(B),
         )
     )
     if cfg["input"] is not None:
@@ -381,9 +381,9 @@ def run_padic(config: dict) -> ExperimentReport:
         honest_trace = padic.successive_approx(alpha, padic.honest_oracle(m), N)
         final_residuals_zero &= honest_trace.steps[-1].c.is_zero()
         # oracle independence: the two final pairs represent the same element
-        same = m.equal(
-            trace.A * m.x + trace.B * m.y, honest_trace.A * m.x + honest_trace.B * m.y
-        )
+        A, B = trace.sums
+        hA, hB = honest_trace.sums
+        same = m.equal(A * m.x + B * m.y, hA * m.x + hB * m.y)
         all_ok &= same
     checks.append(
         _check("random_xy/adversarial_batch_verified", all_ok, samples=cfg["samples"])

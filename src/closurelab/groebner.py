@@ -121,14 +121,18 @@ def _divide(f: Poly, divisors, track: bool = True):
     beside a min-heap of (heap key, monomial) entries, so each monomial's
     order key is computed once, when it enters the work set; an entry whose
     monomial has cancelled or was already taken is skipped when popped.
+    Terms are taken in strictly decreasing order and a taken monomial never
+    re-enters the work set, so the remainder and each quotient are built
+    already sorted, with nonzero coefficients (a leading coefficient with an
+    inverse is a unit), and are wrapped without sorting again.
     Returns (remainder, quotients).
     """
     ring = f.ring
     dom = ring.domain
     lms = [d.lm() for d in divisors]
     inv_lcs = [dom.inv(d.lc()) for d in divisors]
-    quotients = [dict() for _ in divisors] if track else None
-    remainder: dict = {}
+    quotients = [[] for _ in divisors] if track else None
+    remainder = []
     work = dict(f.terms)
     heap_key = ring.order.heap_key
     heap = [(heap_key(m), m) for m in work]
@@ -143,8 +147,7 @@ def _divide(f: Poly, divisors, track: bool = True):
                 qm = mono_div(m, lm)
                 qc = c * inv_lcs[i]
                 if track:
-                    qdict = quotients[i]
-                    qdict[qm] = qdict.get(qm, dom.zero) + qc
+                    quotients[i].append((qm, qc))
                 for dm, dc in divisors[i].terms[1:]:
                     key = mono_mul(qm, dm)
                     old = work.get(key)
@@ -157,10 +160,10 @@ def _divide(f: Poly, divisors, track: bool = True):
                         del work[key]
                 break
         else:
-            remainder[m] = c
-    rem = Poly(ring, remainder)
+            remainder.append((m, c))
+    rem = Poly._presorted(ring, tuple(remainder))
     if track:
-        return rem, [Poly(ring, q) for q in quotients]
+        return rem, [Poly._presorted(ring, tuple(q)) for q in quotients]
     return rem, None
 
 

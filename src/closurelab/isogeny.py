@@ -10,7 +10,7 @@ construction on actual curve points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,16 +39,14 @@ def _relation(ring: RingPresentation) -> Poly:
     return ring.relations[0]
 
 
-@dataclass(frozen=True)
-class GradedEndo:
+class GradedEndo(namedtuple("GradedEndo", "x_image y_image z_image")):
     """Images of (x, y, z): homogeneous integer-coefficient polynomials of a
     common degree whose cubes sum into the relation ideal."""
 
-    x_image: Poly
-    y_image: Poly
-    z_image: Poly
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, x_image: Poly, y_image: Poly, z_image: Poly):
+        self = super().__new__(cls, x_image, y_image, z_image)
         degs = {p.degree() for p in self.images()}
         if len(degs) != 1:
             raise ValueError("images must share one degree")
@@ -58,6 +56,7 @@ class GradedEndo:
             for _, c in p.terms:
                 if Fraction(c).denominator != 1:
                     raise ValueError("images must have integer coefficients")
+        return self
 
     def images(self) -> tuple[Poly, Poly, Poly]:
         return (self.x_image, self.y_image, self.z_image)

@@ -12,7 +12,7 @@ correction argument itself proceeds one p-power at a time.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .charp import fermat_ring
@@ -117,21 +117,16 @@ def regular_sequence_check(p: int, precision: int) -> bool:
 # traces
 
 
-@dataclass(frozen=True)
-class ApproxStep:
-    a: Poly
-    b: Poly
-    c: Poly
+ApproxStep = namedtuple("ApproxStep", "a b c")
 
 
-@dataclass(frozen=True)
-class ApproxTrace:
-    p: int
-    precision: int
-    alpha: Poly
-    steps: tuple[ApproxStep, ...]
+class ApproxTrace(namedtuple("ApproxTrace", "p precision alpha steps")):
+    """alpha with its steps (a_i, b_i, c_i), i = 1..precision."""
+
+    __slots__ = ()
 
     def partial_sums(self, k: int) -> tuple[Poly, Poly]:
+        """Canonical A_k = a_1 + ... + a_k and B_k = b_1 + ... + b_k."""
         m = model(self.p, self.precision)
         A = m.ring.zero()
         B = m.ring.zero()
@@ -141,15 +136,21 @@ class ApproxTrace:
         return m.canon(A), m.canon(B)
 
     @property
+    def sums(self) -> tuple[Poly, Poly]:
+        """(A, B): the final partial sums, from one pass over the steps."""
+        return self.partial_sums(len(self.steps))
+
+    @property
     def A(self) -> Poly:
-        return self.partial_sums(len(self.steps))[0]
+        return self.sums[0]
 
     @property
     def B(self) -> Poly:
-        return self.partial_sums(len(self.steps))[1]
+        return self.sums[1]
 
     def to_json(self) -> dict:
         m = model(self.p, self.precision)
+        A, B = self.sums
         return {
             "p": self.p,
             "precision": self.precision,
@@ -164,8 +165,8 @@ class ApproxTrace:
                 }
                 for i, s in enumerate(self.steps)
             ],
-            "A": format_poly(self.A),
-            "B": format_poly(self.B),
+            "A": format_poly(A),
+            "B": format_poly(B),
         }
 
 
@@ -311,7 +312,11 @@ def successive_approx(alpha: Poly, step_oracle, precision: int) -> ApproxTrace:
 def verify_trace(trace: ApproxTrace, alpha: Poly) -> bool:
     """Re-check both trace invariants by exact expansion, independently of
     how the trace was built: the p^(i-1) divisibility ladder and the
-    telescoping identity at every stage."""
+    telescoping identity alpha = A_k x + B_k y + c_k p^k at every stage k.
+
+    The partial sums are kept running, A_k = A_(k-1) + a_k and
+    B_k = B_(k-1) + b_k, each canonicalised as ``partial_sums(k)`` returns
+    it, so a trace of precision N costs 2N additions, not N(N+1)."""
     m = model(trace.p, trace.precision)
     alpha = m.canon(alpha)
     p = trace.p
@@ -320,10 +325,11 @@ def verify_trace(trace: ApproxTrace, alpha: Poly) -> bool:
             lowest = min(m.coeff_val_floor(s.a), m.coeff_val_floor(s.b))
             if lowest < i - 1:
                 return False
-    for k in range(1, len(trace.steps) + 1):
-        A, B = trace.partial_sums(k)
-        c_k = trace.steps[k - 1].c
-        total = m.canon(A * m.x + B * m.y + c_k * m.domain.from_int(p ** k))
+    A = B = m.ring.zero()
+    for k, s in enumerate(trace.steps, start=1):
+        A = m.canon(A + s.a)
+        B = m.canon(B + s.b)
+        total = m.canon(A * m.x + B * m.y + s.c * m.domain.from_int(p ** k))
         if total != alpha:
             return False
     return True

@@ -13,31 +13,33 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import mul
+from operator import add, itemgetter, le, mul, sub
 
 from .coefficients import CYCLO, CycloNum
 
 
 def mono_mul(a, b):
-    return tuple(i + j for i, j in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True when a divides b componentwise."""
-    return all(i <= j for i, j in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
     """a / b; caller guarantees divisibility."""
-    return tuple(i - j for i, j in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(i, j) for i, j in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_coprime(a, b):
-    return all(i == 0 or j == 0 for i, j in zip(a, b))
+    """No variable divides both; exponents are >= 0, so a product is 0 iff
+    one factor is."""
+    return not any(map(mul, a, b))
 
 
 class WeightedGrevlex:
@@ -45,8 +47,10 @@ class WeightedGrevlex:
 
     The first ``block`` variables are compared first by their total degree,
     then by their exponent tuple; the remaining variables by weighted degree
-    with ties broken by reverse lex.  Sort keys increase with the order;
-    heap keys are flat int tuples that decrease with it.  Both sum weights
+    with ties broken by reverse lex.  Sort keys (``key``) increase with the
+    order and rank leading monomials in the S-pair and basis sorts; heap
+    keys (``heap_key``) are flat int tuples that decrease with it and order
+    the terms of every ``Poly`` and the division heap.  Both sum weights
     scaled to integers by the lcm of their denominators; ``degree`` stays
     an exact Fraction.
     """
@@ -148,18 +152,33 @@ class RingPresentation:
         return f"{self.domain.name}[{', '.join(self.variables)}]{rel}"
 
 
+_coefficient = itemgetter(1)
+
+
 class Poly:
     """Immutable sparse polynomial: terms sorted strictly decreasing in the
-    ring's order, no zero coefficients, zero polynomial is the empty tuple."""
+    ring's order, no zero coefficients, zero polynomial is the empty tuple.
+
+    The constructor takes a dict monomial -> coefficient, keys each monomial
+    once with the order's ``heap_key`` (ascending heap keys are descending
+    monomials) and drops zero coefficients."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: RingPresentation, terms: dict):
         self.ring = ring
-        key = ring.order.key
-        self.terms = tuple(
-            (m, c) for m, c in sorted(terms.items(), key=lambda t: key(t[0]), reverse=True) if c
-        )
+        monos = sorted(terms, key=ring.order.heap_key)
+        self.terms = tuple(filter(_coefficient, zip(monos, map(terms.__getitem__, monos))))
+
+    @classmethod
+    def _presorted(cls, ring: RingPresentation, terms: tuple) -> "Poly":
+        """Wrap (monomial, coefficient) pairs that are already strictly
+        decreasing in the ring's order with no zero coefficient, without
+        keying them again."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.terms = terms
+        return self
 
     # -- basic queries -------------------------------------------------------
 

@@ -15,7 +15,7 @@ compose on demand, so every Groebner computation stays in three variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,13 +41,12 @@ def level_variables(n: int) -> tuple[str, str, str]:
     return (f"z{n}", f"x{n}", f"y{n}")
 
 
-@dataclass(frozen=True)
-class TowerLevel:
-    """Level-n ring with the images of the previous level's variables."""
+class TowerLevel(namedtuple("TowerLevel", "n ring embed_prev")):
+    """Level-n ring with the images of the previous level's variables:
+    ``embed_prev`` maps each previous-level variable name to a Poly here
+    (None at level 0)."""
 
-    n: int
-    ring: RingPresentation
-    embed_prev: dict | None  # previous-level variable name -> Poly here
+    __slots__ = ()
 
     def var(self, base: str) -> Poly:
         z, x, y = level_variables(self.n)
@@ -130,11 +129,7 @@ def valuation(f: Poly, level: TowerLevel) -> Fraction | None:
 # identity verification
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    passed: bool
-    detail: str
+IdentityCheck = namedtuple("IdentityCheck", "name passed detail")
 
 
 def _linear_forms(x: Poly, y: Poly) -> list[Poly]:
@@ -225,16 +220,13 @@ def z2_not_in_xy(n: int) -> bool:
     return not normal_form(z2_image(n), xy_image_basis(n)).is_zero()
 
 
-@dataclass(frozen=True)
-class ColonProbe:
-    n: int
-    min_valuation: Fraction
-    witness: MembershipCertificate
-    witness_element: Poly
-    recurrence_lhs: Fraction
-    recurrence_rhs: tuple[Fraction, Fraction, Fraction]
-    full_colon: tuple | None  # (generator texts, min generator valuation)
-    rejected_variant: dict | None  # level 1 only
+# full_colon: (generator texts, min generator valuation) or None;
+# rejected_variant: a dict at level 1 only, else None
+ColonProbe = namedtuple(
+    "ColonProbe",
+    "n min_valuation witness witness_element recurrence_lhs recurrence_rhs"
+    " full_colon rejected_variant",
+)
 
 
 def _probe_cofactors(n: int):
@@ -389,12 +381,8 @@ def retraction_preimage(pi: Poly) -> Poly:
 # the contradiction bound
 
 
-@dataclass(frozen=True)
-class ContradictionBound:
-    n: int
-    delta: Fraction
-    vz: Fraction
-    replay: tuple[Fraction, ...]  # lower bounds for v(z_(N-1)), ..., v(z_0)
+# replay: lower bounds for v(z_(N-1)), ..., v(z_0)
+ContradictionBound = namedtuple("ContradictionBound", "n delta vz replay")
 
 
 def contradiction_bound(delta: Fraction, vz: Fraction) -> ContradictionBound:

@@ -150,6 +150,97 @@ class TestVerifyTrace:
         assert padic.verify_trace(tr, m.parse("y")) is False
 
 
+def _reference_partial_sums(trace, k):
+    """``partial_sums(k)`` as it is defined: a fresh sum of steps 1..k."""
+    m = padic.model(trace.p, trace.precision)
+    A = m.ring.zero()
+    B = m.ring.zero()
+    for s in trace.steps[:k]:
+        A = A + s.a
+        B = B + s.b
+    return m.canon(A), m.canon(B)
+
+
+def _reference_verify_trace(trace, alpha):
+    """``verify_trace`` as it was before the running sums: the partial sums
+    are re-added from scratch at every stage k."""
+    m = padic.model(trace.p, trace.precision)
+    alpha = m.canon(alpha)
+    p = trace.p
+    for i, s in enumerate(trace.steps, start=1):
+        if i >= 2:
+            lowest = min(m.coeff_val_floor(s.a), m.coeff_val_floor(s.b))
+            if lowest < i - 1:
+                return False
+    for k in range(1, len(trace.steps) + 1):
+        A, B = _reference_partial_sums(trace, k)
+        c_k = trace.steps[k - 1].c
+        total = m.canon(A * m.x + B * m.y + c_k * m.domain.from_int(p ** k))
+        if total != alpha:
+            return False
+    return True
+
+
+@st.composite
+def _traces(draw):
+    """An honest or adversarial trace of a random (x, y) element, maybe with
+    one step's a, b or c shifted by r * p^j.  r is a random element or a
+    multiple of the relation (zero in T_N but not canonical), and j runs up
+    to N, so some tampered traces still verify."""
+    p, n = draw(st.sampled_from([(2, 4), (5, 3), (7, 2), (5, 8)]))
+    m = padic.model(p, n)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    alpha = padic.random_xy_element(m, rng)
+    if draw(st.booleans()):
+        oracle = padic.adversarial_oracle(m, seed=rng.randrange(1000))
+    else:
+        oracle = padic.honest_oracle(m)
+    trace = padic.successive_approx(alpha, oracle, n)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        field = draw(st.sampled_from("abc"))
+        r = m.random_poly(rng, max_degree=2, terms=2)
+        if draw(st.booleans()):
+            r = r * m.ring.relations[0]
+        shift = r * m.domain.from_int(p ** draw(st.integers(0, n)))
+        steps = list(trace.steps)
+        parts = {f: getattr(steps[i], f) for f in "abc"}
+        parts[field] = parts[field] + shift
+        steps[i] = padic.ApproxStep(**parts)
+        trace = padic.ApproxTrace(p=p, precision=n, alpha=trace.alpha, steps=tuple(steps))
+    return trace, alpha
+
+
+class TestRunningSums:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_traces())
+    def test_verdict_matches_the_quadratic_definition(self, case):
+        trace, alpha = case
+        assert padic.verify_trace(trace, alpha) == _reference_verify_trace(trace, alpha)
+        for k in range(len(trace.steps) + 1):
+            assert trace.partial_sums(k) == _reference_partial_sums(trace, k)
+
+    def test_prefix_sums_add_each_step_once(self, monkeypatch):
+        n = 8
+        m = padic.model(5, n)
+        alpha = padic.random_xy_element(m, random.Random(8))
+        trace = padic.successive_approx(alpha, padic.adversarial_oracle(m, seed=8), n)
+        summands = {id(s.a) for s in trace.steps} | {id(s.b) for s in trace.steps}
+        calls = 0
+        original = Poly.__add__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += id(self) in summands or id(other) in summands
+            return original(self, other)
+
+        monkeypatch.setattr(Poly, "__add__", counted)
+        assert padic.verify_trace(trace, alpha)
+        monkeypatch.undo()
+        # re-adding steps 1..k at every stage k makes n(n + 1) = 72 additions
+        assert calls <= 2 * n
+
+
 class TestOracles:
     def test_inconsistent_oracle_detected(self):
         m = padic.model(5, 3)

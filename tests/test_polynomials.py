@@ -3,11 +3,12 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closurelab.charp import fermat_ring
 from closurelab.coefficients import CYCLO, QQ
-from closurelab.groebner import exact_divide
+from closurelab.groebner import _divide, elimination_ring, exact_divide
 from closurelab.polynomials import (
     Poly,
     PolyParseError,
@@ -126,6 +127,49 @@ def test_heap_key_order_is_the_reverse_of_the_key_order(data, nvars, block):
         assert all(type(k) is int for k in ha)
         assert _sign(ha, hb) == -_sign(order.key(a), order.key(b))
         assert (ha == hb) == (a == b)
+
+
+def _key_sorted_terms(ring, terms):
+    """The constructor as it was before heap keys: sort by the ascending
+    ``key`` with ``reverse``, then drop zero coefficients."""
+    key = ring.order.key
+    return tuple(
+        (m, c) for m, c in sorted(terms.items(), key=lambda t: key(t[0]), reverse=True) if c
+    )
+
+
+@st.composite
+def _term_dicts(draw):
+    """A Fermat ring over F_p, a QQ ring with weights 1 and 1/3, or an
+    elimination ring (block 1) over either, with two term dicts in it whose
+    coefficients include zeros."""
+    kind = draw(st.sampled_from(["fermat", "weighted", "elimination"]))
+    fermat = fermat_ring(draw(st.sampled_from([2, 5, 13])))
+    weights = draw(st.lists(st.sampled_from([Fraction(1), Fraction(1, 3)]), min_size=3, max_size=3))
+    weighted = RingPresentation(QQ, ("z", "x", "y"), weights)
+    if kind == "fermat":
+        ring = fermat
+    elif kind == "weighted":
+        ring = weighted
+    else:
+        ring = elimination_ring(draw(st.sampled_from([fermat, weighted])))
+    mono = st.tuples(*[st.integers(0, 4)] * len(ring.variables))
+    coeff = st.integers(-2, 2).map(ring.domain.from_int)
+    return ring, [draw(st.dictionaries(mono, coeff, max_size=10)) for _ in range(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_term_dicts())
+def test_constructor_matches_the_key_sorted_constructor(problem):
+    ring, (terms, divisor_terms) = problem
+    f = Poly(ring, terms)
+    assert f.terms == _key_sorted_terms(ring, terms)
+    divisor = Poly(ring, divisor_terms)
+    if divisor:
+        # division builds its results already sorted and wraps them as they are
+        rem, quots = _divide(f, [divisor])
+        for p in [rem] + quots:
+            assert p.terms == Poly(ring, dict(p.terms)).terms
 
 
 def test_weighted_degrees_are_exact_fractions():

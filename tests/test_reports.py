@@ -79,6 +79,16 @@ class TestCli:
         assert body["experiment"] == "tower-verify"
         assert all(c["status"] == "pass" for c in body["checks"])
 
+    @pytest.mark.parametrize("where", ["missing_directory", "path_is_a_directory"])
+    def test_unwritable_report_path_is_a_config_error(self, tmp_path, capsys, where):
+        path = tmp_path / "no" / "such" / "x.json" if where == "missing_directory" else tmp_path
+        code = main(["tower-verify", "--max-level", "1", "--report", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_text_format(self, capsys):
         code = main(["tower-verify", "--max-level", "1", "--format", "text"])
         out = capsys.readouterr().out
