@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 configuration
-error or a --report path that cannot be written.  Reports go to stdout or
---report, as canonical JSON or as text.
+error, a --report path that cannot be written or a ``diff`` input that is
+not a report.  Reports go to stdout or --report, as canonical JSON or as
+text.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 
 from .experiments import SCHEMAS, ConfigError, run_experiment
-from .reports import ExperimentReport, ReportMismatchError, diff_reports
+from .reports import ExperimentReport, diff_reports
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -72,7 +73,9 @@ def main(argv=None) -> int:
             with open(args.right, encoding="utf-8") as fh:
                 right = ExperimentReport.from_dict(json.load(fh))
             diffs = diff_reports(left, right)
-        except (OSError, KeyError, json.JSONDecodeError, ReportMismatchError) as exc:
+        # ValueError covers bad JSON, text that is not UTF-8, a document
+        # that is not a report and reports of different experiments
+        except (OSError, KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
         print(json.dumps(diffs, indent=2, sort_keys=True))

@@ -84,14 +84,6 @@ class CycloNum:
         k %= 9
         return cls([0] * k + [1])
 
-    @classmethod
-    def theta_power(cls, numerator: int, denominator: int = 1) -> "CycloNum":
-        """theta^(numerator/denominator) with denominator dividing 3."""
-        if denominator not in (1, 3):
-            raise ValueError("only integral or third powers of theta exist here")
-        exp = numerator * 3 if denominator == 1 else numerator
-        return cls.zeta_power(exp)
-
     def _is_rational(self) -> bool:
         return not any(self.num[1:])
 
@@ -357,11 +349,6 @@ class TruncatedPadic:
         if self.residue % self.ring.p == 0:
             raise ZeroDivisionError(f"{self.residue} is not a unit in {self.ring.name}")
         return TruncatedPadic(self.ring, pow(self.residue, -1, self.ring.modulus))
-
-    def reduce_to(self, precision: int) -> "TruncatedPadic":
-        if precision > self.ring.precision:
-            raise ValueError("cannot increase precision")
-        return TruncatedPadicRing(self.ring.p, precision).from_int(self.residue)
 
     def __repr__(self):
         return f"{self.residue}"

@@ -118,8 +118,8 @@ def _divide(f: Poly, divisors, track: bool = True):
 
     Deterministic: the first divisor whose leading monomial divides the
     current leading term is used.  The work set is a dict of pending terms
-    beside a min-heap of (heap key, monomial) entries, so each monomial's
-    order key is computed once, when it enters the work set; an entry whose
+    beside a min-heap of (order key, monomial) entries, so each monomial's
+    key is computed once, when it enters the work set; an entry whose
     monomial has cancelled or was already taken is skipped when popped.
     Terms are taken in strictly decreasing order and a taken monomial never
     re-enters the work set, so the remainder and each quotient are built
@@ -134,8 +134,8 @@ def _divide(f: Poly, divisors, track: bool = True):
     quotients = [[] for _ in divisors] if track else None
     remainder = []
     work = dict(f.terms)
-    heap_key = ring.order.heap_key
-    heap = [(heap_key(m), m) for m in work]
+    key = ring.order.key
+    heap = [(key(m), m) for m in work]
     heapify(heap)
     while heap:
         m = heappop(heap)[1]
@@ -149,15 +149,15 @@ def _divide(f: Poly, divisors, track: bool = True):
                 if track:
                     quotients[i].append((qm, qc))
                 for dm, dc in divisors[i].terms[1:]:
-                    key = mono_mul(qm, dm)
-                    old = work.get(key)
+                    nm = mono_mul(qm, dm)
+                    old = work.get(nm)
                     s = (dom.zero if old is None else old) - qc * dc
                     if s:
                         if old is None:
-                            heappush(heap, (heap_key(key), key))
-                        work[key] = s
+                            heappush(heap, (key(nm), nm))
+                        work[nm] = s
                     elif old is not None:
-                        del work[key]
+                        del work[nm]
                 break
         else:
             remainder.append((m, c))
@@ -189,30 +189,32 @@ def normal_form(f: Poly, basis, with_quotients: bool = False):
     return (rem, quots) if with_quotients else rem
 
 
-def groebner(gens, ring: RingPresentation, include_relations: bool = True) -> GroebnerBasis:
+def groebner(gens, ring: RingPresentation) -> GroebnerBasis:
     """Reduced Groebner basis of (gens) + (ring relations).
 
-    Buchberger with the Gebauer-Moeller pair criteria and degree-then-sugar
-    selection; leading coefficients are normalized to 1, so the reduced
-    basis is the unique one for the ring's order.
+    Buchberger with the Gebauer-Moeller pair criteria; each step takes the
+    ``min`` pair by degree, then sugar, then ascending lcm, then indices.
+    Leading coefficients are normalized to 1, so the reduced basis is the
+    unique one for the ring's order.
     """
     if not ring.domain.is_field:
         raise DomainError(
             f"Groebner bases need field coefficients, not {ring.domain.name}; "
             "use the digit-wise p-adic machinery for truncated coefficients"
         )
-    inputs = [g for g in gens]
-    if include_relations:
-        inputs = inputs + list(ring.relations)
+    inputs = list(gens) + list(ring.relations)
     n_inputs = len(inputs)
     dom = ring.domain
     deg = ring.order.degree
+    key = ring.order.key
 
     def unit_rep(i: int) -> tuple:
         return tuple(ring.one() if j == i else ring.zero() for j in range(n_inputs))
 
     basis: list[_Tracked] = []
-    pairs: list[tuple] = []  # (lcm, sugar, i, j) with i < j
+    # (deg(lcm), sugar, ascending lcm, i, j, lcm) with i < j: tuples compare
+    # in selection order, and (i, j) is unique, so lcm is never compared
+    pairs: list[tuple] = []
 
     def add_pairs(t: _Tracked, t_index: int):
         # Gebauer-Moeller update for the new element against the current basis
@@ -240,21 +242,22 @@ def groebner(gens, ring: RingPresentation, include_relations: bool = True) -> Gr
         kept3 = [(lcm, i) for lcm, i in kept2 if not mono_coprime(lm_new, basis[i].poly.lm())]
         # prune old pairs made redundant by the new leading monomial
         new_pairs = []
-        for lcm, sugar, i, j in pairs:
+        for p in pairs:
+            *_, i, j, lcm = p
             if (
                 mono_divides(lm_new, lcm)
                 and mono_lcm(basis[i].poly.lm(), lm_new) != lcm
                 and mono_lcm(basis[j].poly.lm(), lm_new) != lcm
             ):
                 continue
-            new_pairs.append((lcm, sugar, i, j))
+            new_pairs.append(p)
         for lcm, i in kept3:
             other = basis[i]
             s = max(
                 other.sugar + deg(mono_div(lcm, other.poly.lm())),
                 t.sugar + deg(mono_div(lcm, lm_new)),
             )
-            new_pairs.append((lcm, s, i, t_index))
+            new_pairs.append((deg(lcm), s, tuple(-v for v in key(lcm)), i, t_index, lcm))
         pairs = new_pairs
 
     for idx, g in enumerate(inputs):
@@ -273,8 +276,9 @@ def groebner(gens, ring: RingPresentation, include_relations: bool = True) -> Gr
         return rem, rep
 
     while pairs:
-        pairs.sort(key=lambda p: (deg(p[0]), p[1], ring.order.key(p[0]), p[2], p[3]))
-        lcm, sugar, i, j = pairs.pop(0)
+        p = min(pairs)
+        pairs.remove(p)
+        _, sugar, _, i, j, lcm = p
         fi, fj = basis[i], basis[j]
         mi = mono_div(lcm, fi.poly.lm())
         mj = mono_div(lcm, fj.poly.lm())
@@ -295,9 +299,10 @@ def groebner(gens, ring: RingPresentation, include_relations: bool = True) -> Gr
         basis.append(tr)
         add_pairs(tr, len(basis) - 1)
 
-    # minimalize: drop elements whose leading monomial is divisible by another
-    order_key = ring.order.key
-    basis.sort(key=lambda t: order_key(t.poly.lm()))
+    # minimalize: drop elements whose leading monomial is divisible by
+    # another; the reverse sort by the descending key ranks them ascending
+    # and, being stable, keeps equal leading monomials in basis order
+    basis.sort(key=lambda t: key(t.poly.lm()), reverse=True)
     minimal: list[_Tracked] = []
     for t in basis:
         if any(mono_divides(u.poly.lm(), t.poly.lm()) for u in minimal):
@@ -309,7 +314,7 @@ def groebner(gens, ring: RingPresentation, include_relations: bool = True) -> Gr
         rem, rep = reduce_tracked(t.poly, t.rep, [u for u in minimal if u is not t])
         inv = dom.inv(rem.lc())
         reduced.append(_Tracked(rem * inv, tuple(r * inv for r in rep), t.sugar))
-    reduced.sort(key=lambda t: order_key(t.poly.lm()))
+    reduced.sort(key=lambda t: key(t.poly.lm()), reverse=True)
     gb = GroebnerBasis(ring, inputs, reduced)
     return gb
 
@@ -365,7 +370,7 @@ def intersect(gens_a, gens_b, ring: RingPresentation) -> list:
     one_minus_t = ext.one() - t
     lifted = [t * _lift(g, ext) for g in gens_a]
     lifted += [one_minus_t * _lift(g, ext) for g in gens_b]
-    gb = groebner(lifted, ext, include_relations=False)
+    gb = groebner(lifted, ext)
     return [_drop(g, ring) for g in gb.generators if g.lm()[0] == 0]
 
 

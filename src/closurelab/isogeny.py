@@ -81,11 +81,6 @@ class GradedEndo(namedtuple("GradedEndo", "x_image y_image z_image")):
         }
 
 
-def identity_endo() -> GradedEndo:
-    ring = integral_ring()
-    return GradedEndo(ring.var("x"), ring.var("y"), ring.var("z"))
-
-
 def verify_endo(e: GradedEndo) -> bool:
     """True iff e(x)^3 + e(y)^3 + e(z)^3 is an exact multiple of the relation."""
     ring = e.x_image.ring

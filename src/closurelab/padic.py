@@ -140,14 +140,6 @@ class ApproxTrace(namedtuple("ApproxTrace", "p precision alpha steps")):
         """(A, B): the final partial sums, from one pass over the steps."""
         return self.partial_sums(len(self.steps))
 
-    @property
-    def A(self) -> Poly:
-        return self.sums[0]
-
-    @property
-    def B(self) -> Poly:
-        return self.sums[1]
-
     def to_json(self) -> dict:
         m = model(self.p, self.precision)
         A, B = self.sums

@@ -47,12 +47,12 @@ class WeightedGrevlex:
 
     The first ``block`` variables are compared first by their total degree,
     then by their exponent tuple; the remaining variables by weighted degree
-    with ties broken by reverse lex.  Sort keys (``key``) increase with the
-    order and rank leading monomials in the S-pair and basis sorts; heap
-    keys (``heap_key``) are flat int tuples that decrease with it and order
-    the terms of every ``Poly`` and the division heap.  Both sum weights
-    scaled to integers by the lcm of their denominators; ``degree`` stays
-    an exact Fraction.
+    with ties broken by reverse lex.  ``key`` maps a monomial to a flat
+    tuple of ints that decreases with the order, so the smallest key is the
+    leading monomial; it orders the terms of every ``Poly``, the division
+    heap and the Groebner basis sorts.  Weights are summed scaled to
+    integers by the lcm of their denominators; ``degree`` stays an exact
+    Fraction.
     """
 
     def __init__(self, weights, block: int = 0):
@@ -65,16 +65,6 @@ class WeightedGrevlex:
         return Fraction(sum(map(mul, self._int_weights, exps)), self._scale)
 
     def key(self, exps):
-        b = self.block
-        if not b:
-            return (sum(map(mul, self._int_weights, exps)), tuple(-e for e in reversed(exps)))
-        head, tail = exps[:b], exps[b:]
-        inner = (sum(map(mul, self._int_weights[b:], tail)), tuple(-e for e in reversed(tail)))
-        return (sum(head), head, inner)
-
-    def heap_key(self, exps):
-        """``key`` flattened to one tuple of ints with every comparison
-        reversed, so the smallest heap key is the largest monomial."""
         b = self.block
         if not b:
             return (-sum(map(mul, self._int_weights, exps)),) + exps[::-1]
@@ -160,14 +150,14 @@ class Poly:
     ring's order, no zero coefficients, zero polynomial is the empty tuple.
 
     The constructor takes a dict monomial -> coefficient, keys each monomial
-    once with the order's ``heap_key`` (ascending heap keys are descending
-    monomials) and drops zero coefficients."""
+    once with the order's ``key`` (ascending keys are descending monomials)
+    and drops zero coefficients."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: RingPresentation, terms: dict):
         self.ring = ring
-        monos = sorted(terms, key=ring.order.heap_key)
+        monos = sorted(terms, key=ring.order.key)
         self.terms = tuple(filter(_coefficient, zip(monos, map(terms.__getitem__, monos))))
 
     @classmethod
@@ -466,11 +456,3 @@ def parse_poly(ring: RingPresentation, text: str) -> Poly:
         raise PolyParseError(f"trailing input near token {parser.pos}")
     return result
 
-
-def parse_cyclo(text: str) -> CycloNum:
-    """Parse a cyclotomic scalar given as a polynomial expression in t."""
-    scratch = RingPresentation(CYCLO, ())
-    poly = parse_poly(scratch, text)
-    if not poly.terms:
-        return CYCLO.zero
-    return poly.terms[0][1]

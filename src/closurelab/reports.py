@@ -73,7 +73,16 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentReport":
-        report = cls(data["experiment"], data["config"], data["checks"])
+        """Raises KeyError for a missing field and ValueError for a document
+        that is not a report."""
+        if not isinstance(data, dict):
+            raise ValueError("a report must be a JSON object")
+        checks = data["checks"]
+        if not isinstance(checks, list) or not all(
+            isinstance(c, dict) and isinstance(c.get("name"), str) for c in checks
+        ):
+            raise ValueError("report checks must be objects with a string 'name'")
+        report = cls(data["experiment"], data["config"], checks)
         report.engine_version = data.get("engine_version", ENGINE_VERSION)
         return report
 

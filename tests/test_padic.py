@@ -63,16 +63,16 @@ class TestHonestRuns:
     def test_alpha_x(self):
         m = padic.model(5, 4)
         tr = padic.successive_approx(m.parse("x"), padic.honest_oracle(m), 4)
-        assert tr.A == m.ring.one()
-        assert tr.B.is_zero()
+        A, B = tr.sums
+        assert A == m.ring.one()
+        assert B.is_zero()
         assert all(s.c.is_zero() for s in tr.steps)
         assert padic.verify_trace(tr, m.parse("x"))
 
     def test_alpha_z_cubed(self):
         m = padic.model(5, 4)
         tr = padic.successive_approx(m.parse("z^3"), padic.honest_oracle(m), 4)
-        assert tr.A == m.canon(-(m.ring.var("x") ** 2))
-        assert tr.B == m.canon(-(m.ring.var("y") ** 2))
+        assert tr.sums == (m.canon(-(m.ring.var("x") ** 2)), m.canon(-(m.ring.var("y") ** 2)))
         assert padic.verify_trace(tr, m.parse("z^3"))
 
     def test_alpha_outside_xy_obstructs(self):
@@ -96,7 +96,8 @@ class TestAdversarialRuns:
         alpha = m.canon(m.ring.var("x") + m.ring.var("y") * m.domain.from_int(25))
         tr = padic.successive_approx(alpha, padic.adversarial_oracle(m, seed=3), 4)
         assert padic.verify_trace(tr, alpha)
-        assert m.equal(tr.A * m.x + tr.B * m.y, alpha)
+        A, B = tr.sums
+        assert m.equal(A * m.x + B * m.y, alpha)
         for i, step in enumerate(tr.steps, start=1):
             if i >= 2:
                 assert min(m.coeff_val_floor(step.a), m.coeff_val_floor(step.b)) >= i - 1
@@ -119,7 +120,8 @@ class TestAdversarialRuns:
             alpha = padic.random_xy_element(m, rng)
             t1 = padic.successive_approx(alpha, padic.honest_oracle(m), 4)
             t2 = padic.successive_approx(alpha, padic.adversarial_oracle(m, seed=k), 4)
-            assert m.equal(t1.A * m.x + t1.B * m.y, t2.A * m.x + t2.B * m.y)
+            (A1, B1), (A2, B2) = t1.sums, t2.sums
+            assert m.equal(A1 * m.x + B1 * m.y, A2 * m.x + B2 * m.y)
 
     def test_telescoping_at_every_stage(self):
         m = padic.model(2, 6)

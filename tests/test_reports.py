@@ -142,6 +142,42 @@ class TestCli:
         p2.write_text(json.dumps(data))
         assert main(["diff", str(p1), str(p2)]) == 1
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            None,
+            b"{not json",
+            b"\xff\xfe",
+            b"[]",
+            b'{"experiment": "x", "config": {}}',
+            b'{"experiment": "x", "config": {}, "checks": "abc"}',
+            b'{"experiment": "x", "config": {}, "checks": [1]}',
+            b'{"experiment": "x", "config": {}, "checks": [{"name": 1}]}',
+            b'{"experiment": "y", "config": {}, "checks": []}',
+        ],
+        ids=[
+            "missing_file",
+            "bad_json",
+            "not_utf8",
+            "list_document",
+            "no_checks",
+            "non_list_checks",
+            "non_object_check",
+            "non_string_name",
+            "other_experiment",
+        ],
+    )
+    def test_bad_report_document_is_a_config_error(self, tmp_path, capsys, document):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"experiment": "x", "config": {}, "checks": [{"name": "c"}]}))
+        if document is not None:
+            bad.write_bytes(document)
+        for argv in (["diff", str(good), str(bad)], ["diff", str(bad), str(good)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:")
+            assert captured.out == ""
+
     def test_padic_input_document(self, tmp_path):
         doc = tmp_path / "input.json"
         doc.write_text(json.dumps({"alpha": "x*y + 5*y^2", "oracle": {"mode": "adversarial", "seed": 2}}))
