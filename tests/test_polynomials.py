@@ -90,12 +90,35 @@ def _sign(a, b):
 @given(
     data=st.data(),
     nvars=st.integers(1, 4),
-    block=st.integers(0, 2),
+    block=st.integers(0, 1),
 )
 def test_integer_key_matches_the_fraction_key(data, nvars, block):
-    block = min(block, nvars)
     weights = data.draw(
         st.lists(st.integers(0, 5).map(lambda n: Fraction(1, 3 ** n)), min_size=nvars, max_size=nvars)
+    )
+    exps = st.tuples(*[st.integers(0, 7)] * nvars)
+    a, b = data.draw(exps), data.draw(exps)
+    order = WeightedGrevlex(weights, block=block)
+    assert _sign(order.key(a), order.key(b)) == -_sign(
+        _fraction_key(weights, block, a), _fraction_key(weights, block, b)
+    )
+    degree = order.degree(a)
+    assert isinstance(degree, Fraction)
+    assert degree == sum((w * e for w, e in zip(weights, a)), Fraction(0))
+
+
+@given(
+    data=st.data(),
+    nvars=st.integers(1, 4),
+    block=st.integers(0, 2),
+)
+def test_heap_key_order_is_the_reverse_of_the_key_order(data, nvars, block):
+    """``order.key`` is the heap key: flat ints, smallest for the leading
+    monomial, so it sorts in the reverse of the ascending Fraction key and
+    tells every two monomials apart."""
+    block = min(block, nvars)
+    weights = data.draw(
+        st.lists(st.integers(0, 1).map(lambda n: Fraction(1, 3 ** n)), min_size=nvars, max_size=nvars)
     )
     exps = st.tuples(*[st.integers(0, 7)] * nvars)
     a = data.draw(exps)
@@ -103,15 +126,12 @@ def test_integer_key_matches_the_fraction_key(data, nvars, block):
     # the permutations of a tie on weighted degree wherever the weights do,
     # so the tie-breaks are compared too
     for b in set(permutations(a)) | {data.draw(exps)}:
-        ka, kb = order.key(a), order.key(b)
-        assert all(type(k) is int for k in ka)
-        assert _sign(ka, kb) == -_sign(
+        ha, hb = order.key(a), order.key(b)
+        assert all(type(k) is int for k in ha)
+        assert _sign(ha, hb) == -_sign(
             _fraction_key(weights, block, a), _fraction_key(weights, block, b)
         )
-        assert (ka == kb) == (a == b)
-    degree = order.degree(a)
-    assert isinstance(degree, Fraction)
-    assert degree == sum((w * e for w, e in zip(weights, a)), Fraction(0))
+        assert (ha == hb) == (a == b)
 
 
 def _key_sorted_terms(ring, terms):
