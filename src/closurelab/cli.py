@@ -62,20 +62,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_report(path: str) -> ExperimentReport:
+    """The report in a ``diff`` input file; any failure is a ValueError
+    that starts with the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return ExperimentReport.from_dict(json.load(fh))
+    # ValueError covers bad JSON, text that is not UTF-8 and a document
+    # that is not a report
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "diff":
         try:
-            with open(args.left, encoding="utf-8") as fh:
-                left = ExperimentReport.from_dict(json.load(fh))
-            with open(args.right, encoding="utf-8") as fh:
-                right = ExperimentReport.from_dict(json.load(fh))
-            diffs = diff_reports(left, right)
-        # ValueError covers bad JSON, text that is not UTF-8, a document
-        # that is not a report and reports of different experiments
-        except (OSError, KeyError, ValueError) as exc:
+            diffs = diff_reports(_read_report(args.left), _read_report(args.right))
+        # reports of different experiments raise ReportMismatchError
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
         print(json.dumps(diffs, indent=2, sort_keys=True))

@@ -8,8 +8,21 @@ gcd, and inverses come from the norm (Cohen, *A Course in Computational
 Algebraic Number Theory*, 4.2).
 
 Every domain exposes the same small interface (``zero``, ``one``,
-``from_int``, ``inv``, ``coerce``, ``is_field``) and its elements are
-immutable, hashable, and support ``+ - * ==`` and truth testing.
+``from_int``, ``inv``, ``coerce``, ``is_field``, ``lift_pair``) and its
+elements are immutable, hashable, and support ``+ - * ==`` and truth
+testing.
+
+``lift_pair`` serves multi-term polynomial products: it maps two
+coefficient lists to Python ints whose products and sums stand for the
+products and sums of the coefficients, plus a ``lower`` function that maps
+an accumulated int back to one domain element.  Rationals are cleared to
+one denominator per list and residues are their raw ints.  A cyclotomic
+coordinate vector is evaluated at t = 2^B (Kronecker substitution; Harvey,
+J. Symb. Comput. 44, 2009), so one big-int product is one 6x6 convolution;
+B is chosen from the actual operand sizes so that every accumulated
+coordinate stays a balanced base-2^B digit, and ``lower`` unpacks the 11
+digits, folds t^6 + t^3 + 1 and cancels with one gcd once per output term
+(delayed reduction; Monagan and Pearce, J. Symb. Comput. 46, 2011).
 """
 
 from __future__ import annotations
@@ -238,6 +251,18 @@ def _reduced(num: tuple, den: int) -> CycloNum:
     return _make(num, den)
 
 
+def _common_denominator(xs) -> tuple:
+    """The numerators of CycloNums over their lcm denominator, and that
+    denominator."""
+    den = lcm(*[x.den for x in xs])
+    return [x.num if x.den == den else [c * (den // x.den) for c in x.num] for x in xs], den
+
+
+def _abs_bits(vectors) -> int:
+    """Bit length of the largest absolute value among the coordinates."""
+    return max(max(map(max, vectors)), -min(map(min, vectors))).bit_length()
+
+
 def _fold(cs: list) -> tuple:
     """Six ints: an int coefficient list in t reduced modulo t^6 + t^3 + 1."""
     for k in range(len(cs) - 1, CYCLO_DEGREE - 1, -1):
@@ -380,6 +405,18 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero in QQ")
         return 1 / x
 
+    def lift_pair(self, xs, ys):
+        """Numerators over one lcm denominator per list; ``lower`` divides
+        a sum of products by the product of the two denominators."""
+        dx = lcm(*[c.denominator for c in xs])
+        dy = lcm(*[c.denominator for c in ys])
+        den = dx * dy
+        return (
+            [c.numerator * (dx // c.denominator) for c in xs],
+            [c.numerator * (dy // c.denominator) for c in ys],
+            lambda s: Fraction(s, den),
+        )
+
     def format(self, x: Fraction, parenthesize: bool = False) -> str:
         return str(x)
 
@@ -411,6 +448,42 @@ class CyclotomicField9:
 
     def inv(self, x: CycloNum) -> CycloNum:
         return x.inverse()
+
+    def lift_pair(self, xs, ys):
+        """Each list over one denominator, each coordinate vector packed
+        as its value at t = 2^B.
+
+        An output coordinate sums at most ``min(len xs, len ys)``
+        convolution coefficients of six products each, so its size is
+        below ``6 * min(len) * max|x| * max|y|``; B one bit above that
+        bound keeps it a balanced digit in [-2^(B-1), 2^(B-1))."""
+        vx, dx = _common_denominator(xs)
+        vy, dy = _common_denominator(ys)
+        bits = _abs_bits(vx) + _abs_bits(vy) + (6 * min(len(xs), len(ys))).bit_length() + 1
+        half = 1 << (bits - 1)
+        mask = (1 << bits) - 1
+        shifts = tuple(range(0, 11 * bits, bits))
+        _, s1, s2, s3, s4, s5 = shifts[:6]
+        # half in every digit: the 11 digits of s + offset are nonnegative
+        offset = sum([half << k for k in shifts])
+        den = dx * dy
+
+        def pack(vectors):
+            return [
+                a0 + (a1 << s1) + (a2 << s2) + (a3 << s3) + (a4 << s4) + (a5 << s5)
+                for a0, a1, a2, a3, a4, a5 in vectors
+            ]
+
+        def lower(s):
+            u = s + offset
+            c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = [
+                ((u >> k) & mask) - half for k in shifts
+            ]
+            # the fold of CycloNum.__mul__
+            num = (c0 - c6 + c9, c1 - c7 + c10, c2 - c8, c3 - c6, c4 - c7, c5 - c8)
+            return _make(num, 1) if den == 1 else _reduced(num, den)
+
+        return pack(vx), pack(vy), lower
 
     def format(self, x: CycloNum, parenthesize: bool = False) -> str:
         text = format_cyclo(x)
@@ -463,6 +536,10 @@ class TruncatedPadicRing:
 
     def inv(self, x: TruncatedPadic) -> TruncatedPadic:
         return x.inverse()
+
+    def lift_pair(self, xs, ys):
+        """The raw residues; ``lower`` reduces modulo p^N once."""
+        return [c.residue for c in xs], [c.residue for c in ys], self.from_int
 
     def format(self, x: TruncatedPadic, parenthesize: bool = False) -> str:
         return str(x.residue)

@@ -6,6 +6,17 @@ lexicographic by weighted degree with ties broken by reverse lex on the
 declared variable order, optionally preceded by a block of leading
 variables that it eliminates.  Weights are exact Fractions so towers with
 weights 3^-n stay exact; the order key compares them scaled to integers.
+
+Products of two factors with at least ``LIFT_MIN_TERMS`` terms each run on
+Python ints: the coefficient domain's ``lift_pair`` lifts both coefficient
+lists, the product loop does one big-int multiply-add per term pair, and
+each output term is lowered back once.  Over Q(zeta_9) each coordinate
+vector is packed at t = 2^B with B at least ``bits(max|a|) + bits(max|b|) +
+bits(6 * min(len a, len b)) + 1``, computed from the operands, so that no
+accumulated coordinate leaves its digit.  The threshold is where the
+lifted product starts to beat term-by-term arithmetic on dense
+homogeneous factors at tower coefficient sizes; smaller products, and
+products with a one-term factor, take the term-by-term paths.
 """
 
 from __future__ import annotations
@@ -144,6 +155,10 @@ class RingPresentation:
 
 _coefficient = itemgetter(1)
 
+# Poly.__mul__ lifts both factors to ints when each has at least this many
+# terms; below it the packing costs more than the per-term arithmetic saves
+LIFT_MIN_TERMS = 6
+
 
 class Poly:
     """Immutable sparse polynomial: terms sorted strictly decreasing in the
@@ -244,20 +259,46 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Poly) or not self.terms:
-            other = self._coerce(other)
-            out = {}
-            for m1, c1 in self.terms:
-                for m2, c2 in other.terms:
+        """The product in ``self.ring``, by one of three paths.
+
+        - A constant or one-term factor scales and shifts the other
+          factor's terms (``mul_term``); no term is keyed again.
+        - Factors of at least ``LIFT_MIN_TERMS`` terms each are multiplied
+          on ints from the domain's ``lift_pair``: one big-int multiply-add
+          per term pair, one ``lower`` per output term.  Over Q(zeta_9) the
+          ints pack each coordinate vector at t = 2^B, with B a bit above
+          ``bits(max|a|) + bits(max|b|) + bits(6 * min(len a, len b))``
+          so no accumulated coordinate overflows its digit.
+        - Smaller products multiply and add the coefficients term by term.
+        """
+        ring = self.ring
+        if not isinstance(other, Poly):
+            c = ring.domain.coerce(other)
+            return Poly._presorted(
+                ring, tuple(filter(_coefficient, [(m, cc * c) for m, cc in self.terms]))
+            )
+        a, b = self.terms, self._coerce(other).terms
+        if len(b) == 1:
+            return self.mul_term(*b[0])
+        if len(a) == 1 and other.ring is ring:
+            return other.mul_term(*a[0])
+        out = {}
+        get = out.get
+        if len(a) < LIFT_MIN_TERMS or len(b) < LIFT_MIN_TERMS:
+            for m1, c1 in a:
+                for m2, c2 in b:
                     m = mono_mul(m1, m2)
-                    s = out.get(m)
+                    s = get(m)
                     prod = c1 * c2
                     out[m] = prod if s is None else s + prod
-            return Poly(self.ring, out)
-        c = self.ring.domain.coerce(other)
-        if not c:
-            return self.ring.zero()
-        return Poly(self.ring, {m: cc * c for m, cc in self.terms})
+            return Poly(ring, out)
+        xs, ys, lower = ring.domain.lift_pair([c for _, c in a], [c for _, c in b])
+        mb = [m for m, _ in b]
+        for (m1, _), x in zip(a, xs):
+            for m2, y in zip(mb, ys):
+                m = mono_mul(m1, m2)
+                out[m] = get(m, 0) + x * y
+        return Poly(ring, dict(zip(out, map(lower, out.values()))))
 
     __rmul__ = __mul__
 
@@ -274,7 +315,14 @@ class Poly:
         return result
 
     def mul_term(self, mono, coeff) -> "Poly":
-        return Poly(self.ring, {mono_mul(m, mono): c * coeff for m, c in self.terms})
+        """self * coeff * x^mono in ``self.ring``.  The order key is linear
+        in the exponents, so shifting every monomial by ``mono`` keeps the
+        terms in order; products that vanish (zero divisors of Z/p^N) are
+        dropped."""
+        return Poly._presorted(
+            self.ring,
+            tuple(filter(_coefficient, [(mono_mul(m, mono), c * coeff) for m, c in self.terms])),
+        )
 
     def monic(self) -> "Poly":
         if not self.terms:

@@ -73,10 +73,13 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentReport":
-        """Raises KeyError for a missing field and ValueError for a document
-        that is not a report."""
+        """Raises ValueError for a document that is not a report, naming
+        the first missing field."""
         if not isinstance(data, dict):
             raise ValueError("a report must be a JSON object")
+        for field in _FINGERPRINT_FIELDS:
+            if field not in data:
+                raise ValueError(f"report lacks field {field!r}")
         checks = data["checks"]
         if not isinstance(checks, list) or not all(
             isinstance(c, dict) and isinstance(c.get("name"), str) for c in checks

@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closurelab.charp import fermat_ring
-from closurelab.coefficients import CYCLO, QQ
+from closurelab.coefficients import CYCLO, QQ, CycloNum, PrimeField, TruncatedPadicRing
 from closurelab.groebner import _divide, elimination_ring, exact_divide
 from closurelab.polynomials import (
+    LIFT_MIN_TERMS,
     Poly,
     PolyParseError,
     RingPresentation,
@@ -240,3 +242,184 @@ def test_pow_matches_repeated_multiplication(qq_ring):
     for k in range(6):
         assert p ** k == direct
         direct = direct * p
+
+
+# ---------------------------------------------------------------------------
+# Poly.__mul__ against the term-by-term product
+
+
+def _schoolbook(f, g):
+    """The product as ``Poly.__mul__`` once computed every product: the
+    domain's own ``*`` and ``+``, one term pair at a time."""
+    out = {}
+    for m1, c1 in f.terms:
+        for m2, c2 in g.terms:
+            m = tuple(map(add, m1, m2))
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return Poly(f.ring, out)
+
+
+_RESIDUE_RINGS = [PrimeField(2), PrimeField(13), TruncatedPadicRing(5, 3), TruncatedPadicRing(2, 6)]
+
+
+def _residues(domain):
+    """Nonzero residues u * p^j, u a unit and j < N: their products with
+    each other vanish exactly when the powers of p add up to N or more."""
+    p, n = domain.p, domain.precision
+    return st.builds(
+        lambda u, j: domain.from_int(u * p ** j),
+        st.integers(1, p ** n).filter(lambda u: u % p),
+        st.integers(0, n - 1),
+    )
+
+
+@st.composite
+def _products(draw, domains=(QQ, CYCLO, *_RESIDUE_RINGS)):
+    """Two polynomials over one of ``domains`` with 0 to 12 terms each, on
+    both sides of LIFT_MIN_TERMS.  Integers are small or
+    +-(2^k - 1) for one k up to 200, denominators small, 3^j or 2^k - 1, so
+    that lifted sums reach the packing width; residues are units times p^j,
+    so zero-divisor products occur."""
+    domain = draw(st.sampled_from(domains))
+    k = draw(st.integers(1, 200))
+    ints = st.sampled_from([0, 1, -1, 2, (1 << k) - 1, 1 - (1 << k)])
+    dens = st.one_of(
+        st.integers(1, 6),
+        st.integers(0, 60).map(lambda j: 3 ** j),
+        st.integers(1, 200).map(lambda j: (1 << j) - 1),
+    )
+    if domain == QQ:
+        coeff = st.builds(Fraction, ints, dens)
+    elif domain == CYCLO:
+        coeff = st.builds(
+            lambda num, den: CycloNum([Fraction(c, den) for c in num]),
+            st.lists(ints, min_size=6, max_size=6),
+            dens,
+        )
+    else:
+        coeff = _residues(domain)
+    nvars = draw(st.integers(1, 3))
+    ring = RingPresentation(domain, ("x", "y", "z")[:nvars])
+    # few monomials, so that many term products meet in one output term
+    mono = st.tuples(*[st.integers(0, 3 if nvars > 1 else 11)] * nvars)
+    f, g = (Poly(ring, draw(st.dictionaries(mono, coeff, max_size=12))) for _ in range(2))
+    return f, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_products())
+def test_product_matches_the_schoolbook_product(problem):
+    f, g = problem
+    expected = _schoolbook(f, g).terms
+    assert (f * g).terms == expected
+    assert (g * f).terms == _schoolbook(g, f).terms == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 31, 64, 200])
+@pytest.mark.parametrize("n", [LIFT_MIN_TERMS, 9])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1)])
+def test_lifted_product_at_the_packing_width(k, n, signs):
+    """Every coordinate of every coefficient is +-(2^k - 1) and the middle
+    output term x^(n-1) y^(n-1) collects n term products, so the t^5
+    coefficient of its unfolded convolution is +-6 n (2^k - 1)^2: the
+    largest sum the packing width must hold."""
+    ring = RingPresentation(CYCLO, ("x", "y"))
+    top = (1 << k) - 1
+    f, g = (
+        Poly(ring, {(i, n - 1 - i): CycloNum([sign * top] * 6) for i in range(n)})
+        for sign in signs
+    )
+    product = f * g
+    assert product.terms == _schoolbook(f, g).terms
+    # over one large denominator the numerators are the same
+    d = (1 << 127) - 1
+    scaled = Poly(ring, {m: c * Fraction(1, d) for m, c in f.terms})
+    assert (scaled * g).terms == _schoolbook(scaled, g).terms
+
+
+@pytest.mark.parametrize("domain", [QQ, CYCLO, PrimeField(5), TruncatedPadicRing(5, 3)], ids=str)
+def test_products_that_cancel(domain):
+    """(x - y)(1 + z + z^2 + z^3) times the 6-term x^5 + x^4 y + ... + y^5
+    is (x^6 - y^6)(1 + z + z^2 + z^3): 48 term products, 8 output terms."""
+    ring = RingPresentation(domain, ("x", "y", "z"))
+    f = ring.parse("(x - y)*(1 + z + z^2 + z^3)")
+    g = ring.parse("x^5 + x^4*y + x^3*y^2 + x^2*y^3 + x*y^4 + y^5")
+    assert len(f.terms) == 8 and len(g.terms) == 6
+    expected = ring.parse("x^6*(1 + z + z^2 + z^3) - y^6*(1 + z + z^2 + z^3)")
+    assert f * g == g * f == _schoolbook(f, g) == expected
+    assert (f * ring.zero()).terms == (ring.zero() * f).terms == ()
+
+
+def test_zero_divisor_products_vanish():
+    """In Z/5^3 every product of a multiple of 5 and a multiple of 25 is
+    zero, whatever the shapes of the factors."""
+    ring = RingPresentation(TruncatedPadicRing(5, 3), ("x", "y"))
+    f = ring.parse("5*x^3 + 10*x^2*y + 15*x*y^2 + 20*y^3 + 5*x")
+    g = ring.parse("25*x^2 + 50*x*y + 75*y^2 + 100*x + 25")
+    for h in (g, ring.parse("25*x"), ring.const(25)):
+        assert (f * h).terms == (h * f).terms == ()
+    assert f.mul_term((1, 0), ring.domain.from_int(50)).terms == ()
+    # 5 * 25 vanishes but 5 * 1 does not: only the zero products drop out
+    assert f * ring.parse("25*x + y") == f * ring.parse("y")
+
+
+@st.composite
+def _one_term_products(draw):
+    """A polynomial and a one-term polynomial over QQ, F_p or Z/p^N in an
+    elimination ring (block 1), the coefficients units times p^j."""
+    domain = draw(st.sampled_from([QQ] + _RESIDUE_RINGS))
+    if domain == QQ:
+        coeff = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 5))
+    else:
+        coeff = _residues(domain)
+    weights = draw(st.lists(st.sampled_from([Fraction(1), Fraction(1, 3)]), min_size=3, max_size=3))
+    ring = elimination_ring(RingPresentation(domain, ("z", "x", "y"), weights))
+    mono = st.tuples(*[st.integers(0, 3)] * 4)
+    f = Poly(ring, draw(st.dictionaries(mono, coeff, max_size=10)))
+    return f, draw(mono), draw(coeff)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_one_term_products())
+def test_one_term_product_keeps_the_order(problem):
+    f, mono, coeff = problem
+    term = Poly(f.ring, {mono: coeff})
+    expected = _schoolbook(f, term).terms
+    for product in (f * term, term * f, f.mul_term(mono, coeff)):
+        assert product.ring is f.ring
+        assert product.terms == Poly(f.ring, dict(product.terms)).terms == expected
+        assert all(c for _, c in product.terms)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=_products((QQ, PrimeField(2), PrimeField(13))))
+def test_product_matches_sympy(sympy, problem):
+    """sympy's ``Poly.mul`` over QQ and modulo a prime, an oracle that
+    shares no code with closurelab."""
+    f, g = problem
+    domain = f.ring.domain
+    if domain == QQ:
+        options = {"domain": "QQ"}
+
+        def lift(c):
+            return sympy.Rational(c.numerator, c.denominator)
+
+        def lower(c):
+            return Fraction(int(c.p), int(c.q))
+    else:
+        options = {"modulus": domain.p}
+
+        def lift(c):
+            return c.residue
+
+        def lower(c):
+            return domain.from_int(int(c))
+
+    gens = sympy.symbols(f.ring.variables)
+    sf, sg = (sympy.Poly.from_dict({m: lift(c) for m, c in h.terms}, *gens, **options) for h in (f, g))
+    assert dict((f * g).terms) == {m: lower(c) for m, c in sf.mul(sg).as_dict().items()}

@@ -178,6 +178,18 @@ class TestCli:
             assert captured.err.startswith("error:")
             assert captured.out == ""
 
+    @pytest.mark.parametrize("field", ["experiment", "config", "checks"])
+    def test_missing_field_is_named_with_its_file(self, tmp_path, capsys, field):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        report = {"experiment": "x", "config": {}, "checks": [{"name": "c"}]}
+        good.write_text(json.dumps(report))
+        del report[field]
+        bad.write_text(json.dumps(report))
+        with pytest.raises(ValueError, match=f"report lacks field '{field}'"):
+            ExperimentReport.from_dict(report)
+        assert main(["diff", str(bad), str(good)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: report lacks field '{field}'\n"
+
     def test_padic_input_document(self, tmp_path):
         doc = tmp_path / "input.json"
         doc.write_text(json.dumps({"alpha": "x*y + 5*y^2", "oracle": {"mode": "adversarial", "seed": 2}}))
@@ -237,6 +249,8 @@ class TestPinnedFingerprints:
         "padic": "a26c67452daf52b827b1c8d7153f38df96ea333d50832f74871dc2e7ad90acc9",
         "charp --p 7": "974051447e60ae7309b56bc0df2090085320437e6742c6c285fb4c14a95195cc",
         "tower-trace --pairs 10": "08ae18a7bb80dc7e057b7090465e423c652ea6b7024f1dd0e3db02e238d14a28",
+        # perfbench's tower-deep op: products of up to 82 terms over Q(zeta_9)
+        "tower-colon --max-level 5": "63f622c944e870aa02c1303052a09b07fbed1a2957b3a7bd3a7d140efb1b5880",
     }
 
     @pytest.mark.parametrize("command", list(PINNED), ids=lambda c: c.replace(" --", "_").replace(" ", "_"))
