@@ -425,3 +425,60 @@ class TestIntersect:
             for m in all_monomials(3, 6):
                 expected = monomial_oracle_member(m, monos_a) and monomial_oracle_member(m, monos_b)
                 assert normal_form(ring.monomial(m), gb).is_zero() == expected, (monos_a, monos_b, m)
+
+
+# ---------------------------------------------------------------------------
+# sympy's Buchberger as an oracle that shares no code with the engine
+
+
+@st.composite
+def _homogeneous_ideals(draw):
+    """QQ[z, x, y] or the Fermat quotient over F_p, with one to three random
+    homogeneous generators of degree 1 to 3 as exponent -> integer dicts."""
+    p = draw(st.sampled_from([0, 2, 5, 7, 13]))
+    ring = RingPresentation(QQ, ("z", "x", "y")) if p == 0 else fermat_ring(p)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        monos = [m for m in all_monomials(3, d) if sum(m) == d]
+        picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(picked), max_size=len(picked)))
+        gens.append(dict(zip(picked, coeffs)))
+    return ring, p, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_homogeneous_ideals())
+def test_reduced_basis_matches_sympy(problem):
+    """The reduced monic basis of (gens) + relations under grevlex equals
+    ``sympy.groebner(..., order="grevlex")``, with ``modulus=p`` over F_p."""
+    sympy = pytest.importorskip("sympy")
+    ring, p, gens = problem
+    dom = ring.domain
+    polys = []
+    for g in gens:
+        f = ring.zero()
+        for m, c in g.items():
+            f = f + ring.monomial(m, dom.from_int(c))
+        polys.append(f)
+    symbols = sympy.symbols(ring.variables)
+    options = {"modulus": p} if p else {"domain": "QQ"}
+    sym_gens = [sympy.Poly.from_dict(g, *symbols, **options) for g in gens]
+    sym_gens += [
+        sympy.Poly(format_poly(r).replace("^", "**"), *symbols, **options) for r in ring.relations
+    ]
+    sym_gens = [g for g in sym_gens if not g.is_zero]
+
+    def lower(c):
+        return dom.from_int(int(c) % p) if p else Fraction(int(c.p), int(c.q))
+
+    expected = set()
+    if sym_gens:
+        for g in sympy.groebner(sym_gens, *symbols, order="grevlex", **options).polys:
+            g = g.exquo_ground(g.LC(order="grevlex"))
+            expected.add(frozenset((m, lower(c)) for m, c in g.as_dict().items()))
+    got = set()
+    for g in groebner(polys, ring):
+        sg = sympy.Poly(format_poly(g).replace("^", "**"), *symbols, **options)
+        got.add(frozenset((m, lower(c)) for m, c in sg.as_dict().items()))
+    assert got == expected
