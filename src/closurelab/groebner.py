@@ -15,17 +15,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .coefficients import DomainError
-from .polynomials import (
-    Poly,
-    RingPresentation,
-    WeightedGrevlex,
-    format_poly,
-    mono_coprime,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .polynomials import Poly, RingPresentation, format_poly
 
 
 class VerificationError(AssertionError):
@@ -117,44 +107,48 @@ def _divide(f: Poly, divisors, track: bool = True):
     """Full multivariate division: f = sum(q_i * divisors_i) + remainder.
 
     Deterministic: the first divisor whose leading monomial divides the
-    current leading term is used.  The work set is a dict of pending terms
-    beside a min-heap of (order key, monomial) entries, so each monomial's
-    key is computed once, when it enters the work set; an entry whose
-    monomial has cancelled or was already taken is skipped when popped.
-    Terms are taken in strictly decreasing order and a taken monomial never
-    re-enters the work set, so the remainder and each quotient are built
-    already sorted, with nonzero coefficients (a leading coefficient with an
-    inverse is a unit), and are wrapped without sorting again.
-    Returns (remainder, quotients).
+    current leading term is used.  Monomials are packed keys, so the
+    quotient monomial is a difference and each new monomial a sum of keys.
+    The work set is a dict of pending terms beside a min-heap of the same
+    ints (the smallest key is the leading monomial); an entry whose monomial
+    has cancelled or was already taken is skipped when popped.  A monomial
+    entering the work set has its exponent fields checked
+    (``OverflowError``).  Terms are taken in strictly decreasing order and a
+    taken monomial never re-enters the work set, so the remainder and each
+    quotient are built already sorted, with nonzero coefficients (a leading
+    coefficient with an inverse is a unit), and are wrapped without sorting
+    again.  Returns (remainder, quotients).
     """
     ring = f.ring
     dom = ring.domain
+    divides = ring.order.divides
+    check_fields = ring.order.check_fields
     lms = [d.lm() for d in divisors]
     inv_lcs = [dom.inv(d.lc()) for d in divisors]
     quotients = [[] for _ in divisors] if track else None
     remainder = []
     work = dict(f.terms)
-    key = ring.order.key
-    heap = [(key(m), m) for m in work]
+    heap = list(work)
     heapify(heap)
     while heap:
-        m = heappop(heap)[1]
+        m = heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
         for i, lm in enumerate(lms):
-            if mono_divides(lm, m):
-                qm = mono_div(m, lm)
+            if divides(lm, m):
+                qm = m - lm
                 qc = c * inv_lcs[i]
                 if track:
                     quotients[i].append((qm, qc))
                 for dm, dc in divisors[i].terms[1:]:
-                    nm = mono_mul(qm, dm)
+                    nm = qm + dm
                     old = work.get(nm)
                     s = (dom.zero if old is None else old) - qc * dc
                     if s:
                         if old is None:
-                            heappush(heap, (key(nm), nm))
+                            check_fields(nm)
+                            heappush(heap, nm)
                         work[nm] = s
                     elif old is not None:
                         del work[nm]
@@ -205,28 +199,29 @@ def groebner(gens, ring: RingPresentation) -> GroebnerBasis:
     inputs = list(gens) + list(ring.relations)
     n_inputs = len(inputs)
     dom = ring.domain
-    deg = ring.order.degree
-    key = ring.order.key
+    order = ring.order
+    deg, divides, lcm_of = order.degree, order.divides, order.lcm
 
     def unit_rep(i: int) -> tuple:
         return tuple(ring.one() if j == i else ring.zero() for j in range(n_inputs))
 
     basis: list[_Tracked] = []
-    # (deg(lcm), sugar, ascending lcm, i, j, lcm) with i < j: tuples compare
-    # in selection order, and (i, j) is unique, so lcm is never compared
+    # (deg(lcm), sugar, -lcm, i, j, lcm) with i < j: tuples compare in
+    # selection order (-lcm is ascending in the monomial order), and (i, j)
+    # is unique, so lcm is never compared
     pairs: list[tuple] = []
 
     def add_pairs(t: _Tracked, t_index: int):
         # Gebauer-Moeller update for the new element against the current basis
         nonlocal pairs
         lm_new = t.poly.lm()
-        fresh = [(mono_lcm(lm_new, other.poly.lm()), i) for i, other in enumerate(basis[:t_index])]
+        fresh = [(lcm_of(lm_new, other.poly.lm()), i) for i, other in enumerate(basis[:t_index])]
         # criterion M: drop a new pair whose lcm is a proper multiple of
         # another new pair's lcm
         keep = []
         for lcm, i in fresh:
             dominated = any(
-                i2 != i and lcm2 != lcm and mono_divides(lcm2, lcm) for lcm2, i2 in fresh
+                i2 != i and lcm2 != lcm and divides(lcm2, lcm) for lcm2, i2 in fresh
             )
             if not dominated:
                 keep.append((lcm, i))
@@ -238,26 +233,27 @@ def groebner(gens, ring: RingPresentation) -> GroebnerBasis:
                 continue
             seen_lcms.add(lcm)
             kept2.append((lcm, i))
-        # criterion B: drop those with coprime leading monomials
-        kept3 = [(lcm, i) for lcm, i in kept2 if not mono_coprime(lm_new, basis[i].poly.lm())]
+        # criterion B: drop those with coprime leading monomials, whose lcm
+        # is their product
+        kept3 = [(lcm, i) for lcm, i in kept2 if lcm != lm_new + basis[i].poly.lm()]
         # prune old pairs made redundant by the new leading monomial
         new_pairs = []
         for p in pairs:
             *_, i, j, lcm = p
             if (
-                mono_divides(lm_new, lcm)
-                and mono_lcm(basis[i].poly.lm(), lm_new) != lcm
-                and mono_lcm(basis[j].poly.lm(), lm_new) != lcm
+                divides(lm_new, lcm)
+                and lcm_of(basis[i].poly.lm(), lm_new) != lcm
+                and lcm_of(basis[j].poly.lm(), lm_new) != lcm
             ):
                 continue
             new_pairs.append(p)
         for lcm, i in kept3:
             other = basis[i]
             s = max(
-                other.sugar + deg(mono_div(lcm, other.poly.lm())),
-                t.sugar + deg(mono_div(lcm, lm_new)),
+                other.sugar + deg(lcm - other.poly.lm()),
+                t.sugar + deg(lcm - lm_new),
             )
-            new_pairs.append((deg(lcm), s, tuple(-v for v in key(lcm)), i, t_index, lcm))
+            new_pairs.append((deg(lcm), s, -lcm, i, t_index, lcm))
         pairs = new_pairs
 
     for idx, g in enumerate(inputs):
@@ -280,8 +276,8 @@ def groebner(gens, ring: RingPresentation) -> GroebnerBasis:
         pairs.remove(p)
         _, sugar, _, i, j, lcm = p
         fi, fj = basis[i], basis[j]
-        mi = mono_div(lcm, fi.poly.lm())
-        mj = mono_div(lcm, fj.poly.lm())
+        mi = lcm - fi.poly.lm()
+        mj = lcm - fj.poly.lm()
         ci = dom.inv(fi.poly.lc())
         cj = dom.inv(fj.poly.lc())
         spoly = fi.poly.mul_term(mi, ci) - fj.poly.mul_term(mj, cj)
@@ -302,10 +298,10 @@ def groebner(gens, ring: RingPresentation) -> GroebnerBasis:
     # minimalize: drop elements whose leading monomial is divisible by
     # another; the reverse sort by the descending key ranks them ascending
     # and, being stable, keeps equal leading monomials in basis order
-    basis.sort(key=lambda t: key(t.poly.lm()), reverse=True)
+    basis.sort(key=lambda t: t.poly.lm(), reverse=True)
     minimal: list[_Tracked] = []
     for t in basis:
-        if any(mono_divides(u.poly.lm(), t.poly.lm()) for u in minimal):
+        if any(divides(u.poly.lm(), t.poly.lm()) for u in minimal):
             continue
         minimal.append(t)
     # tail-reduce each element against the others
@@ -314,7 +310,7 @@ def groebner(gens, ring: RingPresentation) -> GroebnerBasis:
         rem, rep = reduce_tracked(t.poly, t.rep, [u for u in minimal if u is not t])
         inv = dom.inv(rem.lc())
         reduced.append(_Tracked(rem * inv, tuple(r * inv for r in rep), t.sugar))
-    reduced.sort(key=lambda t: key(t.poly.lm()), reverse=True)
+    reduced.sort(key=lambda t: t.poly.lm(), reverse=True)
     gb = GroebnerBasis(ring, inputs, reduced)
     return gb
 
@@ -343,22 +339,19 @@ def elimination_ring(ring: RingPresentation) -> RingPresentation:
     aux = "_t"
     if aux in ring.variables:
         raise ValueError("ring already owns the auxiliary variable _t")
-    ext = RingPresentation(
-        ring.domain,
-        (aux,) + ring.variables,
-        (Fraction(1),) + ring.weights,
-        (),
+    return RingPresentation(
+        ring.domain, (aux,) + ring.variables, (Fraction(1),) + ring.weights, (), block=1
     )
-    ext.order = WeightedGrevlex(ext.weights, block=1)
-    return ext
 
 
 def _lift(poly: Poly, ext: RingPresentation) -> Poly:
-    return Poly(ext, {(0,) + m: c for m, c in poly.terms})
+    exponents = poly.ring.order.exponents
+    return ext.poly({(0,) + exponents(m): c for m, c in poly.terms})
 
 
 def _drop(poly: Poly, ring: RingPresentation) -> Poly:
-    return Poly(ring, {m[1:]: c for m, c in poly.terms})
+    exponents = poly.ring.order.exponents
+    return ring.poly({exponents(m)[1:]: c for m, c in poly.terms})
 
 
 def intersect(gens_a, gens_b, ring: RingPresentation) -> list:
@@ -371,7 +364,7 @@ def intersect(gens_a, gens_b, ring: RingPresentation) -> list:
     lifted = [t * _lift(g, ext) for g in gens_a]
     lifted += [one_minus_t * _lift(g, ext) for g in gens_b]
     gb = groebner(lifted, ext)
-    return [_drop(g, ring) for g in gb.generators if g.lm()[0] == 0]
+    return [_drop(g, ring) for g in gb.generators if ext.order.exponents(g.lm())[0] == 0]
 
 
 def colon(gens, f: Poly, ring: RingPresentation | None = None) -> list:

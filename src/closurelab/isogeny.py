@@ -112,7 +112,7 @@ def _eval(poly: Poly, point, domain):
     coords = {"x": point[0], "y": point[1], "z": point[2]}
     for m, c in poly.terms:
         term = domain.coerce(Fraction(c) if isinstance(c, (int, Fraction)) else c)
-        for name, e in zip(names, m):
+        for name, e in zip(names, ring.order.exponents(m)):
             v = coords[name]
             for _ in range(e):
                 term = term * v
@@ -254,6 +254,10 @@ def hesse_double() -> GradedEndo:
 
 # ---------------------------------------------------------------------------
 # membership modulo p^n via digit lifting
+
+
+# integral_ring and fermat_ring share their variables and order, so packed
+# monomials carry over between them as they are
 
 
 def _to_prime_field(poly: Poly, ring_p: RingPresentation) -> Poly:

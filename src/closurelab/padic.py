@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .charp import fermat_ring
 from .coefficients import TruncatedPadicRing
@@ -42,14 +42,20 @@ class TruncatedModel:
         self.field_ring = fermat_ring(p)
         self.field_relation_basis = groebner([], self.field_ring)
         self.field_y_basis = groebner([self.field_ring.parse("y")], self.field_ring)
+        # a term needs dividing exactly when z^3, the relation's leading
+        # monomial, divides it
+        self._reducible = partial(self.ring.order.divides, self.ring.relations[0].lm())
         self.x = self.canon(self.ring.var("x"))
         self.y = self.canon(self.ring.var("y"))
 
     def canon(self, f: Poly) -> Poly:
         """Normal form modulo the relation z^3 + x^3 + y^3: unique because a
         single monic polynomial is a Groebner basis over any coefficient
-        ring, and every z-exponent of it is <= 2."""
-        return normal_form(f, self.ring.relations)
+        ring, and every z-exponent of it is <= 2.  ``f`` itself when it is
+        already canonical."""
+        if any(map(self._reducible, [m for m, _ in f.terms])):
+            return normal_form(f, self.ring.relations)
+        return f
 
     def parse(self, text: str) -> Poly:
         return self.canon(self.ring.parse(text))
@@ -59,7 +65,8 @@ class TruncatedModel:
 
     def digit_slice(self, f: Poly, j: int) -> Poly:
         """(f / p^j) mod p as an F_p polynomial; every coefficient of f must
-        be divisible by p^j."""
+        be divisible by p^j.  The two rings share their variables and order,
+        so packed monomials carry over as they are."""
         pj = self.p ** j
         out = {}
         dom = self.field_ring.domain
@@ -81,7 +88,7 @@ class TruncatedModel:
         for _ in range(terms):
             m = (rng.randrange(0, 3), rng.randrange(0, max_degree + 1), rng.randrange(0, max_degree + 1))
             picked[m] = self.domain.from_int(rng.randrange(0, self.p ** self.precision))
-        return self.canon(Poly(self.ring, picked))
+        return self.canon(self.ring.poly(picked))
 
 
 @lru_cache(maxsize=None)
@@ -169,16 +176,18 @@ class ApproxTrace(namedtuple("ApproxTrace", "p precision alpha steps")):
 def honest_oracle(m: TruncatedModel):
     """Splits the canonical form of the residual over (x, y) directly; valid
     whenever every residual monomial is divisible by x or y."""
+    order = m.ring.order
+    x, y = m.x.lm(), m.y.lm()
 
     def step(i: int, residual: Poly):
         a_terms, b_terms = {}, {}
         for mono, c in residual.terms:
-            z, x, y = mono
-            if x > 0:
-                a_terms[(z, x - 1, y)] = c
-            elif y > 0:
-                b_terms[(z, x, y - 1)] = c
+            if order.divides(x, mono):
+                a_terms[mono - x] = c
+            elif order.divides(y, mono):
+                b_terms[mono - y] = c
             else:
+                z = order.exponents(mono)[0]
                 raise LiftingObstructionError(
                     f"residual monomial z^{z} is outside (x, y): {format_poly(residual)}"
                 )

@@ -1,11 +1,23 @@
 """Sparse multivariate polynomials over a pluggable exact coefficient domain.
 
-Monomials are plain exponent tuples indexed by the ring's variable list.
 There is one monomial order, ``WeightedGrevlex``: graded reverse
 lexicographic by weighted degree with ties broken by reverse lex on the
-declared variable order, optionally preceded by a block of leading
-variables that it eliminates.  Weights are exact Fractions so towers with
-weights 3^-n stay exact; the order key compares them scaled to integers.
+declared variable order, optionally preceded by a one-variable block that
+it eliminates.  Weights are exact Fractions so towers with weights 3^-n stay
+exact; the order compares them scaled to integers.
+
+Inside a ``Poly`` each monomial is one packed int, its order key: one
+``FIELD_BITS``-bit field per exponent below a signed top digit that holds
+the negated (scaled) weighted degree.  The key is linear in the exponents,
+so a product of monomials is the sum of their keys, a quotient the
+difference, and ascending ints are descending monomials.  The top bit of
+every field is a guard bit that is clear in every monomial, so one mask
+test decides divisibility and detects a product whose exponent leaves its
+field (``OverflowError``).  Only this module knows the layout: exponent
+tuples are the public form, and ``WeightedGrevlex.key`` and
+``WeightedGrevlex.exponents`` convert at the boundary (``ring.var``,
+``ring.poly``, parsing, formatting, substitution and the domain modules
+that read single exponents).
 
 Products of two factors with at least ``LIFT_MIN_TERMS`` terms each run on
 Python ints: the coefficient domain's ``lift_pair`` lifts both coefficient
@@ -24,68 +36,90 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add, itemgetter, le, mul, sub
+from functools import reduce
+from operator import itemgetter, mul, or_
 
 from .coefficients import CYCLO, CycloNum
 
-
-def mono_mul(a, b):
-    return tuple(map(add, a, b))
-
-
-def mono_divides(a, b):
-    """True when a divides b componentwise."""
-    return all(map(le, a, b))
-
-
-def mono_div(a, b):
-    """a / b; caller guarantees divisibility."""
-    return tuple(map(sub, a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-def mono_coprime(a, b):
-    """No variable divides both; exponents are >= 0, so a product is 0 iff
-    one factor is."""
-    return not any(map(mul, a, b))
+# bits per exponent field of a packed monomial; the top one is the guard
+# bit, so exponents run below EXP_LIMIT = 2^19, nine times the z^(2 * 13^4)
+# that charp reaches at e_max = 4 (a narrower field was no faster)
+FIELD_BITS = 20
+EXP_LIMIT = 1 << (FIELD_BITS - 1)
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class WeightedGrevlex:
     """Weighted grevlex order with an optional leading elimination block.
 
-    The first ``block`` variables are compared first by their total degree,
-    then by their exponent tuple; the remaining variables by weighted degree
-    with ties broken by reverse lex.  ``key`` maps a monomial to a flat
-    tuple of ints that decreases with the order, so the smallest key is the
-    leading monomial; it orders the terms of every ``Poly``, the division
-    heap and the Groebner basis sorts.  Weights are summed scaled to
+    With ``block=1`` the first variable is compared first by its degree; the
+    rest, and every variable without a block, by weighted degree with ties
+    broken by reverse lex.  ``key`` packs an exponent tuple into one int
+    that decreases with the order, so the smallest key is the leading
+    monomial: base-2^FIELD_BITS digits ``e_(n-1) ... e_0`` below a signed top
+    digit ``-wdeg`` (``-(M * e_0 + wdeg(tail))`` with a block, M above any
+    tail degree).  The key is a linear form in the exponents, so products
+    add keys and quotients subtract them; ``divides`` is a guard-bit mask
+    test, and ``exponents`` decodes a key.  Weights are summed scaled to
     integers by the lcm of their denominators; ``degree`` stays an exact
-    Fraction.
+    Fraction.  Two orders are equal when their weights and block are.
     """
 
     def __init__(self, weights, block: int = 0):
         self.weights = tuple(Fraction(w) for w in weights)
+        if block not in (0, 1) or block > len(self.weights):
+            raise ValueError("the elimination block holds at most one variable")
         self.block = block
         self._scale = math.lcm(*(w.denominator for w in self.weights))
-        self._int_weights = tuple(int(w * self._scale) for w in self.weights)
+        int_weights = [int(w * self._scale) for w in self.weights]
+        top = list(int_weights)
+        self._head_excess = 0
+        if block:
+            top[0] = EXP_LIMIT * sum(top[1:]) + 1
+            # the top digit counts the head variable M times, its degree once
+            self._head_excess = top[0] - int_weights[0]
+        n = len(top)
+        self._top_shift = FIELD_BITS * n
+        self._shifts = tuple(FIELD_BITS * i for i in range(n))
+        self._units = tuple((1 << s) - (w << self._top_shift) for s, w in zip(self._shifts, top))
+        self._guard = sum(EXP_LIMIT << s for s in self._shifts)
 
-    def degree(self, exps) -> Fraction:
-        return Fraction(sum(map(mul, self._int_weights, exps)), self._scale)
+    def __eq__(self, other):
+        if isinstance(other, WeightedGrevlex):
+            return self.weights == other.weights and self.block == other.block
+        return NotImplemented
 
-    def key(self, exps):
-        b = self.block
-        if not b:
-            return (-sum(map(mul, self._int_weights, exps)),) + exps[::-1]
-        head, tail = exps[:b], exps[b:]
-        return (
-            (-sum(head),)
-            + tuple(-e for e in head)
-            + (-sum(map(mul, self._int_weights[b:], tail)),)
-            + tail[::-1]
-        )
+    def key(self, exps) -> int:
+        """The packed key of an exponent tuple; raises ``OverflowError`` for
+        an exponent outside [0, EXP_LIMIT)."""
+        if len(exps) != len(self._units):
+            raise ValueError(f"expected {len(self._units)} exponents, got {len(exps)}")
+        if exps and (min(exps) < 0 or max(exps) >= EXP_LIMIT):
+            raise OverflowError(f"exponents {tuple(exps)} outside [0, {EXP_LIMIT})")
+        return sum(map(mul, self._units, exps))
+
+    def exponents(self, key: int) -> tuple:
+        return tuple((key >> s) & _FIELD_MASK for s in self._shifts)
+
+    def degree(self, key: int) -> Fraction:
+        wdeg = -(key >> self._top_shift)
+        if self._head_excess:
+            wdeg -= self._head_excess * (key & _FIELD_MASK)
+        return Fraction(wdeg, self._scale)
+
+    def divides(self, a: int, b: int) -> bool:
+        """True when monomial a divides b: b - a borrows into a guard bit
+        exactly when some exponent of a exceeds b's."""
+        return not (b - a) & self._guard
+
+    def lcm(self, a: int, b: int) -> int:
+        return sum(map(mul, self._units, map(max, self.exponents(a), self.exponents(b))))
+
+    def check_fields(self, key: int):
+        """Raise ``OverflowError`` when an exponent field of ``key``, or of an
+        OR of keys, has reached its guard bit: a product left the range."""
+        if key & self._guard:
+            raise OverflowError(f"a monomial exponent reached {EXP_LIMIT}")
 
 
 class RingPresentation:
@@ -94,9 +128,10 @@ class RingPresentation:
     Relations may be given as polynomial text; they are parsed against this
     ring and must be homogeneous for the declared weights.  Quotient-ring
     semantics: every ideal computation appends the relations internally.
+    ``block=1`` orders by a leading elimination block of the first variable.
     """
 
-    def __init__(self, domain, variables, weights=None, relations=()):
+    def __init__(self, domain, variables, weights=None, relations=(), block: int = 0):
         self.domain = domain
         self.variables = tuple(variables)
         if weights is None:
@@ -106,13 +141,18 @@ class RingPresentation:
             raise ValueError("one weight per variable required")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
-        self.order = WeightedGrevlex(self.weights)
+        self.order = WeightedGrevlex(self.weights, block)
         self._index = {v: i for i, v in enumerate(self.variables)}
+        n = len(self.variables)
+        self._var_keys = {
+            v: self.order.key(tuple(int(j == i) for j in range(n))) for i, v in enumerate(self.variables)
+        }
         rels = []
         for r in relations:
             poly = self.parse(r) if isinstance(r, str) else r
             if poly.ring is not self:
-                poly = Poly(self, dict(poly.terms))
+                order = poly.ring.order
+                poly = self.poly({order.exponents(m): c for m, c in poly.terms})
             if not poly.is_homogeneous():
                 raise ValueError(f"relation {poly} is not weighted-homogeneous")
             rels.append(poly)
@@ -127,25 +167,31 @@ class RingPresentation:
         return self.const(self.domain.one)
 
     def const(self, c) -> "Poly":
-        return Poly(self, {(0,) * len(self.variables): self.domain.coerce(c)})
+        # every exponent of a constant is 0, and so is its packed key
+        return Poly(self, {0: self.domain.coerce(c)})
 
     def var(self, name: str) -> "Poly":
-        e = [0] * len(self.variables)
-        e[self._index[name]] = 1
-        return Poly(self, {tuple(e): self.domain.one})
+        return Poly._presorted(self, ((self._var_keys[name], self.domain.one),))
+
+    def poly(self, terms: dict) -> "Poly":
+        """The polynomial with the given exponent tuple -> coefficient terms."""
+        key = self.order.key
+        return Poly(self, {key(tuple(e)): c for e, c in terms.items()})
 
     def monomial(self, exps, coeff=None) -> "Poly":
         c = self.domain.one if coeff is None else self.domain.coerce(coeff)
-        return Poly(self, {tuple(exps): c})
+        return self.poly({tuple(exps): c})
 
     def parse(self, text: str) -> "Poly":
         return parse_poly(self, text)
 
     def compatible(self, other: "RingPresentation") -> bool:
-        return (
+        """Same domain, variables and order: packed monomials mean the same
+        thing in both rings."""
+        return self is other or (
             self.domain == other.domain
             and self.variables == other.variables
-            and self.weights == other.weights
+            and self.order == other.order
         )
 
     def __repr__(self):
@@ -153,6 +199,7 @@ class RingPresentation:
         return f"{self.domain.name}[{', '.join(self.variables)}]{rel}"
 
 
+_monomial = itemgetter(0)
 _coefficient = itemgetter(1)
 
 # Poly.__mul__ lifts both factors to ints when each has at least this many
@@ -161,18 +208,20 @@ LIFT_MIN_TERMS = 6
 
 
 class Poly:
-    """Immutable sparse polynomial: terms sorted strictly decreasing in the
-    ring's order, no zero coefficients, zero polynomial is the empty tuple.
+    """Immutable sparse polynomial: ``terms`` is a tuple of (packed monomial,
+    coefficient) pairs, strictly decreasing in the ring's order (ascending
+    as ints), with no zero coefficient; the zero polynomial is the empty
+    tuple.
 
-    The constructor takes a dict monomial -> coefficient, keys each monomial
-    once with the order's ``key`` (ascending keys are descending monomials)
-    and drops zero coefficients."""
+    The constructor takes a dict packed monomial -> coefficient, sorts the
+    ints and drops zero coefficients; ``RingPresentation.poly`` builds one
+    from exponent tuples."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: RingPresentation, terms: dict):
         self.ring = ring
-        monos = sorted(terms, key=ring.order.key)
+        monos = sorted(terms)
         self.terms = tuple(filter(_coefficient, zip(monos, map(terms.__getitem__, monos))))
 
     @classmethod
@@ -193,8 +242,8 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def lm(self):
-        """Leading monomial (exponent tuple)."""
+    def lm(self) -> int:
+        """Leading monomial (packed key)."""
         return self.terms[0][0]
 
     def lc(self):
@@ -204,18 +253,17 @@ class Poly:
         """Maximal weighted degree among terms; -1 for the zero polynomial."""
         if not self.terms:
             return Fraction(-1)
-        return max(self.ring.order.degree(m) for m, _ in self.terms)
+        return max(map(self.ring.order.degree, map(_monomial, self.terms)))
 
     def min_degree(self) -> Fraction:
         if not self.terms:
             raise ValueError("zero polynomial has no minimal degree")
-        return min(self.ring.order.degree(m) for m, _ in self.terms)
+        return min(map(self.ring.order.degree, map(_monomial, self.terms)))
 
     def is_homogeneous(self) -> bool:
         if not self.terms:
             return True
-        degs = {self.ring.order.degree(m) for m, _ in self.terms}
-        return len(degs) == 1
+        return len(set(map(self.ring.order.degree, map(_monomial, self.terms)))) == 1
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -229,7 +277,7 @@ class Poly:
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if not self.ring.compatible(other.ring):
+            if other.ring is not self.ring and not self.ring.compatible(other.ring):
                 raise ValueError("polynomials from incompatible rings")
             return other
         return self.ring.const(other)
@@ -262,7 +310,7 @@ class Poly:
         """The product in ``self.ring``, by one of three paths.
 
         - A constant or one-term factor scales and shifts the other
-          factor's terms (``mul_term``); no term is keyed again.
+          factor's terms (``mul_term``); nothing is sorted again.
         - Factors of at least ``LIFT_MIN_TERMS`` terms each are multiplied
           on ints from the domain's ``lift_pair``: one big-int multiply-add
           per term pair, one ``lower`` per output term.  Over Q(zeta_9) the
@@ -270,6 +318,9 @@ class Poly:
           ``bits(max|a|) + bits(max|b|) + bits(6 * min(len a, len b))``
           so no accumulated coordinate overflows its digit.
         - Smaller products multiply and add the coefficients term by term.
+
+        A product monomial is the sum of the packed keys.  One OR over the
+        output keys checks every exponent field (``OverflowError``).
         """
         ring = self.ring
         if not isinstance(other, Poly):
@@ -287,17 +338,19 @@ class Poly:
         if len(a) < LIFT_MIN_TERMS or len(b) < LIFT_MIN_TERMS:
             for m1, c1 in a:
                 for m2, c2 in b:
-                    m = mono_mul(m1, m2)
+                    m = m1 + m2
                     s = get(m)
                     prod = c1 * c2
                     out[m] = prod if s is None else s + prod
+            ring.order.check_fields(reduce(or_, out, 0))
             return Poly(ring, out)
         xs, ys, lower = ring.domain.lift_pair([c for _, c in a], [c for _, c in b])
         mb = [m for m, _ in b]
         for (m1, _), x in zip(a, xs):
             for m2, y in zip(mb, ys):
-                m = mono_mul(m1, m2)
+                m = m1 + m2
                 out[m] = get(m, 0) + x * y
+        ring.order.check_fields(reduce(or_, out, 0))
         return Poly(ring, dict(zip(out, map(lower, out.values()))))
 
     __rmul__ = __mul__
@@ -314,15 +367,14 @@ class Poly:
             n >>= 1
         return result
 
-    def mul_term(self, mono, coeff) -> "Poly":
-        """self * coeff * x^mono in ``self.ring``.  The order key is linear
-        in the exponents, so shifting every monomial by ``mono`` keeps the
-        terms in order; products that vanish (zero divisors of Z/p^N) are
-        dropped."""
-        return Poly._presorted(
-            self.ring,
-            tuple(filter(_coefficient, [(mono_mul(m, mono), c * coeff) for m, c in self.terms])),
-        )
+    def mul_term(self, mono: int, coeff) -> "Poly":
+        """self * coeff * x^mono in ``self.ring``, for a packed ``mono``.  The
+        packed key is linear in the exponents, so adding ``mono`` to every
+        key keeps the terms in order; products that vanish (zero divisors of
+        Z/p^N) are dropped."""
+        terms = tuple(filter(_coefficient, [(m + mono, c * coeff) for m, c in self.terms]))
+        self.ring.order.check_fields(reduce(or_, map(_monomial, terms), 0))
+        return Poly._presorted(self.ring, terms)
 
     def monic(self) -> "Poly":
         if not self.terms:
@@ -336,9 +388,10 @@ class Poly:
         ring = target or next(iter(images.values())).ring
         out = ring.zero()
         cache: dict[tuple[str, int], Poly] = {}
+        exponents = self.ring.order.exponents
         for m, c in self.terms:
             term = ring.const(c)
-            for v, e in zip(self.ring.variables, m):
+            for v, e in zip(self.ring.variables, exponents(m)):
                 if e == 0:
                     continue
                 img = cache.get((v, e))
@@ -367,7 +420,7 @@ def format_poly(p: Poly) -> str:
     parts = []
     for m, c in p.terms:
         mono = "*".join(
-            v if e == 1 else f"{v}^{e}" for v, e in zip(ring.variables, m) if e
+            v if e == 1 else f"{v}^{e}" for v, e in zip(ring.variables, ring.order.exponents(m)) if e
         )
         ctext = ring.domain.format(c, parenthesize=bool(mono))
         if not mono:

@@ -338,8 +338,9 @@ def trace_retraction(n: int, s: Poly) -> Poly:
         raise ValueError("element does not live in the level-1 ring")
     nf = normal_form(s, relation_basis(1))
     kept = {}
+    exponents = level.ring.order.exponents
     for m, c in nf.terms:
-        k, i, j = m  # variables are ordered (z1, x1, y1)
+        k, i, j = exponents(m)  # variables are ordered (z1, x1, y1)
         if (i - k) % 3 == 0 and (j - k) % 3 == 0:
             kept[m] = c
     pi = Poly(level.ring, kept)
@@ -364,11 +365,12 @@ def retraction_preimage(pi: Poly) -> Poly:
     x0, y0, z0 = ring0.var("x"), ring0.var("y"), ring0.var("z")
     forms = _linear_forms(x0, y0)
     out = ring0.zero()
+    exponents = pi.ring.order.exponents
     for m, c in pi.terms:
-        k, i, j = m
+        k, i, j = exponents(m)
         r = i % 3
         if not ((i - k) % 3 == 0 and (j - k) % 3 == 0):
-            raise NotInImageError(f"monomial {m} is not invariant")
+            raise NotInImageError(f"monomial {(k, i, j)} is not invariant")
         term = ring0.const(c) * (-z0) ** r
         term = term * forms[0] ** ((i - r) // 3)
         term = term * forms[1] ** ((j - r) // 3)

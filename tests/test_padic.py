@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closurelab import padic
-from closurelab.groebner import exact_divide
+from closurelab.groebner import exact_divide, normal_form
 from closurelab.polynomials import Poly, format_poly
+from test_polynomials import exponent_terms
 
 
 class TestRegularSequence:
@@ -33,7 +34,7 @@ class TestCanonicalForm:
     def test_deep_rewrite_terminates(self):
         m = padic.model(2, 4)
         f = m.parse("z^7*x + z^4*y^2 + z^2")
-        assert all(mono[0] <= 2 for mono, _ in f.terms)
+        assert all(mono[0] <= 2 for mono, _ in exponent_terms(f))
 
     def test_canonical_arithmetic_respects_relation(self):
         m = padic.model(5, 3)
@@ -51,12 +52,36 @@ class TestCanonicalForm:
     )
     def test_canon_is_a_remainder_modulo_the_relation(self, pn, terms):
         m = padic.model(*pn)
-        f = Poly(m.ring, {mono: m.domain.from_int(c) for mono, c in terms.items()})
+        f = m.ring.poly({mono: m.domain.from_int(c) for mono, c in terms.items()})
         r = m.canon(f)
-        assert all(mono[0] <= 2 for mono, _ in r.terms)
+        assert all(mono[0] <= 2 for mono, _ in exponent_terms(r))
         rel = m.ring.relations[0]
         q = exact_divide(f - r, rel)
         assert q * rel + r == f
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pn=st.sampled_from([(2, 4), (5, 1), (5, 3), (7, 2)]),
+        z_max=st.sampled_from([2, 5]),
+        data=st.data(),
+    )
+    def test_canon_matches_the_normal_form(self, pn, z_max, data):
+        """``canon`` keeps the terms ``normal_form`` gives, on elements of T_N
+        with and without z^(>=3) terms; an input that is already canonical
+        comes back as it is."""
+        m = padic.model(*pn)
+        terms = data.draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, z_max), st.integers(0, 4), st.integers(0, 4)),
+                st.integers(0, 10 ** 6).map(m.domain.from_int),
+                max_size=8,
+            )
+        )
+        f = m.ring.poly(terms)
+        r = m.canon(f)
+        assert r.terms == normal_form(f, m.ring.relations).terms
+        if all(z <= 2 for (z, _, _), _ in exponent_terms(f)):
+            assert r is f
 
 
 class TestHonestRuns:

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from operator import add
+from operator import add, le, sub
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from closurelab.charp import fermat_ring
 from closurelab.coefficients import CYCLO, QQ, CycloNum, PrimeField, TruncatedPadicRing
 from closurelab.groebner import _divide, elimination_ring, exact_divide
 from closurelab.polynomials import (
+    EXP_LIMIT,
     LIFT_MIN_TERMS,
     Poly,
     PolyParseError,
@@ -23,6 +24,13 @@ from closurelab.polynomials import (
 @pytest.fixture
 def qq_ring():
     return RingPresentation(QQ, ("x", "y", "z"))
+
+
+def exponent_terms(p):
+    """The terms of ``p`` with each packed monomial decoded to its exponent
+    tuple, in the order of ``p.terms``."""
+    exponents = p.ring.order.exponents
+    return tuple((exponents(m), c) for m, c in p.terms)
 
 
 def test_parse_and_format_round_trip(qq_ring):
@@ -59,8 +67,8 @@ def test_terms_strictly_decreasing(qq_ring):
         for _ in range(6):
             m = tuple(rng.randrange(0, 4) for _ in range(3))
             terms[m] = Fraction(rng.randrange(-4, 5))
-        p = Poly(qq_ring, terms)
-        keys = [_fraction_key(order.weights, order.block, m) for m, _ in p.terms]
+        p = qq_ring.poly(terms)
+        keys = [_fraction_key(order.weights, order.block, m) for m, _ in exponent_terms(p)]
         assert all(a > b for a, b in zip(keys, keys[1:]))
 
 
@@ -70,7 +78,7 @@ def test_grevlex_tie_break(qq_ring):
     xy = qq_ring.parse("x*y")
     yz = qq_ring.parse("y*z")
     p = x2 + xy + yz
-    assert [format_poly(qq_ring.monomial(m)) for m, _ in p.terms] == ["x^2", "x*y", "y*z"]
+    assert [format_poly(qq_ring.monomial(m)) for m, _ in exponent_terms(p)] == ["x^2", "x*y", "y*z"]
 
 
 def _fraction_key(weights, block, exps):
@@ -101,10 +109,13 @@ def test_integer_key_matches_the_fraction_key(data, nvars, block):
     exps = st.tuples(*[st.integers(0, 7)] * nvars)
     a, b = data.draw(exps), data.draw(exps)
     order = WeightedGrevlex(weights, block=block)
-    assert _sign(order.key(a), order.key(b)) == -_sign(
+    ka, kb = order.key(a), order.key(b)
+    assert type(ka) is int and type(kb) is int
+    assert _sign(ka, kb) == -_sign(
         _fraction_key(weights, block, a), _fraction_key(weights, block, b)
     )
-    degree = order.degree(a)
+    assert (ka == kb) == (a == b)
+    degree = order.degree(ka)
     assert isinstance(degree, Fraction)
     assert degree == sum((w * e for w, e in zip(weights, a)), Fraction(0))
 
@@ -112,13 +123,12 @@ def test_integer_key_matches_the_fraction_key(data, nvars, block):
 @given(
     data=st.data(),
     nvars=st.integers(1, 4),
-    block=st.integers(0, 2),
+    block=st.integers(0, 1),
 )
 def test_heap_key_order_is_the_reverse_of_the_key_order(data, nvars, block):
-    """``order.key`` is the heap key: flat ints, smallest for the leading
+    """``order.key`` is the heap key: one int, smallest for the leading
     monomial, so it sorts in the reverse of the ascending Fraction key and
     tells every two monomials apart."""
-    block = min(block, nvars)
     weights = data.draw(
         st.lists(st.integers(0, 1).map(lambda n: Fraction(1, 3 ** n)), min_size=nvars, max_size=nvars)
     )
@@ -129,11 +139,103 @@ def test_heap_key_order_is_the_reverse_of_the_key_order(data, nvars, block):
     # so the tie-breaks are compared too
     for b in set(permutations(a)) | {data.draw(exps)}:
         ha, hb = order.key(a), order.key(b)
-        assert all(type(k) is int for k in ha)
+        assert type(ha) is int
         assert _sign(ha, hb) == -_sign(
             _fraction_key(weights, block, a), _fraction_key(weights, block, b)
         )
         assert (ha == hb) == (a == b)
+
+
+@settings(max_examples=200)
+@given(
+    data=st.data(),
+    nvars=st.integers(1, 4),
+    block=st.integers(0, 1),
+)
+def test_packed_keys_are_linear_and_decode(data, nvars, block):
+    """The packed key is additive, decodes back to its exponents, and its
+    divisibility test and lcm agree with their exponent-tuple definitions,
+    with and without the elimination block; exponents run up to the largest
+    ones the fields hold."""
+    weights = data.draw(
+        st.lists(st.integers(0, 5).map(lambda n: Fraction(1, 3 ** n)), min_size=nvars, max_size=nvars)
+    )
+    half = st.one_of(st.integers(0, 7), st.integers(0, EXP_LIMIT // 2 - 1))
+    exps = st.tuples(*[half] * nvars)
+    a, b = data.draw(exps), data.draw(exps)
+    order = WeightedGrevlex(weights, block=block)
+    ka, kb = order.key(a), order.key(b)
+    assert order.exponents(ka) == a and order.exponents(kb) == b
+    assert ka + kb == order.key(tuple(map(add, a, b)))
+    assert order.degree(ka + kb) == order.degree(ka) + order.degree(kb)
+    for x, y in ((a, b), (b, a), (a, tuple(map(add, a, b)))):
+        kx, ky = order.key(x), order.key(y)
+        divides = all(map(le, x, y))
+        assert order.divides(kx, ky) == divides
+        if divides:
+            assert ky - kx == order.key(tuple(map(sub, y, x)))
+        assert order.lcm(kx, ky) == order.key(tuple(map(max, x, y)))
+    # the product is the lcm exactly when no variable divides both
+    assert (order.lcm(ka, kb) == ka + kb) == (not any(map(min, a, b)))
+
+
+def test_packed_fields_raise_on_overflow():
+    """An exponent past the last one its field holds raises, whether it is
+    packed at the boundary or reached by a product; z^(2 * 13^4), the
+    largest power charp forms, round-trips."""
+    ring = fermat_ring(13)
+    order = ring.order
+    top = 2 * 13 ** 4
+    assert EXP_LIMIT > top
+    z = ring.parse(f"z^{top}")
+    assert format_poly(z) == f"z^{top}"
+    assert exponent_terms(z) == (((top, 0, 0), ring.domain.one),)
+    assert order.exponents(order.key((top, 7, EXP_LIMIT - 1))) == (top, 7, EXP_LIMIT - 1)
+    for exps in ((EXP_LIMIT, 0, 0), (0, 0, EXP_LIMIT), (0, -1, 0)):
+        with pytest.raises(OverflowError):
+            order.key(exps)
+    half = ring.monomial((0, EXP_LIMIT // 2, 0))
+    with pytest.raises(OverflowError):
+        half * half
+    with pytest.raises(OverflowError):
+        ring.parse("y") ** EXP_LIMIT
+    with pytest.raises(OverflowError):
+        half.mul_term(half.lm(), ring.domain.one)
+    # a product whose leading term fits but whose trailing term does not
+    f = ring.monomial((0, 10, 0)) + ring.monomial((0, 0, 10))
+    with pytest.raises(OverflowError):
+        f * ring.monomial((0, 0, EXP_LIMIT - 5))
+    with pytest.raises(OverflowError):
+        f * (f * ring.monomial((0, 0, EXP_LIMIT - 5 - 10)))
+    # division: y - x^2 turns x^(L-1) y^(L-1) into x^(L-3) y^L
+    g = ring.parse("y - x^2")
+    with pytest.raises(OverflowError):
+        exact_divide(ring.monomial((0, EXP_LIMIT - 1, EXP_LIMIT - 1)), g)
+
+
+def test_orders_take_at_most_one_elimination_variable():
+    with pytest.raises(ValueError, match="at most one"):
+        WeightedGrevlex((1, 1, 1), block=2)
+
+
+def test_rings_with_equal_presentations_mix():
+    """Polynomials from two equal ring objects add, multiply and compare;
+    a ring whose order has another block is refused, as is one with other
+    variables."""
+    a = RingPresentation(QQ, ("z", "x", "y"), (1, Fraction(1, 3), 1))
+    b = RingPresentation(QQ, ("z", "x", "y"), (1, Fraction(1, 3), 1))
+    f, g = a.parse("z^2 + x*y - 3"), b.parse("z^2 + x*y - 3")
+    assert f == g and f is not g
+    assert (f - g).is_zero() and (g - f).is_zero()
+    assert f + g == a.parse("2*z^2 + 2*x*y - 6")
+    assert g * f == f * f
+    blocked = RingPresentation(QQ, ("z", "x", "y"), (1, Fraction(1, 3), 1), block=1)
+    assert not a.compatible(blocked)
+    h = blocked.parse("z^2 + x*y - 3")
+    assert f != h
+    for op in (lambda: f + h, lambda: h - f, lambda: f * h):
+        with pytest.raises(ValueError, match="incompatible"):
+            op()
 
 
 def _key_sorted_terms(ring, terms):
@@ -173,9 +275,9 @@ def _term_dicts(draw):
 @given(problem=_term_dicts())
 def test_constructor_matches_the_key_sorted_constructor(problem):
     ring, (terms, divisor_terms) = problem
-    f = Poly(ring, terms)
-    assert f.terms == _key_sorted_terms(ring, terms)
-    divisor = Poly(ring, divisor_terms)
+    f = ring.poly(terms)
+    assert exponent_terms(f) == _key_sorted_terms(ring, terms)
+    divisor = ring.poly(divisor_terms)
     if divisor:
         # division builds its results already sorted and wraps them as they are
         rem, quots = _divide(f, [divisor])
@@ -216,7 +318,7 @@ def test_substitute_is_multiplicative(qq_ring):
     for _ in range(15):
         terms_a = {tuple(rng.randrange(0, 3) for _ in range(3)): Fraction(rng.randrange(-3, 4)) for _ in range(3)}
         terms_b = {tuple(rng.randrange(0, 3) for _ in range(3)): Fraction(rng.randrange(-3, 4)) for _ in range(3)}
-        a, b = Poly(qq_ring, terms_a), Poly(qq_ring, terms_b)
+        a, b = qq_ring.poly(terms_a), qq_ring.poly(terms_b)
         assert (a * b).substitute(images, target) == a.substitute(images, target) * b.substitute(images, target)
 
 
@@ -250,13 +352,14 @@ def test_pow_matches_repeated_multiplication(qq_ring):
 
 def _schoolbook(f, g):
     """The product as ``Poly.__mul__`` once computed every product: the
-    domain's own ``*`` and ``+``, one term pair at a time."""
+    domain's own ``*`` and ``+``, one term pair at a time, on exponent
+    tuples."""
     out = {}
-    for m1, c1 in f.terms:
-        for m2, c2 in g.terms:
+    for m1, c1 in exponent_terms(f):
+        for m2, c2 in exponent_terms(g):
             m = tuple(map(add, m1, m2))
             out[m] = out[m] + c1 * c2 if m in out else c1 * c2
-    return Poly(f.ring, out)
+    return f.ring.poly(out)
 
 
 _RESIDUE_RINGS = [PrimeField(2), PrimeField(13), TruncatedPadicRing(5, 3), TruncatedPadicRing(2, 6)]
@@ -302,7 +405,7 @@ def _products(draw, domains=(QQ, CYCLO, *_RESIDUE_RINGS)):
     ring = RingPresentation(domain, ("x", "y", "z")[:nvars])
     # few monomials, so that many term products meet in one output term
     mono = st.tuples(*[st.integers(0, 3 if nvars > 1 else 11)] * nvars)
-    f, g = (Poly(ring, draw(st.dictionaries(mono, coeff, max_size=12))) for _ in range(2))
+    f, g = (ring.poly(draw(st.dictionaries(mono, coeff, max_size=12))) for _ in range(2))
     return f, g
 
 
@@ -326,7 +429,7 @@ def test_lifted_product_at_the_packing_width(k, n, signs):
     ring = RingPresentation(CYCLO, ("x", "y"))
     top = (1 << k) - 1
     f, g = (
-        Poly(ring, {(i, n - 1 - i): CycloNum([sign * top] * 6) for i in range(n)})
+        ring.poly({(i, n - 1 - i): CycloNum([sign * top] * 6) for i in range(n)})
         for sign in signs
     )
     product = f * g
@@ -358,7 +461,7 @@ def test_zero_divisor_products_vanish():
     g = ring.parse("25*x^2 + 50*x*y + 75*y^2 + 100*x + 25")
     for h in (g, ring.parse("25*x"), ring.const(25)):
         assert (f * h).terms == (h * f).terms == ()
-    assert f.mul_term((1, 0), ring.domain.from_int(50)).terms == ()
+    assert f.mul_term(ring.order.key((1, 0)), ring.domain.from_int(50)).terms == ()
     # 5 * 25 vanishes but 5 * 1 does not: only the zero products drop out
     assert f * ring.parse("25*x + y") == f * ring.parse("y")
 
@@ -375,7 +478,7 @@ def _one_term_products(draw):
     weights = draw(st.lists(st.sampled_from([Fraction(1), Fraction(1, 3)]), min_size=3, max_size=3))
     ring = elimination_ring(RingPresentation(domain, ("z", "x", "y"), weights))
     mono = st.tuples(*[st.integers(0, 3)] * 4)
-    f = Poly(ring, draw(st.dictionaries(mono, coeff, max_size=10)))
+    f = ring.poly(draw(st.dictionaries(mono, coeff, max_size=10)))
     return f, draw(mono), draw(coeff)
 
 
@@ -383,9 +486,9 @@ def _one_term_products(draw):
 @given(problem=_one_term_products())
 def test_one_term_product_keeps_the_order(problem):
     f, mono, coeff = problem
-    term = Poly(f.ring, {mono: coeff})
+    term = f.ring.poly({mono: coeff})
     expected = _schoolbook(f, term).terms
-    for product in (f * term, term * f, f.mul_term(mono, coeff)):
+    for product in (f * term, term * f, f.mul_term(f.ring.order.key(mono), coeff)):
         assert product.ring is f.ring
         assert product.terms == Poly(f.ring, dict(product.terms)).terms == expected
         assert all(c for _, c in product.terms)
@@ -421,5 +524,8 @@ def test_product_matches_sympy(sympy, problem):
             return domain.from_int(int(c))
 
     gens = sympy.symbols(f.ring.variables)
-    sf, sg = (sympy.Poly.from_dict({m: lift(c) for m, c in h.terms}, *gens, **options) for h in (f, g))
-    assert dict((f * g).terms) == {m: lower(c) for m, c in sf.mul(sg).as_dict().items()}
+    sf, sg = (
+        sympy.Poly.from_dict({m: lift(c) for m, c in exponent_terms(h)}, *gens, **options)
+        for h in (f, g)
+    )
+    assert dict(exponent_terms(f * g)) == {m: lower(c) for m, c in sf.mul(sg).as_dict().items()}
