@@ -71,13 +71,13 @@ class WeightedGrevlex:
             raise ValueError("the elimination block holds at most one variable")
         self.block = block
         self._scale = math.lcm(*(w.denominator for w in self.weights))
-        int_weights = [int(w * self._scale) for w in self.weights]
-        top = list(int_weights)
+        top = [int(w * self._scale) for w in self.weights]
         self._head_excess = 0
         if block:
-            top[0] = EXP_LIMIT * sum(top[1:]) + 1
             # the top digit counts the head variable M times, its degree once
-            self._head_excess = top[0] - int_weights[0]
+            head = EXP_LIMIT * sum(top[1:]) + 1
+            self._head_excess = head - top[0]
+            top[0] = head
         n = len(top)
         self._top_shift = FIELD_BITS * n
         self._shifts = tuple(FIELD_BITS * i for i in range(n))
@@ -92,8 +92,6 @@ class WeightedGrevlex:
     def key(self, exps) -> int:
         """The packed key of an exponent tuple; raises ``OverflowError`` for
         an exponent outside [0, EXP_LIMIT)."""
-        if len(exps) != len(self._units):
-            raise ValueError(f"expected {len(self._units)} exponents, got {len(exps)}")
         if exps and (min(exps) < 0 or max(exps) >= EXP_LIMIT):
             raise OverflowError(f"exponents {tuple(exps)} outside [0, {EXP_LIMIT})")
         return sum(map(mul, self._units, exps))
@@ -102,9 +100,7 @@ class WeightedGrevlex:
         return tuple((key >> s) & _FIELD_MASK for s in self._shifts)
 
     def degree(self, key: int) -> Fraction:
-        wdeg = -(key >> self._top_shift)
-        if self._head_excess:
-            wdeg -= self._head_excess * (key & _FIELD_MASK)
+        wdeg = -(key >> self._top_shift) - self._head_excess * (key & _FIELD_MASK)
         return Fraction(wdeg, self._scale)
 
     def divides(self, a: int, b: int) -> bool:
@@ -142,7 +138,6 @@ class RingPresentation:
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
         self.order = WeightedGrevlex(self.weights, block)
-        self._index = {v: i for i, v in enumerate(self.variables)}
         n = len(self.variables)
         self._var_keys = {
             v: self.order.key(tuple(int(j == i) for j in range(n))) for i, v in enumerate(self.variables)
@@ -536,7 +531,7 @@ class _Parser:
                 return self.ring.const(Fraction(int(n), int(d)))
             return self.ring.const(Fraction(int(val)))
         if kind == "name":
-            if val in self.ring._index:
+            if val in self.ring._var_keys:
                 return self.ring.var(val)
             if val == "t" and self.ring.domain == CYCLO:
                 return self.ring.const(CycloNum.zeta_power(1))
