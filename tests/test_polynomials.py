@@ -440,7 +440,11 @@ def test_lifted_product_at_the_packing_width(k, n, signs):
     assert (scaled * g).terms == _schoolbook(scaled, g).terms
 
 
-@pytest.mark.parametrize("domain", [QQ, CYCLO, PrimeField(5), TruncatedPadicRing(5, 3)], ids=str)
+@pytest.mark.parametrize(
+    "domain",
+    [QQ, CYCLO, PrimeField(5), TruncatedPadicRing(5, 3)],
+    ids=["QQ", "cyclo9", "F5", "Z5^3"],
+)
 def test_products_that_cancel(domain):
     """(x - y)(1 + z + z^2 + z^3) times the 6-term x^5 + x^4 y + ... + y^5
     is (x^6 - y^6)(1 + z + z^2 + z^3): 48 term products, 8 output terms."""
