@@ -1,6 +1,23 @@
 """Frobenius powers, Frobenius-closure tests, and tight-closure multiplier
 searches in F_p[x, y, z] / (x^3 + y^3 + z^3).
 
+Every membership question here is about ``f^q`` modulo ``I^[q] + (rel)``,
+q = p^e, and ``f^q`` itself is never formed: it has thousands of terms at
+e = 3, 4.  Over F_p, Frobenius ``g -> g^p`` is a ring endomorphism that
+sends ``sum c * m`` to ``sum c * m^p`` (``c^p = c``), and on packed
+monomials ``m^p`` is the key times p, which keeps the terms in order
+(``frobenius``).  It maps ``I^[p^(e-1)] + (rel)`` into ``I^[p^e] + (rel)``,
+because ``rel -> rel^p``.  So with ``NF_e`` the normal form modulo the
+Groebner basis of ``I^[p^e] + (rel)``,
+
+    NF_e(f^(p^e)) = NF_e(Frob(NF_(e-1)(f^(p^(e-1))))),
+
+and ``frobenius_ladder`` climbs e = 1..e_max with one Frobenius step and
+one normal form per rung.  A normal form is the unique remainder of its
+coset, so each rung is exactly ``NF_e(f^q)``; products and colons then use
+it in place of ``f^q``, since ``NF(c * f^q) = NF(c * NF(f^q))`` and
+``(I : f^q) = (I : NF_I(f^q))``.
+
 Tight closure is only ever tested up to a finite Frobenius exponent e_max;
 reports therefore state "verified for e <= e_max" rather than claiming the
 unbounded statement.
@@ -14,7 +31,7 @@ from itertools import combinations_with_replacement
 
 from .coefficients import PrimeField
 from .groebner import GroebnerBasis, colon, groebner, intersect, normal_form
-from .polynomials import Poly, RingPresentation, format_poly
+from .polynomials import EXP_LIMIT, Poly, RingPresentation, format_poly
 
 
 @lru_cache(maxsize=None)
@@ -23,12 +40,33 @@ def fermat_ring(p: int) -> RingPresentation:
     return RingPresentation(PrimeField(p), ("z", "x", "y"), relations=["z^3 + x^3 + y^3"])
 
 
+def frobenius(g: Poly) -> Poly:
+    """g^p over F_p: each coefficient stays (c^p = c) and each packed
+    monomial is multiplied by p, which keeps the terms in order.  Raises
+    ``ValueError`` over any other domain and ``OverflowError`` when an
+    exponent of g^p would reach ``EXP_LIMIT``."""
+    ring = g.ring
+    if getattr(ring.domain, "precision", None) != 1:
+        raise ValueError(f"Frobenius is a ring map only over F_p, not over {ring.domain.name}")
+    p = ring.domain.p
+    order = ring.order
+    # a field times p can carry past its guard bit, so the exponents are
+    # bounded before scaling: m divides bound iff every exponent is <= the cap
+    bound = order.key(((EXP_LIMIT - 1) // p,) * len(ring.variables))
+    for m, _ in g.terms:
+        if not order.divides(m, bound):
+            raise OverflowError(f"a monomial exponent of the p-th power reached {EXP_LIMIT}")
+    return Poly._presorted(ring, tuple((p * m, c) for m, c in g.terms))
+
+
 def frobenius_power(gens, e: int) -> list[Poly]:
     """Bracket power I^[q]: the q-th powers of the generators, q = p^e."""
     if e < 0:
         raise ValueError("Frobenius exponent must be >= 0")
-    q = gens[0].ring.domain.p ** e
-    return [g ** q for g in gens]
+    out = list(gens)
+    for _ in range(e):
+        out = [frobenius(g) for g in out]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -43,10 +81,26 @@ def _basis_for(gens, e: int) -> GroebnerBasis:
     return _bracket_basis(ring.domain.p, tuple(format_poly(g) for g in gens), e)
 
 
+def frobenius_ladder(f: Poly, gens, e_max: int) -> list[Poly]:
+    """[NF_e(f^(p^e)) for e = 1..e_max], NF_e the normal form modulo
+    I^[p^e] + (rel): each rung is the Frobenius of the one below, reduced
+    once (see the module docstring for why that is exact)."""
+    if e_max < 0:
+        raise ValueError("Frobenius exponent must be >= 0")
+    gens = list(gens)
+    out = []
+    g = f
+    for e in range(1, e_max + 1):
+        g = normal_form(frobenius(g), _basis_for(gens, e))
+        out.append(g)
+    return out
+
+
 def frobenius_closure_test(f: Poly, gens, e: int) -> bool:
     """True iff f^q lies in I^[q] in the quotient ring, q = p^e."""
-    q = f.ring.domain.p ** e
-    return normal_form(f ** q, _basis_for(list(gens), e)).is_zero()
+    if e == 0:
+        return normal_form(f, _basis_for(list(gens), 0)).is_zero()
+    return frobenius_ladder(f, gens, e)[-1].is_zero()
 
 
 def tight_closure_witness(f: Poly, gens, c: Poly, e_max: int) -> list[bool]:
@@ -55,12 +109,10 @@ def tight_closure_witness(f: Poly, gens, c: Poly, e_max: int) -> list[bool]:
     if normal_form(c, groebner([], ring)).is_zero():
         raise ZeroDivisionError("multiplier reduces to zero in the quotient ring")
     gens = list(gens)
-    p = ring.domain.p
-    out = []
-    for e in range(1, e_max + 1):
-        basis = _basis_for(gens, e)
-        out.append(normal_form(c * f ** (p ** e), basis).is_zero())
-    return out
+    return [
+        normal_form(c * fe, _basis_for(gens, e)).is_zero()
+        for e, fe in enumerate(frobenius_ladder(f, gens, e_max), 1)
+    ]
 
 
 def monomials_of_degree(ring: RingPresentation, d: int, lex_names=("x", "y", "z")):
@@ -87,10 +139,9 @@ def find_multiplier(f: Poly, gens, deg_bound: int, e_max: int) -> Poly | None:
         raise ValueError("deg_bound must be >= 0 and e_max >= 1")
     ring = f.ring
     gens = list(gens)
-    p = ring.domain.p
     rel_basis = groebner([], ring)
     bases = [_basis_for(gens, e) for e in range(1, e_max + 1)]
-    powers = [f ** (p ** e) for e in range(1, e_max + 1)]
+    powers = frobenius_ladder(f, gens, e_max)
 
     def qualifies(c: Poly) -> bool:
         if normal_form(c, rel_basis).is_zero():
@@ -102,13 +153,14 @@ def find_multiplier(f: Poly, gens, deg_bound: int, e_max: int) -> Poly | None:
             if qualifies(c):
                 return c
     # no monomial worked: the admissible multipliers form the intersection of
-    # the colon ideals (I^[q] : f^q); a qualifying form of degree <= bound
-    # exists iff the reduced basis of that intersection contains one that
-    # stays nonzero in the quotient
+    # the colon ideals (I^[q] : f^q) = (I^[q] : NF(f^q)), the unit ideal when
+    # that normal form is 0; a qualifying form of degree <= bound exists iff
+    # the reduced basis of that intersection contains one that stays nonzero
+    # in the quotient
     relations = list(ring.relations)
     current = None
-    for e in range(1, e_max + 1):
-        piece = colon(frobenius_power(gens, e), f ** (p ** e), ring)
+    for e, fe in enumerate(powers, 1):
+        piece = colon(frobenius_power(gens, e), fe, ring) if fe else [ring.one()]
         current = piece if current is None else intersect(current + relations, piece + relations, ring)
     for g in groebner(current, ring).generators:
         if g.degree() <= deg_bound and not normal_form(g, rel_basis).is_zero():

@@ -199,7 +199,11 @@ def run_charp(config: dict) -> ExperimentReport:
     primes = _PRIMES_DEFAULT if cfg["p"] == 0 else (cfg["p"],)
     checks = []
     for p in primes:
-        row = charp.contrast_row(p, e_max=cfg["e_max"], deg_bound=cfg["deg_bound"])
+        try:
+            row = charp.contrast_row(p, e_max=cfg["e_max"], deg_bound=cfg["deg_bound"])
+        except OverflowError as exc:
+            # a Frobenius power past the packed exponent range: bad input
+            raise ConfigError(f"charp: p = {p} with e_max = {cfg['e_max']}: {exc}") from exc
         ordinary = p % 3 == 1
         checks.append(
             _check(f"p{p}/z2_outside_xy", row.z2_in_xy is False, membership=row.z2_in_xy)

@@ -90,8 +90,11 @@ class WeightedGrevlex:
         return NotImplemented
 
     def key(self, exps) -> int:
-        """The packed key of an exponent tuple; raises ``OverflowError`` for
-        an exponent outside [0, EXP_LIMIT)."""
+        """The packed key of an exponent tuple; raises ``ValueError`` for a
+        tuple of the wrong length and ``OverflowError`` for an exponent
+        outside [0, EXP_LIMIT)."""
+        if len(exps) != len(self._units):
+            raise ValueError(f"exponents {tuple(exps)} need one entry per variable ({len(self._units)})")
         if exps and (min(exps) < 0 or max(exps) >= EXP_LIMIT):
             raise OverflowError(f"exponents {tuple(exps)} outside [0, {EXP_LIMIT})")
         return sum(map(mul, self._units, exps))
@@ -169,13 +172,13 @@ class RingPresentation:
         return Poly._presorted(self, ((self._var_keys[name], self.domain.one),))
 
     def poly(self, terms: dict) -> "Poly":
-        """The polynomial with the given exponent tuple -> coefficient terms."""
-        key = self.order.key
-        return Poly(self, {key(tuple(e)): c for e, c in terms.items()})
+        """The polynomial with the given exponent tuple -> coefficient terms;
+        each coefficient is coerced into the domain."""
+        key, coerce = self.order.key, self.domain.coerce
+        return Poly(self, {key(tuple(e)): coerce(c) for e, c in terms.items()})
 
     def monomial(self, exps, coeff=None) -> "Poly":
-        c = self.domain.one if coeff is None else self.domain.coerce(coeff)
-        return self.poly({tuple(exps): c})
+        return self.poly({tuple(exps): self.domain.one if coeff is None else coeff})
 
     def parse(self, text: str) -> "Poly":
         return parse_poly(self, text)
@@ -520,7 +523,10 @@ class _Parser:
             k, v = self.take()
             if k != "num" or "/" in v:
                 raise PolyParseError("exponent must be a nonnegative integer")
-            return base ** int(v)
+            n = int(v)
+            if n >= EXP_LIMIT:
+                raise PolyParseError(f"exponent {n} is not below {EXP_LIMIT}")
+            return base ** n
         return base
 
     def parse_atom(self) -> Poly:
@@ -546,8 +552,13 @@ class _Parser:
 
 
 def parse_poly(ring: RingPresentation, text: str) -> Poly:
+    """The polynomial the text denotes; ``PolyParseError`` for bad text,
+    including a product whose exponent reaches ``EXP_LIMIT``."""
     parser = _Parser(ring, _tokenize(text))
-    result = parser.parse_expr()
+    try:
+        result = parser.parse_expr()
+    except OverflowError as exc:
+        raise PolyParseError(str(exc)) from exc
     if parser.pos != len(parser.tokens):
         raise PolyParseError(f"trailing input near token {parser.pos}")
     return result

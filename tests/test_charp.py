@@ -1,11 +1,18 @@
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closurelab import charp
+from closurelab.coefficients import QQ, TruncatedPadicRing
 from closurelab.groebner import groebner, normal_form
-from closurelab.polynomials import Poly, format_poly
+from closurelab.polynomials import EXP_LIMIT, Poly, RingPresentation, format_poly
 from test_polynomials import exponent_terms
+
+# the primes of the charp matrix and 11; both classes mod 3 occur
+PRIMES = (2, 5, 7, 11, 13)
 
 
 def rand_fp_poly(rng, ring, max_exp=3, terms=3):
@@ -69,6 +76,39 @@ class TestFrobeniusPower:
         ring = charp.fermat_ring(2)
         with pytest.raises(ValueError):
             charp.frobenius_power([ring.parse("x")], -1)
+
+    def test_frobenius_is_the_pth_power(self):
+        rng = random.Random(41)
+        for p in PRIMES:
+            ring = charp.fermat_ring(p)
+            for _ in range(10):
+                f = rand_fp_poly(rng, ring, max_exp=4, terms=4)
+                assert charp.frobenius(f) == f ** p
+                if p <= 5:
+                    # f ** (p * p) squares its way through dense powers
+                    assert charp.frobenius_power([f], 2) == [f ** (p * p)]
+
+    @pytest.mark.parametrize(
+        "domain", [TruncatedPadicRing(5, 2), TruncatedPadicRing(7, 4), QQ], ids=lambda d: d.name
+    )
+    def test_frobenius_refuses_other_domains(self, domain):
+        ring = RingPresentation(domain, ("z", "x", "y"))
+        with pytest.raises(ValueError, match="only over F_p"):
+            charp.frobenius(ring.parse("x + y"))
+        with pytest.raises(ValueError, match="only over F_p"):
+            charp.frobenius_power([ring.parse("x")], 1)
+
+    def test_frobenius_refuses_exponents_past_the_field(self):
+        # at p = 5 the exponent 209716 would scale to 2^20 + 4: past the
+        # guard bit and into the next field, which no guard-bit test sees
+        ring = charp.fermat_ring(5)
+        cap = (EXP_LIMIT - 1) // 5
+        assert exponent_terms(charp.frobenius(ring.monomial((0, cap, 1)))) == (
+            ((0, 5 * cap, 5), ring.domain.one),
+        )
+        for exps in ((0, cap + 1, 0), (0, 209716, 0), (cap + 1, 0, 0)):
+            with pytest.raises(OverflowError):
+                charp.frobenius(ring.monomial(exps) + ring.one())
 
 
 class TestFrobeniusClosure:
@@ -141,6 +181,57 @@ def witness_oracle(mono, p: int, e: int) -> bool:
     )
 
 
+class TestFrobeniusLadder:
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_z2_rungs_match_their_closed_form(self, p):
+        """NF(z^(2q)) modulo (x^q, y^q) + (rel), q = p^e.  For q = 1 mod 3
+        put m = (q - 1) / 3: z^(2q) = z^2 (z^3)^(2m) reduces to
+        z^2 sum_i C(2m, i) x^(3i) y^(3(2m - i)), and only i = m keeps both
+        exponents below q, which leaves C(2m, m) z^2 x^(q-1) y^(q-1).  For
+        q = 2 mod 3, z^(2q) = z (z^3)^k with 3k = 2q - 1, and no term of
+        (x^3 + y^3)^k keeps both exponents below q, so the rung is 0.  When
+        p = 2 mod 3 and e is even, C(2m, m) = 0 mod p (Lucas), so every
+        rung is 0 for p = 2 mod 3."""
+        ring = charp.fermat_ring(p)
+        gens = [ring.parse("x"), ring.parse("y")]
+        rungs = charp.frobenius_ladder(ring.parse("z^2"), gens, 4)
+        for e, rung in enumerate(rungs, 1):
+            q = p ** e
+            if p % 3 == 2:
+                assert rung.is_zero(), (p, e)
+            else:
+                m = (q - 1) // 3
+                assert rung == ring.monomial((2, q - 1, q - 1), comb(2 * m, m)), (p, e)
+                assert not rung.is_zero()
+        if p == 13:
+            assert format_poly(rungs[2]) == "8*z^2*x^2196*y^2196"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pe=st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (5, 1), (5, 2), (7, 1), (7, 2)]),
+        gens_text=st.sampled_from([("x", "y"), ("x^2", "y^2 + z*x"), ("x + y", "z*y")]),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_each_rung_is_the_normal_form_of_the_full_power(self, pe, gens_text, seed):
+        p, e_max = pe
+        ring = charp.fermat_ring(p)
+        gens = [ring.parse(g) for g in gens_text]
+        f = rand_fp_poly(random.Random(seed), ring, max_exp=3, terms=3)
+        rungs = charp.frobenius_ladder(f, gens, e_max)
+        assert len(rungs) == e_max
+        for e, rung in enumerate(rungs, 1):
+            basis = charp._basis_for(gens, e)
+            assert rung == normal_form(f ** (p ** e), basis), (format_poly(f), e)
+
+    def test_zero_rungs_and_negative_exponent(self):
+        ring = charp.fermat_ring(7)
+        gens = [ring.parse("x"), ring.parse("y")]
+        assert charp.frobenius_ladder(ring.parse("x"), gens, 0) == []
+        assert all(r.is_zero() for r in charp.frobenius_ladder(ring.parse("x + z*y"), gens, 3))
+        with pytest.raises(ValueError):
+            charp.frobenius_ladder(ring.parse("x"), gens, -1)
+
+
 class TestTightClosure:
     def test_witness_with_found_multiplier_p7(self):
         ring = charp.fermat_ring(7)
@@ -174,6 +265,22 @@ class TestTightClosure:
                     assert got == [witness_oracle(mono, p, e) for e in (1, 2)], (p, c)
                     decided += got
         assert len(decided) == 160 and True in decided and False in decided
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.sampled_from(PRIMES),
+        e_max=st.integers(1, 4),
+        mono=st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)).filter(
+            lambda m: sum(m) <= 6
+        ),
+    )
+    def test_matches_the_closed_form_oracle_over_the_schema_range(self, p, e_max, mono):
+        # every e_max and every monomial multiplier up to the schema's
+        # deg_bound of 6
+        ring = charp.fermat_ring(p)
+        gens = [ring.parse("x"), ring.parse("y")]
+        got = charp.tight_closure_witness(ring.parse("z^2"), gens, ring.monomial(mono), e_max)
+        assert got == [witness_oracle(mono, p, e) for e in range(1, e_max + 1)]
 
     def test_zero_multiplier_rejected(self):
         ring = charp.fermat_ring(5)
@@ -245,6 +352,30 @@ class TestIntersectionPath:
         for side in (gens_a, gens_b):
             basis = groebner(side, ring)
             assert all(normal_form(g, basis).is_zero() for g in meet)
+
+
+    def test_a_zero_rung_contributes_the_unit_ideal(self, monkeypatch):
+        # NF(f^q) = 0 means f^q lies in I^[q]: every c qualifies at that q,
+        # so its colon piece is the whole ring and the meet is the e = 1 colon
+        ring = charp.fermat_ring(7)
+        gens = [ring.parse("x"), ring.parse("y")]
+        z2 = ring.parse("z^2")
+        (rung1,) = charp.frobenius_ladder(z2, gens, 1)
+        monkeypatch.setattr(charp, "frobenius_ladder", lambda f, g, e_max: [rung1, ring.zero()])
+        calls = []
+        intersect = charp.intersect
+
+        def recording(gens_a, gens_b, ring):
+            meet = intersect(gens_a, gens_b, ring)
+            calls.append((gens_b, meet))
+            return meet
+
+        monkeypatch.setattr(charp, "intersect", recording)
+        assert charp.find_multiplier(z2, gens, 0, 2) is None
+        ((gens_b, meet),) = calls
+        assert groebner(gens_b, ring).generators == (ring.one(),)
+        expected = groebner(charp.colon(charp.frobenius_power(gens, 1), z2 ** 7, ring), ring)
+        assert groebner(meet, ring).generators == expected.generators
 
 
 class TestContrast:

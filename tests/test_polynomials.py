@@ -213,6 +213,38 @@ def test_packed_fields_raise_on_overflow():
         exact_divide(ring.monomial((0, EXP_LIMIT - 1, EXP_LIMIT - 1)), g)
 
 
+def test_parser_refuses_exponents_past_the_field():
+    """An exponent at or above EXP_LIMIT, written out or reached by a
+    product while parsing, is bad text: ``PolyParseError``, not the
+    ``OverflowError`` of the packed layout."""
+    ring = fermat_ring(13)
+    assert ring.parse(f"y^{EXP_LIMIT - 1}") == ring.monomial((0, 0, EXP_LIMIT - 1))
+    half = EXP_LIMIT // 2
+    for text in (f"x^{EXP_LIMIT}", "x^600000*y", "x^300000*x^300000", f"(x*y)^{half}*y^{half}"):
+        with pytest.raises(PolyParseError):
+            ring.parse(text)
+
+
+def test_key_refuses_exponent_tuples_of_the_wrong_length():
+    ring = fermat_ring(7)
+    for exps in ((0, 1), (1, 2, 0, 5), ()):
+        with pytest.raises(ValueError, match="one entry per variable"):
+            ring.monomial(exps)
+    assert format_poly(ring.monomial((0, 1, 0))) == "x"
+
+
+def test_poly_coerces_raw_coefficients(qq_ring):
+    ring = fermat_ring(5)
+    f = ring.poly({(1, 0, 0): 1, (0, 2, 0): 7})
+    assert all(type(c) is type(ring.domain.one) for _, c in f.terms)
+    assert format_poly(f) == "2*x^2 + z"
+    assert f + ring.parse("3*x^2") == ring.parse("z")
+    g = qq_ring.poly({(0, 1, 0): 2})
+    assert g.terms[0][1] == Fraction(2) and type(g.terms[0][1]) is Fraction
+    with pytest.raises(TypeError):
+        ring.poly({(1, 0, 0): 0.5})
+
+
 def test_orders_take_at_most_one_elimination_variable():
     with pytest.raises(ValueError, match="at most one"):
         WeightedGrevlex((1, 1, 1), block=2)

@@ -103,6 +103,7 @@ class TestCli:
             ["tower-colon", "--max-level", "6"],
             ["tower-trace", "--pairs", "0"],
             ["charp", "--e-max", "5"],
+            ["charp", "--p", "29", "--e-max", "4"],
             ["isogeny", "--p", "3"],
             ["padic", "--precision", "9"],
             ["tower-verify", "--max-level", "abc"],
@@ -213,6 +214,8 @@ class TestCli:
             {"alpha": "x", "oracle": {"mode": "scripted", "steps": 5}},
             {"alpha": "x", "oracle": {"mode": "scripted", "steps": [{"a": 1}]}},
             {"alpha": "x", "oracle": {"mode": "adversarial", "seed": []}},
+            {"alpha": "x^600000*y"},
+            {"alpha": "x^300000*x^300000"},
         ],
         ids=[
             "missing_file",
@@ -226,6 +229,8 @@ class TestCli:
             "non_list_steps",
             "non_string_step",
             "non_integer_seed",
+            "exponent_past_the_field",
+            "product_past_the_field",
         ],
     )
     def test_bad_padic_input_is_a_config_error(self, tmp_path, capsys, document):
@@ -235,6 +240,7 @@ class TestCli:
         assert main(["padic", "--input", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
 
@@ -260,6 +266,36 @@ class TestPinnedFingerprints:
     def test_default_fingerprint(self, capsys, command):
         assert main(command.split()) == 0
         assert json.loads(capsys.readouterr().out)["fingerprint"] == self.PINNED[command]
+
+    # non-default charp runs, each of which exits 1: every one lacks a
+    # recorded golden multiplier, and the --deg-bound 0 runs also fail on the
+    # merits (no unit multiplier exists at p = 1 mod 3)
+    PINNED_FAILING = {
+        "charp --p 7 --e-max 3": "a5401919df869decb687d350584e711ae967e9e3a58cd5df30b9f1427d661294",
+        "charp --p 13 --e-max 3": "90813a417b25269069d299cc9b5c8d342bcf9ab279ed684ab500a8e594f787e2",
+        "charp --p 7 --e-max 4": "10e447eb93cbb20195f62430cc71c287497d23361e281af1d0fb15a48d6e660e",
+        "charp --p 5 --e-max 4": "6b8a3ad530fbaa835fdab89de7e6383b4a975a79a257bea0b03376cf6ec5df97",
+        "charp --p 2 --e-max 4": "7b809708c52ebc777191d1d3520b7b66f81ba31f490b41ccd5d5126bf501927a",
+        "charp --p 7 --e-max 2 --deg-bound 0": "8b760cb78699de4cdf0352042099f3d53951662be19c662acfce01c5e1e68462",
+        "charp --p 13 --e-max 2 --deg-bound 0": "71d35fdf52e8a3d8b9790a6a6770319cfc5e6540a6fa3dcc4a59e1ef27314fbd",
+        "charp --p 7 --e-max 3 --deg-bound 0": "a82e0589dd6075ccae1b786b3706db9c53912192676a052443a5c1ef4c6e0802",
+        "charp --p 13 --e-max 3 --deg-bound 0": "768a0a235746cc7583f579bcb3fb166ea7842df9a168e4854e5efc2b6c9d8549",
+        "charp --p 7 --e-max 4 --deg-bound 0": "1a2af0e754b4aeeb7a5c79f39df83dc34308ea6f3a40ed69c741827663949985",
+        "charp --p 13 --e-max 4": "2c776e4f3a9a7a3d5170b1d6a21ee06512b11dc4c63d67b096126db519ff6940",
+        "charp --p 0 --e-max 4 --deg-bound 6": "586d22d36d5193a083d8b91f144ee2f3ac7f932862d594a313bc1a71d3264d74",
+        # with --deg-bound 0 the multiplier is 1 or none, so this report
+        # holds only what the closed form of NF(z^(2q)) decides
+        "charp --p 0 --e-max 4 --deg-bound 0": "bcab574add7314099e476b2ca05bc4ea513c8ca10cb49788562052063c04dcec",
+    }
+
+    @pytest.mark.parametrize(
+        "command", list(PINNED_FAILING), ids=lambda c: c.replace(" --", "_").replace(" ", "_")
+    )
+    def test_failing_charp_fingerprint(self, capsys, monkeypatch, command):
+        # a recording run would freeze the missing golden fixtures in place
+        monkeypatch.delenv("CLOSURELAB_RECORD", raising=False)
+        assert main(command.split()) == 1
+        assert json.loads(capsys.readouterr().out)["fingerprint"] == self.PINNED_FAILING[command]
 
 
 class TestGoldenFixtures:
