@@ -69,8 +69,9 @@ def _read_report(path: str) -> ExperimentReport:
         with open(path, encoding="utf-8") as fh:
             return ExperimentReport.from_dict(json.load(fh))
     # ValueError covers bad JSON, text that is not UTF-8 and a document
-    # that is not a report
-    except (OSError, ValueError) as exc:
+    # that is not a report; RecursionError JSON nested past the interpreter's
+    # recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

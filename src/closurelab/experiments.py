@@ -18,6 +18,11 @@ class ConfigError(ValueError):
     """Bad experiment configuration; messages name the offending field."""
 
 
+# charp reduces z^(2p) modulo the relation on the first rung of its
+# Frobenius ladder, about p^2 term operations, so larger primes are refused
+# up front; the paper needs p <= 13.
+CHARP_PRIME_LIMIT = 100
+
 # Every experiment's config fields: field -> (default, caster, predicate,
 # description).  The validator and the command-line flags both read it.
 SCHEMAS = {
@@ -34,7 +39,12 @@ SCHEMAS = {
         "seed": (0, int, lambda v: True, "an integer"),
     },
     "charp": {
-        "p": (0, int, lambda v: v == 0 or (is_prime(v) and v != 3), "0 (full matrix) or a prime != 3"),
+        "p": (
+            0,
+            int,
+            lambda v: v == 0 or (is_prime(v) and v != 3 and v < CHARP_PRIME_LIMIT),
+            f"0 (full matrix) or a prime below {CHARP_PRIME_LIMIT} other than 3",
+        ),
         "e_max": (2, int, lambda v: 1 <= v <= 4, "an integer in 1..4"),
         "deg_bound": (3, int, lambda v: 0 <= v <= 6, "an integer in 0..6"),
     },
@@ -373,7 +383,8 @@ def run_padic(config: dict) -> ExperimentReport:
             else:
                 raise ValueError(f"unknown oracle mode {mode!r}")
             run_one("input_alpha", alpha, oracle)
-        except (OSError, KeyError, ValueError) as exc:
+        # RecursionError: JSON nested past the interpreter's recursion limit
+        except (OSError, KeyError, ValueError, RecursionError) as exc:
             raise ConfigError(f"padic: bad input document: {type(exc).__name__}: {exc}") from exc
     rng = random.Random(cfg["seed"])
     all_ok = True

@@ -4,9 +4,10 @@
 Elements of T_N are kept in canonical form: the normal form modulo the
 monic relation, whose leading monomial is z^3, so every z-degree is <= 2
 and coefficientwise p-divisibility statements are well defined.  Beyond
-that division, coefficient arithmetic never needs Groebner bases over
-Z/p^N: every digit is solved over F_p and lifted, mirroring the way the
-correction argument itself proceeds one p-power at a time.
+that division, nothing is computed with Groebner bases over Z/p^N.  The
+Koszul correction reads its syzygy off the canonical form by exact
+monomial division by y, and only the regular-sequence check works over
+F_p, with colon ideals.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache, partial
 
 from .charp import fermat_ring
 from .coefficients import TruncatedPadicRing
-from .groebner import colon, groebner, membership_with_basis, normal_form
+from .groebner import colon, groebner, normal_form
 from .polynomials import Poly, RingPresentation, format_poly
 
 
@@ -26,11 +27,12 @@ class OracleInconsistencyError(ValueError):
 
 
 class LiftingObstructionError(ValueError):
-    """A digit equation has no solution: the input is outside (x, y) + p^N."""
+    """A step has no solution: the input is outside (x, y) + p^N, or a
+    pair handed to the Koszul correction is not a syzygy modulo p^(i-1)."""
 
 
 class TruncatedModel:
-    """T_N with canonical representatives and the F_p companion machinery."""
+    """T_N with canonical representatives."""
 
     def __init__(self, p: int, precision: int):
         self.p = p
@@ -39,9 +41,6 @@ class TruncatedModel:
         self.ring = RingPresentation(
             self.domain, ("z", "x", "y"), relations=["z^3 + x^3 + y^3"]
         )
-        self.field_ring = fermat_ring(p)
-        self.field_relation_basis = groebner([], self.field_ring)
-        self.field_y_basis = groebner([self.field_ring.parse("y")], self.field_ring)
         # a term needs dividing exactly when z^3, the relation's leading
         # monomial, divides it
         self._reducible = partial(self.ring.order.divides, self.ring.relations[0].lm())
@@ -62,22 +61,6 @@ class TruncatedModel:
 
     def equal(self, f: Poly, g: Poly) -> bool:
         return self.canon(f - g).is_zero()
-
-    def digit_slice(self, f: Poly, j: int) -> Poly:
-        """(f / p^j) mod p as an F_p polynomial; every coefficient of f must
-        be divisible by p^j.  The two rings share their variables and order,
-        so packed monomials carry over as they are."""
-        pj = self.p ** j
-        out = {}
-        dom = self.field_ring.domain
-        for m, c in f.terms:
-            if c.residue % pj != 0:
-                raise AssertionError(f"coefficient {c.residue} not divisible by {self.p}^{j}")
-            out[m] = dom.from_int(c.residue // pj)
-        return Poly(self.field_ring, out)
-
-    def from_field(self, f: Poly) -> Poly:
-        return Poly(self.ring, {m: self.domain.from_int(c.residue) for m, c in f.terms})
 
     def coeff_val_floor(self, f: Poly) -> int:
         """Largest k with p^k dividing every coefficient (precision if f = 0)."""
@@ -105,8 +88,9 @@ def regular_sequence_check(p: int, precision: int) -> bool:
     """x is a nonzerodivisor on T/(p) and y on T/(p, x), via colon ideals
     over F_p.  p = 3 and precision < 1 are rejected by the model before any
     arithmetic."""
-    m = model(p, precision)
-    ring, rel_basis = m.field_ring, m.field_relation_basis
+    model(p, precision)
+    ring = fermat_ring(p)
+    rel_basis = groebner([], ring)
     x, y = ring.parse("x"), ring.parse("y")
     # ((0) : x) must be (0) in the quotient
     for g in colon([], x, ring):
@@ -243,34 +227,27 @@ def _koszul_correct(m: TruncatedModel, i: int, a: Poly, b: Poly):
     """Make (a, b) coefficientwise divisible by p^(i-1) without changing
     a*x + b*y modulo the relation.
 
-    One digit at a time: (a, b)/p^j is a syzygy of (x, y) over F_p, hence a
-    multiple t * (y, -x) of the Koszul syzygy; subtracting its lift raises
-    the divisibility by one power of p.
+    The low part L = a mod p^(i-1) must be t*y for the Koszul syzygy
+    (y, -x): a and b are canonical, and when t*y + w*rel is canonical,
+    setting y = 0 forces w|_(y=0) = 0, so L lies in (y) + (rel) exactly
+    when y divides each of its monomials.  Then (a - t*y, b + t*x) is the
+    corrected pair, and b + t*x must be divisible by p^(i-1) as well.
     """
-    xf = m.field_ring.parse("x")
-    for j in range(i - 1):
-        abar = m.digit_slice(a, j)
-        bbar = m.digit_slice(b, j)
-        if abar.is_zero() and bbar.is_zero():
-            continue
-        member, cert = membership_with_basis(abar, m.field_y_basis)
-        if not member:
-            raise LiftingObstructionError(
-                f"digit {j} of step {i}: {format_poly(abar)} is not a multiple of y modulo the relation"
-            )
-        t, w_a = cert.cofactors  # abar = t*y + w_a*rel exactly
-        # the solved t must reproduce b as well: bbar + t*x is a relation multiple
-        check, quots = normal_form(bbar + t * xf, m.field_relation_basis, with_quotients=True)
-        if not check.is_zero():
-            raise LiftingObstructionError(
-                f"digit {j} of step {i}: Koszul syzygy does not reproduce b"
-            )
-        w_b = -quots[0]  # bbar + t*x + w_b*rel = 0 exactly
-        pj = m.domain.from_int(m.p ** j)
-        a = m.canon(a - (m.from_field(t) * m.ring.var("y") + m.from_field(w_a) * m.ring.relations[0]) * pj)
-        b = m.canon(b + (m.from_field(t) * m.ring.var("x") + m.from_field(w_b) * m.ring.relations[0]) * pj)
-        if min(m.coeff_val_floor(a), m.coeff_val_floor(b)) < j + 1:
-            raise AssertionError(f"digit correction failed to reach p^{j + 1}")
+    q = m.p ** (i - 1)
+    y = m.y.lm()
+    order = m.ring.order
+    low = {mono: c.residue % q for mono, c in a.terms if c.residue % q}
+    if not all(order.divides(y, mono) for mono in low):
+        raise LiftingObstructionError(
+            f"step {i}: a mod {m.p}^{i - 1} has a monomial outside (y): {format_poly(a)}"
+        )
+    t = Poly(m.ring, {mono - y: m.domain.from_int(c) for mono, c in low.items()})
+    a = a - t * m.y
+    b = b + t * m.x
+    if m.coeff_val_floor(b) < i - 1:
+        raise LiftingObstructionError(
+            f"step {i}: the Koszul syzygy does not reproduce b modulo {m.p}^{i - 1}"
+        )
     return a, b
 
 

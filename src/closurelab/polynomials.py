@@ -465,6 +465,18 @@ def _tokenize(text: str):
     return out
 
 
+# the parser refuses a product or power of factors with at least two terms
+# each whose total degree would pass this: such a product in three
+# variables can have thousands of terms, and its cost grows with their
+# square.  A one-term factor only shifts the other factor's terms.
+PRODUCT_DEGREE_LIMIT = 32
+
+
+def _total_degree(f: Poly) -> int:
+    exponents = f.ring.order.exponents
+    return max((sum(exponents(m)) for m, _ in f.terms), default=0)
+
+
 class _Parser:
     """Recursive descent over + - * ^ ( ); `t` denotes the cyclotomic
     generator when the coefficient domain is Q(zeta_9)."""
@@ -511,7 +523,10 @@ class _Parser:
             kind, val = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                result = result * self.parse_factor()
+                factor = self.parse_factor()
+                if len(result.terms) > 1 and len(factor.terms) > 1:
+                    self.check_degree(_total_degree(result) + _total_degree(factor))
+                result = result * factor
             else:
                 return result
 
@@ -526,16 +541,29 @@ class _Parser:
             n = int(v)
             if n >= EXP_LIMIT:
                 raise PolyParseError(f"exponent {n} is not below {EXP_LIMIT}")
+            if len(base.terms) > 1:
+                self.check_degree(n * _total_degree(base))
             return base ** n
         return base
+
+    @staticmethod
+    def check_degree(degree: int):
+        if degree > PRODUCT_DEGREE_LIMIT:
+            raise PolyParseError(
+                f"a product of sums of degree {degree} passes the limit {PRODUCT_DEGREE_LIMIT}"
+            )
 
     def parse_atom(self) -> Poly:
         kind, val = self.take()
         if kind == "num":
-            if "/" in val:
-                n, d = val.split("/")
-                return self.ring.const(Fraction(int(n), int(d)))
-            return self.ring.const(Fraction(int(val)))
+            n, _, d = val.partition("/")
+            if d and int(d) == 0:
+                raise PolyParseError(f"zero denominator in {val}")
+            try:
+                return self.ring.const(Fraction(int(n), int(d or 1)))
+            except TypeError as exc:
+                # a fraction the domain does not hold, as in Z/p^N
+                raise PolyParseError(str(exc)) from exc
         if kind == "name":
             if val in self.ring._var_keys:
                 return self.ring.var(val)
@@ -553,12 +581,16 @@ class _Parser:
 
 def parse_poly(ring: RingPresentation, text: str) -> Poly:
     """The polynomial the text denotes; ``PolyParseError`` for bad text,
-    including a product whose exponent reaches ``EXP_LIMIT``."""
+    including a product whose exponent reaches ``EXP_LIMIT``, a product or
+    power of sums whose total degree passes ``PRODUCT_DEGREE_LIMIT`` and
+    nesting deeper than the interpreter's recursion limit."""
     parser = _Parser(ring, _tokenize(text))
     try:
         result = parser.parse_expr()
     except OverflowError as exc:
         raise PolyParseError(str(exc)) from exc
+    except RecursionError as exc:
+        raise PolyParseError("parentheses or signs nested too deeply") from exc
     if parser.pos != len(parser.tokens):
         raise PolyParseError(f"trailing input near token {parser.pos}")
     return result

@@ -1,11 +1,13 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closurelab import padic
-from closurelab.groebner import exact_divide, normal_form
+from closurelab.charp import fermat_ring
+from closurelab.groebner import exact_divide, groebner, membership_with_basis, normal_form
 from closurelab.polynomials import Poly, format_poly
 from test_polynomials import exponent_terms
 
@@ -292,7 +294,94 @@ class TestOracles:
         with pytest.raises(padic.OracleInconsistencyError, match="no step"):
             padic.successive_approx(m.parse("x"), padic.scripted_oracle(m, []), 3)
 
-    def test_digit_slice_rejects_bad_divisibility(self):
-        m = padic.model(5, 3)
-        with pytest.raises(AssertionError):
-            m.digit_slice(m.parse("x"), 1)
+
+@lru_cache(maxsize=None)
+def _field_bases(p):
+    """F_p[x, y, z]/(rel) with the Groebner bases of (0) and (y) in it."""
+    ring = fermat_ring(p)
+    return ring, groebner([], ring), groebner([ring.parse("y")], ring)
+
+
+def _reference_koszul_correct(m, i, a, b):
+    """The Koszul correction one digit at a time over F_p, with a Groebner
+    membership certificate per digit: (a, b)/p^j mod p is a syzygy of
+    (x, y) modulo the relation, hence t * (y, -x) plus relation multiples,
+    and subtracting the lift of that raises the divisibility by one power
+    of p."""
+    ring, rel_basis, y_basis = _field_bases(m.p)
+    xf = ring.parse("x")
+
+    def digit(f, j):
+        pj = m.p ** j
+        assert all(c.residue % pj == 0 for _, c in f.terms)
+        return Poly(ring, {mono: ring.domain.from_int(c.residue // pj) for mono, c in f.terms})
+
+    def lift(f):
+        return Poly(m.ring, {mono: m.domain.from_int(c.residue) for mono, c in f.terms})
+
+    for j in range(i - 1):
+        abar, bbar = digit(a, j), digit(b, j)
+        if abar.is_zero() and bbar.is_zero():
+            continue
+        member, cert = membership_with_basis(abar, y_basis)
+        if not member:
+            raise padic.LiftingObstructionError(f"digit {j}: a is not a multiple of y")
+        t, w_a = cert.cofactors  # abar = t*y + w_a*rel exactly
+        check, quots = normal_form(bbar + t * xf, rel_basis, with_quotients=True)
+        if not check.is_zero():
+            raise padic.LiftingObstructionError(f"digit {j}: the syzygy does not reproduce b")
+        w_b = -quots[0]  # bbar + t*x + w_b*rel = 0 exactly
+        pj = m.domain.from_int(m.p ** j)
+        rel = m.ring.relations[0]
+        a = m.canon(a - (lift(t) * m.ring.var("y") + lift(w_a) * rel) * pj)
+        b = m.canon(b + (lift(t) * m.ring.var("x") + lift(w_b) * rel) * pj)
+        assert min(m.coeff_val_floor(a), m.coeff_val_floor(b)) >= j + 1
+    return a, b
+
+
+class TestKoszulCorrection:
+    @staticmethod
+    def _canonical(data, m, max_size=4):
+        terms = data.draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3)),
+                st.integers(1, m.p ** m.precision - 1).map(m.domain.from_int),
+                max_size=max_size,
+            )
+        )
+        return m.ring.poly(terms)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.sampled_from([2, 5, 7]),
+        i=st.integers(2, 6),
+        extra=st.integers(0, 2),
+        kind=st.sampled_from(["syzygy", "a_outside_y", "b_not_reproduced"]),
+        data=st.data(),
+    )
+    def test_matches_the_per_digit_certificates(self, p, i, extra, kind, data):
+        """On t * (y, -x) plus parts divisible by p^(i-1) both corrections
+        return the same pair; with a low monomial of a that y does not
+        divide, or a b that t*x does not reproduce, both refuse."""
+        m = padic.model(p, i + extra)
+        q = m.domain.from_int(p ** (i - 1))
+        t = self._canonical(data, m)
+        a = t * m.y + self._canonical(data, m) * q
+        b = self._canonical(data, m) * q - t * m.x
+        if kind != "syzygy":
+            exps = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3)))
+            if kind == "a_outside_y":
+                exps = exps[:2] + (0,)
+            mono = m.ring.monomial(exps, m.domain.from_int(data.draw(st.integers(1, p ** (i - 1) - 1))))
+            if kind == "a_outside_y":
+                a = a + mono
+            else:
+                b = b + mono
+            for correct in (padic._koszul_correct, _reference_koszul_correct):
+                with pytest.raises(padic.LiftingObstructionError):
+                    correct(m, i, a, b)
+            return
+        got = padic._koszul_correct(m, i, a, b)
+        assert got == _reference_koszul_correct(m, i, a, b)
+        assert min(map(m.coeff_val_floor, got)) >= i - 1
+        assert m.equal(got[0] * m.x + got[1] * m.y, a * m.x + b * m.y)

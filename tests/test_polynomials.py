@@ -13,6 +13,7 @@ from closurelab.groebner import _divide, elimination_ring, exact_divide
 from closurelab.polynomials import (
     EXP_LIMIT,
     LIFT_MIN_TERMS,
+    PRODUCT_DEGREE_LIMIT,
     Poly,
     PolyParseError,
     RingPresentation,
@@ -222,6 +223,44 @@ def test_parser_refuses_exponents_past_the_field():
     half = EXP_LIMIT // 2
     for text in (f"x^{EXP_LIMIT}", "x^600000*y", "x^300000*x^300000", f"(x*y)^{half}*y^{half}"):
         with pytest.raises(PolyParseError):
+            ring.parse(text)
+
+
+def test_parser_refuses_products_of_sums_past_the_degree_limit():
+    """A power or product of factors with two or more terms each is refused
+    before it is expanded once its total degree passes
+    ``PRODUCT_DEGREE_LIMIT``; a one-term factor may carry any degree."""
+    ring = fermat_ring(13)
+    assert ring.parse("(x+y)^3") == ring.parse("x^3 + 3*x^2*y + 3*x*y^2 + y^3")
+    limit = PRODUCT_DEGREE_LIMIT
+    assert ring.parse(f"(1+x+y+z)^{limit}") == ring.parse(f"(1+x+y+z)^{limit // 2}*(1+x+y+z)^{limit // 2}")
+    assert ring.parse(f"x^1000*(x+y)^{limit}") == ring.monomial((0, 1000, 0)) * ring.parse(f"(x+y)^{limit}")
+    for text in (
+        "(x+y)^500000",
+        f"(x+y)^{limit + 1}",
+        f"(x^2+y)^{limit // 2 + 1}",
+        f"(x+y)^{limit}*(y+z)",
+        f"((x+y)^2)^{limit // 2 + 1}",
+        "(x^100+y)*(x+1)",
+    ):
+        with pytest.raises(PolyParseError, match="passes the limit"):
+            ring.parse(text)
+
+
+def test_parser_refuses_zero_denominators_foreign_fractions_and_deep_nesting():
+    """Text the domain cannot hold, or nested past the recursion limit, is
+    ``PolyParseError``, not ZeroDivisionError, TypeError or RecursionError."""
+    padic_ring = RingPresentation(TruncatedPadicRing(5, 3), ("z", "x", "y"))
+    assert padic_ring.parse("4/2*x") == padic_ring.parse("2*x")
+    cases = [
+        (fermat_ring(7), "3/0*x", "zero denominator"),
+        (RingPresentation(QQ, ("x", "y")), "0/0", "zero denominator"),
+        (padic_ring, "1/2*x", "cannot coerce"),
+        (fermat_ring(7), "(" * 3000 + "x" + ")" * 3000, "nested too deeply"),
+        (fermat_ring(7), "-" * 3000 + "x", "nested too deeply"),
+    ]
+    for ring, text, message in cases:
+        with pytest.raises(PolyParseError, match=message):
             ring.parse(text)
 
 

@@ -1,7 +1,11 @@
 import argparse
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from closurelab.cli import build_parser, main
 from closurelab.experiments import SCHEMAS, ConfigError, run_experiment
@@ -104,6 +108,8 @@ class TestCli:
             ["tower-trace", "--pairs", "0"],
             ["charp", "--e-max", "5"],
             ["charp", "--p", "29", "--e-max", "4"],
+            ["charp", "--p", "101"],
+            ["charp", "--p", "262139", "--e-max", "1", "--deg-bound", "0"],
             ["isogeny", "--p", "3"],
             ["padic", "--precision", "9"],
             ["tower-verify", "--max-level", "abc"],
@@ -114,7 +120,18 @@ class TestCli:
     def test_config_error_exit_code(self, capsys, argv):
         code = main(argv)
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_charp_accepts_the_largest_prime_below_the_limit(self, capsys, monkeypatch):
+        # no golden multiplier is recorded for p = 97, so the run exits 1
+        monkeypatch.delenv("CLOSURELAB_RECORD", raising=False)
+        assert main(["charp", "--p", "97", "--e-max", "2"]) == 1
+        body = json.loads(capsys.readouterr().out)
+        assert body["config"]["p"] == 97
+        assert {c["name"].split("/")[0] for c in body["checks"]} == {"p97"}
 
     def test_flags_come_from_the_schemas(self):
         parser = build_parser()
@@ -216,6 +233,7 @@ class TestCli:
             {"alpha": "x", "oracle": {"mode": "adversarial", "seed": []}},
             {"alpha": "x^600000*y"},
             {"alpha": "x^300000*x^300000"},
+            {"alpha": "(x+y)^500000"},
         ],
         ids=[
             "missing_file",
@@ -231,6 +249,7 @@ class TestCli:
             "non_integer_seed",
             "exponent_past_the_field",
             "product_past_the_field",
+            "power_of_a_sum_past_the_limit",
         ],
     )
     def test_bad_padic_input_is_a_config_error(self, tmp_path, capsys, document):
@@ -321,3 +340,161 @@ class TestGoldenFixtures:
         report = run_experiment("charp", {"p": 7})
         golden = [c for c in report.checks if c["name"] == "p7/golden_multiplier"][0]
         assert golden["status"] == "fail"
+
+
+# ---------------------------------------------------------------------------
+# the command-line contract over generated inputs
+
+_EXPONENTS = st.one_of(
+    st.integers(0, 4).map(str),
+    st.sampled_from(["33", "500000", "524288", "-1", "1/2", "2.5", "x", ""]),
+)
+_ATOMS = st.one_of(
+    st.sampled_from(["x", "y", "z", "t", "w", "xy", "1/2", "3/0", "9" * 5000]),
+    st.integers(-30, 30).map(str),
+)
+
+
+@st.composite
+def _poly_texts(draw, depth=2):
+    """Polynomial text over good and foreign names, with huge, negative and
+    non-integer exponents, sums nested up to ``depth`` deep."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            if depth and draw(st.booleans()):
+                base = "(" + draw(_poly_texts(depth - 1)) + ")"
+            else:
+                base = draw(_ATOMS)
+            if draw(st.booleans()):
+                base += "^" + draw(_EXPONENTS)
+            factors.append(base)
+        terms.append("*".join(factors))
+    text = terms[0]
+    for term in terms[1:]:
+        text += draw(st.sampled_from([" + ", " - "])) + term
+    return text
+
+
+_TEXTS = st.one_of(_poly_texts(), st.text(alphabet="xyzw0123456789+-*^()/ .", max_size=20))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=5))
+_STEPS = st.lists(st.fixed_dictionaries({k: st.one_of(_TEXTS, _SCALARS) for k in "abc"}), max_size=3)
+_ORACLES = st.one_of(
+    st.fixed_dictionaries({"mode": st.sampled_from(["honest", "adversarial", "scripted", "other"])}),
+    st.fixed_dictionaries({"mode": st.just("adversarial"), "seed": _SCALARS}),
+    st.fixed_dictionaries({"mode": st.just("scripted"), "steps": _STEPS}),
+    _SCALARS,
+)
+
+
+def _dump(doc):
+    return json.dumps(doc).encode()
+
+
+_PADIC_DOCUMENTS = st.one_of(
+    st.fixed_dictionaries({"alpha": _TEXTS}).map(_dump),
+    st.fixed_dictionaries({"alpha": st.one_of(_TEXTS, _SCALARS), "oracle": _ORACLES}).map(_dump),
+    st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=5).map(_dump),
+    st.binary(max_size=20),
+)
+_CHECKS = st.lists(st.fixed_dictionaries({"name": st.sampled_from(["c", "d"]), "status": _SCALARS}))
+_DIFF_DOCUMENTS = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "experiment": st.one_of(st.just("x"), _SCALARS),
+            "config": st.one_of(st.just({}), _SCALARS),
+            "checks": st.one_of(_CHECKS, _SCALARS),
+        }
+    ).map(_dump),
+    st.binary(max_size=20),
+)
+
+
+def _flags(command, **fields):
+    """argv for ``command`` with a flag per field strategy, each maybe left out."""
+    flags = [
+        st.one_of(st.just([]), values.map(lambda v, f=field: ["--" + f.replace("_", "-"), str(v)]))
+        for field, values in fields.items()
+    ]
+    return st.tuples(*flags).map(lambda parts: [command] + sum(parts, []))
+
+
+_CHEAP_RUNS = st.one_of(
+    _flags("tower-verify", max_level=st.integers(1, 3)),
+    _flags("tower-trace", pairs=st.integers(1, 10), seed=st.integers()),
+    _flags("isogeny", p=st.just(2), n=st.integers(1, 2)),
+    _flags(
+        "padic",
+        p=st.sampled_from([2, 5, 7, 11, 13]),
+        precision=st.integers(1, 4),
+        samples=st.integers(0, 3),
+        seed=st.integers(),
+    ),
+)
+# the whole schema and past it: the matrix, every prime below the limit,
+# the limit's neighbours, a prime whose powers leave the exponent range
+_CHARP_RUNS = _flags(
+    "charp",
+    p=st.one_of(st.sampled_from([0, 2, 5, 7, 13, 29, 97, 101, 262139]), st.integers(-3, 120), st.just("x")),
+    e_max=st.one_of(st.integers(0, 5), st.just("two")),
+    deg_bound=st.integers(-1, 7),
+)
+
+
+def _padic_input(body, *flags):
+    return ["padic", *flags, "--input", "@input.json"], {"input.json": body}
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, files): a command line and the documents it reads, by name;
+    an argument ``@name`` stands for that file in a scratch directory, and
+    ``@`` alone for the directory."""
+    kind = draw(st.sampled_from(["padic_input", "diff", "cheap", "charp"]))
+    if kind == "padic_input":
+        p, precision = draw(st.sampled_from(["2", "5", "7"])), draw(st.sampled_from(["1", "2", "3"]))
+        return _padic_input(draw(_PADIC_DOCUMENTS), "--p", p, "--precision", precision, "--samples", "0")
+    if kind == "diff":
+        files = {"left.json": draw(_DIFF_DOCUMENTS), "right.json": draw(_DIFF_DOCUMENTS)}
+        return ["diff", "@left.json", "@right.json"], files
+    argv = draw(_CHEAP_RUNS if kind == "cheap" else _CHARP_RUNS)
+    output = draw(st.sampled_from([[], ["--format", "text"], ["--report", "@report.json"], ["--report", "@"]]))
+    return argv + output, {}
+
+
+class TestCliContract:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(case=_invocations())
+    @example(case=_padic_input(_dump({"alpha": "(" * 3000 + "x" + ")" * 3000})))
+    @example(case=_padic_input(_dump({"alpha": "-" * 3000 + "x"})))
+    @example(case=_padic_input(_dump({"alpha": "(x+y)^500000"})))
+    @example(case=_padic_input(_dump({"alpha": "x^300000*x^300000"})))
+    @example(case=_padic_input(_dump({"alpha": "3/0*x"})))
+    @example(case=_padic_input(_dump({"alpha": "1/2*x"})))
+    @example(case=_padic_input(b"[" * 100000))
+    @example(case=(["diff", "@left.json", "@right.json"], {"left.json": b"[" * 100000, "right.json": b"{}"}))
+    def test_exit_codes_and_error_lines(self, tmp_path, monkeypatch, case):
+        """Every run exits 0, 1 or 2 without a traceback, and exit 2 comes
+        with exactly one ``error:`` or ``config error:`` line."""
+        # a recording run would freeze missing golden fixtures in place
+        monkeypatch.delenv("CLOSURELAB_RECORD", raising=False)
+        argv, files = case
+        for name, body in files.items():
+            (tmp_path / name).write_bytes(body)
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.count("\n") == 1
+            assert err.startswith(("error:", "config error:"))
+        else:
+            assert err == ""
