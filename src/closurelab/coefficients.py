@@ -7,16 +7,17 @@ common denominator; products fold t^6 + t^3 + 1 inline and cancel with one
 gcd, and inverses come from the norm (Cohen, *A Course in Computational
 Algebraic Number Theory*, 4.2).
 
-Every domain exposes the same small interface (``zero``, ``one``,
-``from_int``, ``inv``, ``coerce``, ``is_field``, ``lift_pair``) and its
-elements are immutable, hashable, and support ``+ - * ==`` and truth
-testing.
+A residue mod p^N is a plain int in [0, p^N), not a wrapper object, and
+``Poly`` reduces each output coefficient modulo the domain's ``modulus``
+once; QQ and Q(zeta_9) have ``modulus = None``.  Every domain exposes
+``zero``, ``one``, ``from_int``, ``inv``, ``coerce``, ``is_field``,
+``modulus``, ``lift_pair`` and ``format``; residue rings add ``val``.
 
 ``lift_pair`` serves multi-term polynomial products: it maps two
 coefficient lists to Python ints whose products and sums stand for the
 products and sums of the coefficients, plus a ``lower`` function that maps
 an accumulated int back to one domain element.  Rationals are cleared to
-one denominator per list and residues are their raw ints.  A cyclotomic
+one denominator per list and residues are their own ints.  A cyclotomic
 coordinate vector is evaluated at t = 2^B (Kronecker substitution; Harvey,
 J. Symb. Comput. 44, 2009), so one big-int product is one 6x6 convolution;
 B is chosen from the actual operand sizes so that every accumulated
@@ -35,22 +36,36 @@ from math import gcd, lcm
 # t^(6+j) -> -t^(3+j) - t^j.
 CYCLO_DEGREE = 6
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# deterministic Miller-Rabin with the first thirteen primes as bases is
+# exact below PRIME_TEST_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Exact primality for n below ``PRIME_TEST_LIMIT`` (about 3.3e24);
+    raises ``ValueError`` at or above it rather than guess."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"{n} is past the exact primality test's limit {PRIME_TEST_LIMIT}")
     if n < 2:
         return False
-    for q in _SMALL_PRIMES:
-        if n == q:
-            return True
+    for q in _WITNESSES:
         if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-    d = 41
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
     return True
 
 
@@ -300,85 +315,6 @@ def format_cyclo(value: CycloNum) -> str:
     return " ".join(parts) if parts else "0"
 
 
-class TruncatedPadic:
-    """Residue mod p^N, an element of a ``TruncatedPadicRing`` (F_p is
-    N = 1); the p-adic valuation of a nonzero residue is < N."""
-
-    __slots__ = ("ring", "residue")
-
-    def __init__(self, ring: "TruncatedPadicRing", residue: int):
-        self.ring = ring
-        self.residue = residue % ring.modulus
-
-    def _residue_of(self, other):
-        """Residue of an int or of an element of an equal ring; None for
-        any other type.  Elements of different rings never mix."""
-        if isinstance(other, int):
-            return other
-        if not isinstance(other, TruncatedPadic):
-            return None
-        if other.ring is not self.ring and other.ring != self.ring:
-            raise ValueError(f"mixed residue rings {self.ring.name} and {other.ring.name}")
-        return other.residue
-
-    def __bool__(self):
-        return self.residue != 0
-
-    def __eq__(self, other):
-        if isinstance(other, TruncatedPadic):
-            return self.residue == other.residue and (other.ring is self.ring or other.ring == self.ring)
-        if isinstance(other, int):
-            return self.residue == other % self.ring.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring.p, self.ring.precision, self.residue))
-
-    def __neg__(self):
-        return TruncatedPadic(self.ring, -self.residue)
-
-    def __add__(self, other):
-        r = self._residue_of(other)
-        if r is None:
-            return NotImplemented
-        return TruncatedPadic(self.ring, self.residue + r)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._residue_of(other)
-        if r is None:
-            return NotImplemented
-        return TruncatedPadic(self.ring, self.residue - r)
-
-    def __mul__(self, other):
-        r = self._residue_of(other)
-        if r is None:
-            return NotImplemented
-        return TruncatedPadic(self.ring, self.residue * r)
-
-    __rmul__ = __mul__
-
-    def val(self) -> int:
-        """Largest k with p^k dividing the residue; raises on zero."""
-        if self.residue == 0:
-            raise ZeroDivisionError("valuation of zero is unbounded")
-        p = self.ring.p
-        k, r = 0, self.residue
-        while r % p == 0:
-            r //= p
-            k += 1
-        return k
-
-    def inverse(self):
-        if self.residue % self.ring.p == 0:
-            raise ZeroDivisionError(f"{self.residue} is not a unit in {self.ring.name}")
-        return TruncatedPadic(self.ring, pow(self.residue, -1, self.ring.modulus))
-
-    def __repr__(self):
-        return f"{self.residue}"
-
-
 # ---------------------------------------------------------------------------
 # coefficient domains
 
@@ -386,6 +322,7 @@ class TruncatedPadic:
 class RationalField:
     name = "QQ"
     is_field = True
+    modulus = None  # not a residue ring: Poly reduces nothing
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -432,6 +369,7 @@ class CyclotomicField9:
 
     name = "Q(zeta9)"
     is_field = True
+    modulus = None
 
     zero = CycloNum([])
     one = CycloNum([1])
@@ -500,11 +438,15 @@ class CyclotomicField9:
 
 
 class TruncatedPadicRing:
-    """Z/p^N.  Not a field: the Groebner engine rejects it and the digit-wise
-    machinery in the p-adic module is used instead.  Equal rings share type,
-    p and N, so ``PrimeField(p)`` differs from ``TruncatedPadicRing(p, 1)``."""
+    """Z/p^N.  Its elements are plain ints in [0, p^N), and ``Poly`` reduces
+    each output coefficient modulo ``modulus`` once.  Not a field: the
+    Groebner engine rejects it and the digit-wise machinery in the p-adic
+    module is used instead.  Equal rings share type, p and N, so
+    ``PrimeField(p)`` differs from ``TruncatedPadicRing(p, 1)``."""
 
     is_field = False
+    zero = 0
+    one = 1
 
     def __init__(self, p: int, precision: int):
         if not is_prime(p):
@@ -517,32 +459,39 @@ class TruncatedPadicRing:
         self.precision = precision
         self.modulus = p ** precision
         self.name = f"Z/{p}^{precision}"
-        self.zero = TruncatedPadic(self, 0)
-        self.one = TruncatedPadic(self, 1)
 
-    def from_int(self, n: int) -> TruncatedPadic:
-        return TruncatedPadic(self, n)
+    def from_int(self, n: int) -> int:
+        return n % self.modulus
 
-    def coerce(self, x) -> TruncatedPadic:
-        if isinstance(x, TruncatedPadic):
-            if x.ring is not self and x.ring != self:
-                raise TypeError(f"cannot coerce an element of {x.ring.name} into {self.name}")
-            return x
-        if isinstance(x, int):
-            return self.from_int(x)
+    def coerce(self, x) -> int:
         if isinstance(x, Fraction) and x.denominator == 1:
-            return self.from_int(x.numerator)
+            x = x.numerator
+        if isinstance(x, int):
+            return x % self.modulus
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
-    def inv(self, x: TruncatedPadic) -> TruncatedPadic:
-        return x.inverse()
+    def inv(self, x: int) -> int:
+        if x % self.p == 0:
+            raise ZeroDivisionError(f"{x % self.modulus} is not a unit in {self.name}")
+        return pow(x, -1, self.modulus)
+
+    def val(self, x: int) -> int:
+        """Largest k with p^k dividing the residue x; raises on zero."""
+        x %= self.modulus
+        if x == 0:
+            raise ZeroDivisionError("valuation of zero is unbounded")
+        k = 0
+        while x % self.p == 0:
+            x //= self.p
+            k += 1
+        return k
 
     def lift_pair(self, xs, ys):
-        """The raw residues; ``lower`` reduces modulo p^N once."""
-        return [c.residue for c in xs], [c.residue for c in ys], self.from_int
+        """The residues themselves; ``lower`` reduces modulo p^N once."""
+        return xs, ys, self.from_int
 
-    def format(self, x: TruncatedPadic, parenthesize: bool = False) -> str:
-        return str(x.residue)
+    def format(self, x: int, parenthesize: bool = False) -> str:
+        return str(x)
 
     def __eq__(self, other):
         return type(other) is type(self) and (other.p, other.precision) == (self.p, self.precision)

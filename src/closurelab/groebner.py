@@ -117,10 +117,16 @@ def _divide(f: Poly, divisors, track: bool = True):
     taken monomial never re-enters the work set, so the remainder and each
     quotient are built already sorted, with nonzero coefficients (a leading
     coefficient with an inverse is a unit), and are wrapped without sorting
-    again.  Returns (remainder, quotients).
+    again.  Over Z/p^N the pending coefficients are raw int sums, reduced
+    modulo p^N once when popped.  Returns (remainder, quotients); raises
+    ``ValueError`` when a divisor comes from an incompatible ring.
     """
     ring = f.ring
+    for d in divisors:
+        if d.ring is not ring and not ring.compatible(d.ring):
+            raise ValueError("polynomials from incompatible rings")
     dom = ring.domain
+    mod = dom.modulus
     divides = ring.order.divides
     check_fields = ring.order.check_fields
     lms = [d.lm() for d in divisors]
@@ -135,10 +141,14 @@ def _divide(f: Poly, divisors, track: bool = True):
         c = work.pop(m, None)
         if c is None:
             continue
+        if mod:
+            c %= mod
+            if not c:
+                continue
         for i, lm in enumerate(lms):
             if divides(lm, m):
                 qm = m - lm
-                qc = c * inv_lcs[i]
+                qc = c * inv_lcs[i] % mod if mod else c * inv_lcs[i]
                 if track:
                     quotients[i].append((qm, qc))
                 for dm, dc in divisors[i].terms[1:]:

@@ -105,31 +105,34 @@ def compose_endo(e1: GradedEndo, e2: GradedEndo) -> GradedEndo:
 IDENTITY_POINT = (Fraction(1), Fraction(-1), Fraction(0))
 
 
+# Over F_p the coordinates are plain ints, and sums and products of them
+# are unreduced: every zero test and comparison below goes through
+# ``domain.coerce``, which reduces modulo p (and is the identity over QQ).
+
+
 def _eval(poly: Poly, point, domain):
     acc = domain.zero
     ring = poly.ring
     names = ring.variables
     coords = {"x": point[0], "y": point[1], "z": point[2]}
     for m, c in poly.terms:
-        term = domain.coerce(Fraction(c) if isinstance(c, (int, Fraction)) else c)
+        term = domain.coerce(c)
         for name, e in zip(names, ring.order.exponents(m)):
-            v = coords[name]
-            for _ in range(e):
-                term = term * v
+            term = term * coords[name] ** e
         acc = acc + term
-    return acc
+    return domain.coerce(acc)
 
 
 def on_curve(point, domain) -> bool:
     x, y, z = point
-    return not (x * x * x + y * y * y + z * z * z)
+    return not domain.coerce(x * x * x + y * y * y + z * z * z)
 
 
 def normalize_point(point, domain):
     for c in point:
-        if c:
+        if domain.coerce(c):
             inv = domain.inv(c)
-            return tuple(v * inv for v in point)
+            return tuple(domain.coerce(v * inv) for v in point)
     raise ValueError("the zero vector is not a projective point")
 
 
@@ -148,7 +151,7 @@ def _chord_third(a, b, domain):
 
 def _tangent_third(p, domain):
     """Third intersection of the tangent line at p; equals p at inflections."""
-    grad = tuple(c * c for c in p)  # (x^2, y^2, z^2), scalar 3 dropped
+    grad = tuple(domain.coerce(c * c) for c in p)  # (x^2, y^2, z^2), scalar 3 dropped
     i = next(k for k, g in enumerate(grad) if g)
     candidates = []
     for j in range(3):
@@ -261,12 +264,11 @@ def hesse_double() -> GradedEndo:
 
 
 def _to_prime_field(poly: Poly, ring_p: RingPresentation) -> Poly:
-    dom = ring_p.domain
-    return Poly(ring_p, {m: dom.from_int(int(c)) for m, c in poly.terms})
+    return Poly(ring_p, {m: int(c) for m, c in poly.terms})
 
 
 def _lift_to_integers(poly: Poly, ring_z: RingPresentation) -> Poly:
-    return Poly(ring_z, {m: Fraction(c.residue) for m, c in poly.terms})
+    return Poly(ring_z, {m: Fraction(c) for m, c in poly.terms})
 
 
 def membership_digits(e: GradedEndo, p: int, n: int):

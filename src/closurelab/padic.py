@@ -64,13 +64,14 @@ class TruncatedModel:
 
     def coeff_val_floor(self, f: Poly) -> int:
         """Largest k with p^k dividing every coefficient (precision if f = 0)."""
-        return min((c.val() for _, c in f.terms), default=self.precision)
+        val = self.domain.val
+        return min((val(c) for _, c in f.terms), default=self.precision)
 
     def random_poly(self, rng: random.Random, max_degree: int = 3, terms: int = 3) -> Poly:
         picked = {}
         for _ in range(terms):
             m = (rng.randrange(0, 3), rng.randrange(0, max_degree + 1), rng.randrange(0, max_degree + 1))
-            picked[m] = self.domain.from_int(rng.randrange(0, self.p ** self.precision))
+            picked[m] = rng.randrange(0, self.p ** self.precision)
         return self.canon(self.ring.poly(picked))
 
 
@@ -175,7 +176,7 @@ def honest_oracle(m: TruncatedModel):
                 raise LiftingObstructionError(
                     f"residual monomial z^{z} is outside (x, y): {format_poly(residual)}"
                 )
-        pw = m.domain.from_int(m.p ** (i - 1))
+        pw = m.p ** (i - 1)
         a = Poly(m.ring, a_terms) * pw
         b = Poly(m.ring, b_terms) * pw
         return m.canon(a), m.canon(b), m.ring.zero()
@@ -193,12 +194,12 @@ def adversarial_oracle(m: TruncatedModel, seed: int):
     def step(i: int, residual: Poly):
         a, b, c = honest(i, residual)
         s = m.random_poly(rng, max_degree=2, terms=2)
-        sigma = s * m.domain.from_int(m.p)  # spurious syzygy multiple of p
+        sigma = s * m.p  # spurious syzygy multiple of p
         a = m.canon(a + sigma * m.y)
         b = m.canon(b - sigma * m.x)
         u = m.random_poly(rng, max_degree=1, terms=1)
         v = m.random_poly(rng, max_degree=1, terms=1)
-        pi = m.domain.from_int(m.p ** i)
+        pi = m.p ** i
         a = m.canon(a + u * pi)
         b = m.canon(b + v * pi)
         c = m.canon(c - u * m.x - v * m.y)
@@ -236,12 +237,12 @@ def _koszul_correct(m: TruncatedModel, i: int, a: Poly, b: Poly):
     q = m.p ** (i - 1)
     y = m.y.lm()
     order = m.ring.order
-    low = {mono: c.residue % q for mono, c in a.terms if c.residue % q}
+    low = {mono: c % q for mono, c in a.terms if c % q}
     if not all(order.divides(y, mono) for mono in low):
         raise LiftingObstructionError(
             f"step {i}: a mod {m.p}^{i - 1} has a monomial outside (y): {format_poly(a)}"
         )
-    t = Poly(m.ring, {mono - y: m.domain.from_int(c) for mono, c in low.items()})
+    t = Poly(m.ring, {mono - y: c for mono, c in low.items()})
     a = a - t * m.y
     b = b + t * m.x
     if m.coeff_val_floor(b) < i - 1:
@@ -270,8 +271,8 @@ def successive_approx(alpha: Poly, step_oracle, precision: int) -> ApproxTrace:
     for i in range(1, precision + 1):
         a, b, c = step_oracle(i, residual)
         a, b, c = m.canon(a), m.canon(b), m.canon(c)
-        supplied = m.canon(a * m.x + b * m.y + c * m.domain.from_int(p ** i))
-        expected = m.canon(residual * m.domain.from_int(p ** (i - 1)))
+        supplied = m.canon(a * m.x + b * m.y + c * p ** i)
+        expected = m.canon(residual * p ** (i - 1))
         if supplied != expected:
             raise OracleInconsistencyError(
                 f"step {i}: oracle representation expands to {format_poly(supplied)}, "
@@ -307,7 +308,7 @@ def verify_trace(trace: ApproxTrace, alpha: Poly) -> bool:
     for k, s in enumerate(trace.steps, start=1):
         A = m.canon(A + s.a)
         B = m.canon(B + s.b)
-        total = m.canon(A * m.x + B * m.y + s.c * m.domain.from_int(p ** k))
+        total = m.canon(A * m.x + B * m.y + s.c * p ** k)
         if total != alpha:
             return False
     return True

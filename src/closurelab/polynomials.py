@@ -29,6 +29,11 @@ accumulated coordinate leaves its digit.  The threshold is where the
 lifted product starts to beat term-by-term arithmetic on dense
 homogeneous factors at tower coefficient sizes; smaller products, and
 products with a one-term factor, take the term-by-term paths.
+
+Residues mod p^N are plain ints, reduced modulo the domain's ``modulus``
+once per output coefficient: in the constructor, in ``mul_term`` (scalar
+and one-term products) and in the division step.  Over QQ and Q(zeta_9)
+``modulus`` is None and nothing is reduced.
 """
 
 from __future__ import annotations
@@ -212,15 +217,22 @@ class Poly:
     tuple.
 
     The constructor takes a dict packed monomial -> coefficient, sorts the
-    ints and drops zero coefficients; ``RingPresentation.poly`` builds one
-    from exponent tuples."""
+    ints, reduces each coefficient modulo the domain's ``modulus`` when it
+    has one (residues arrive as raw int sums and products) and drops zero
+    coefficients; ``RingPresentation.poly`` builds one from exponent
+    tuples."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: RingPresentation, terms: dict):
         self.ring = ring
         monos = sorted(terms)
-        self.terms = tuple(filter(_coefficient, zip(monos, map(terms.__getitem__, monos))))
+        mod = ring.domain.modulus
+        if mod:
+            coeffs = [terms[m] % mod for m in monos]
+        else:
+            coeffs = map(terms.__getitem__, monos)
+        self.terms = tuple(filter(_coefficient, zip(monos, coeffs)))
 
     @classmethod
     def _presorted(cls, ring: RingPresentation, terms: tuple) -> "Poly":
@@ -322,10 +334,7 @@ class Poly:
         """
         ring = self.ring
         if not isinstance(other, Poly):
-            c = ring.domain.coerce(other)
-            return Poly._presorted(
-                ring, tuple(filter(_coefficient, [(m, cc * c) for m, cc in self.terms]))
-            )
+            return self.mul_term(0, ring.domain.coerce(other))
         a, b = self.terms, self._coerce(other).terms
         if len(b) == 1:
             return self.mul_term(*b[0])
@@ -368,11 +377,18 @@ class Poly:
     def mul_term(self, mono: int, coeff) -> "Poly":
         """self * coeff * x^mono in ``self.ring``, for a packed ``mono``.  The
         packed key is linear in the exponents, so adding ``mono`` to every
-        key keeps the terms in order; products that vanish (zero divisors of
-        Z/p^N) are dropped."""
-        terms = tuple(filter(_coefficient, [(m + mono, c * coeff) for m, c in self.terms]))
-        self.ring.order.check_fields(reduce(or_, map(_monomial, terms), 0))
-        return Poly._presorted(self.ring, terms)
+        key keeps the terms in order; residues are reduced modulo p^N and
+        products that vanish (zero divisors of Z/p^N) are dropped."""
+        ring = self.ring
+        mod = ring.domain.modulus
+        if mod:
+            terms = [(m + mono, c * coeff % mod) for m, c in self.terms]
+        else:
+            terms = [(m + mono, c * coeff) for m, c in self.terms]
+        terms = tuple(filter(_coefficient, terms))
+        if mono:  # a constant factor moves no exponent
+            ring.order.check_fields(reduce(or_, map(_monomial, terms), 0))
+        return Poly._presorted(ring, terms)
 
     def monic(self) -> "Poly":
         if not self.terms:
@@ -531,6 +547,11 @@ class _Parser:
                 return result
 
     def parse_factor(self) -> Poly:
+        kind, val = self.peek()
+        if kind == "op" and val == "-":
+            # unary minus negates the whole factor: x*-y^2 is x*(-(y^2))
+            self.take()
+            return -self.parse_factor()
         base = self.parse_atom()
         kind, val = self.peek()
         if kind == "op" and val == "^":
@@ -574,8 +595,6 @@ class _Parser:
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
-        if kind == "op" and val == "-":
-            return -self.parse_atom()
         raise PolyParseError(f"unexpected token {val!r}")
 
 

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from closurelab.coefficients import (
     CYCLO,
+    PRIME_TEST_LIMIT,
     CycloNum,
     PrimeField,
     TruncatedPadicRing,
     format_cyclo,
+    is_prime,
 )
+from closurelab.groebner import normal_form
 from closurelab.polynomials import RingPresentation
 
 THETA = CycloNum.zeta_power(3)
@@ -233,14 +236,35 @@ def test_arithmetic_matches_the_fraction_reference(xs, ys, s, n):
             a.inverse()
 
 
+def test_is_prime_is_exact_below_its_limit():
+    """Trial division below 5000; Carmichael numbers and strong
+    pseudoprimes to the bases 2..23 and 2..37 are composite; Mersenne
+    primes 2^61 - 1 and 2^31 - 1 are prime; at the limit it refuses."""
+    trial = [n for n in range(5000) if n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    assert [n for n in range(5000) if is_prime(n)] == trial
+    assert not any(is_prime(n) for n in (-7, 0, 1, 561, 41041, 3215031751))
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(2 ** 61 + 1)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    for n in (PRIME_TEST_LIMIT, 2 ** 127 - 1):
+        with pytest.raises(ValueError, match="limit"):
+            is_prime(n)
+
+
 class TestPrimeField:
     def test_basic_arithmetic(self):
+        """Elements are ints in [0, p); sums and products of them are raw
+        ints until the domain reduces them."""
         f = PrimeField(7)
         a, b = f.from_int(5), f.from_int(4)
-        assert a + b == 2
-        assert a * b == 6
-        assert (a - b) == 1
-        assert a.inverse() * a == f.one
+        assert (a, b) == (5, 4)
+        assert f.from_int(a + b) == 2
+        assert f.coerce(a * b) == 6
+        assert f.from_int(a - b) == 1
+        assert f.from_int(b - a) == 6
+        assert f.from_int(f.inv(a) * a) == f.one
+        assert f.coerce(Fraction(-8)) == 6
 
     def test_char_three_rejected(self):
         with pytest.raises(ValueError, match="degenerates"):
@@ -258,33 +282,37 @@ class TestPrimeField:
 class TestTruncatedPadic:
     def test_arithmetic_and_valuation(self):
         r = TruncatedPadicRing(5, 3)
-        a = r.from_int(50)
-        assert a.val() == 2
-        assert r.from_int(7).val() == 0
-        with pytest.raises(ZeroDivisionError):
-            r.zero.val()
+        assert r.from_int(-1) == 124
+        assert r.from_int(126 * 3) == 3
+        assert r.val(r.from_int(50)) == 2
+        assert r.val(r.from_int(7)) == 0
+        # val reduces first: 250 is 0 in Z/5^3, 255 is 5 times a unit
+        assert r.val(255) == 1
+        for zero in (r.zero, 125, -250):
+            with pytest.raises(ZeroDivisionError):
+                r.val(zero)
 
     def test_unit_inverse(self):
         r = TruncatedPadicRing(2, 5)
         a = r.from_int(7)
-        assert a * a.inverse() == r.one
-        with pytest.raises(ZeroDivisionError):
-            r.from_int(4).inverse()
+        assert r.from_int(a * r.inv(a)) == r.one
+        assert r.inv(-1) == 31
+        for non_unit in (4, 0, 32):
+            with pytest.raises(ZeroDivisionError):
+                r.inv(non_unit)
 
     def test_reduction_maps_are_ring_homs(self):
         rng = random.Random(99)
         r = TruncatedPadicRing(5, 4)
         for m in (1, 2, 3):
             low = TruncatedPadicRing(5, m)
-
-            def reduce(a):
-                return low.from_int(a.residue)
+            reduce = low.from_int
 
             for _ in range(40):
                 a = r.from_int(rng.randrange(0, 5 ** 4))
                 b = r.from_int(rng.randrange(0, 5 ** 4))
-                assert reduce(a + b) == reduce(a) + reduce(b)
-                assert reduce(a * b) == reduce(a) * reduce(b)
+                assert reduce(r.from_int(a + b)) == low.from_int(reduce(a) + reduce(b))
+                assert reduce(r.from_int(a * b)) == low.from_int(reduce(a) * reduce(b))
             assert reduce(r.one) == low.one
 
     def test_char_three_rejected(self):
@@ -293,23 +321,41 @@ class TestTruncatedPadic:
 
 
 class TestResidueRingContract:
-    """F_p is Z/p^1 with the field flag; elements of different residue rings
-    never mix, in either operand order."""
+    """F_p is Z/p^1 with the field flag.  Residues are plain ints, so rings
+    are told apart at the ``Poly`` level: polynomials over different
+    residue rings never mix, in either operand order."""
+
+    @staticmethod
+    def _rings():
+        return [
+            RingPresentation(domain, ("x", "y"))
+            for domain in (PrimeField(5), TruncatedPadicRing(5, 2), TruncatedPadicRing(5, 1))
+        ]
 
     def test_mixed_rings_raise(self):
-        a = PrimeField(5).from_int(2)
-        b = TruncatedPadicRing(5, 2).from_int(13)
-        for op in (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: u - v):
-            with pytest.raises(ValueError, match="mixed residue rings"):
-                op(a, b)
-            with pytest.raises(ValueError, match="mixed residue rings"):
-                op(b, a)
+        f5, z25, z5 = self._rings()
+        ops = (
+            lambda u, v: u * v,
+            lambda u, v: u + v,
+            lambda u, v: u - v,
+            lambda u, v: normal_form(u, [v]),
+        )
+        for a, b in ((f5, z25), (f5, z5), (z25, z5)):
+            f = a.parse("2*x*y + 3*y")
+            g = b.parse("x + 13")
+            for op in ops:
+                with pytest.raises(ValueError, match="incompatible rings"):
+                    op(f, g)
+                with pytest.raises(ValueError, match="incompatible rings"):
+                    op(g, f)
 
     def test_prime_field_is_not_z_mod_p(self):
         assert PrimeField(5) != TruncatedPadicRing(5, 1)
         assert PrimeField(5) == PrimeField(5)
         assert TruncatedPadicRing(5, 1) == TruncatedPadicRing(5, 1)
-        assert PrimeField(5).from_int(2) != TruncatedPadicRing(5, 1).from_int(2)
+        f5, _, z5 = self._rings()
+        assert f5.const(2) != z5.const(2)
+        assert f5.const(2) == RingPresentation(PrimeField(5), ("x", "y")).const(7)
 
     def test_field_flag(self):
         assert PrimeField(5).is_field

@@ -15,9 +15,11 @@ from closurelab.groebner import (
     _divide,
     colon,
     elimination_ring,
+    exact_divide,
     groebner,
     ideal_member,
     intersect,
+    membership_with_basis,
     normal_form,
 )
 from closurelab.polynomials import RingPresentation, WeightedGrevlex, format_poly
@@ -82,6 +84,33 @@ class TestNormalForm:
         ring = fermat_quotient()
         gb = groebner([ring.parse("x")], ring)
         assert normal_form(ring.zero(), gb).is_zero()
+
+    def test_division_refuses_incompatible_rings(self):
+        """Division checks its rings once, as Poly arithmetic does: a
+        divisor whose variables are in another order, or whose domain
+        differs, is refused with the same ValueError."""
+        qq_xy = RingPresentation(QQ, ("x", "y"))
+        qq_yx = RingPresentation(QQ, ("y", "x"))
+        cyclo_xy = RingPresentation(CYCLO, ("x", "y"))
+        z5_xy = RingPresentation(TruncatedPadicRing(5, 2), ("x", "y"))
+        for target, divisor in [
+            (qq_xy, qq_yx),
+            (qq_xy, cyclo_xy),
+            (cyclo_xy, qq_xy),
+            (z5_xy, qq_xy),
+            (qq_xy, z5_xy),
+        ]:
+            f, g = target.parse("x^2"), divisor.parse("x")
+            with pytest.raises(ValueError, match="incompatible rings"):
+                normal_form(f, [g])
+            with pytest.raises(ValueError, match="incompatible rings"):
+                exact_divide(f, g)
+        gb = groebner([qq_yx.parse("x")], qq_yx)
+        with pytest.raises(ValueError, match="incompatible rings"):
+            membership_with_basis(qq_xy.parse("x^2"), gb)
+        # an equal ring built twice is compatible
+        again = RingPresentation(QQ, ("x", "y"))
+        assert normal_form(qq_xy.parse("x^2 + y"), [again.parse("x")]) == qq_xy.parse("y")
 
     def test_division_invariant(self):
         # f - NF(f, G) lies in (G), witnessed by the recorded quotients

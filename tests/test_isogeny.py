@@ -84,6 +84,34 @@ class TestChordTangentOracle:
         assert isogeny.chord_tangent_double(o, field) == isogeny.normalize_point(o, field)
 
 
+class TestUnreducedCoordinates:
+    """Over F_p coordinates are plain ints, and the sums and products the
+    chord-tangent code forms are not reduced: every zero test and
+    comparison must reduce first, so any representative of a point gives
+    the same answers."""
+
+    def test_every_representative_gives_the_same_answers(self):
+        field = PrimeField(7)
+        e = isogeny.hesse_double()
+        rng = random.Random(5)
+        for pt in isogeny.curve_points(7):
+            lifted = tuple(c + 7 * rng.choice([-2, -1, 1, 2]) for c in pt)
+            assert isogeny.on_curve(lifted, field)
+            assert isogeny.normalize_point(lifted, field) == isogeny.normalize_point(pt, field)
+            assert isogeny.proportional(
+                isogeny._tangent_third(lifted, field), isogeny._tangent_third(pt, field), field
+            )
+            assert isogeny.apply_endo_to_point(e, lifted, field) == isogeny.apply_endo_to_point(e, pt, field)
+            assert isogeny.chord_tangent_double(lifted, field) == isogeny.chord_tangent_double(pt, field)
+        assert isogeny.normalize_point((7, 3, -2), field) == (0, 1, 4)
+
+    def test_an_image_that_vanishes_mod_p_is_the_zero_vector(self):
+        ring = isogeny.integral_ring()
+        e = isogeny.GradedEndo(ring.parse("x + 6*y"), ring.parse("6*x + y"), ring.parse("7*z"))
+        with pytest.raises(ValueError, match="endomorphism image"):
+            isogeny.apply_endo_to_point(e, (1, 1, 3), PrimeField(7))
+
+
 class TestCompose:
     def test_identity_neutral(self):
         e = isogeny.hesse_double()

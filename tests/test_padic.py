@@ -313,11 +313,11 @@ def _reference_koszul_correct(m, i, a, b):
 
     def digit(f, j):
         pj = m.p ** j
-        assert all(c.residue % pj == 0 for _, c in f.terms)
-        return Poly(ring, {mono: ring.domain.from_int(c.residue // pj) for mono, c in f.terms})
+        assert all(c % pj == 0 for _, c in f.terms)
+        return Poly(ring, {mono: ring.domain.from_int(c // pj) for mono, c in f.terms})
 
     def lift(f):
-        return Poly(m.ring, {mono: m.domain.from_int(c.residue) for mono, c in f.terms})
+        return Poly(m.ring, {mono: m.domain.from_int(c) for mono, c in f.terms})
 
     for j in range(i - 1):
         abar, bbar = digit(a, j), digit(b, j)

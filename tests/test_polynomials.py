@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from closurelab.charp import fermat_ring
 from closurelab.coefficients import CYCLO, QQ, CycloNum, PrimeField, TruncatedPadicRing
-from closurelab.groebner import _divide, elimination_ring, exact_divide
+from closurelab.groebner import _divide, elimination_ring, exact_divide, normal_form
 from closurelab.polynomials import (
     EXP_LIMIT,
     LIFT_MIN_TERMS,
@@ -262,6 +262,28 @@ def test_parser_refuses_zero_denominators_foreign_fractions_and_deep_nesting():
     for ring, text, message in cases:
         with pytest.raises(PolyParseError, match=message):
             ring.parse(text)
+
+
+def test_unary_minus_negates_the_whole_factor():
+    """A minus sign after ``*``, ``-`` or another sign negates the factor
+    that follows, power included, as ring arithmetic does."""
+    ring = fermat_ring(7)
+    x, y, z = (ring.var(v) for v in ("x", "y", "z"))
+    cases = {
+        "x*-y^2": x * -(y ** 2),
+        "x - -y^2": x + y ** 2,
+        "-y^2": -(y ** 2),
+        "x^2*-y*-z^3": x ** 2 * y * z ** 3,
+        "--x": x,
+        "x + -(y + z)^2": x - (y + z) ** 2,
+        "2*-3^2*x": ring.const(-18) * x,
+        "-x^2*y - -z": -(x ** 2) * y + z,
+    }
+    for text, expected in cases.items():
+        assert ring.parse(text) == expected, text
+    assert ring.parse("x*-y^2") != ring.parse("x*y^2")
+    with pytest.raises(PolyParseError, match="nested too deeply"):
+        ring.parse("x*" + "-" * 3000 + "y^2")
 
 
 def test_key_refuses_exponent_tuples_of_the_wrong_length():
@@ -530,7 +552,9 @@ def test_products_that_cancel(domain):
 
 def test_zero_divisor_products_vanish():
     """In Z/5^3 every product of a multiple of 5 and a multiple of 25 is
-    zero, whatever the shapes of the factors."""
+    zero, whatever the shapes of the factors; in every Z/p^N, u * p^j times
+    v * p^k is zero exactly when j + k >= N, in products, one-term
+    products, scalars and division steps alike."""
     ring = RingPresentation(TruncatedPadicRing(5, 3), ("x", "y"))
     f = ring.parse("5*x^3 + 10*x^2*y + 15*x*y^2 + 20*y^3 + 5*x")
     g = ring.parse("25*x^2 + 50*x*y + 75*y^2 + 100*x + 25")
@@ -539,6 +563,25 @@ def test_zero_divisor_products_vanish():
     assert f.mul_term(ring.order.key((1, 0)), ring.domain.from_int(50)).terms == ()
     # 5 * 25 vanishes but 5 * 1 does not: only the zero products drop out
     assert f * ring.parse("25*x + y") == f * ring.parse("y")
+    for domain in (TruncatedPadicRing(p, n) for p in (2, 5, 7) for n in (1, 3, 8)):
+        p, n = domain.p, domain.precision
+        ring = RingPresentation(domain, ("x", "y"))
+        for j in range(n + 1):
+            k = n - j
+            low = ring.poly({(1, 0): p ** j, (0, 1): -2 * p ** j})
+            high = ring.poly({(0, 0): p ** k, (0, 2): 5 * p ** k})
+            assert (low * high).is_zero() and (high * low).is_zero()
+            assert (low * p ** k).is_zero()
+            assert low.mul_term(ring.order.key((1, 1)), domain.coerce(-(p ** k))).is_zero()
+            if k:
+                assert not (low * p ** (k - 1)).is_zero()
+            # each division step by x^2 + p^k y takes a quotient term
+            # p^j * (x or y), and its update p^(j+k) * (x y or y^2) vanishes
+            rem, (q,) = normal_form(
+                ring.parse("x^3 + x^2*y") * p ** j, [ring.parse("x^2") + p ** k * ring.var("y")],
+                with_quotients=True,
+            )
+            assert rem.is_zero() and q == ring.parse("x + y") * p ** j
 
 
 @st.composite
@@ -593,7 +636,7 @@ def test_product_matches_sympy(sympy, problem):
         options = {"modulus": domain.p}
 
         def lift(c):
-            return c.residue
+            return c
 
         def lower(c):
             return domain.from_int(int(c))
@@ -604,3 +647,107 @@ def test_product_matches_sympy(sympy, problem):
         for h in (f, g)
     )
     assert dict(exponent_terms(f * g)) == {m: lower(c) for m, c in sf.mul(sg).as_dict().items()}
+
+
+# ---------------------------------------------------------------------------
+# residue arithmetic against dicts of ints reduced by hand
+
+_DIFFERENTIAL_RINGS = [TruncatedPadicRing(p, n) for p in (2, 5, 7) for n in (1, 3, 8)]
+
+
+def _reduced(d, modulus):
+    """An exponent -> int dict with each value reduced, zeros dropped."""
+    return {m: c % modulus for m, c in d.items() if c % modulus}
+
+
+def _ref_mul(f, g):
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _ref_divide(f, divisors, ring):
+    """Division on dicts of raw ints, reducing each popped coefficient;
+    the order comes from the ring's keys."""
+    modulus = ring.domain.modulus
+    key = ring.order.key
+    work, rem = dict(f), {}
+    quots = [{} for _ in divisors]
+    while work:
+        m = min(work, key=key)
+        c = work.pop(m) % modulus
+        if not c:
+            continue
+        for q, d in zip(quots, divisors):
+            lm = min(d, key=key)
+            if all(map(le, lm, m)):
+                qm = tuple(map(sub, m, lm))
+                qc = c * pow(d[lm], -1, modulus) % modulus
+                q[qm] = qc
+                for dm, dc in d.items():
+                    if dm != lm:
+                        nm = tuple(map(add, qm, dm))
+                        work[nm] = work.get(nm, 0) - qc * dc
+                break
+        else:
+            rem[m] = c
+    return rem, quots
+
+
+@st.composite
+def _residue_problems(draw):
+    """Raw int coefficient dicts over Z/p^N: negative and out-of-range
+    ints, and units times p^j (j up to N), so that products vanish."""
+    domain = draw(st.sampled_from(_DIFFERENTIAL_RINGS))
+    p, n, modulus = domain.p, domain.precision, domain.modulus
+    raw = st.one_of(
+        st.integers(-3 * modulus, 3 * modulus),
+        st.builds(lambda u, j: u * p ** j, st.integers(-modulus, modulus), st.integers(0, n)),
+    )
+    mono = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    polys = [draw(st.dictionaries(mono, raw, max_size=8)) for _ in range(3)]
+    return RingPresentation(domain, ("x", "y")), polys, draw(mono), draw(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_residue_problems())
+def test_residue_arithmetic_matches_dicts_of_ints(problem):
+    ring, (fd, gd, hd), mono, scalar = problem
+    modulus = ring.domain.modulus
+
+    def as_dict(poly):
+        terms = exponent_terms(poly)
+        assert all(type(c) is int and 0 < c < modulus for _, c in terms)
+        return dict(terms)
+
+    f, g, h = (ring.poly(d) for d in (fd, gd, hd))
+    fd, gd, hd = (_reduced(d, modulus) for d in (fd, gd, hd))
+    assert as_dict(f) == fd and as_dict(g) == gd
+    assert as_dict(f + g) == _reduced({m: fd.get(m, 0) + gd.get(m, 0) for m in {*fd, *gd}}, modulus)
+    assert as_dict(f - g) == _reduced({m: fd.get(m, 0) - gd.get(m, 0) for m in {*fd, *gd}}, modulus)
+    assert as_dict(-f) == _reduced({m: -c for m, c in fd.items()}, modulus)
+    assert as_dict(f * g) == as_dict(g * f) == _reduced(_ref_mul(fd, gd), modulus)
+    assert as_dict(f * scalar) == _reduced({m: c * scalar for m, c in fd.items()}, modulus)
+    shifted = f.mul_term(ring.order.key(mono), ring.domain.coerce(scalar))
+    assert as_dict(shifted) == _reduced(_ref_mul(fd, {mono: scalar}), modulus)
+    if not gd:
+        return
+    lc = g.lc()
+    if lc % ring.domain.p == 0:
+        with pytest.raises(ZeroDivisionError):
+            g.monic()
+        return
+    inv = pow(lc, -1, modulus)
+    assert as_dict(g.monic()) == _reduced({m: c * inv for m, c in gd.items()}, modulus)
+    divisors = [g] + ([h] if h and h.lc() % ring.domain.p else [])
+    rem, quots = normal_form(f, divisors, with_quotients=True)
+    ref_rem, ref_quots = _ref_divide(fd, [as_dict(d) for d in divisors], ring)
+    assert as_dict(rem) == ref_rem
+    assert [as_dict(q) for q in quots] == ref_quots
+    # the quotients re-expand: f = sum q_i * d_i + rem
+    assert sum((q * d for q, d in zip(quots, divisors)), rem) == f
+    # a unit leading coefficient makes division by g exact on multiples of g
+    assert exact_divide(f * g, g) == f

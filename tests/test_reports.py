@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -110,6 +111,10 @@ class TestCli:
             ["charp", "--p", "29", "--e-max", "4"],
             ["charp", "--p", "101"],
             ["charp", "--p", "262139", "--e-max", "1", "--deg-bound", "0"],
+            # 2^61 - 1 and 2^127 - 1: the bound is tested before primality
+            ["charp", "--p", str(2 ** 61 - 1)],
+            ["charp", "--p", str(2 ** 127 - 1)],
+            ["padic", "--p", str(2 ** 127 - 1)],
             ["isogeny", "--p", "3"],
             ["padic", "--precision", "9"],
             ["tower-verify", "--max-level", "abc"],
@@ -124,6 +129,14 @@ class TestCli:
         assert captured.err.startswith("config error:")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_padic_answers_a_61_bit_prime_at_once(self, capsys):
+        """2^61 - 1 is below padic's bound: it is certified prime by
+        Miller-Rabin, not by trial division, and the run finishes."""
+        start = time.perf_counter()
+        assert main(["padic", "--p", str(2 ** 61 - 1), "--samples", "2"]) == 0
+        assert time.perf_counter() - start < 2
+        assert json.loads(capsys.readouterr().out)["config"]["p"] == 2 ** 61 - 1
 
     def test_charp_accepts_the_largest_prime_below_the_limit(self, capsys, monkeypatch):
         # no golden multiplier is recorded for p = 97, so the run exits 1

@@ -10,7 +10,14 @@ from pathlib import Path
 LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 # callables the package no longer has; their layers read 0 under tracing
-KNOWN_UNBOUND = {"PrimeFieldElem.__mul__", "PrimeFieldElem.__rmul__", "BlockElimination.key"}
+KNOWN_UNBOUND = {
+    "PrimeFieldElem.__mul__",
+    "PrimeFieldElem.__rmul__",
+    "BlockElimination.key",
+    # residues mod p^N are plain ints: no coefficient class to wrap
+    "TruncatedPadic.__mul__",
+    "TruncatedPadic.__rmul__",
+}
 
 
 def _layers():
