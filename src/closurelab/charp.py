@@ -70,15 +70,12 @@ def frobenius_power(gens, e: int) -> list[Poly]:
 
 
 @lru_cache(maxsize=None)
-def _bracket_basis(p: int, gen_texts: tuple[str, ...], e: int) -> GroebnerBasis:
-    ring = fermat_ring(p)
-    gens = [ring.parse(g) for g in gen_texts]
-    return groebner(frobenius_power(gens, e), ring)
-
-
-def _basis_for(gens, e: int) -> GroebnerBasis:
-    ring = gens[0].ring
-    return _bracket_basis(ring.domain.p, tuple(format_poly(g) for g in gens), e)
+def _bracket_basis(gens: tuple[Poly, ...], e: int) -> GroebnerBasis:
+    """Groebner basis of I^[p^e] + (rel), cached on the generator ``Poly``s:
+    equal ones need compatible rings, so no two primes share an entry.  The
+    basis is built in ``fermat_ring(p)`` whatever the generators' ring, so
+    a compatible ring without the relation cannot alias an entry."""
+    return groebner(frobenius_power(gens, e), fermat_ring(gens[0].ring.domain.p))
 
 
 def frobenius_ladder(f: Poly, gens, e_max: int) -> list[Poly]:
@@ -87,11 +84,11 @@ def frobenius_ladder(f: Poly, gens, e_max: int) -> list[Poly]:
     once (see the module docstring for why that is exact)."""
     if e_max < 0:
         raise ValueError("Frobenius exponent must be >= 0")
-    gens = list(gens)
+    gens = tuple(gens)
     out = []
     g = f
     for e in range(1, e_max + 1):
-        g = normal_form(frobenius(g), _basis_for(gens, e))
+        g = normal_form(frobenius(g), _bracket_basis(gens, e))
         out.append(g)
     return out
 
@@ -99,18 +96,17 @@ def frobenius_ladder(f: Poly, gens, e_max: int) -> list[Poly]:
 def frobenius_closure_test(f: Poly, gens, e: int) -> bool:
     """True iff f^q lies in I^[q] in the quotient ring, q = p^e."""
     if e == 0:
-        return normal_form(f, _basis_for(list(gens), 0)).is_zero()
+        return normal_form(f, _bracket_basis(tuple(gens), 0)).is_zero()
     return frobenius_ladder(f, gens, e)[-1].is_zero()
 
 
 def tight_closure_witness(f: Poly, gens, c: Poly, e_max: int) -> list[bool]:
     """For e = 1..e_max, whether c * f^(p^e) lies in I^[p^e] in the quotient."""
-    ring = f.ring
-    if normal_form(c, groebner([], ring)).is_zero():
+    if normal_form(c, f.ring.relations).is_zero():
         raise ZeroDivisionError("multiplier reduces to zero in the quotient ring")
-    gens = list(gens)
+    gens = tuple(gens)
     return [
-        normal_form(c * fe, _basis_for(gens, e)).is_zero()
+        normal_form(c * fe, _bracket_basis(gens, e)).is_zero()
         for e, fe in enumerate(frobenius_ladder(f, gens, e_max), 1)
     ]
 
@@ -138,13 +134,12 @@ def find_multiplier(f: Poly, gens, deg_bound: int, e_max: int) -> Poly | None:
     if deg_bound < 0 or e_max < 1:
         raise ValueError("deg_bound must be >= 0 and e_max >= 1")
     ring = f.ring
-    gens = list(gens)
-    rel_basis = groebner([], ring)
-    bases = [_basis_for(gens, e) for e in range(1, e_max + 1)]
+    gens = tuple(gens)
+    bases = [_bracket_basis(gens, e) for e in range(1, e_max + 1)]
     powers = frobenius_ladder(f, gens, e_max)
 
     def qualifies(c: Poly) -> bool:
-        if normal_form(c, rel_basis).is_zero():
+        if normal_form(c, ring.relations).is_zero():
             return False
         return all(normal_form(c * fe, b).is_zero() for fe, b in zip(powers, bases))
 
@@ -163,7 +158,7 @@ def find_multiplier(f: Poly, gens, deg_bound: int, e_max: int) -> Poly | None:
         piece = colon(frobenius_power(gens, e), fe, ring) if fe else [ring.one()]
         current = piece if current is None else intersect(current + relations, piece + relations, ring)
     for g in groebner(current, ring).generators:
-        if g.degree() <= deg_bound and not normal_form(g, rel_basis).is_zero():
+        if g.degree() <= deg_bound and not normal_form(g, ring.relations).is_zero():
             return g.monic()
     return None
 
@@ -180,7 +175,7 @@ def contrast_row(p: int, e_max: int = 2, deg_bound: int = 3) -> ContrastRow:
     ring = fermat_ring(p)
     z2 = ring.parse("z^2")
     gens = [ring.parse("x"), ring.parse("y")]
-    member = normal_form(z2, groebner(gens, ring)).is_zero()
+    member = frobenius_closure_test(z2, gens, 0)
     frob = frobenius_closure_test(z2, gens, 1)
     c = find_multiplier(z2, gens, deg_bound, e_max)
     checks: tuple[bool, ...] = ()

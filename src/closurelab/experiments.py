@@ -251,9 +251,7 @@ def run_charp(config: dict) -> ExperimentReport:
             f"charp_p{p}_emax{cfg['e_max']}_deg{cfg['deg_bound']}",
             {"multiplier": row.multiplier, "degree": row.multiplier_degree},
         )
-        entry = {"name": f"p{p}/golden_multiplier", "status": golden.pop("status")}
-        entry.update(golden)
-        checks.append(entry)
+        checks.append({"name": f"p{p}/golden_multiplier", **golden})
     return ExperimentReport("charp", cfg, checks)
 
 
@@ -265,9 +263,7 @@ def run_isogeny(config: dict) -> ExperimentReport:
         _check("doubling/relation_preserved", isogeny.verify_endo(e), formula=e.to_json())
     )
     golden = check_against_fixture("isogeny_doubling_formula", e.to_json())
-    entry = {"name": "doubling/pinned_normalization", "status": golden.pop("status")}
-    entry.update(golden)
-    checks.append(entry)
+    checks.append({"name": "doubling/pinned_normalization", **golden})
     checks.append(_check("doubling/degree", e.degree == 4, degree=e.degree))
     from .coefficients import QQ, PrimeField
 
@@ -430,8 +426,10 @@ def run_padic(config: dict) -> ExperimentReport:
 def run_all(config: dict) -> ExperimentReport:
     cfg = _validated(config, "all")
     checks = []
-    for name in ("tower-verify", "tower-colon", "tower-trace", "charp", "isogeny", "padic"):
-        sub_cfg = {"seed": cfg["seed"]} if name in ("tower-trace", "padic") else {}
+    for name, schema in SCHEMAS.items():
+        if name == "all":
+            continue
+        sub_cfg = {"seed": cfg["seed"]} if "seed" in schema else {}
         sub = run_experiment(name, sub_cfg)
         for c in sub.checks:
             entry = dict(c)

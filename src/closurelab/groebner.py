@@ -1,9 +1,12 @@
 """Buchberger Groebner bases with representation tracking, normal forms,
 certified ideal membership, and colon ideals.
 
-Ideal computations use quotient-ring semantics: the ring's relation
-polynomials are appended to every generator set internally.  The one
-exception is ``intersect``, which meets two ideals exactly as given.
+Ideal computations use quotient-ring semantics: the ring's relation is
+appended to every generator set internally.  The one exception is
+``intersect``, which meets two ideals exactly as given.  A ring has at most
+one relation, and that polynomial is its own Groebner basis, so reducing
+modulo the relation alone is ``normal_form(f, ring.relations)`` and runs no
+Buchberger.
 Representation vectors are carried through the whole computation so that a
 membership answer comes with cofactors whose expansion reproduces the
 target exactly.
@@ -119,12 +122,15 @@ def _divide(f: Poly, divisors, track: bool = True):
     coefficient with an inverse is a unit), and are wrapped without sorting
     again.  Over Z/p^N the pending coefficients are raw int sums, reduced
     modulo p^N once when popped.  Returns (remainder, quotients); raises
-    ``ValueError`` when a divisor comes from an incompatible ring.
+    ``ValueError`` when a divisor comes from an incompatible ring and
+    ``ZeroDivisionError`` when a divisor is zero.
     """
     ring = f.ring
     for d in divisors:
         if d.ring is not ring and not ring.compatible(d.ring):
             raise ValueError("polynomials from incompatible rings")
+        if not d.terms:
+            raise ZeroDivisionError("division by the zero polynomial")
     dom = ring.domain
     mod = dom.modulus
     divides = ring.order.divides
@@ -174,8 +180,6 @@ def _divide(f: Poly, divisors, track: bool = True):
 def exact_divide(f: Poly, g: Poly) -> Poly:
     """Quotient f / g when g divides f exactly; raises otherwise.  A single
     polynomial is a Groebner basis, so the remainder is zero iff g | f."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
     rem, (q,) = _divide(f, [g])
     if rem:
         raise ValueError(f"{g} does not divide {f} exactly")
@@ -183,10 +187,12 @@ def exact_divide(f: Poly, g: Poly) -> Poly:
 
 
 def normal_form(f: Poly, basis, with_quotients: bool = False):
-    """Remainder of full division of f by the basis (a GroebnerBasis or a
-    plain sequence of polynomials).  Zero iff f lies in the ideal when the
-    basis is a Groebner basis."""
-    divisors = list(basis.generators) if isinstance(basis, GroebnerBasis) else list(basis)
+    """Remainder of full division of f by the divisors in ``basis``, any
+    sequence of polynomials: a GroebnerBasis iterates its generators, and
+    ``ring.relations`` is the relation ideal's own basis.  Zero iff f lies
+    in the ideal when the divisors form a Groebner basis; f itself when
+    there are none."""
+    divisors = list(basis)
     if not divisors:
         return (f, []) if with_quotients else f
     rem, quots = _divide(f, divisors, track=with_quotients)
@@ -386,8 +392,7 @@ def colon(gens, f: Poly, ring: RingPresentation | None = None) -> list:
     ring = ring or f.ring
     if f.is_zero():
         raise ZeroDivisionError("colon by the zero polynomial")
-    rel_gb = groebner([], ring)
-    if rel_gb.generators and normal_form(f, rel_gb).is_zero():
+    if normal_form(f, ring.relations).is_zero():
         raise ZeroDivisionError(f"{format_poly(f)} reduces to zero in the quotient ring")
     meet = intersect(list(gens) + list(ring.relations), [f], ring)
     quotients = [exact_divide(g, f) for g in meet]

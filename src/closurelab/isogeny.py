@@ -35,10 +35,6 @@ def integral_ring() -> RingPresentation:
     return RingPresentation(QQ, ("z", "x", "y"), relations=["z^3 + x^3 + y^3"])
 
 
-def _relation(ring: RingPresentation) -> Poly:
-    return ring.relations[0]
-
-
 class GradedEndo(namedtuple("GradedEndo", "x_image y_image z_image")):
     """Images of (x, y, z): homogeneous integer-coefficient polynomials of a
     common degree whose cubes sum into the relation ideal."""
@@ -85,7 +81,7 @@ def verify_endo(e: GradedEndo) -> bool:
     """True iff e(x)^3 + e(y)^3 + e(z)^3 is an exact multiple of the relation."""
     ring = e.x_image.ring
     total = e.x_image ** 3 + e.y_image ** 3 + e.z_image ** 3
-    return normal_form(total, [_relation(ring)]).is_zero()
+    return normal_form(total, ring.relations).is_zero()
 
 
 def compose_endo(e1: GradedEndo, e2: GradedEndo) -> GradedEndo:
@@ -231,7 +227,6 @@ def hesse_double() -> GradedEndo:
     """Degree-4 lift of multiplication-by-2, pinned to the first candidate
     that preserves the relation and doubles actual points correctly."""
     ring = integral_ring()
-    rel = _relation(ring)
     field = PrimeField(7)
     sample = curve_points(7)[:6]
     rejected = []
@@ -240,7 +235,7 @@ def hesse_double() -> GradedEndo:
         if not verify_endo(e):
             rejected.append("relation check")
             continue
-        if all(normal_form(img, [rel]).is_zero() for img in e.images()):
+        if all(normal_form(img, ring.relations).is_zero() for img in e.images()):
             rejected.append("images inside relation ideal")
             continue
         ok = True
@@ -286,7 +281,7 @@ def membership_digits(e: GradedEndo, p: int, n: int):
         return True, None
     ring_z = integral_ring()
     ring_p = fermat_ring(p)
-    rel_z = _relation(ring_z)
+    (rel_z,) = ring_z.relations
     gens_z = [e.x_image, e.y_image]
     gens_p = [_to_prime_field(g, ring_p) for g in gens_z]
     basis = groebner(gens_p, ring_p)

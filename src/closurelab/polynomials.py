@@ -127,12 +127,16 @@ class WeightedGrevlex:
 
 
 class RingPresentation:
-    """Coefficient domain + ordered variables + weights + relation ideal.
+    """Coefficient domain + ordered variables + weights + at most one relation.
 
-    Relations may be given as polynomial text; they are parsed against this
-    ring and must be homogeneous for the declared weights.  Quotient-ring
-    semantics: every ideal computation appends the relations internally.
-    ``block=1`` orders by a leading elimination block of the first variable.
+    The relation may be given as polynomial text; it is parsed against this
+    ring and must be homogeneous for the declared weights.  A second
+    relation is refused (``ValueError``), so ``relations`` is itself a
+    Groebner basis of the relation ideal: one polynomial with a unit leading
+    coefficient always is, and every reduction modulo the relation divides
+    by it.  Quotient-ring semantics: every ideal computation appends the
+    relation internally.  ``block=1`` orders by a leading elimination block
+    of the first variable.
     """
 
     def __init__(self, domain, variables, weights=None, relations=(), block: int = 0):
@@ -150,6 +154,8 @@ class RingPresentation:
         self._var_keys = {
             v: self.order.key(tuple(int(j == i) for j in range(n))) for i, v in enumerate(self.variables)
         }
+        if len(relations) > 1:
+            raise ValueError("a ring takes at most one relation")
         rels = []
         for r in relations:
             poly = self.parse(r) if isinstance(r, str) else r

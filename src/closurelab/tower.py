@@ -112,8 +112,9 @@ def embed(f: Poly, from_level: int, to_level: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def relation_basis(n: int) -> GroebnerBasis:
-    return groebner([], build_level(n).ring)
+def relation_basis(n: int) -> tuple[Poly, ...]:
+    """The level-n relation, its own Groebner basis."""
+    return build_level(n).ring.relations
 
 
 def valuation(f: Poly, level: TowerLevel) -> Fraction | None:

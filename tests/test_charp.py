@@ -181,6 +181,44 @@ def witness_oracle(mono, p: int, e: int) -> bool:
     )
 
 
+class TestBracketCache:
+    """``_bracket_basis`` caches I^[q] + (rel) on the generator Polys."""
+
+    def _counts(self):
+        info = charp._bracket_basis.cache_info()
+        return info.hits, info.misses
+
+    def test_equal_generators_hit_one_entry(self):
+        charp._bracket_basis.cache_clear()
+        ring = charp.fermat_ring(5)
+        first = charp._bracket_basis((ring.parse("x + z"), ring.parse("y")), 1)
+        assert self._counts() == (0, 1)
+        # equal Polys built afresh share the entry
+        assert charp._bracket_basis((ring.parse("x + z"), ring.parse("y")), 1) is first
+        assert self._counts() == (1, 1)
+
+    def test_primes_never_share_an_entry(self):
+        charp._bracket_basis.cache_clear()
+        gens = {p: (charp.fermat_ring(p).parse("x + z"), charp.fermat_ring(p).parse("y")) for p in (5, 7)}
+        assert gens[5][0].terms == gens[7][0].terms and gens[5] != gens[7]
+        b5, b7 = (charp._bracket_basis(gens[p], 1) for p in (5, 7))
+        assert self._counts() == (0, 2)
+        assert b5.ring is charp.fermat_ring(5) and b7.ring is charp.fermat_ring(7)
+        assert b5.generators != b7.generators
+
+    def test_a_ring_without_the_relation_gets_the_quotient_basis(self):
+        # the basis is built in fermat_ring(p) whichever compatible ring asks
+        # first, so the entry always holds the relation
+        charp._bracket_basis.cache_clear()
+        fermat = charp.fermat_ring(5)
+        bare = RingPresentation(fermat.domain, fermat.variables)
+        basis = charp._bracket_basis((bare.parse("x"), bare.parse("y")), 1)
+        assert basis.ring is fermat
+        assert normal_form(fermat.relations[0], basis).is_zero()
+        assert charp._bracket_basis((fermat.parse("x"), fermat.parse("y")), 1) is basis
+        assert self._counts() == (1, 1)
+
+
 class TestFrobeniusLadder:
     @pytest.mark.parametrize("p", PRIMES)
     def test_z2_rungs_match_their_closed_form(self, p):
@@ -220,7 +258,7 @@ class TestFrobeniusLadder:
         rungs = charp.frobenius_ladder(f, gens, e_max)
         assert len(rungs) == e_max
         for e, rung in enumerate(rungs, 1):
-            basis = charp._basis_for(gens, e)
+            basis = charp._bracket_basis(tuple(gens), e)
             assert rung == normal_form(f ** (p ** e), basis), (format_poly(f), e)
 
     def test_zero_rungs_and_negative_exponent(self):

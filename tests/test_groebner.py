@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from operator import add, le, sub
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closurelab.charp import _basis_for, fermat_ring
+from closurelab.charp import _bracket_basis, fermat_ring
+from closurelab.experiments import run_experiment
 from closurelab.coefficients import CYCLO, QQ, DomainError, TruncatedPadicRing
 from closurelab.groebner import (
     _divide,
@@ -111,6 +114,19 @@ class TestNormalForm:
         # an equal ring built twice is compatible
         again = RingPresentation(QQ, ("x", "y"))
         assert normal_form(qq_xy.parse("x^2 + y"), [again.parse("x")]) == qq_xy.parse("y")
+
+    def test_a_zero_divisor_is_a_zero_division(self):
+        """Division checks each divisor once: a zero one raises
+        ZeroDivisionError, from normal_form and exact_divide alike."""
+        ring = RingPresentation(QQ, ("x", "y"))
+        x, zero = ring.parse("x"), ring.zero()
+        for call in (
+            lambda: normal_form(x, [zero]),
+            lambda: normal_form(x, [x, zero]),
+            lambda: exact_divide(x, zero),
+        ):
+            with pytest.raises(ZeroDivisionError, match="zero polynomial"):
+                call()
 
     def test_division_invariant(self):
         # f - NF(f, G) lies in (G), witnessed by the recorded quotients
@@ -220,7 +236,7 @@ class TestHeapDivision:
         # over F_13: the division expands (x^3 + y^3)^112 term by term.  The
         # monomials are packed keys already, so the division packs none
         ring = fermat_ring(13)
-        basis = _basis_for([ring.parse("x"), ring.parse("y")], 2)
+        basis = _bracket_basis((ring.parse("x"), ring.parse("y")), 2)
         f = ring.parse("z^338")
         calls = 0
         key = WeightedGrevlex.key
@@ -292,6 +308,33 @@ class TestBuchbergerProperty:
         gb = groebner([ring.parse(g) for g in gens], ring)
         text = json.dumps([[format_poly(c) for c in rep] for rep in gb.reps])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestRelationBasis:
+    """A ring's one relation is its own Groebner basis, so no run asks
+    Buchberger for the basis of the relation alone."""
+
+    def test_no_run_rebuilds_the_relation_basis(self, monkeypatch):
+        engine = importlib.import_module("closurelab.groebner")
+        original = engine.groebner
+        calls = []
+
+        def counted(gens, ring):
+            gens = list(gens)
+            calls.append(len(gens))
+            return original(gens, ring)
+
+        modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "closurelab"]
+        for mod in modules:
+            if getattr(mod, "groebner", None) is original:
+                monkeypatch.setattr(mod, "groebner", counted)
+            # cold caches, as in a fresh process
+            for value in vars(mod).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        for name, config in [("tower-colon", {}), ("charp", {}), ("padic", {}), ("tower-trace", {"pairs": 1})]:
+            assert run_experiment(name, config).passed
+        assert calls and 0 not in calls
 
 
 class TestMembership:

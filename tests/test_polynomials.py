@@ -390,6 +390,12 @@ def test_relations_must_be_weighted_homogeneous():
         RingPresentation(QQ, ("x", "y"), relations=["x^2 + y"])
 
 
+def test_a_second_relation_is_refused():
+    # one relation is its own Groebner basis; two need not be one
+    with pytest.raises(ValueError, match="at most one relation"):
+        RingPresentation(QQ, ("x", "y", "z"), relations=["x^2 - y*z", "y^2 - x*z"])
+
+
 def test_fermat_relation_is_weighted_homogeneous():
     ring = RingPresentation(
         CYCLO, ("z1", "x1", "y1"), weights=(Fraction(1, 3),) * 3,

@@ -292,6 +292,8 @@ class TestPinnedFingerprints:
         # perfbench's charp-matrix op (every p) and its padic-stress op at seed 53
         "charp --p 0 --e-max 2 --deg-bound 3": "efc77164058fffbdeaa3777540705057c6a8ca17430bb7afef03cdb083d98eb5",
         "padic --precision 8 --samples 20 --seed 53": "4942a02e36cb93a60d5f84c5a1d6f0187fc1db745ae45275d16840847a3a8566",
+        # every experiment at its defaults, seed 0
+        "all": "2f311f5d7111a9ae606f433400f2bd82028d74e875b3e475a315a24cc519f6d5",
     }
 
     @pytest.mark.parametrize("command", list(PINNED), ids=lambda c: c.replace(" --", "_").replace(" ", "_"))
