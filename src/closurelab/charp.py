@@ -70,12 +70,13 @@ def frobenius_power(gens, e: int) -> list[Poly]:
 
 
 @lru_cache(maxsize=None)
-def _bracket_basis(gens: tuple[Poly, ...], e: int) -> GroebnerBasis:
-    """Groebner basis of I^[p^e] + (rel), cached on the generator ``Poly``s:
-    equal ones need compatible rings, so no two primes share an entry.  The
-    basis is built in ``fermat_ring(p)`` whatever the generators' ring, so
-    a compatible ring without the relation cannot alias an entry."""
-    return groebner(frobenius_power(gens, e), fermat_ring(gens[0].ring.domain.p))
+def _bracket_basis(p: int, gens: tuple[Poly, ...], e: int) -> GroebnerBasis:
+    """Groebner basis of I^[p^e] + (rel) over F_p, cached on p and the
+    generator ``Poly``s, so no two primes share an entry (not even for the
+    zero ideal, ``gens == ()``).  The basis is built in ``fermat_ring(p)``
+    whatever the generators' ring, so a compatible ring without the
+    relation cannot alias an entry."""
+    return groebner(frobenius_power(gens, e), fermat_ring(p))
 
 
 def frobenius_ladder(f: Poly, gens, e_max: int) -> list[Poly]:
@@ -88,7 +89,7 @@ def frobenius_ladder(f: Poly, gens, e_max: int) -> list[Poly]:
     out = []
     g = f
     for e in range(1, e_max + 1):
-        g = normal_form(frobenius(g), _bracket_basis(gens, e))
+        g = normal_form(frobenius(g), _bracket_basis(f.ring.domain.p, gens, e))
         out.append(g)
     return out
 
@@ -96,7 +97,7 @@ def frobenius_ladder(f: Poly, gens, e_max: int) -> list[Poly]:
 def frobenius_closure_test(f: Poly, gens, e: int) -> bool:
     """True iff f^q lies in I^[q] in the quotient ring, q = p^e."""
     if e == 0:
-        return normal_form(f, _bracket_basis(tuple(gens), 0)).is_zero()
+        return normal_form(f, _bracket_basis(f.ring.domain.p, tuple(gens), 0)).is_zero()
     return frobenius_ladder(f, gens, e)[-1].is_zero()
 
 
@@ -106,7 +107,7 @@ def tight_closure_witness(f: Poly, gens, c: Poly, e_max: int) -> list[bool]:
         raise ZeroDivisionError("multiplier reduces to zero in the quotient ring")
     gens = tuple(gens)
     return [
-        normal_form(c * fe, _bracket_basis(gens, e)).is_zero()
+        normal_form(c * fe, _bracket_basis(f.ring.domain.p, gens, e)).is_zero()
         for e, fe in enumerate(frobenius_ladder(f, gens, e_max), 1)
     ]
 
@@ -135,7 +136,7 @@ def find_multiplier(f: Poly, gens, deg_bound: int, e_max: int) -> Poly | None:
         raise ValueError("deg_bound must be >= 0 and e_max >= 1")
     ring = f.ring
     gens = tuple(gens)
-    bases = [_bracket_basis(gens, e) for e in range(1, e_max + 1)]
+    bases = [_bracket_basis(ring.domain.p, gens, e) for e in range(1, e_max + 1)]
     powers = frobenius_ladder(f, gens, e_max)
 
     def qualifies(c: Poly) -> bool:

@@ -4,8 +4,9 @@ N = 1).
 
 A cyclotomic element is stored fraction-free, as six ints over one positive
 common denominator; products fold t^6 + t^3 + 1 inline and cancel with one
-gcd, and inverses come from the norm (Cohen, *A Course in Computational
-Algebraic Number Theory*, 4.2).
+gcd.  The 18 units +-t^k are inverted by table lookup and every other
+element by the norm (Cohen, *A Course in Computational Algebraic Number
+Theory*, 4.2).
 
 A residue mod p^N is a plain int in [0, p^N), not a wrapper object, and
 ``Poly`` reduces each output coefficient modulo the domain's ``modulus``
@@ -207,21 +208,13 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """The norm formula: 1/a is the product of the other five Galois
-        conjugates t -> t^k divided by the rational norm a * (that product)."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero in Q(zeta_9)")
-        num, den = self.num, self.den
-        others = None
-        for k in (2, 4, 5, 7, 8):
-            cs = [0] * 9
-            for i, c in enumerate(num):
-                cs[i * k % 9] = c
-            conj = _make(_fold(cs), den)
-            others = conj if others is None else others * conj
-        norm = self * others
-        n, d = norm.num[0], norm.den
-        return _reduced(tuple([c * d for c in others.num]), others.den * n)
+        """1/a: a unit +-t^k is looked up (its inverse is +-t^(9-k)), and
+        any other element goes through the norm formula."""
+        if self.den == 1:
+            inv = _UNIT_INVERSES.get(self.num)
+            if inv is not None:
+                return inv
+        return _norm_inverse(self)
 
     def __truediv__(self, other) -> "CycloNum":
         if isinstance(other, (int, Fraction)):
@@ -247,6 +240,24 @@ class CycloNum:
 
     def __str__(self) -> str:
         return format_cyclo(self)
+
+
+def _norm_inverse(a: CycloNum) -> CycloNum:
+    """The norm formula: 1/a is the product of the other five Galois
+    conjugates t -> t^k divided by the rational norm a * (that product)."""
+    if not a:
+        raise ZeroDivisionError("inverse of zero in Q(zeta_9)")
+    num, den = a.num, a.den
+    others = None
+    for k in (2, 4, 5, 7, 8):
+        cs = [0] * 9
+        for i, c in enumerate(num):
+            cs[i * k % 9] = c
+        conj = _make(_fold(cs), den)
+        others = conj if others is None else others * conj
+    norm = a * others
+    n, d = norm.num[0], norm.den
+    return _reduced(tuple([c * d for c in others.num]), others.den * n)
 
 
 def _make(num: tuple, den: int) -> CycloNum:
@@ -287,6 +298,15 @@ def _fold(cs: list) -> tuple:
             cs[k - 6] -= c
     cs += [0] * (CYCLO_DEGREE - len(cs))
     return tuple(cs[:CYCLO_DEGREE])
+
+
+# the 18 units +-t^k (k = 0..8), keyed on their stored numerators (den 1,
+# and each element has one stored form), mapped to their inverses +-t^(9-k)
+_UNIT_INVERSES = {
+    (s * CycloNum.zeta_power(k)).num: s * CycloNum.zeta_power(9 - k)
+    for k in range(9)
+    for s in (1, -1)
+}
 
 
 def format_cyclo(value: CycloNum) -> str:

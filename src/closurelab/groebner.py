@@ -1,5 +1,5 @@
-"""Buchberger Groebner bases with representation tracking, normal forms,
-certified ideal membership, and colon ideals.
+"""Buchberger Groebner bases with optional representation tracking, normal
+forms, certified ideal membership, and colon ideals.
 
 Ideal computations use quotient-ring semantics: the ring's relation is
 appended to every generator set internally.  The one exception is
@@ -7,9 +7,10 @@ appended to every generator set internally.  The one exception is
 one relation, and that polynomial is its own Groebner basis, so reducing
 modulo the relation alone is ``normal_form(f, ring.relations)`` and runs no
 Buchberger.
-Representation vectors are carried through the whole computation so that a
-membership answer comes with cofactors whose expansion reproduces the
-target exactly.
+On request (``groebner(..., reps=True)``) representation vectors are
+carried through the whole computation, so that a membership answer comes
+with cofactors whose expansion reproduces the target exactly; a basis built
+without them cannot certify membership.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ class VerificationError(AssertionError):
 
 class _Tracked:
     """Basis element together with its representation in the input
-    generators: poly == sum(rep[i] * inputs[i]) exactly."""
+    generators, poly == sum(rep[i] * inputs[i]) exactly, or rep None when
+    no representation is tracked."""
 
     __slots__ = ("poly", "rep", "sugar")
 
@@ -41,14 +43,15 @@ class GroebnerBasis:
     """Reduced Groebner basis of (generators) + (relations).
 
     ``generators`` holds the basis polynomials; ``reps`` holds, per basis
-    element, its cofactor vector over inputs + relations.
+    element, its cofactor vector over inputs + relations, or is None when
+    the basis was built without them.
     """
 
-    def __init__(self, ring: RingPresentation, inputs, basis):
+    def __init__(self, ring: RingPresentation, inputs, basis, reps: bool):
         self.ring = ring
         self.inputs = tuple(inputs)  # caller generators followed by relations
         self.generators = tuple(t.poly for t in basis)
-        self.reps = tuple(t.rep for t in basis)
+        self.reps = tuple(t.rep for t in basis) if reps else None
 
     def __iter__(self):
         return iter(self.generators)
@@ -106,6 +109,11 @@ def _combination(quots, reps):
     return acc
 
 
+def _scaled(rep, c):
+    """The cofactor vector rep times the scalar c, or None for None."""
+    return None if rep is None else tuple(r * c for r in rep)
+
+
 def _divide(f: Poly, divisors, track: bool = True):
     """Full multivariate division: f = sum(q_i * divisors_i) + remainder.
 
@@ -136,7 +144,8 @@ def _divide(f: Poly, divisors, track: bool = True):
     divides = ring.order.divides
     check_fields = ring.order.check_fields
     lms = [d.lm() for d in divisors]
-    inv_lcs = [dom.inv(d.lc()) for d in divisors]
+    # a divisor's leading coefficient is inverted when the divisor is first used
+    inv_lcs = [None] * len(divisors)
     quotients = [[] for _ in divisors] if track else None
     remainder = []
     work = dict(f.terms)
@@ -154,7 +163,10 @@ def _divide(f: Poly, divisors, track: bool = True):
         for i, lm in enumerate(lms):
             if divides(lm, m):
                 qm = m - lm
-                qc = c * inv_lcs[i] % mod if mod else c * inv_lcs[i]
+                inv = inv_lcs[i]
+                if inv is None:
+                    inv = inv_lcs[i] = dom.inv(divisors[i].lc())
+                qc = c * inv % mod if mod else c * inv
                 if track:
                     quotients[i].append((qm, qc))
                 for dm, dc in divisors[i].terms[1:]:
@@ -199,13 +211,16 @@ def normal_form(f: Poly, basis, with_quotients: bool = False):
     return (rem, quots) if with_quotients else rem
 
 
-def groebner(gens, ring: RingPresentation) -> GroebnerBasis:
+def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBasis:
     """Reduced Groebner basis of (gens) + (ring relations).
 
     Buchberger with the Gebauer-Moeller pair criteria; each step takes the
     ``min`` pair by degree, then sugar, then ascending lcm, then indices.
     Leading coefficients are normalized to 1, so the reduced basis is the
-    unique one for the ring's order.
+    unique one for the ring's order.  With ``reps`` each element carries
+    its cofactor vector over the inputs (``GroebnerBasis.reps``), which
+    ``membership_with_basis`` needs; without it ``reps`` is None, and the
+    generators are the same.
     """
     if not ring.domain.is_field:
         raise DomainError(
@@ -275,13 +290,15 @@ def groebner(gens, ring: RingPresentation) -> GroebnerBasis:
     for idx, g in enumerate(inputs):
         if g.is_zero():
             continue
-        rep = unit_rep(idx)
-        tr = _Tracked(g, rep, g.degree())
+        tr = _Tracked(g, unit_rep(idx) if reps else None, g.degree())
         basis.append(tr)
         add_pairs(tr, len(basis) - 1)
 
     def reduce_tracked(poly: Poly, rep, against: list) -> tuple:
-        rem, quots = _divide(poly, [t.poly for t in against], track=True)
+        # rep is None exactly when no cofactors are tracked
+        rem, quots = _divide(poly, [t.poly for t in against], track=reps)
+        if rep is None:
+            return rem, None
         used = _combination(quots, [t.rep for t in against])
         if used is not None:
             rep = [r - u for r, u in zip(rep, used)]
@@ -297,17 +314,14 @@ def groebner(gens, ring: RingPresentation) -> GroebnerBasis:
         ci = dom.inv(fi.poly.lc())
         cj = dom.inv(fj.poly.lc())
         spoly = fi.poly.mul_term(mi, ci) - fj.poly.mul_term(mj, cj)
-        rep = [
-            ri.mul_term(mi, ci) - rj.mul_term(mj, cj)
-            for ri, rj in zip(fi.rep, fj.rep)
-        ]
+        rep = None
+        if reps:
+            rep = [ri.mul_term(mi, ci) - rj.mul_term(mj, cj) for ri, rj in zip(fi.rep, fj.rep)]
         rem, rep = reduce_tracked(spoly, rep, basis)
         if rem.is_zero():
             continue
         inv = dom.inv(rem.lc())
-        rem = rem * inv
-        rep = [r * inv for r in rep]
-        tr = _Tracked(rem, tuple(rep), sugar)
+        tr = _Tracked(rem * inv, _scaled(rep, inv), sugar)
         basis.append(tr)
         add_pairs(tr, len(basis) - 1)
 
@@ -325,21 +339,26 @@ def groebner(gens, ring: RingPresentation) -> GroebnerBasis:
     for t in minimal:
         rem, rep = reduce_tracked(t.poly, t.rep, [u for u in minimal if u is not t])
         inv = dom.inv(rem.lc())
-        reduced.append(_Tracked(rem * inv, tuple(r * inv for r in rep), t.sugar))
+        reduced.append(_Tracked(rem * inv, _scaled(rep, inv), t.sugar))
     reduced.sort(key=lambda t: t.poly.lm(), reverse=True)
-    gb = GroebnerBasis(ring, inputs, reduced)
-    return gb
+    return GroebnerBasis(ring, inputs, reduced, reps)
 
 
 def ideal_member(f: Poly, gens, ring: RingPresentation | None = None):
     """Decide f in (gens) + (relations); on success return an exact
     MembershipCertificate over the generators and the relations."""
     ring = ring or f.ring
-    gb = groebner(list(gens), ring)
+    gb = groebner(list(gens), ring, reps=True)
     return membership_with_basis(f, gb)
 
 
 def membership_with_basis(f: Poly, gb: GroebnerBasis):
+    """Decide f in the ideal of ``gb``, a basis built with ``reps=True``;
+    on success return an exact MembershipCertificate.  Raises
+    ``ValueError`` for a basis without cofactors, which could not back the
+    certificate."""
+    if gb.reps is None:
+        raise ValueError("membership needs a basis built with cofactors (groebner(..., reps=True))")
     rem, quots = normal_form(f, gb, with_quotients=True)
     if not rem.is_zero():
         return False, None

@@ -284,7 +284,7 @@ def membership_digits(e: GradedEndo, p: int, n: int):
     (rel_z,) = ring_z.relations
     gens_z = [e.x_image, e.y_image]
     gens_p = [_to_prime_field(g, ring_p) for g in gens_z]
-    basis = groebner(gens_p, ring_p)
+    basis = groebner(gens_p, ring_p, reps=True)
     residual = e.apply(ring_z.parse("z^2"))
     for digit in range(n):
         target_p = _to_prime_field(residual, ring_p)

@@ -384,14 +384,21 @@ class Poly:
         """self * coeff * x^mono in ``self.ring``, for a packed ``mono``.  The
         packed key is linear in the exponents, so adding ``mono`` to every
         key keeps the terms in order; residues are reduced modulo p^N and
-        products that vanish (zero divisors of Z/p^N) are dropped."""
+        products that vanish (zero divisors of Z/p^N) are dropped.  A
+        coefficient equal to the domain's ``one`` only moves keys."""
         ring = self.ring
-        mod = ring.domain.modulus
-        if mod:
-            terms = [(m + mono, c * coeff % mod) for m, c in self.terms]
+        dom = ring.domain
+        if coeff == dom.one:
+            if not mono:
+                return self
+            terms = tuple([(m + mono, c) for m, c in self.terms])
         else:
-            terms = [(m + mono, c * coeff) for m, c in self.terms]
-        terms = tuple(filter(_coefficient, terms))
+            mod = dom.modulus
+            if mod:
+                terms = [(m + mono, c * coeff % mod) for m, c in self.terms]
+            else:
+                terms = [(m + mono, c * coeff) for m, c in self.terms]
+            terms = tuple(filter(_coefficient, terms))
         if mono:  # a constant factor moves no exponent
             ring.order.check_fields(reduce(or_, map(_monomial, terms), 0))
         return Poly._presorted(ring, terms)

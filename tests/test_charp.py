@@ -137,6 +137,19 @@ class TestFrobeniusClosure:
             for e in (1, 2):
                 assert charp.frobenius_closure_test(ring.parse("x"), gens, e) is True
 
+    def test_zero_ideal_is_decided(self):
+        """Over the zero ideal f^q lies in I^[q] + (rel) iff f is zero in the
+        quotient: z^2 is not, x times the relation is.  The prime comes from
+        f's ring, so the zero ideals over F_7 and F_5 keep separate bases."""
+        charp._bracket_basis.cache_clear()
+        for p in (7, 5):
+            ring = charp.fermat_ring(p)
+            multiple = ring.parse("x") * ring.relations[0]
+            for e in (0, 1):
+                assert charp.frobenius_closure_test(ring.parse("z^2"), [], e) is False
+                assert charp.frobenius_closure_test(multiple, [], e) is True
+            assert charp._bracket_basis(p, (), 1).ring is ring
+
     def test_monotone_in_e(self):
         for p in (2, 5):
             ring = charp.fermat_ring(p)
@@ -191,17 +204,17 @@ class TestBracketCache:
     def test_equal_generators_hit_one_entry(self):
         charp._bracket_basis.cache_clear()
         ring = charp.fermat_ring(5)
-        first = charp._bracket_basis((ring.parse("x + z"), ring.parse("y")), 1)
+        first = charp._bracket_basis(5, (ring.parse("x + z"), ring.parse("y")), 1)
         assert self._counts() == (0, 1)
         # equal Polys built afresh share the entry
-        assert charp._bracket_basis((ring.parse("x + z"), ring.parse("y")), 1) is first
+        assert charp._bracket_basis(5, (ring.parse("x + z"), ring.parse("y")), 1) is first
         assert self._counts() == (1, 1)
 
     def test_primes_never_share_an_entry(self):
         charp._bracket_basis.cache_clear()
         gens = {p: (charp.fermat_ring(p).parse("x + z"), charp.fermat_ring(p).parse("y")) for p in (5, 7)}
         assert gens[5][0].terms == gens[7][0].terms and gens[5] != gens[7]
-        b5, b7 = (charp._bracket_basis(gens[p], 1) for p in (5, 7))
+        b5, b7 = (charp._bracket_basis(p, gens[p], 1) for p in (5, 7))
         assert self._counts() == (0, 2)
         assert b5.ring is charp.fermat_ring(5) and b7.ring is charp.fermat_ring(7)
         assert b5.generators != b7.generators
@@ -212,10 +225,10 @@ class TestBracketCache:
         charp._bracket_basis.cache_clear()
         fermat = charp.fermat_ring(5)
         bare = RingPresentation(fermat.domain, fermat.variables)
-        basis = charp._bracket_basis((bare.parse("x"), bare.parse("y")), 1)
+        basis = charp._bracket_basis(5, (bare.parse("x"), bare.parse("y")), 1)
         assert basis.ring is fermat
         assert normal_form(fermat.relations[0], basis).is_zero()
-        assert charp._bracket_basis((fermat.parse("x"), fermat.parse("y")), 1) is basis
+        assert charp._bracket_basis(5, (fermat.parse("x"), fermat.parse("y")), 1) is basis
         assert self._counts() == (1, 1)
 
 
@@ -258,7 +271,7 @@ class TestFrobeniusLadder:
         rungs = charp.frobenius_ladder(f, gens, e_max)
         assert len(rungs) == e_max
         for e, rung in enumerate(rungs, 1):
-            basis = charp._bracket_basis(tuple(gens), e)
+            basis = charp._bracket_basis(p, tuple(gens), e)
             assert rung == normal_form(f ** (p ** e), basis), (format_poly(f), e)
 
     def test_zero_rungs_and_negative_exponent(self):

@@ -13,6 +13,7 @@ from closurelab.coefficients import (
     CycloNum,
     PrimeField,
     TruncatedPadicRing,
+    _norm_inverse,
     format_cyclo,
     is_prime,
 )
@@ -80,6 +81,22 @@ class TestCycloExamples:
             for _ in range(k):
                 power = power * THETA
             assert root * root * root == power
+
+
+UNITS = [s * CycloNum.zeta_power(k) for k in range(9) for s in (1, -1)]
+
+
+class TestUnitInverses:
+    """The 18 units +-t^k are inverted by table lookup, every other element
+    by the norm formula."""
+
+    @pytest.mark.parametrize("u", UNITS, ids=str)
+    def test_table_entry_is_the_norm_formula_inverse(self, u):
+        inv = u.inverse()
+        ref = _norm_inverse(u)
+        assert (inv.num, inv.den) == (ref.num, ref.den)
+        assert u * inv == CYCLO.one
+        assert inv * u == CYCLO.one
 
 
 class TestCycloFieldAxioms:

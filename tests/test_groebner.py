@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closurelab import tower
 from closurelab.charp import _bracket_basis, fermat_ring
 from closurelab.experiments import run_experiment
-from closurelab.coefficients import CYCLO, QQ, DomainError, TruncatedPadicRing
+from closurelab.coefficients import CYCLO, QQ, CycloNum, DomainError, PrimeField, TruncatedPadicRing
 from closurelab.groebner import (
     _divide,
     colon,
@@ -108,7 +109,7 @@ class TestNormalForm:
                 normal_form(f, [g])
             with pytest.raises(ValueError, match="incompatible rings"):
                 exact_divide(f, g)
-        gb = groebner([qq_yx.parse("x")], qq_yx)
+        gb = groebner([qq_yx.parse("x")], qq_yx, reps=True)
         with pytest.raises(ValueError, match="incompatible rings"):
             membership_with_basis(qq_xy.parse("x^2"), gb)
         # an equal ring built twice is compatible
@@ -236,7 +237,7 @@ class TestHeapDivision:
         # over F_13: the division expands (x^3 + y^3)^112 term by term.  The
         # monomials are packed keys already, so the division packs none
         ring = fermat_ring(13)
-        basis = _bracket_basis((ring.parse("x"), ring.parse("y")), 2)
+        basis = _bracket_basis(13, (ring.parse("x"), ring.parse("y")), 2)
         f = ring.parse("z^338")
         calls = 0
         key = WeightedGrevlex.key
@@ -305,9 +306,44 @@ class TestBuchbergerProperty:
         # order the S-pairs are taken in: (degree, sugar, ascending lcm, i, j).
         # These vectors change under any other of those orders.
         ring = fermat_ring(5) if weights is None else RingPresentation(QQ, ("z", "x", "y"), weights)
-        gb = groebner([ring.parse(g) for g in gens], ring)
+        gb = groebner([ring.parse(g) for g in gens], ring, reps=True)
         text = json.dumps([[format_poly(c) for c in rep] for rep in gb.reps])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _package_modules():
+    return [mod for name, mod in sys.modules.items() if name.split(".")[0] == "closurelab"]
+
+
+def _wrap_groebner(monkeypatch, record):
+    """Bind every closurelab module's ``groebner`` to a wrapper that hands
+    each call's generator list and basis to ``record``."""
+    original = importlib.import_module("closurelab.groebner").groebner
+
+    def counted(gens, ring, **options):
+        gens = list(gens)
+        gb = original(gens, ring, **options)
+        record(gens, gb)
+        return gb
+
+    for mod in _package_modules():
+        if getattr(mod, "groebner", None) is original:
+            monkeypatch.setattr(mod, "groebner", counted)
+
+
+# the runs whose Buchberger work the counters below bound
+COUNTED_RUNS = [("tower-colon", {}), ("charp", {}), ("padic", {}), ("tower-trace", {"pairs": 1})]
+
+
+def _cold_run(runs):
+    """Run each (experiment, config) in process with every closurelab
+    cache cleared first, as in a fresh process; each must pass."""
+    for mod in _package_modules():
+        for value in vars(mod).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    for name, config in runs:
+        assert run_experiment(name, config).passed, name
 
 
 class TestRelationBasis:
@@ -315,26 +351,106 @@ class TestRelationBasis:
     Buchberger for the basis of the relation alone."""
 
     def test_no_run_rebuilds_the_relation_basis(self, monkeypatch):
-        engine = importlib.import_module("closurelab.groebner")
-        original = engine.groebner
         calls = []
-
-        def counted(gens, ring):
-            gens = list(gens)
-            calls.append(len(gens))
-            return original(gens, ring)
-
-        modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "closurelab"]
-        for mod in modules:
-            if getattr(mod, "groebner", None) is original:
-                monkeypatch.setattr(mod, "groebner", counted)
-            # cold caches, as in a fresh process
-            for value in vars(mod).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
-        for name, config in [("tower-colon", {}), ("charp", {}), ("padic", {}), ("tower-trace", {"pairs": 1})]:
-            assert run_experiment(name, config).passed
+        _wrap_groebner(monkeypatch, lambda gens, gb: calls.append(len(gens)))
+        _cold_run(COUNTED_RUNS)
         assert calls and 0 not in calls
+
+
+class TestWorkCounters:
+    """Work the runs must not do, counted in process with cold caches."""
+
+    def test_no_run_asks_for_cofactors(self, monkeypatch):
+        """Only membership certificates read cofactor vectors, so tower-colon,
+        charp, padic and tower-trace build every basis without them, while
+        isogeny, which certifies membership, asks for them."""
+        built = []
+        _wrap_groebner(monkeypatch, lambda gens, gb: built.append(gb.reps is not None))
+        _cold_run(COUNTED_RUNS)
+        assert built and not any(built)
+        _cold_run([("isogeny", {})])
+        assert any(built)
+
+    def test_no_unit_reaches_the_norm_formula(self, monkeypatch):
+        """Count the CycloNum products made inside ``inverse``: none for a
+        unit +-t^k (table lookup), some for the other elements (the norm)."""
+        units = {(s * CycloNum.zeta_power(k)).num for k in range(9) for s in (1, -1)}
+        inverse, mul = CycloNum.inverse, CycloNum.__mul__
+        inside = []  # per open inverse call: whether it inverts a unit
+        products = {True: 0, False: 0}
+        inverted = {True: 0, False: 0}
+
+        def counted_inverse(self):
+            is_unit = self.den == 1 and self.num in units
+            inverted[is_unit] += 1
+            inside.append(is_unit)
+            try:
+                return inverse(self)
+            finally:
+                inside.pop()
+
+        def counted_mul(self, other):
+            if inside:
+                products[inside[-1]] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(CycloNum, "inverse", counted_inverse)
+        monkeypatch.setattr(CycloNum, "__mul__", counted_mul)
+        monkeypatch.setattr(CycloNum, "__rmul__", counted_mul)
+        _cold_run([("tower-colon", {}), ("tower-trace", {"pairs": 1})])
+        assert inverted[True] and inverted[False]
+        assert products[True] == 0
+        assert products[False]
+
+
+@st.composite
+def _cofactor_problems(draw):
+    """One to three generators of up to four terms in QQ[z, x, y],
+    F_p[z, x, y] or the Fermat quotient over F_p, or of up to three terms
+    and one degree each in the tower's level-1 ring over Q(zeta_9), where
+    inhomogeneous generators make coefficients grow past any test budget."""
+    kind = draw(st.sampled_from(["QQ", "F_p", "fermat", "tower"]))
+    if kind == "QQ":
+        ring = RingPresentation(QQ, ("z", "x", "y"))
+    elif kind == "F_p":
+        ring = RingPresentation(PrimeField(draw(st.sampled_from([2, 5, 13]))), ("z", "x", "y"))
+    elif kind == "fermat":
+        ring = fermat_ring(draw(st.sampled_from([2, 5, 7, 13])))
+    else:
+        ring = tower.build_level(1).ring
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if kind == "tower":
+            d = draw(st.integers(1, 3))
+            monos = st.sampled_from([m for m in all_monomials(3, d) if sum(m) == d])
+            unit = st.builds(CycloNum.zeta_power, st.integers(0, 8))
+            coeff = st.builds(lambda s, u: s * u, st.sampled_from([1, -1, 2]), unit)
+            terms = draw(st.dictionaries(monos, coeff, min_size=1, max_size=3))
+        else:
+            mono = st.tuples(*[st.integers(0, 3)] * 3)
+            coeff = st.integers(-3, 3).filter(bool).map(ring.domain.from_int)
+            terms = draw(st.dictionaries(mono, coeff, min_size=1, max_size=4))
+        gens.append(ring.poly(terms))
+    return ring, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_cofactor_problems())
+def test_cofactors_do_not_change_the_basis(problem):
+    """The cofactor vectors ride along without steering Buchberger: the
+    reduced basis is the same with and without them.  Only the basis built
+    with them certifies membership."""
+    ring, gens = problem
+    plain = groebner(gens, ring)
+    tracked = groebner(gens, ring, reps=True)
+    assert plain.generators == tracked.generators
+    assert plain.reps is None and len(tracked.reps) == len(tracked.generators)
+    for g in gens:
+        if g:
+            with pytest.raises(ValueError, match="cofactors"):
+                membership_with_basis(g, plain)
+            member, cert = membership_with_basis(g, tracked)
+            assert member and cert.verify()
 
 
 class TestMembership:

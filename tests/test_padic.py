@@ -299,7 +299,7 @@ class TestOracles:
 def _field_bases(p):
     """F_p[x, y, z]/(rel) with the Groebner bases of (0) and (y) in it."""
     ring = fermat_ring(p)
-    return ring, groebner([], ring), groebner([ring.parse("y")], ring)
+    return ring, groebner([], ring), groebner([ring.parse("y")], ring, reps=True)
 
 
 def _reference_koszul_correct(m, i, a, b):

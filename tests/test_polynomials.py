@@ -517,6 +517,22 @@ def test_product_matches_the_schoolbook_product(problem):
     assert (g * f).terms == _schoolbook(g, f).terms == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(problem=_products(), data=st.data())
+def test_mul_term_by_one_matches_the_multiply_path(problem, data):
+    """A coefficient equal to the domain's one only moves keys, and that
+    gives the product with the monomial of coefficient one, term by term,
+    in every domain; ``one`` itself and an equal element built afresh
+    alike, with or without a shift."""
+    f, _ = problem
+    ring = f.ring
+    exps = data.draw(st.tuples(*[st.integers(0, 3)] * len(ring.variables)))
+    for one in (ring.domain.one, ring.domain.from_int(1)):
+        term = ring.monomial(exps, one)
+        assert f.mul_term(term.lm(), one).terms == _schoolbook(f, term).terms
+        assert f.mul_term(0, one).terms == _schoolbook(f, ring.one()).terms
+
+
 @pytest.mark.parametrize("k", [1, 2, 31, 64, 200])
 @pytest.mark.parametrize("n", [LIFT_MIN_TERMS, 9])
 @pytest.mark.parametrize("signs", [(1, 1), (1, -1)])
