@@ -309,29 +309,37 @@ _UNIT_INVERSES = {
 }
 
 
+# the text of t^k in format_cyclo, k = 1..5
+_T_POWERS = ("", "t", "t^2", "t^3", "t^4", "t^5")
+
+
 def format_cyclo(value: CycloNum) -> str:
-    """Canonical text form, e.g. ``-t^5 - t^2`` or ``1/2``."""
-    coords = value.coords
+    """Canonical text form, e.g. ``-t^5 - t^2`` or ``1/2``: each coordinate
+    ``num[k] / den`` in lowest terms, as ``str`` of a Fraction writes it,
+    from one gcd and no Fraction."""
+    num, den = value.num, value.den
     parts = []
     for k in range(CYCLO_DEGREE - 1, -1, -1):
-        c = coords[k]
-        if not c:
+        a = num[k]
+        if not a:
             continue
-        mono = "1" if k == 0 else ("t" if k == 1 else f"t^{k}")
+        g = gcd(a, den)
+        d = den // g
+        c = f"{a // g}/{d}" if d != 1 else str(a // g)
         if k == 0:
-            term = str(c)
-        elif c == 1:
-            term = mono
-        elif c == -1:
-            term = f"-{mono}"
+            term = c
+        elif c == "1":
+            term = _T_POWERS[k]
+        elif c == "-1":
+            term = "-" + _T_POWERS[k]
         else:
-            term = f"{c}*{mono}"
-        if parts and not term.startswith("-"):
-            parts.append("+ " + term)
-        elif parts:
+            term = f"{c}*{_T_POWERS[k]}"
+        if not parts:
+            parts.append(term)
+        elif term[0] == "-":
             parts.append("- " + term[1:])
         else:
-            parts.append(term)
+            parts.append("+ " + term)
     return " ".join(parts) if parts else "0"
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from . import charp, isogeny, padic, tower
 from .coefficients import PRIME_TEST_LIMIT, CycloNum, is_prime
 from .groebner import normal_form
-from .polynomials import format_poly
+from .polynomials import ParseBudget, Poly, format_poly
 from .reports import ExperimentReport, check_against_fixture
 
 
@@ -171,12 +171,12 @@ def run_tower_colon(config: dict) -> ExperimentReport:
 
 
 def _random_level_poly(rng: random.Random, ring, max_exp=4, terms=4):
-    out = ring.zero()
+    parts = []
     for _ in range(terms):
         exps = tuple(rng.randrange(0, max_exp) for _ in ring.variables)
         coeff = CycloNum([Fraction(rng.randrange(-3, 4)) for _ in range(6)])
-        out = out + ring.monomial(exps, coeff)
-    return out
+        parts.append((coeff, ring.monomial(exps)))
+    return Poly.linear_combination(ring, parts)
 
 
 def run_tower_trace(config: dict) -> ExperimentReport:
@@ -378,7 +378,9 @@ def run_padic(config: dict) -> ExperimentReport:
                 with open(doc, "r", encoding="utf-8") as fh:
                     doc = json.load(fh)
             _check_input_shape(doc)
-            alpha = m.parse(doc["alpha"])
+            # one budget for every polynomial text of the document
+            budget = ParseBudget()
+            alpha = m.parse(doc["alpha"], budget)
             oracle_cfg = doc.get("oracle", {"mode": "honest"})
             mode = oracle_cfg.get("mode", "honest")
             if mode == "honest":
@@ -386,7 +388,7 @@ def run_padic(config: dict) -> ExperimentReport:
             elif mode == "adversarial":
                 oracle = padic.adversarial_oracle(m, oracle_cfg.get("seed", 0))
             elif mode == "scripted":
-                oracle = padic.scripted_oracle(m, oracle_cfg["steps"])
+                oracle = padic.scripted_oracle(m, oracle_cfg["steps"], budget)
             else:
                 raise ValueError(f"unknown oracle mode {mode!r}")
             run_one("input_alpha", alpha, oracle)

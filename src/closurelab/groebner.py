@@ -73,10 +73,9 @@ class MembershipCertificate:
         self.cofactors = tuple(cofactors)
 
     def expand(self) -> Poly:
-        acc = self.target.ring.zero()
-        for c, g in zip(self.cofactors, self.generators):
-            acc = acc + c * g
-        return acc
+        ring = self.target.ring
+        one = ring.domain.one
+        return Poly.linear_combination(ring, [(one, c * g) for c, g in zip(self.cofactors, self.generators)])
 
     def verify(self) -> bool:
         return self.expand() == self.target

@@ -88,10 +88,11 @@ def compose_endo(e1: GradedEndo, e2: GradedEndo) -> GradedEndo:
     """Substitution composition; degrees multiply."""
     images = {"x": e2.x_image, "y": e2.y_image, "z": e2.z_image}
     ring = e1.x_image.ring
+    powers = {}  # the three substitutions share the powers of the images
     return GradedEndo(
-        e1.x_image.substitute(images, ring),
-        e1.y_image.substitute(images, ring),
-        e1.z_image.substitute(images, ring),
+        e1.x_image.substitute(images, ring, powers),
+        e1.y_image.substitute(images, ring, powers),
+        e1.z_image.substitute(images, ring, powers),
     )
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 from .charp import fermat_ring
 from .coefficients import TruncatedPadicRing
 from .groebner import colon, groebner, normal_form
-from .polynomials import Poly, RingPresentation, format_poly
+from .polynomials import ParseBudget, Poly, PolyParseError, RingPresentation, format_poly
 
 
 class OracleInconsistencyError(ValueError):
@@ -29,6 +29,13 @@ class OracleInconsistencyError(ValueError):
 class LiftingObstructionError(ValueError):
     """A step has no solution: the input is outside (x, y) + p^N, or a
     pair handed to the Koszul correction is not a syzygy modulo p^(i-1)."""
+
+
+# the canonical form of a text's polynomial costs about the square of each
+# term's z-degree (x*z^3000 takes about 2 s), so ``TruncatedModel.parse``
+# refuses a text whose total degree passes this; twice PRODUCT_DEGREE_LIMIT
+# admits z^32*(1+x+y+z)^32
+INPUT_DEGREE_LIMIT = 64
 
 
 class TruncatedModel:
@@ -56,8 +63,14 @@ class TruncatedModel:
             return normal_form(f, self.ring.relations)
         return f
 
-    def parse(self, text: str) -> Poly:
-        return self.canon(self.ring.parse(text))
+    def parse(self, text: str, budget: ParseBudget | None = None) -> Poly:
+        """The canonical form of the text's polynomial; ``PolyParseError``
+        past ``budget`` (see ``parse_poly``) or past total degree
+        ``INPUT_DEGREE_LIMIT``."""
+        f = self.ring.parse(text, budget)
+        if f.degree() > INPUT_DEGREE_LIMIT:
+            raise PolyParseError(f"total degree {f.degree()} passes the limit {INPUT_DEGREE_LIMIT}")
+        return self.canon(f)
 
     def equal(self, f: Poly, g: Poly) -> bool:
         return self.canon(f - g).is_zero()
@@ -207,9 +220,11 @@ def adversarial_oracle(m: TruncatedModel, seed: int):
     return step
 
 
-def scripted_oracle(m: TruncatedModel, steps: list):
-    """Replays explicit (a, b, c) polynomial texts from a config document."""
-    parsed = [(m.parse(s["a"]), m.parse(s["b"]), m.parse(s["c"])) for s in steps]
+def scripted_oracle(m: TruncatedModel, steps: list, budget: ParseBudget | None = None):
+    """Replays explicit (a, b, c) polynomial texts from a config document;
+    the texts share ``budget`` when one is given."""
+    budget = budget or ParseBudget()
+    parsed = [(m.parse(s["a"], budget), m.parse(s["b"], budget), m.parse(s["c"], budget)) for s in steps]
 
     def step(i: int, residual: Poly):
         if i - 1 >= len(parsed):

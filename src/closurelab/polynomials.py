@@ -191,8 +191,8 @@ class RingPresentation:
     def monomial(self, exps, coeff=None) -> "Poly":
         return self.poly({tuple(exps): self.domain.one if coeff is None else coeff})
 
-    def parse(self, text: str) -> "Poly":
-        return parse_poly(self, text)
+    def parse(self, text: str, budget: "ParseBudget | None" = None) -> "Poly":
+        return parse_poly(self, text, budget)
 
     def compatible(self, other: "RingPresentation") -> bool:
         """Same domain, variables and order: packed monomials mean the same
@@ -249,6 +249,31 @@ class Poly:
         self.ring = ring
         self.terms = terms
         return self
+
+    @classmethod
+    def linear_combination(cls, ring: RingPresentation, parts) -> "Poly":
+        """sum(c * f for c, f in parts) in ``ring``, for scalars ``c`` of its
+        domain and Polys ``f`` of compatible rings.  Every term is summed
+        into one dict and sorted once, where a loop ``out = out + c * f``
+        copies and sorts the partial sum at each step (S. C. Johnson,
+        "Sparse polynomial arithmetic", 1974).  A scalar equal to the
+        domain's ``one`` is not multiplied; residues are reduced once, by
+        the constructor."""
+        out = {}
+        get = out.get
+        one = ring.domain.one
+        for c, f in parts:
+            if f.ring is not ring and not ring.compatible(f.ring):
+                raise ValueError("polynomials from incompatible rings")
+            if c == one:
+                for m, a in f.terms:
+                    s = get(m)
+                    out[m] = a if s is None else s + a
+            else:
+                for m, a in f.terms:
+                    s = get(m)
+                    out[m] = c * a if s is None else s + c * a
+        return cls(ring, out)
 
     # -- basic queries -------------------------------------------------------
 
@@ -409,31 +434,51 @@ class Poly:
         inv = self.ring.domain.inv(self.lc())
         return Poly(self.ring, {m: c * inv for m, c in self.terms})
 
-    def substitute(self, images: dict, target: RingPresentation | None = None) -> "Poly":
+    def substitute(self, images: dict, target: RingPresentation | None = None, powers=None) -> "Poly":
         """Ring-map style substitution: each variable goes to its image Poly
-        (missing variables map to the same-named variable of the target)."""
+        (missing variables map to the same-named variable of the target).
+
+        ``powers`` maps (variable, exponent) to that power of the
+        variable's image, and ``cached_power`` reads and fills it, so a
+        caller that keeps one mapping per ``images`` forms each power once
+        across calls.  Without one the powers live for this call only.  The
+        terms are summed by ``linear_combination``."""
         ring = target or next(iter(images.values())).ring
-        out = ring.zero()
-        cache: dict[tuple[str, int], Poly] = {}
+        if powers is None:
+            powers = {}
+        one, coerce = ring.one(), ring.domain.coerce
         exponents = self.ring.order.exponents
+        variables = self.ring.variables
+        parts = []
         for m, c in self.terms:
-            term = ring.const(c)
-            for v, e in zip(self.ring.variables, exponents(m)):
-                if e == 0:
-                    continue
-                img = cache.get((v, e))
-                if img is None:
-                    base = images.get(v)
-                    if base is None:
-                        base = ring.var(v)
-                    img = base ** e
-                    cache[(v, e)] = img
-                term = term * img
-            out = out + term
-        return out
+            term = one
+            for v, e in zip(variables, exponents(m)):
+                if e:
+                    base = images[v] if v in images else ring.var(v)
+                    term = term * cached_power(powers, v, base, e)
+            parts.append((coerce(c), term))
+        return Poly.linear_combination(ring, parts)
 
     def __repr__(self):
         return format_poly(self)
+
+
+def cached_power(powers: dict, v, base: Poly, e: int) -> Poly:
+    """``base ** e`` through ``powers``, which maps (v, exponent) to that
+    power of ``base`` and is filled on the way: an odd power is the
+    ``e - 1`` entry times ``base`` and an even one the ``e / 2`` entry
+    squared, so every power below ``e`` that it passes through is kept."""
+    p = powers.get((v, e))
+    if p is None:
+        if e == 1:
+            p = base
+        elif e & 1:
+            p = cached_power(powers, v, base, e - 1) * base
+        else:
+            p = cached_power(powers, v, base, e >> 1)
+            p = p * p
+        powers[v, e] = p
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +546,36 @@ def _tokenize(text: str):
 PRODUCT_DEGREE_LIMIT = 32
 
 
+# what the parses of one text, or of the texts of one document, may do:
+# read PARSE_TEXT_LIMIT characters and PARSE_WORK_LIMIT term operations.  A
+# term operation is one term pair of a product or power, or one term read
+# by a sum or a negation.  (1+x+y+z)^32, the costliest factor that
+# PRODUCT_DEGREE_LIMIT admits, takes 974 072 of them, so a text holds one
+# such factor and not two
+PARSE_TEXT_LIMIT = 1 << 14
+PARSE_WORK_LIMIT = 1_000_000
+
+
+class ParseBudget:
+    """The characters and term operations left to the parses that share
+    this budget; past either limit they raise ``PolyParseError``.  A parse
+    given no budget gets a fresh one."""
+
+    def __init__(self):
+        self.text_left = PARSE_TEXT_LIMIT
+        self.work_left = PARSE_WORK_LIMIT
+
+    def read(self, text: str):
+        self.text_left -= len(text)
+        if self.text_left < 0:
+            raise PolyParseError(f"the texts pass {PARSE_TEXT_LIMIT} characters")
+
+    def spend(self, ops: int):
+        self.work_left -= ops
+        if self.work_left < 0:
+            raise PolyParseError(f"the texts ask for more than {PARSE_WORK_LIMIT} term operations")
+
+
 def _total_degree(f: Poly) -> int:
     exponents = f.ring.order.exponents
     return max((sum(exponents(m)) for m, _ in f.terms), default=0)
@@ -508,12 +583,15 @@ def _total_degree(f: Poly) -> int:
 
 class _Parser:
     """Recursive descent over + - * ^ ( ); `t` denotes the cyclotomic
-    generator when the coefficient domain is Q(zeta_9)."""
+    generator when the coefficient domain is Q(zeta_9).  Each product, sum
+    and negation is charged to the budget before it is formed, and a sum of
+    several terms is one ``linear_combination``."""
 
-    def __init__(self, ring: RingPresentation, tokens):
+    def __init__(self, ring: RingPresentation, tokens, budget: ParseBudget):
         self.ring = ring
         self.tokens = tokens
         self.pos = 0
+        self.budget = budget
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -528,23 +606,40 @@ class _Parser:
         if kind != "op" or val != op:
             raise PolyParseError(f"expected {op!r}, found {val!r}")
 
+    def multiply(self, a: Poly, b: Poly) -> Poly:
+        self.budget.spend(len(a.terms) * len(b.terms))
+        return a * b
+
+    def power(self, base: Poly, n: int) -> Poly:
+        """base ** n by the same squarings as ``Poly.__pow__``, each charged."""
+        result = self.ring.one()
+        while n:
+            if n & 1:
+                result = self.multiply(result, base)
+            n >>= 1
+            if n:
+                base = self.multiply(base, base)
+        return result
+
     def parse_expr(self) -> Poly:
+        one = self.ring.domain.one
         kind, val = self.peek()
         negate = False
         if kind == "op" and val in "+-":
             self.take()
             negate = val == "-"
-        result = self.parse_term()
-        if negate:
-            result = -result
+        parts = [(-one if negate else one, self.parse_term())]
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                rhs = self.parse_term()
-                result = result - rhs if val == "-" else result + rhs
+                parts.append((-one if val == "-" else one, self.parse_term()))
             else:
-                return result
+                break
+        if len(parts) == 1 and not negate:
+            return parts[0][1]
+        self.budget.spend(sum(len(f.terms) for _, f in parts))
+        return Poly.linear_combination(self.ring, parts)
 
     def parse_term(self) -> Poly:
         result = self.parse_factor()
@@ -555,7 +650,7 @@ class _Parser:
                 factor = self.parse_factor()
                 if len(result.terms) > 1 and len(factor.terms) > 1:
                     self.check_degree(_total_degree(result) + _total_degree(factor))
-                result = result * factor
+                result = self.multiply(result, factor)
             else:
                 return result
 
@@ -564,7 +659,9 @@ class _Parser:
         if kind == "op" and val == "-":
             # unary minus negates the whole factor: x*-y^2 is x*(-(y^2))
             self.take()
-            return -self.parse_factor()
+            factor = self.parse_factor()
+            self.budget.spend(len(factor.terms))
+            return -factor
         base = self.parse_atom()
         kind, val = self.peek()
         if kind == "op" and val == "^":
@@ -577,7 +674,7 @@ class _Parser:
                 raise PolyParseError(f"exponent {n} is not below {EXP_LIMIT}")
             if len(base.terms) > 1:
                 self.check_degree(n * _total_degree(base))
-            return base ** n
+            return self.power(base, n)
         return base
 
     @staticmethod
@@ -611,12 +708,16 @@ class _Parser:
         raise PolyParseError(f"unexpected token {val!r}")
 
 
-def parse_poly(ring: RingPresentation, text: str) -> Poly:
+def parse_poly(ring: RingPresentation, text: str, budget: ParseBudget | None = None) -> Poly:
     """The polynomial the text denotes; ``PolyParseError`` for bad text,
     including a product whose exponent reaches ``EXP_LIMIT``, a product or
-    power of sums whose total degree passes ``PRODUCT_DEGREE_LIMIT`` and
-    nesting deeper than the interpreter's recursion limit."""
-    parser = _Parser(ring, _tokenize(text))
+    power of sums whose total degree passes ``PRODUCT_DEGREE_LIMIT``, more
+    characters or term operations than ``budget`` has left (a fresh
+    ``ParseBudget`` when none is given) and nesting deeper than the
+    interpreter's recursion limit."""
+    budget = budget or ParseBudget()
+    budget.read(text)
+    parser = _Parser(ring, _tokenize(text), budget)
     try:
         result = parser.parse_expr()
     except OverflowError as exc:
@@ -626,4 +727,3 @@ def parse_poly(ring: RingPresentation, text: str) -> Poly:
     if parser.pos != len(parser.tokens):
         raise PolyParseError(f"trailing input near token {parser.pos}")
     return result
-

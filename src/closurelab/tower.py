@@ -28,7 +28,7 @@ from .groebner import (
     groebner,
     normal_form,
 )
-from .polynomials import Poly, RingPresentation, format_poly
+from .polynomials import Poly, RingPresentation, cached_power, format_poly
 
 # the three linear forms l_1, l_2, l_3 with l_1*l_2*l_3 = theta*u^3 + theta^2*v^3:
 # coefficients (theta^(1/3), theta^(k/3)) for k = 2, 5, 8
@@ -100,7 +100,25 @@ def variable_images(k: int, n: int) -> dict:
     if k + 1 == n:
         return dict(one_step)
     higher = variable_images(k + 1, n)
-    return {v: img.substitute(higher, level_n.ring) for v, img in one_step.items()}
+    powers = power_table(k + 1, n)
+    return {v: img.substitute(higher, level_n.ring, powers) for v, img in one_step.items()}
+
+
+@lru_cache(maxsize=None)
+def power_table(k: int, n: int) -> dict:
+    """Powers of the level-k variable images in the level-n ring, keyed
+    (variable, exponent).  ``variable_images``, ``embed`` and
+    ``image_power`` fill it on demand through ``cached_power``: an odd
+    power is the previous entry times the image, an even one the half
+    entry squared, so the square behind each cube that ``variable_images``
+    forms stays for ``_probe_cofactors``.  The table only saves work: every
+    certificate built from it is still re-expanded and checked."""
+    return {}
+
+
+def image_power(k: int, n: int, v: str, e: int) -> Poly:
+    """The image of the level-k variable ``v`` in A_n, to the power e."""
+    return cached_power(power_table(k, n), v, variable_images(k, n)[v], e)
 
 
 def embed(f: Poly, from_level: int, to_level: int) -> Poly:
@@ -108,7 +126,7 @@ def embed(f: Poly, from_level: int, to_level: int) -> Poly:
     if from_level == to_level:
         return f
     images = variable_images(from_level, to_level)
-    return f.substitute(images, build_level(to_level).ring)
+    return f.substitute(images, build_level(to_level).ring, power_table(from_level, to_level))
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +186,7 @@ def verify_level(n: int) -> list[IdentityCheck]:
     )
 
     product = l1 * l2 * l3
-    target = X ** 3 * theta + Y ** 3 * (theta * theta)
+    target = image_power(n - 1, n, xp, 3) * theta + image_power(n - 1, n, yp, 3) * (theta * theta)
     exact = product == target
     zv, xv, yv = (ring.var(v) for v in level_variables(n))
     # Z = -x_n y_n z_n exactly, so (x_n y_n z_n)^3 = -Z^3; reducing the
@@ -184,7 +202,7 @@ def verify_level(n: int) -> list[IdentityCheck]:
     )
 
     prev_rel = build_level(n - 1).ring.relations[0]
-    rel_image = prev_rel.substitute(variable_images(n - 1, n), ring)
+    rel_image = embed(prev_rel, n - 1, n)
     reduced = normal_form(rel_image, relation_basis(n))
     checks.append(
         IdentityCheck(
@@ -213,7 +231,7 @@ def xy_image_basis(n: int) -> GroebnerBasis:
 
 
 def z2_image(n: int) -> Poly:
-    return embed(build_level(0).ring.parse("z^2"), 0, n)
+    return image_power(0, n, "z", 2)
 
 
 def z2_not_in_xy(n: int) -> bool:
@@ -243,14 +261,11 @@ def _probe_cofactors(n: int):
     u = yn * yn * zn * zn * theta13
     v = yn * yn * zn * zn * theta23
     for k in range(n - 1, 0, -1):
-        imgs = variable_images(k, n)
-        zk, xk, yk = level_variables(k)
-        Xk, Yk = imgs[xk], imgs[yk]
-        Xk2, Yk2 = Xk * Xk, Yk * Yk
-        u, v = (
-            (u * Yk2 + v * Xk2) * theta13,
-            u * Yk2 * theta23 + v * Xk2 * theta53,
-        )
+        _, xk, yk = level_variables(k)
+        # the squares were formed on the way to the cubes of variable_images
+        uy = u * image_power(k, n, yk, 2)
+        vx = v * image_power(k, n, xk, 2)
+        u, v = (uy + vx) * theta13, uy * theta23 + vx * theta53
     return u, v
 
 
@@ -365,19 +380,19 @@ def retraction_preimage(pi: Poly) -> Poly:
     ring0 = base.ring
     x0, y0, z0 = ring0.var("x"), ring0.var("y"), ring0.var("z")
     forms = _linear_forms(x0, y0)
-    out = ring0.zero()
+    parts = []
     exponents = pi.ring.order.exponents
     for m, c in pi.terms:
         k, i, j = exponents(m)
         r = i % 3
         if not ((i - k) % 3 == 0 and (j - k) % 3 == 0):
             raise NotInImageError(f"monomial {(k, i, j)} is not invariant")
-        term = ring0.const(c) * (-z0) ** r
+        term = (-z0) ** r
         term = term * forms[0] ** ((i - r) // 3)
         term = term * forms[1] ** ((j - r) // 3)
         term = term * forms[2] ** ((k - r) // 3)
-        out = out + term
-    return out
+        parts.append((c, term))
+    return Poly.linear_combination(ring0, parts)
 
 
 # ---------------------------------------------------------------------------

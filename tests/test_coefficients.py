@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from math import gcd
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -207,10 +206,37 @@ def _assert_canonical(result):
     assert result.den >= 1 and gcd(result.den, *result.num) == 1
 
 
+def _ref_format(coords):
+    """The text of six Fraction coordinates, written term by term with
+    ``str`` of each Fraction: the reference for ``format_cyclo``, which
+    reads ``num`` and ``den`` instead."""
+    parts = []
+    for k in range(5, -1, -1):
+        c = coords[k]
+        if not c:
+            continue
+        mono = "1" if k == 0 else ("t" if k == 1 else f"t^{k}")
+        if k == 0:
+            term = str(c)
+        elif c == 1:
+            term = mono
+        elif c == -1:
+            term = f"-{mono}"
+        else:
+            term = f"{c}*{mono}"
+        if parts and not term.startswith("-"):
+            parts.append("+ " + term)
+        elif parts:
+            parts.append("- " + term[1:])
+        else:
+            parts.append(term)
+    return " ".join(parts) if parts else "0"
+
+
 def _assert_matches(result, ref):
     _assert_canonical(result)
     assert result.coords == ref
-    assert format_cyclo(result) == format_cyclo(SimpleNamespace(coords=ref))
+    assert format_cyclo(result) == _ref_format(ref)
 
 
 _RATIONALS = st.one_of(

@@ -26,7 +26,7 @@ from closurelab.groebner import (
     membership_with_basis,
     normal_form,
 )
-from closurelab.polynomials import RingPresentation, WeightedGrevlex, format_poly
+from closurelab.polynomials import LIFT_MIN_TERMS, Poly, RingPresentation, WeightedGrevlex, format_poly
 from test_polynomials import _fraction_key, exponent_terms
 
 
@@ -370,6 +370,28 @@ class TestWorkCounters:
         assert built and not any(built)
         _cold_run([("isogeny", {})])
         assert any(built)
+
+    def test_tower_colon_forms_each_lifted_product_once(self, monkeypatch):
+        """Count the products whose factors both have at least
+        ``LIFT_MIN_TERMS`` terms, and their term pairs, in a cold
+        ``tower-colon --max-level 5``.  The tower's power table forms each
+        power of a variable image once, and ``_probe_cofactors`` forms
+        u * Y_k^2 and v * X_k^2 once each from the squares behind the cubes;
+        forming the cubes twice and those products twice took 57 products
+        and 46 047 pairs."""
+        counts = {"products": 0, "pairs": 0}
+        mul = Poly.__mul__
+
+        def counted_mul(self, other):
+            if isinstance(other, Poly) and min(len(self.terms), len(other.terms)) >= LIFT_MIN_TERMS:
+                counts["products"] += 1
+                counts["pairs"] += len(self.terms) * len(other.terms)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counted_mul)
+        monkeypatch.setattr(Poly, "__rmul__", counted_mul)
+        _cold_run([("tower-colon", {"max_level": 5})])
+        assert counts == {"products": 33, "pairs": 34617}
 
     def test_no_unit_reaches_the_norm_formula(self, monkeypatch):
         """Count the CycloNum products made inside ``inverse``: none for a

@@ -13,7 +13,10 @@ from closurelab.groebner import _divide, elimination_ring, exact_divide, normal_
 from closurelab.polynomials import (
     EXP_LIMIT,
     LIFT_MIN_TERMS,
+    PARSE_TEXT_LIMIT,
+    PARSE_WORK_LIMIT,
     PRODUCT_DEGREE_LIMIT,
+    ParseBudget,
     Poly,
     PolyParseError,
     RingPresentation,
@@ -247,6 +250,34 @@ def test_parser_refuses_products_of_sums_past_the_degree_limit():
             ring.parse(text)
 
 
+def test_parser_charges_every_product_sum_and_negation_to_one_budget():
+    """A parse reads at most ``PARSE_TEXT_LIMIT`` characters and forms at
+    most ``PARSE_WORK_LIMIT`` term operations: the term pairs of each
+    product and power, and the terms each sum or negation reads.  Texts that
+    share a ``ParseBudget`` share its limits."""
+    # over QQ no multinomial coefficient vanishes, as some do mod p
+    ring = RingPresentation(QQ, ("z", "x", "y"))
+    budget = ParseBudget()
+    # x+y reads 2 terms; (x+y)^2 squares (2 * 2 pairs), then 1 * (x+y)^2
+    # (1 * 3); -z reads 1 term, x*(-z) forms 1 pair, the outer sum reads 3 + 1
+    assert ring.parse("(x+y)^2 + x*-z", budget) == ring.parse("x^2 + 2*x*y + y^2 - x*z")
+    assert PARSE_WORK_LIMIT - budget.work_left == 2 + 4 + 3 + 1 + 1 + 4
+    assert PARSE_TEXT_LIMIT - budget.text_left == len("(x+y)^2 + x*-z")
+
+    big = f"(1+x+y+z)^{PRODUCT_DEGREE_LIMIT}"
+    shared = ParseBudget()
+    ring.parse(big, shared)
+    assert PARSE_WORK_LIMIT // 2 < PARSE_WORK_LIMIT - shared.work_left <= PARSE_WORK_LIMIT
+    for text, budget in ((f"{big} + {big}", None), (big, shared), ("-" * 20 + big, None)):
+        with pytest.raises(PolyParseError, match="term operations"):
+            ring.parse(text, budget)
+    with pytest.raises(PolyParseError, match="characters"):
+        ring.parse("x" + "+x" * (PARSE_TEXT_LIMIT // 2))
+    # a long sum is summed once, not once per term
+    monomials = [f"x^{i}*y^{j}" for i in range(30) for j in range(30)]
+    assert len(ring.parse(" + ".join(monomials)).terms) == len(monomials)
+
+
 def test_parser_refuses_zero_denominators_foreign_fractions_and_deep_nesting():
     """Text the domain cannot hold, or nested past the recursion limit, is
     ``PolyParseError``, not ZeroDivisionError, TypeError or RecursionError."""
@@ -414,11 +445,17 @@ def test_substitute_is_multiplicative(qq_ring):
         "y": target.parse("u - 1"),
         "z": target.parse("v^3"),
     }
+    # one power mapping for every call with these images, as the tower keeps
+    powers = {}
     for _ in range(15):
         terms_a = {tuple(rng.randrange(0, 3) for _ in range(3)): Fraction(rng.randrange(-3, 4)) for _ in range(3)}
         terms_b = {tuple(rng.randrange(0, 3) for _ in range(3)): Fraction(rng.randrange(-3, 4)) for _ in range(3)}
         a, b = qq_ring.poly(terms_a), qq_ring.poly(terms_b)
         assert (a * b).substitute(images, target) == a.substitute(images, target) * b.substitute(images, target)
+        shared = (a * b).substitute(images, target, powers)
+        assert shared == a.substitute(images, target, powers) * b.substitute(images, target, powers)
+        assert shared == (a * b).substitute(images, target)
+    assert powers and all(p == images[v] ** e for (v, e), p in powers.items())
 
 
 def test_exact_divide(qq_ring):
@@ -435,6 +472,23 @@ def test_incompatible_ring_arithmetic_rejected(qq_ring):
     other = RingPresentation(QQ, ("a", "b"))
     with pytest.raises(ValueError, match="incompatible"):
         qq_ring.parse("x") + other.parse("a")
+    with pytest.raises(ValueError, match="incompatible"):
+        Poly.linear_combination(qq_ring, [(QQ.one, qq_ring.parse("x")), (QQ.one, other.parse("a"))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=_term_dicts(), scalars=st.lists(st.integers(-2, 2), min_size=2, max_size=2))
+def test_linear_combination_matches_the_running_sum(problem, scalars):
+    """One dict for the whole sum gives the Poly that adding one scaled
+    part at a time gives, with zero scalars, cancellation and scalar one."""
+    ring, term_dicts = problem
+    parts = [(ring.domain.from_int(c), ring.poly(t)) for c, t in zip(scalars, term_dicts)]
+    parts.append((ring.domain.one, ring.poly(term_dicts[0])))
+    parts.append((ring.domain.from_int(-1), ring.poly(term_dicts[0])))
+    expected = ring.zero()
+    for c, f in parts:
+        expected = expected + f * c
+    assert Poly.linear_combination(ring, parts).terms == expected.terms
 
 
 def test_pow_matches_repeated_multiplication(qq_ring):

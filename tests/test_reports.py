@@ -230,6 +230,26 @@ class TestCli:
         body = json.loads(report.read_text())
         assert any(c["name"].startswith("input_alpha/") for c in body["checks"])
 
+    def test_one_parse_budget_for_the_whole_document(self, tmp_path, capsys):
+        """alpha and the scripted steps draw on one parse budget: each text
+        below fits alone, and together they pass it."""
+        big = "(1+x+y+z)^32"
+        step = {"a": big, "b": "0", "c": "0"}
+        path = tmp_path / "input.json"
+
+        def run(doc):
+            path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            code = main(["padic", "--p", "5", "--precision", "2", "--samples", "0", "--input", str(path)])
+            return code, capsys.readouterr().err
+
+        assert run({"alpha": f"x*{big}", "oracle": {"mode": "adversarial"}}) == (0, "")
+        # the step parses, and is then refused as a wrong representation
+        code, err = run({"alpha": "x", "oracle": {"mode": "scripted", "steps": [step]}})
+        assert code == 2 and "OracleInconsistencyError" in err
+        code, err = run({"alpha": f"x*{big}", "oracle": {"mode": "scripted", "steps": [step]}})
+        assert code == 2 and "term operations" in err
+
     @pytest.mark.parametrize(
         "document",
         [
@@ -247,6 +267,10 @@ class TestCli:
             {"alpha": "x^600000*y"},
             {"alpha": "x^300000*x^300000"},
             {"alpha": "(x+y)^500000"},
+            {"alpha": "x*(1+x+y+z)^32 + y*(1+x+y+z)^32"},
+            {"alpha": "x*(1+x+y+z)^32", "oracle": {"mode": "scripted", "steps": [{"a": "(1+x+y+z)^32", "b": "0", "c": "0"}]}},
+            {"alpha": "x" + " + x" * 5000},
+            {"alpha": "x*z^3000"},
         ],
         ids=[
             "missing_file",
@@ -263,6 +287,10 @@ class TestCli:
             "exponent_past_the_field",
             "product_past_the_field",
             "power_of_a_sum_past_the_limit",
+            "document_past_the_term_budget",
+            "steps_past_the_shared_term_budget",
+            "text_past_the_character_budget",
+            "degree_past_the_limit",
         ],
     )
     def test_bad_padic_input_is_a_config_error(self, tmp_path, capsys, document):
@@ -488,6 +516,7 @@ class TestCliContract:
     @example(case=_padic_input(_dump({"alpha": "(" * 3000 + "x" + ")" * 3000})))
     @example(case=_padic_input(_dump({"alpha": "-" * 3000 + "x"})))
     @example(case=_padic_input(_dump({"alpha": "(x+y)^500000"})))
+    @example(case=_padic_input(_dump({"alpha": "x*(1+x+y+z)^32 + y*(1+x+y+z)^32"})))
     @example(case=_padic_input(_dump({"alpha": "x^300000*x^300000"})))
     @example(case=_padic_input(_dump({"alpha": "3/0*x"})))
     @example(case=_padic_input(_dump({"alpha": "1/2*x"})))

@@ -5,7 +5,7 @@ import pytest
 
 from closurelab import tower
 from closurelab.coefficients import CycloNum
-from closurelab.groebner import normal_form
+from closurelab.groebner import VerificationError, normal_form
 from closurelab.polynomials import format_poly
 
 
@@ -178,6 +178,52 @@ class TestColonProbe:
         for n in (1, 2):
             probe = tower.colon_probe(n)
             assert format_poly(probe.witness_element) == tower.level_variables(n)[1]
+
+
+def _clear_tower_caches():
+    for value in vars(tower).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+class TestPowerTable:
+    def test_entries_are_fresh_powers(self):
+        rng = random.Random(5)
+        for n in (1, 2, 3):
+            tower.colon_probe(n)
+            tower.verify_level(n)
+            ring0 = tower.build_level(0).ring
+            for _ in range(3):
+                f = rand_poly(rng, ring0)
+                images = tower.variable_images(0, n)
+                # a table-free substitution of the same images
+                assert tower.embed(f, 0, n) == f.substitute(images, tower.build_level(n).ring)
+        filled = 0
+        for n in (1, 2, 3):
+            for k in range(n + 1):
+                images = tower.variable_images(k, n)
+                for (v, e), power in tower.power_table(k, n).items():
+                    assert power == images[v] ** e, (k, n, v, e)
+                    filled += 1
+        assert filled
+
+    def test_a_corrupted_entry_fails_the_certificate(self):
+        """The re-expansion of the certificate, not the table, decides: a
+        wrong square of y_k makes colon_probe raise."""
+        n, k = 3, 2
+        _clear_tower_caches()
+        try:
+            tower.variable_images(0, n)
+            yk = tower.level_variables(k)[2]
+            table = tower.power_table(k, n)
+            assert (yk, 2) in table
+            table[yk, 2] = table[yk, 2] + tower.build_level(n).ring.one()
+            with pytest.raises(VerificationError, match="does not re-expand"):
+                tower.colon_probe(n)
+        finally:
+            # no later test may see the bad entry
+            _clear_tower_caches()
+        assert tower.colon_probe(n).witness.verify()
 
 
 class TestZ2Membership:
