@@ -11,8 +11,10 @@ Theory*, 4.2).
 A residue mod p^N is a plain int in [0, p^N), not a wrapper object, and
 ``Poly`` reduces each output coefficient modulo the domain's ``modulus``
 once; QQ and Q(zeta_9) have ``modulus = None``.  Every domain exposes
-``zero``, ``one``, ``from_int``, ``inv``, ``coerce``, ``is_field``,
-``modulus``, ``lift_pair`` and ``format``; residue rings add ``val``.
+``zero``, ``one``, ``inv``, ``coerce``, ``is_field``, ``modulus``,
+``lift_pair`` and ``format``; residue rings add ``val``.  An int or a
+Fraction becomes a coefficient only through ``coerce``: ``CycloNum``
+arithmetic takes ``CycloNum`` operands alone.
 
 ``lift_pair`` serves multi-term polynomial products: it maps two
 coefficient lists to Python ints whose products and sums stand for the
@@ -89,8 +91,12 @@ class CycloNum:
 
     def __init__(self, coords):
         """Coordinates in powers of t: ints or Fractions, any length (powers
-        t^6 and above are folded into the basis)."""
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
+        t^6 and above are folded into the basis); any other coordinate
+        raises ``TypeError``."""
+        cs = list(coords)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"a CycloNum coordinate must be an int or a Fraction, got {c!r}")
         den = lcm(*(c.denominator for c in cs))
         x = _reduced(_fold([c.numerator * (den // c.denominator) for c in cs]), den)
         self.num = x.num
@@ -103,18 +109,10 @@ class CycloNum:
         return tuple(Fraction(c, den) for c in self.num)
 
     @classmethod
-    def from_rational(cls, r) -> "CycloNum":
-        r = Fraction(r)
-        return _make((r.numerator, 0, 0, 0, 0, 0), r.denominator)
-
-    @classmethod
     def zeta_power(cls, k: int) -> "CycloNum":
         """t^k reduced into the power basis (k may be any integer >= 0)."""
         k %= 9
         return cls([0] * k + [1])
-
-    def _is_rational(self) -> bool:
-        return not any(self.num[1:])
 
     def __bool__(self) -> bool:
         return any(self.num)
@@ -122,18 +120,9 @@ class CycloNum:
     def __eq__(self, other) -> bool:
         if isinstance(other, CycloNum):
             return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            return (
-                self.num[0] == other.numerator
-                and self.den == other.denominator
-                and self._is_rational()
-            )
         return NotImplemented
 
     def __hash__(self):
-        # a rational element hashes like the int or Fraction it equals
-        if self._is_rational():
-            return hash(Fraction(self.num[0], self.den))
         return hash((self.num, self.den))
 
     def __neg__(self) -> "CycloNum":
@@ -150,26 +139,15 @@ class CycloNum:
             num = (a0 * db + b0 * da, a1 * db + b1 * da, a2 * db + b2 * da,
                    a3 * db + b3 * da, a4 * db + b4 * da, a5 * db + b5 * da)
             return _reduced(num, da * db)
-        if isinstance(other, int):
-            # a0 + other*den is a0 modulo den: the result stays in lowest terms
-            num = self.num
-            return _make((num[0] + other * self.den,) + num[1:], self.den)
-        if isinstance(other, Fraction):
-            n, d = other.numerator, other.denominator
-            num = [c * d for c in self.num]
-            num[0] += n * self.den
-            return _reduced(tuple(num), self.den * d)
         return NotImplemented
 
+    # __radd__ and __rmul__ stay as aliases: perfbench/layers.py binds them by name
     __radd__ = __add__
 
     def __sub__(self, other) -> "CycloNum":
-        if isinstance(other, (CycloNum, int, Fraction)):
+        if isinstance(other, CycloNum):
             return self + (-other)
         return NotImplemented
-
-    def __rsub__(self, other) -> "CycloNum":
-        return (-self) + other
 
     def __mul__(self, other) -> "CycloNum":
         if isinstance(other, CycloNum):
@@ -192,17 +170,6 @@ class CycloNum:
             )
             den = self.den * other.den
             return _make(num, 1) if den == 1 else _reduced(num, den)
-        if isinstance(other, int):
-            # gcd(den, *num) == 1, so the content to cancel is gcd(den, other)
-            den = self.den
-            g = gcd(den, other)
-            if g != 1:
-                other //= g
-                den //= g
-            return _make(tuple([c * other for c in self.num]), den)
-        if isinstance(other, Fraction):
-            n = other.numerator
-            return _reduced(tuple([c * n for c in self.num]), self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -215,25 +182,6 @@ class CycloNum:
             if inv is not None:
                 return inv
         return _norm_inverse(self)
-
-    def __truediv__(self, other) -> "CycloNum":
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, CycloNum):
-            return self * other.inverse()
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "CycloNum":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = CycloNum([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __repr__(self) -> str:
         return f"CycloNum({format_cyclo(self)!r})"
@@ -303,9 +251,9 @@ def _fold(cs: list) -> tuple:
 # the 18 units +-t^k (k = 0..8), keyed on their stored numerators (den 1,
 # and each element has one stored form), mapped to their inverses +-t^(9-k)
 _UNIT_INVERSES = {
-    (s * CycloNum.zeta_power(k)).num: s * CycloNum.zeta_power(9 - k)
+    sign(CycloNum.zeta_power(k)).num: sign(CycloNum.zeta_power(9 - k))
     for k in range(9)
-    for s in (1, -1)
+    for sign in (lambda u: u, CycloNum.__neg__)
 }
 
 
@@ -355,9 +303,6 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
     def coerce(self, x) -> Fraction:
         if isinstance(x, Fraction):
             return x
@@ -402,14 +347,11 @@ class CyclotomicField9:
     zero = CycloNum([])
     one = CycloNum([1])
 
-    def from_int(self, n: int) -> CycloNum:
-        return CycloNum([n])
-
     def coerce(self, x) -> CycloNum:
         if isinstance(x, CycloNum):
             return x
         if isinstance(x, (int, Fraction)):
-            return CycloNum.from_rational(x)
+            return _make((x.numerator, 0, 0, 0, 0, 0), x.denominator)
         raise TypeError(f"cannot coerce {x!r} into Q(zeta9)")
 
     def inv(self, x: CycloNum) -> CycloNum:
@@ -488,9 +430,6 @@ class TruncatedPadicRing:
         self.modulus = p ** precision
         self.name = f"Z/{p}^{precision}"
 
-    def from_int(self, n: int) -> int:
-        return n % self.modulus
-
     def coerce(self, x) -> int:
         if isinstance(x, Fraction) and x.denominator == 1:
             x = x.numerator
@@ -516,7 +455,7 @@ class TruncatedPadicRing:
 
     def lift_pair(self, xs, ys):
         """The residues themselves; ``lower`` reduces modulo p^N once."""
-        return xs, ys, self.from_int
+        return xs, ys, self.coerce
 
     def format(self, x: int, parenthesize: bool = False) -> str:
         return str(x)

@@ -29,6 +29,14 @@ CHARP_PRIME_LIMIT = 100
 # bound before is_prime.
 PADIC_PRIME_LIMIT = PRIME_TEST_LIMIT
 
+# a padic --input file is read up to this many bytes and refused past it.
+# Any document within PARSE_TEXT_LIMIT fits, escapes and steps included:
+# its polynomial texts share 16 Ki characters, at most 12 bytes each when
+# JSON-escaped (a \uXXXX surrogate pair), and every oracle step holds three
+# nonempty texts, so at most 5461 steps of about 30 bytes of JSON apart from
+# their texts: under 0.35 MiB written compactly, 0.54 MiB indented by two.
+INPUT_BYTE_LIMIT = 1 << 20
+
 # Every experiment's config fields: field -> (default, caster, predicate,
 # description).  The validator and the command-line flags both read it.
 SCHEMAS = {
@@ -375,8 +383,12 @@ def run_padic(config: dict) -> ExperimentReport:
         try:
             doc = cfg["input"]
             if isinstance(doc, str):
-                with open(doc, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
+                with open(doc, "rb") as fh:
+                    data = fh.read(INPUT_BYTE_LIMIT + 1)
+                if len(data) > INPUT_BYTE_LIMIT:
+                    raise ValueError(f"the document passes {INPUT_BYTE_LIMIT} bytes")
+                # bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError
+                doc = json.loads(data.decode("utf-8"))
             _check_input_shape(doc)
             # one budget for every polynomial text of the document
             budget = ParseBudget()

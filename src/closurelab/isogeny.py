@@ -195,11 +195,11 @@ def curve_points(p: int) -> list:
     # x = 1 charts, then x = 0, y = 1, then (0 : 0 : 1) never on the curve
     for y in range(p):
         for z in range(p):
-            pt = (one, field.from_int(y), field.from_int(z))
+            pt = (one, field.coerce(y), field.coerce(z))
             if on_curve(pt, field):
                 pts.append(pt)
     for z in range(p):
-        pt = (field.zero, one, field.from_int(z))
+        pt = (field.zero, one, field.coerce(z))
         if on_curve(pt, field):
             pts.append(pt)
     return pts
@@ -260,11 +260,15 @@ def hesse_double() -> GradedEndo:
 
 
 def _to_prime_field(poly: Poly, ring_p: RingPresentation) -> Poly:
-    return Poly(ring_p, {m: int(c) for m, c in poly.terms})
+    """The reduction mod p of an integral ``poly``; a coefficient that is
+    not an integer raises ``TypeError``."""
+    coerce = ring_p.domain.coerce
+    return Poly(ring_p, {m: coerce(c) for m, c in poly.terms})
 
 
 def _lift_to_integers(poly: Poly, ring_z: RingPresentation) -> Poly:
-    return Poly(ring_z, {m: Fraction(c) for m, c in poly.terms})
+    coerce = ring_z.domain.coerce
+    return Poly(ring_z, {m: coerce(c) for m, c in poly.terms})
 
 
 def membership_digits(e: GradedEndo, p: int, n: int):

@@ -220,7 +220,7 @@ def test_criterion_09_successive_approximation():
             for stage in range(1, precision + 1):
                 A, B = trace.partial_sums(stage)
                 c_k = trace.steps[stage - 1].c
-                total = m.canon(A * m.x + B * m.y + c_k * m.domain.from_int(p ** stage))
+                total = m.canon(A * m.x + B * m.y + c_k * m.domain.coerce(p ** stage))
                 ok &= total == m.canon(alpha)
             count += 1
     ok &= count == 20

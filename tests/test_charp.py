@@ -20,7 +20,7 @@ def rand_fp_poly(rng, ring, max_exp=3, terms=3):
     dom = ring.domain
     for _ in range(terms):
         m = tuple(rng.randrange(0, max_exp) for _ in ring.variables)
-        out[m] = dom.from_int(rng.randrange(0, dom.p))
+        out[m] = dom.coerce(rng.randrange(0, dom.p))
     return ring.poly(out)
 
 

@@ -207,7 +207,7 @@ def _division_problems(draw):
     ring = elimination_ring(base) if draw(st.booleans()) else base
     dom = ring.domain
     mono = st.tuples(*[st.integers(0, 4)] * len(ring.variables))
-    coeff = st.integers(-3, 3).map(dom.from_int)
+    coeff = st.integers(-3, 3).map(dom.coerce)
 
     def poly(min_terms):
         terms = draw(st.dictionaries(mono, coeff, min_size=min_terms, max_size=6))
@@ -396,7 +396,7 @@ class TestWorkCounters:
     def test_no_unit_reaches_the_norm_formula(self, monkeypatch):
         """Count the CycloNum products made inside ``inverse``: none for a
         unit +-t^k (table lookup), some for the other elements (the norm)."""
-        units = {(s * CycloNum.zeta_power(k)).num for k in range(9) for s in (1, -1)}
+        units = {u.num for k in range(9) for u in (CycloNum.zeta_power(k), -CycloNum.zeta_power(k))}
         inverse, mul = CycloNum.inverse, CycloNum.__mul__
         inside = []  # per open inverse call: whether it inverts a unit
         products = {True: 0, False: 0}
@@ -446,11 +446,11 @@ def _cofactor_problems(draw):
             d = draw(st.integers(1, 3))
             monos = st.sampled_from([m for m in all_monomials(3, d) if sum(m) == d])
             unit = st.builds(CycloNum.zeta_power, st.integers(0, 8))
-            coeff = st.builds(lambda s, u: s * u, st.sampled_from([1, -1, 2]), unit)
+            coeff = st.builds(lambda s, u: CYCLO.coerce(s) * u, st.sampled_from([1, -1, 2]), unit)
             terms = draw(st.dictionaries(monos, coeff, min_size=1, max_size=3))
         else:
             mono = st.tuples(*[st.integers(0, 3)] * 3)
-            coeff = st.integers(-3, 3).filter(bool).map(ring.domain.from_int)
+            coeff = st.integers(-3, 3).filter(bool).map(ring.domain.coerce)
             terms = draw(st.dictionaries(mono, coeff, min_size=1, max_size=4))
         gens.append(ring.poly(terms))
     return ring, gens
@@ -670,7 +670,7 @@ def test_reduced_basis_matches_sympy(problem):
     for g in gens:
         f = ring.zero()
         for m, c in g.items():
-            f = f + ring.monomial(m, dom.from_int(c))
+            f = f + ring.monomial(m, dom.coerce(c))
         polys.append(f)
     symbols = sympy.symbols(ring.variables)
     options = {"modulus": p} if p else {"domain": "QQ"}
@@ -681,7 +681,7 @@ def test_reduced_basis_matches_sympy(problem):
     sym_gens = [g for g in sym_gens if not g.is_zero]
 
     def lower(c):
-        return dom.from_int(int(c) % p) if p else Fraction(int(c.p), int(c.q))
+        return dom.coerce(int(c) % p) if p else Fraction(int(c.p), int(c.q))
 
     expected = set()
     if sym_gens:

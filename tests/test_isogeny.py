@@ -158,3 +158,13 @@ class TestMembershipModPn:
             isogeny.membership_digits(isogeny.hesse_double(), 2, 2)
         with pytest.raises(isogeny.ConventionViolationError):
             isogeny.membership_digits(_identity(), 2, 1)
+
+    def test_reduction_mod_p_refuses_a_fraction(self):
+        """Reduction goes through the prime field's ``coerce``: an integer
+        coefficient reduces mod p, and x/2 raises instead of truncating to 0."""
+        ring_z, ring_p = isogeny.integral_ring(), isogeny.fermat_ring(5)
+        reduced = isogeny._to_prime_field(ring_z.parse("7*x - 3*y"), ring_p)
+        assert reduced == ring_p.parse("2*x + 2*y")
+        assert isogeny._lift_to_integers(reduced, ring_z) == ring_z.parse("2*x + 2*y")
+        with pytest.raises(TypeError):
+            isogeny._to_prime_field(ring_z.parse("1/2*x"), ring_p)

@@ -54,7 +54,7 @@ class TestCanonicalForm:
     )
     def test_canon_is_a_remainder_modulo_the_relation(self, pn, terms):
         m = padic.model(*pn)
-        f = m.ring.poly({mono: m.domain.from_int(c) for mono, c in terms.items()})
+        f = m.ring.poly({mono: m.domain.coerce(c) for mono, c in terms.items()})
         r = m.canon(f)
         assert all(mono[0] <= 2 for mono, _ in exponent_terms(r))
         rel = m.ring.relations[0]
@@ -75,7 +75,7 @@ class TestCanonicalForm:
         terms = data.draw(
             st.dictionaries(
                 st.tuples(st.integers(0, z_max), st.integers(0, 4), st.integers(0, 4)),
-                st.integers(0, 10 ** 6).map(m.domain.from_int),
+                st.integers(0, 10 ** 6).map(m.domain.coerce),
                 max_size=8,
             )
         )
@@ -120,7 +120,7 @@ class TestAdversarialRuns:
     def test_spec_style_perturbation(self):
         # alpha = x + p^2*y, oracle injects a spurious syzygy at every step
         m = padic.model(5, 4)
-        alpha = m.canon(m.ring.var("x") + m.ring.var("y") * m.domain.from_int(25))
+        alpha = m.canon(m.ring.var("x") + m.ring.var("y") * m.domain.coerce(25))
         tr = padic.successive_approx(alpha, padic.adversarial_oracle(m, seed=3), 4)
         assert padic.verify_trace(tr, alpha)
         A, B = tr.sums
@@ -158,7 +158,7 @@ class TestAdversarialRuns:
         for k in range(1, 7):
             A, B = tr.partial_sums(k)
             c_k = tr.steps[k - 1].c
-            lhs = m.canon(A * m.x + B * m.y + c_k * m.domain.from_int(2 ** k))
+            lhs = m.canon(A * m.x + B * m.y + c_k * m.domain.coerce(2 ** k))
             assert lhs == m.canon(alpha)
 
 
@@ -204,7 +204,7 @@ def _reference_verify_trace(trace, alpha):
     for k in range(1, len(trace.steps) + 1):
         A, B = _reference_partial_sums(trace, k)
         c_k = trace.steps[k - 1].c
-        total = m.canon(A * m.x + B * m.y + c_k * m.domain.from_int(p ** k))
+        total = m.canon(A * m.x + B * m.y + c_k * m.domain.coerce(p ** k))
         if total != alpha:
             return False
     return True
@@ -231,7 +231,7 @@ def _traces(draw):
         r = m.random_poly(rng, max_degree=2, terms=2)
         if draw(st.booleans()):
             r = r * m.ring.relations[0]
-        shift = r * m.domain.from_int(p ** draw(st.integers(0, n)))
+        shift = r * m.domain.coerce(p ** draw(st.integers(0, n)))
         steps = list(trace.steps)
         parts = {f: getattr(steps[i], f) for f in "abc"}
         parts[field] = parts[field] + shift
@@ -314,10 +314,10 @@ def _reference_koszul_correct(m, i, a, b):
     def digit(f, j):
         pj = m.p ** j
         assert all(c % pj == 0 for _, c in f.terms)
-        return Poly(ring, {mono: ring.domain.from_int(c // pj) for mono, c in f.terms})
+        return Poly(ring, {mono: ring.domain.coerce(c // pj) for mono, c in f.terms})
 
     def lift(f):
-        return Poly(m.ring, {mono: m.domain.from_int(c) for mono, c in f.terms})
+        return Poly(m.ring, {mono: m.domain.coerce(c) for mono, c in f.terms})
 
     for j in range(i - 1):
         abar, bbar = digit(a, j), digit(b, j)
@@ -331,7 +331,7 @@ def _reference_koszul_correct(m, i, a, b):
         if not check.is_zero():
             raise padic.LiftingObstructionError(f"digit {j}: the syzygy does not reproduce b")
         w_b = -quots[0]  # bbar + t*x + w_b*rel = 0 exactly
-        pj = m.domain.from_int(m.p ** j)
+        pj = m.domain.coerce(m.p ** j)
         rel = m.ring.relations[0]
         a = m.canon(a - (lift(t) * m.ring.var("y") + lift(w_a) * rel) * pj)
         b = m.canon(b + (lift(t) * m.ring.var("x") + lift(w_b) * rel) * pj)
@@ -345,7 +345,7 @@ class TestKoszulCorrection:
         terms = data.draw(
             st.dictionaries(
                 st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3)),
-                st.integers(1, m.p ** m.precision - 1).map(m.domain.from_int),
+                st.integers(1, m.p ** m.precision - 1).map(m.domain.coerce),
                 max_size=max_size,
             )
         )
@@ -364,7 +364,7 @@ class TestKoszulCorrection:
         return the same pair; with a low monomial of a that y does not
         divide, or a b that t*x does not reproduce, both refuse."""
         m = padic.model(p, i + extra)
-        q = m.domain.from_int(p ** (i - 1))
+        q = m.domain.coerce(p ** (i - 1))
         t = self._canonical(data, m)
         a = t * m.y + self._canonical(data, m) * q
         b = self._canonical(data, m) * q - t * m.x
@@ -372,7 +372,7 @@ class TestKoszulCorrection:
             exps = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3)))
             if kind == "a_outside_y":
                 exps = exps[:2] + (0,)
-            mono = m.ring.monomial(exps, m.domain.from_int(data.draw(st.integers(1, p ** (i - 1) - 1))))
+            mono = m.ring.monomial(exps, m.domain.coerce(data.draw(st.integers(1, p ** (i - 1) - 1))))
             if kind == "a_outside_y":
                 a = a + mono
             else:

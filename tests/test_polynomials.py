@@ -391,7 +391,7 @@ def _term_dicts(draw):
     else:
         ring = elimination_ring(draw(st.sampled_from([fermat, weighted])))
     mono = st.tuples(*[st.integers(0, 4)] * len(ring.variables))
-    coeff = st.integers(-2, 2).map(ring.domain.from_int)
+    coeff = st.integers(-2, 2).map(ring.domain.coerce)
     return ring, [draw(st.dictionaries(mono, coeff, max_size=10)) for _ in range(2)]
 
 
@@ -407,6 +407,34 @@ def test_constructor_matches_the_key_sorted_constructor(problem):
         rem, quots = _divide(f, [divisor])
         for p in [rem] + quots:
             assert p.terms == Poly(ring, dict(p.terms)).terms
+
+
+_SMALL_FRACTIONS = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+_HASH_RINGS = {
+    "QQ": (RingPresentation(QQ, ("x", "y")), _SMALL_FRACTIONS.map(QQ.coerce)),
+    # -6..6 are equal in pairs mod 5 once coerced
+    "F_5": (RingPresentation(PrimeField(5), ("x", "y")), st.integers(-6, 6).map(PrimeField(5).coerce)),
+    "cyclo9": (
+        RingPresentation(CYCLO, ("x", "y")),
+        st.builds(lambda c, k: CYCLO.coerce(c) * CycloNum.zeta_power(k), _SMALL_FRACTIONS, st.integers(0, 8)),
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(_HASH_RINGS)), data=st.data())
+def test_equal_polynomials_hash_equal(name, data):
+    """``f == g`` implies ``hash(f) == hash(g)`` over QQ, F_p and Q(zeta_9):
+    on pairs equal by another route and on pairs drawn small enough to
+    collide."""
+    ring, coeff = _HASH_RINGS[name]
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 1))
+    f, g, h = (ring.poly(data.draw(st.dictionaries(mono, coeff, max_size=3))) for _ in range(3))
+    pairs = [(f, (f + g) - g), (f, f * ring.one()), (f, g), (g, h)]
+    assert all(u == v for u, v in pairs[:2])
+    for u, v in pairs:
+        if u == v:
+            assert hash(u) == hash(v)
 
 
 def test_weighted_degrees_are_exact_fractions():
@@ -482,9 +510,9 @@ def test_linear_combination_matches_the_running_sum(problem, scalars):
     """One dict for the whole sum gives the Poly that adding one scaled
     part at a time gives, with zero scalars, cancellation and scalar one."""
     ring, term_dicts = problem
-    parts = [(ring.domain.from_int(c), ring.poly(t)) for c, t in zip(scalars, term_dicts)]
+    parts = [(ring.domain.coerce(c), ring.poly(t)) for c, t in zip(scalars, term_dicts)]
     parts.append((ring.domain.one, ring.poly(term_dicts[0])))
-    parts.append((ring.domain.from_int(-1), ring.poly(term_dicts[0])))
+    parts.append((ring.domain.coerce(-1), ring.poly(term_dicts[0])))
     expected = ring.zero()
     for c, f in parts:
         expected = expected + f * c
@@ -523,7 +551,7 @@ def _residues(domain):
     each other vanish exactly when the powers of p add up to N or more."""
     p, n = domain.p, domain.precision
     return st.builds(
-        lambda u, j: domain.from_int(u * p ** j),
+        lambda u, j: domain.coerce(u * p ** j),
         st.integers(1, p ** n).filter(lambda u: u % p),
         st.integers(0, n - 1),
     )
@@ -581,7 +609,7 @@ def test_mul_term_by_one_matches_the_multiply_path(problem, data):
     f, _ = problem
     ring = f.ring
     exps = data.draw(st.tuples(*[st.integers(0, 3)] * len(ring.variables)))
-    for one in (ring.domain.one, ring.domain.from_int(1)):
+    for one in (ring.domain.one, ring.domain.coerce(1)):
         term = ring.monomial(exps, one)
         assert f.mul_term(term.lm(), one).terms == _schoolbook(f, term).terms
         assert f.mul_term(0, one).terms == _schoolbook(f, ring.one()).terms
@@ -605,7 +633,7 @@ def test_lifted_product_at_the_packing_width(k, n, signs):
     assert product.terms == _schoolbook(f, g).terms
     # over one large denominator the numerators are the same
     d = (1 << 127) - 1
-    scaled = Poly(ring, {m: c * Fraction(1, d) for m, c in f.terms})
+    scaled = Poly(ring, {m: c * CYCLO.coerce(Fraction(1, d)) for m, c in f.terms})
     assert (scaled * g).terms == _schoolbook(scaled, g).terms
 
 
@@ -636,7 +664,7 @@ def test_zero_divisor_products_vanish():
     g = ring.parse("25*x^2 + 50*x*y + 75*y^2 + 100*x + 25")
     for h in (g, ring.parse("25*x"), ring.const(25)):
         assert (f * h).terms == (h * f).terms == ()
-    assert f.mul_term(ring.order.key((1, 0)), ring.domain.from_int(50)).terms == ()
+    assert f.mul_term(ring.order.key((1, 0)), ring.domain.coerce(50)).terms == ()
     # 5 * 25 vanishes but 5 * 1 does not: only the zero products drop out
     assert f * ring.parse("25*x + y") == f * ring.parse("y")
     for domain in (TruncatedPadicRing(p, n) for p in (2, 5, 7) for n in (1, 3, 8)):
@@ -715,7 +743,7 @@ def test_product_matches_sympy(sympy, problem):
             return c
 
         def lower(c):
-            return domain.from_int(int(c))
+            return domain.coerce(int(c))
 
     gens = sympy.symbols(f.ring.variables)
     sf, sg = (

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from closurelab.cli import build_parser, main
-from closurelab.experiments import SCHEMAS, ConfigError, run_experiment
+from closurelab.experiments import INPUT_BYTE_LIMIT, SCHEMAS, ConfigError, run_experiment
+from closurelab.polynomials import PARSE_TEXT_LIMIT
 from closurelab.reports import (
     ExperimentReport,
     ReportMismatchError,
@@ -249,6 +250,41 @@ class TestCli:
         assert code == 2 and "OracleInconsistencyError" in err
         code, err = run({"alpha": f"x*{big}", "oracle": {"mode": "scripted", "steps": [step]}})
         assert code == 2 and "term operations" in err
+
+    def test_input_file_is_read_up_to_its_byte_limit(self, tmp_path, capsys):
+        """A document of exactly INPUT_BYTE_LIMIT bytes is read; one byte
+        more is refused before it is parsed."""
+        path = tmp_path / "input.json"
+        doc = json.dumps({"alpha": "x"}).encode()
+        argv = ["padic", "--p", "5", "--precision", "2", "--samples", "0", "--input", str(path)]
+        path.write_bytes(doc + b" " * (INPUT_BYTE_LIMIT - len(doc)))
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        path.write_bytes(doc + b" " * (INPUT_BYTE_LIMIT + 1 - len(doc)))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: padic: bad input document: ValueError: the document passes {INPUT_BYTE_LIMIT} bytes\n"
+        )
+        assert captured.out == ""
+
+    def test_any_document_within_the_parse_budget_is_read(self, tmp_path, capsys):
+        """The most bytes a document within PARSE_TEXT_LIMIT can take: every
+        text character a 12-byte surrogate-pair escape, as many one-character
+        steps as the budget admits, indented; it is read, and only then fails
+        to parse."""
+        steps = (PARSE_TEXT_LIMIT - 1) // 3
+        char = "\U0001F600"
+        alpha = char * (PARSE_TEXT_LIMIT - 3 * steps)
+        doc = {"alpha": alpha, "oracle": {"mode": "scripted", "steps": [dict.fromkeys("abc", char)] * steps}}
+        body = json.dumps(doc, indent=2).encode()
+        assert body.count(b"\\ud83d\\ude00") == PARSE_TEXT_LIMIT
+        assert len(body) <= INPUT_BYTE_LIMIT
+        path = tmp_path / "input.json"
+        path.write_bytes(body)
+        assert main(["padic", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: padic: bad input document: PolyParseError")
 
     @pytest.mark.parametrize(
         "document",
@@ -521,6 +557,7 @@ class TestCliContract:
     @example(case=_padic_input(_dump({"alpha": "3/0*x"})))
     @example(case=_padic_input(_dump({"alpha": "1/2*x"})))
     @example(case=_padic_input(b"[" * 100000))
+    @example(case=_padic_input(b"{}" + b" " * (INPUT_BYTE_LIMIT - 1)))
     @example(case=(["diff", "@left.json", "@right.json"], {"left.json": b"[" * 100000, "right.json": b"{}"}))
     def test_exit_codes_and_error_lines(self, tmp_path, monkeypatch, case):
         """Every run exits 0, 1 or 2 without a traceback, and exit 2 comes

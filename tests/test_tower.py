@@ -275,16 +275,15 @@ class TestTraceRetraction:
         rng = random.Random(14)
         ring = tower.build_level(1).ring
         basis = tower.relation_basis(1)
-        theta = CycloNum.zeta_power(3)
         for _ in range(10):
             s = rand_poly(rng, ring)
             acc = ring.zero()
             for a in range(3):
                 for b in range(3):
                     images = {
-                        "x1": ring.var("x1") * theta ** a,
-                        "y1": ring.var("y1") * theta ** b,
-                        "z1": ring.var("z1") * theta ** ((-a - b) % 3),
+                        "x1": ring.var("x1") * CycloNum.zeta_power(3 * a),
+                        "y1": ring.var("y1") * CycloNum.zeta_power(3 * b),
+                        "z1": ring.var("z1") * CycloNum.zeta_power(3 * ((-a - b) % 3)),
                     }
                     acc = acc + s.substitute(images, ring)
             avg = acc * Fraction(1, 9)
