@@ -1,14 +1,29 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 configuration
-error, a --report path that cannot be written or a ``diff`` input that is
-not a report.  Reports go to stdout or --report, as canonical JSON or as
-text.
+Grammar::
+
+    closurelab <experiment> [--<field> VALUE]... [--report PATH] [--format json|text]
+    closurelab diff LEFT RIGHT
+    closurelab [<command>] --help
+
+Each experiment takes one ``--<field>`` flag per field of its schema in
+``experiments.SCHEMAS`` (underscores written as dashes), plus ``--report``
+and ``--format``.  Flags are spelled in full, as ``--flag VALUE`` or
+``--flag=VALUE``.  The token after a flag is its value even when it starts
+with ``-`` (``--seed -5``), and of a repeated flag the last one wins.  A
+field's text goes to the experiment's validator unchanged, which casts it
+and checks its bound; an unset flag leaves the schema default.  Help goes
+to stdout and exits 0.
+
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 a malformed
+command line, a configuration error, a --report path that cannot be
+written or a ``diff`` input that is not a report.  Exit 2 comes with one
+``error:`` or ``config error:`` line on stderr.  Reports go to stdout or
+--report, as canonical JSON or as text.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -28,38 +43,85 @@ _SUMMARIES = {
     "isogeny": "Hesse doubling lift and membership mod p^n",
     "padic": "successive approximation on the truncated model",
     "all": "run every experiment with defaults",
+    "diff": "structural diff of two report files",
 }
 
+_HELP_FLAGS = ("--help", "-h")
+_FORMATS = ("json", "text")
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per experiment with a --<field> flag per schema field.
 
-    Flags hand the raw text to the experiment's validator, which casts it
-    and checks its bound; an unset flag leaves the schema default."""
-    parser = argparse.ArgumentParser(
-        prog="closurelab",
-        description="Exact verification experiments: Fermat cubic tower, "
-        "characteristic-p closures, Hesse doubling, p-adic approximation.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
+class UsageError(Exception):
+    """A malformed command line; the message says what is wrong."""
 
-    for name, schema in SCHEMAS.items():
-        sp = subs.add_parser(name, help=_SUMMARIES[name])
-        for field, (default, _, _, description) in schema.items():
-            sp.add_argument(
-                "--" + field.replace("_", "-"),
-                dest=field,
-                default=None,
-                help=f"{description} (default: {default})",
-            )
-        sp.add_argument("--report", metavar="PATH", help="write the report to this file")
-        sp.add_argument("--format", choices=("json", "text"), default="json")
 
-    sp = subs.add_parser("diff", help="structural diff of two report files")
-    sp.add_argument("left")
-    sp.add_argument("right")
+def _flag(field: str) -> str:
+    return "--" + field.replace("_", "-")
 
-    return parser
+
+def _table(rows) -> str:
+    width = max(len(left) for left, _ in rows) + 2
+    return "".join(f"  {left.ljust(width)}{right}\n" for left, right in rows)
+
+
+def _help(command: str | None) -> str:
+    """The help text for ``command``, or for the program when it is None."""
+    if command is None:
+        return (
+            "usage: closurelab <command> [--<flag> VALUE]...\n\n"
+            "Exact verification experiments: Fermat cubic tower, characteristic-p\n"
+            "closures, Hesse doubling, p-adic approximation.\n\n"
+            "commands:\n" + _table(_SUMMARIES.items()) + "\n"
+            "'closurelab <command> --help' lists the command's flags.\n"
+        )
+    if command == "diff":
+        return f"usage: closurelab diff LEFT RIGHT\n\n{_SUMMARIES['diff']}\n"
+    rows = [
+        (_flag(field) + " VALUE", f"{description} (default: {default})")
+        for field, (default, _, _, description) in SCHEMAS[command].items()
+    ]
+    rows.append(("--report PATH", "write the report to this file (default: stdout)"))
+    rows.append(("--format FORMAT", "json or text (default: json)"))
+    return f"usage: closurelab {command} [--<flag> VALUE]...\n\n{_SUMMARIES[command]}\n\nflags:\n" + _table(rows)
+
+
+def _parse(argv: list) -> tuple:
+    """(command, values) for a command line, or ("help", text) when it asks
+    for help.  For an experiment, values maps each given field, "report"
+    and "format" to its text; for ``diff`` it is the two paths.  A malformed
+    line raises UsageError."""
+    if not argv:
+        raise UsageError(f"no command given; choose from {', '.join(_SUMMARIES)}")
+    command, rest = argv[0], argv[1:]
+    if command in _HELP_FLAGS:
+        return "help", _help(None)
+    if command not in _SUMMARIES:
+        raise UsageError(f"unknown command {command!r}; choose from {', '.join(_SUMMARIES)}")
+    if command == "diff":
+        if any(arg in _HELP_FLAGS for arg in rest):
+            return "help", _help(command)
+        if len(rest) != 2:
+            raise UsageError(f"diff takes two report paths, got {len(rest)}")
+        return command, rest
+
+    keys = {_flag(field): field for field in SCHEMAS[command]}
+    keys["--report"], keys["--format"] = "report", "format"
+    values = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP_FLAGS:
+            return "help", _help(command)
+        flag, eq, value = token.partition("=")
+        if flag not in keys:
+            what = f"flag {flag!r}" if token.startswith("-") else f"argument {token!r}"
+            raise UsageError(f"{command}: unknown {what}; the flags are {', '.join(keys)}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"{command}: {flag} needs a value")
+        values[keys[flag]] = value
+    if values.get("format", "json") not in _FORMATS:
+        raise UsageError(f"{command}: --format must be json or text, got {values['format']!r}")
+    return command, values
 
 
 def _read_report(path: str) -> ExperimentReport:
@@ -76,12 +138,20 @@ def _read_report(path: str) -> ExperimentReport:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        command, values = _parse(sys.argv[1:] if argv is None else list(argv))
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
-    if args.command == "diff":
+    if command == "help":
+        sys.stdout.write(values)
+        return EXIT_PASS
+
+    if command == "diff":
+        left, right = values
         try:
-            diffs = diff_reports(_read_report(args.left), _read_report(args.right))
+            diffs = diff_reports(_read_report(left), _read_report(right))
         # reports of different experiments raise ReportMismatchError
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -89,21 +159,18 @@ def main(argv=None) -> int:
         print(json.dumps(diffs, indent=2, sort_keys=True))
         return EXIT_PASS if not diffs else EXIT_CHECK_FAILED
 
-    config = {}
-    for field in SCHEMAS[args.command]:
-        value = getattr(args, field)
-        if value is not None:
-            config[field] = value
+    report_path = values.pop("report", None)
+    fmt = values.pop("format", "json")
     try:
-        report = run_experiment(args.command, config)
+        report = run_experiment(command, values)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    body = report.to_json() + "\n" if args.format == "json" else report.to_text()
-    if args.report:
+    body = report.to_json() + "\n" if fmt == "json" else report.to_text()
+    if report_path:
         try:
-            with open(args.report, "w", encoding="utf-8") as fh:
+            with open(report_path, "w", encoding="utf-8") as fh:
                 fh.write(body)
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)

@@ -316,16 +316,25 @@ def run_isogeny(config: dict) -> ExperimentReport:
     return ExperimentReport("isogeny", cfg, checks)
 
 
+def _check_keys(obj: dict, allowed: tuple, where: str):
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"{where} has unknown key {unknown[0]!r}; allowed: {', '.join(allowed)}")
+
+
 def _check_input_shape(doc):
-    """Reject a ``padic --input`` document of the wrong JSON shape before any
-    field is used; a missing ``alpha`` or ``steps`` is left to the KeyError."""
+    """Reject a ``padic --input`` document of the wrong JSON shape or with a
+    key it does not use before any field is used; a missing ``alpha`` or
+    ``steps`` is left to the KeyError."""
     if not isinstance(doc, dict):
         raise ValueError("the document must be a JSON object")
+    _check_keys(doc, ("alpha", "oracle"), "the document")
     if "alpha" in doc and not isinstance(doc["alpha"], str):
         raise ValueError("alpha must be a string")
     oracle = doc.get("oracle", {})
     if not isinstance(oracle, dict):
         raise ValueError("oracle must be an object")
+    _check_keys(oracle, ("mode", "seed", "steps"), "oracle")
     if not isinstance(oracle.get("mode", "honest"), str):
         raise ValueError("oracle mode must be a string")
     seed = oracle.get("seed", 0)
@@ -336,6 +345,8 @@ def _check_input_shape(doc):
         isinstance(step, dict) and all(isinstance(step.get(k), str) for k in "abc") for step in steps
     ):
         raise ValueError("oracle steps must be a list of objects with string a, b and c")
+    for i, step in enumerate(steps, 1):
+        _check_keys(step, ("a", "b", "c"), f"oracle step {i}")
 
 
 def run_padic(config: dict) -> ExperimentReport:

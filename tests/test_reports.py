@@ -1,14 +1,17 @@
-import argparse
 import contextlib
 import io
 import json
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from closurelab.cli import build_parser, main
+import closurelab
+from closurelab.cli import main
 from closurelab.experiments import INPUT_BYTE_LIMIT, SCHEMAS, ConfigError, run_experiment
 from closurelab.polynomials import PARSE_TEXT_LIMIT
 from closurelab.reports import (
@@ -147,18 +150,84 @@ class TestCli:
         assert body["config"]["p"] == 97
         assert {c["name"].split("/")[0] for c in body["checks"]} == {"p97"}
 
-    def test_flags_come_from_the_schemas(self):
-        parser = build_parser()
-        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    def test_flags_come_from_the_schemas(self, capsys):
+        """Each experiment accepts a flag per schema field, --report and
+        --format, and its --help names exactly those, each with its
+        description and default."""
         for name, schema in SCHEMAS.items():
-            flags = {
-                opt
-                for action in subparsers.choices[name]._actions
-                for opt in action.option_strings
-                if opt not in ("-h", "--help")
+            expected = {
+                "--" + field.replace("_", "-"): (description, default)
+                for field, (default, _, _, description) in schema.items()
             }
-            expected = {"--" + field.replace("_", "-") for field in schema} | {"--report", "--format"}
-            assert flags == expected, name
+            expected["--report"] = ("write the report to this file", "stdout")
+            expected["--format"] = ("json or text", "json")
+            # the flags are read left to right, so each is accepted before
+            # --help is reached; an unknown one exits 2 first
+            argv = [name] + [a for flag in expected for a in (flag, "text")] + ["--help"]
+            assert main(argv) == 0, name
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            lines = {line.split()[0]: line for line in captured.out.splitlines() if line.startswith("  --")}
+            assert set(lines) == set(expected), name
+            for flag, (description, default) in expected.items():
+                assert f"{description} (default: {default})" in lines[flag], (name, flag)
+            assert main([name, "--no-such-flag", "1", "--help"]) == 2
+            capsys.readouterr()
+
+    def test_help_lists_the_commands(self, capsys):
+        for argv in (["--help"], ["-h"]):
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            commands = [line.split()[0] for line in captured.out.splitlines() if line.startswith("  ")]
+            assert commands == list(SCHEMAS) + ["diff"]
+        assert main(["diff", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: closurelab diff LEFT RIGHT\n")
+
+    def test_importing_the_cli_leaves_argparse_out(self):
+        """The command line is parsed without argparse.  pytest imports
+        argparse itself, so a fresh interpreter without site checks."""
+        src = str(pathlib.Path(closurelab.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import closurelab.cli; sys.exit('argparse' in sys.modules)"
+        assert subprocess.run([sys.executable, "-I", "-S", "-c", code]).returncode == 0
+
+    def test_flag_grammar(self, capsys):
+        """--flag VALUE and --flag=VALUE, a value that starts with '-', and
+        the last of a repeated flag wins."""
+        assert main(["tower-trace", "--pairs", "1", "--seed", "-5", "--pairs=2", "--format=json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == {"pairs": 2, "seed": -5}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["charp", "--bogus", "1"],
+            ["charp", "--p"],
+            ["charp", "--format", "xml"],
+            ["nope"],
+            [],
+            ["diff", "left.json"],
+            ["diff", "a.json", "b.json", "c.json"],
+            ["charp", "--e-m", "2"],
+            ["charp", "7"],
+        ],
+        ids=[
+            "unknown_flag",
+            "flag_without_value",
+            "bad_format",
+            "unknown_command",
+            "missing_command",
+            "diff_with_one_path",
+            "diff_with_three_paths",
+            "abbreviated_flag",
+            "stray_argument",
+        ],
+    )
+    def test_malformed_command_line_is_one_error_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_diff_subcommand(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -285,6 +354,26 @@ class TestCli:
         assert main(["padic", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: padic: bad input document: PolyParseError")
+
+    @pytest.mark.parametrize(
+        "document, key",
+        [
+            ({"alpha": "x", "oracel": {"mode": "scripted", "steps": []}}, "oracel"),
+            ({"alpha": "x", "oracle": {"mode": "adversarial", "sead": 4}}, "sead"),
+            ({"alpha": "x", "oracle": {"mode": "scripted", "steps": [{"a": "x", "b": "0", "c": "0", "d": "0"}]}}, "d"),
+        ],
+        ids=["misspelt_oracle", "misspelt_seed", "unknown_step_key"],
+    )
+    def test_unknown_input_key_is_named(self, tmp_path, capsys, document, key):
+        """A misspelt key is refused, not read as its default."""
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        assert main(["padic", "--samples", "0", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: padic: bad input document:")
+        assert f"unknown key {key!r}" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "document",
@@ -521,6 +610,34 @@ _CHARP_RUNS = _flags(
 )
 
 
+def _schema_flags(command):
+    return ["--" + field.replace("_", "-") for field in SCHEMAS[command]] + ["--report", "--format"]
+
+
+@st.composite
+def _malformed(draw):
+    """A command line the parser refuses before any experiment runs: an
+    unknown flag, a flag with no value, a bad --format, an unknown or
+    missing command, diff without exactly two paths, an abbreviated flag."""
+    commands = [*SCHEMAS, "diff", "--help", "-h"]
+    kind = draw(st.sampled_from(["unknown_flag", "no_value", "format", "command", "diff", "abbreviation"]))
+    if kind == "command":
+        return draw(st.one_of(st.just([]), st.text(max_size=8).filter(lambda c: c not in commands).map(lambda c: [c])))
+    if kind == "diff":
+        return ["diff", *draw(st.sampled_from([[], ["@left.json"], ["@left.json"] * 3]))]
+    name = draw(st.sampled_from(sorted(SCHEMAS)))
+    flags = _schema_flags(name)
+    if kind == "unknown_flag":
+        flag = draw(st.text(max_size=8).map(lambda t: "--" + t.partition("=")[0]).filter(lambda f: f not in flags + ["--help"]))
+        return [name, flag, "1"]
+    if kind == "no_value":
+        return [name, draw(st.sampled_from(flags))]
+    if kind == "format":
+        return [name, "--format", draw(st.text(max_size=6).filter(lambda f: f not in ("json", "text")))]
+    prefixes = [flag[:k] for flag in flags for k in range(3, len(flag)) if flag[:k] not in flags]
+    return [name, draw(st.sampled_from(prefixes)), "2"]
+
+
 def _padic_input(body, *flags):
     return ["padic", *flags, "--input", "@input.json"], {"input.json": body}
 
@@ -530,7 +647,9 @@ def _invocations(draw):
     """(argv, files): a command line and the documents it reads, by name;
     an argument ``@name`` stands for that file in a scratch directory, and
     ``@`` alone for the directory."""
-    kind = draw(st.sampled_from(["padic_input", "diff", "cheap", "charp"]))
+    kind = draw(st.sampled_from(["padic_input", "diff", "cheap", "charp", "malformed"]))
+    if kind == "malformed":
+        return draw(_malformed()), {"left.json": b"{}"}
     if kind == "padic_input":
         p, precision = draw(st.sampled_from(["2", "5", "7"])), draw(st.sampled_from(["1", "2", "3"]))
         return _padic_input(draw(_PADIC_DOCUMENTS), "--p", p, "--precision", precision, "--samples", "0")
@@ -557,6 +676,8 @@ class TestCliContract:
     @example(case=_padic_input(_dump({"alpha": "3/0*x"})))
     @example(case=_padic_input(_dump({"alpha": "1/2*x"})))
     @example(case=_padic_input(b"[" * 100000))
+    @example(case=_padic_input(_dump({"alpha": "x", "oracel": {"mode": "scripted", "steps": []}})))
+    @example(case=_padic_input(_dump({"alpha": "x", "oracle": {"mode": "adversarial", "sead": 4}})))
     @example(case=_padic_input(b"{}" + b" " * (INPUT_BYTE_LIMIT - 1)))
     @example(case=(["diff", "@left.json", "@right.json"], {"left.json": b"[" * 100000, "right.json": b"{}"}))
     def test_exit_codes_and_error_lines(self, tmp_path, monkeypatch, case):
