@@ -168,7 +168,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
 
     body = report.to_json() + "\n" if fmt == "json" else report.to_text()
-    if report_path:
+    if report_path is not None:
         try:
             with open(report_path, "w", encoding="utf-8") as fh:
                 fh.write(body)

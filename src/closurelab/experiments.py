@@ -8,10 +8,10 @@ import random
 from fractions import Fraction
 
 from . import charp, isogeny, padic, tower
-from .coefficients import PRIME_TEST_LIMIT, CycloNum, is_prime
+from .coefficients import PRIME_TEST_LIMIT, QQ, CycloNum, PrimeField, is_prime
 from .groebner import normal_form
 from .polynomials import ParseBudget, Poly, format_poly
-from .reports import ExperimentReport, check_against_fixture
+from .reports import ExperimentReport
 
 
 class ConfigError(ValueError):
@@ -223,6 +223,34 @@ def run_tower_trace(config: dict) -> ExperimentReport:
     return ExperimentReport("tower-trace", cfg, checks)
 
 
+# Golden values: results frozen from the first verified runs, keyed by
+# experiment and configuration.  A configuration with no entry fails its
+# golden check as "missing fixture", so a run never blesses itself; the
+# status strings are hashed into pinned fingerprints and keep their wording.
+GOLDEN = {
+    "charp_p2_emax2_deg3": {"degree": 0, "multiplier": "1"},
+    "charp_p5_emax2_deg3": {"degree": 0, "multiplier": "1"},
+    "charp_p7_emax2_deg3": {"degree": 1, "multiplier": "x"},
+    "charp_p13_emax2_deg3": {"degree": 1, "multiplier": "x"},
+    "isogeny_doubling_formula": {
+        "degree": 4,
+        "x": "z^3*y - x^3*y",
+        "y": "-z^3*x + x*y^3",
+        "z": "z*x^3 - z*y^3",
+    },
+}
+
+
+def _golden(name: str, payload) -> dict:
+    """The status fields of a check of ``payload`` against ``GOLDEN[name]``."""
+    expected = GOLDEN.get(name)
+    if expected is None:
+        return {"status": "fail", "golden": "missing fixture"}
+    if expected == payload:
+        return {"status": "pass", "golden": "match"}
+    return {"status": "fail", "golden": "mismatch", "expected": expected, "actual": payload}
+
+
 def run_charp(config: dict) -> ExperimentReport:
     cfg = _validated(config, "charp")
     primes = _PRIMES_DEFAULT if cfg["p"] == 0 else (cfg["p"],)
@@ -255,7 +283,7 @@ def run_charp(config: dict) -> ExperimentReport:
                 witness_checks=list(row.witness_checks),
             )
         )
-        golden = check_against_fixture(
+        golden = _golden(
             f"charp_p{p}_emax{cfg['e_max']}_deg{cfg['deg_bound']}",
             {"multiplier": row.multiplier, "degree": row.multiplier_degree},
         )
@@ -270,11 +298,9 @@ def run_isogeny(config: dict) -> ExperimentReport:
     checks.append(
         _check("doubling/relation_preserved", isogeny.verify_endo(e), formula=e.to_json())
     )
-    golden = check_against_fixture("isogeny_doubling_formula", e.to_json())
+    golden = _golden("isogeny_doubling_formula", e.to_json())
     checks.append({"name": "doubling/pinned_normalization", **golden})
     checks.append(_check("doubling/degree", e.degree == 4, degree=e.degree))
-    from .coefficients import QQ, PrimeField
-
     infl = isogeny.apply_endo_to_point(e, (Fraction(1), Fraction(-1), Fraction(0)), QQ)
     fixed = infl == tuple(map(Fraction, (1, -1, 0)))
     checks.append(_check("doubling/inflection_fixed", fixed, image=[str(c) for c in infl]))

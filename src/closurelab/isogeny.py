@@ -259,16 +259,13 @@ def hesse_double() -> GradedEndo:
 # monomials carry over between them as they are
 
 
-def _to_prime_field(poly: Poly, ring_p: RingPresentation) -> Poly:
-    """The reduction mod p of an integral ``poly``; a coefficient that is
-    not an integer raises ``TypeError``."""
-    coerce = ring_p.domain.coerce
-    return Poly(ring_p, {m: coerce(c) for m, c in poly.terms})
-
-
-def _lift_to_integers(poly: Poly, ring_z: RingPresentation) -> Poly:
-    coerce = ring_z.domain.coerce
-    return Poly(ring_z, {m: coerce(c) for m, c in poly.terms})
+def _recast(poly: Poly, ring: RingPresentation) -> Poly:
+    """``poly`` with each coefficient coerced into ``ring``'s domain: an
+    integral poly reduces mod p into ``fermat_ring(p)``, and a poly over
+    ``F_p`` lifts its int residues into ``integral_ring()``.  A coefficient
+    that is not an integer raises ``TypeError`` in a prime field."""
+    coerce = ring.domain.coerce
+    return Poly(ring, {m: coerce(c) for m, c in poly.terms})
 
 
 def membership_digits(e: GradedEndo, p: int, n: int):
@@ -288,15 +285,15 @@ def membership_digits(e: GradedEndo, p: int, n: int):
     ring_p = fermat_ring(p)
     (rel_z,) = ring_z.relations
     gens_z = [e.x_image, e.y_image]
-    gens_p = [_to_prime_field(g, ring_p) for g in gens_z]
+    gens_p = [_recast(g, ring_p) for g in gens_z]
     basis = groebner(gens_p, ring_p, reps=True)
     residual = e.apply(ring_z.parse("z^2"))
     for digit in range(n):
-        target_p = _to_prime_field(residual, ring_p)
+        target_p = _recast(residual, ring_p)
         member, cert = membership_with_basis(target_p, basis)
         if not member:
             return False, digit
-        cofs = [_lift_to_integers(c, ring_z) for c in cert.cofactors]
+        cofs = [_recast(c, ring_z) for c in cert.cofactors]
         consumed = cofs[0] * gens_z[0] + cofs[1] * gens_z[1] + cofs[2] * rel_z
         diff = residual - consumed
         next_terms = {}

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from pathlib import Path
 
 from . import __version__ as ENGINE_VERSION
 
@@ -112,44 +110,3 @@ def diff_reports(a: ExperimentReport, b: ExperimentReport) -> list:
             changed = {f: (ca.get(f), cb.get(f)) for f in fields if ca.get(f) != cb.get(f)}
             diffs.append({"check": name, "changed": changed})
     return diffs
-
-
-# ---------------------------------------------------------------------------
-# golden fixtures: first verified run freezes derived values
-
-
-def fixture_dir() -> Path:
-    override = os.environ.get("CLOSURELAB_FIXTURES")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "fixtures"
-
-
-def load_fixture(name: str):
-    path = fixture_dir() / f"{name}.json"
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
-
-
-def save_fixture(name: str, payload) -> Path:
-    path = fixture_dir() / f"{name}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_json(payload) + "\n")
-    return path
-
-
-def check_against_fixture(name: str, payload) -> dict:
-    """Compare a freshly computed payload against its frozen golden value.
-
-    Missing fixture: record it if CLOSURELAB_RECORD is set, otherwise report
-    the absence so a run can never silently bless itself."""
-    frozen = load_fixture(name)
-    if frozen is None:
-        if os.environ.get("CLOSURELAB_RECORD"):
-            save_fixture(name, payload)
-            return {"status": "pass", "golden": "recorded"}
-        return {"status": "fail", "golden": "missing fixture"}
-    if frozen == payload:
-        return {"status": "pass", "golden": "match"}
-    return {"status": "fail", "golden": "mismatch", "expected": frozen, "actual": payload}

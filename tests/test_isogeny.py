@@ -163,8 +163,8 @@ class TestMembershipModPn:
         """Reduction goes through the prime field's ``coerce``: an integer
         coefficient reduces mod p, and x/2 raises instead of truncating to 0."""
         ring_z, ring_p = isogeny.integral_ring(), isogeny.fermat_ring(5)
-        reduced = isogeny._to_prime_field(ring_z.parse("7*x - 3*y"), ring_p)
+        reduced = isogeny._recast(ring_z.parse("7*x - 3*y"), ring_p)
         assert reduced == ring_p.parse("2*x + 2*y")
-        assert isogeny._lift_to_integers(reduced, ring_z) == ring_z.parse("2*x + 2*y")
+        assert isogeny._recast(reduced, ring_z) == ring_z.parse("2*x + 2*y")
         with pytest.raises(TypeError):
-            isogeny._to_prime_field(ring_z.parse("1/2*x"), ring_p)
+            isogeny._recast(ring_z.parse("1/2*x"), ring_p)

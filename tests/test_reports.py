@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import closurelab
 from closurelab.cli import main
-from closurelab.experiments import INPUT_BYTE_LIMIT, SCHEMAS, ConfigError, run_experiment
+from closurelab.experiments import GOLDEN, INPUT_BYTE_LIMIT, SCHEMAS, ConfigError, run_experiment
 from closurelab.polynomials import PARSE_TEXT_LIMIT
 from closurelab.reports import (
     ExperimentReport,
@@ -88,13 +88,18 @@ class TestCli:
         assert body["experiment"] == "tower-verify"
         assert all(c["status"] == "pass" for c in body["checks"])
 
-    @pytest.mark.parametrize("where", ["missing_directory", "path_is_a_directory"])
+    @pytest.mark.parametrize("where", ["missing_directory", "path_is_a_directory", "empty_path"])
     def test_unwritable_report_path_is_a_config_error(self, tmp_path, capsys, where):
-        path = tmp_path / "no" / "such" / "x.json" if where == "missing_directory" else tmp_path
+        path = {
+            "missing_directory": tmp_path / "no" / "such" / "x.json",
+            "path_is_a_directory": tmp_path,
+            "empty_path": "",
+        }[where]
         code = main(["tower-verify", "--max-level", "1", "--report", str(path)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
@@ -142,9 +147,8 @@ class TestCli:
         assert time.perf_counter() - start < 2
         assert json.loads(capsys.readouterr().out)["config"]["p"] == 2 ** 61 - 1
 
-    def test_charp_accepts_the_largest_prime_below_the_limit(self, capsys, monkeypatch):
+    def test_charp_accepts_the_largest_prime_below_the_limit(self, capsys):
         # no golden multiplier is recorded for p = 97, so the run exits 1
-        monkeypatch.delenv("CLOSURELAB_RECORD", raising=False)
         assert main(["charp", "--p", "97", "--e-max", "2"]) == 1
         body = json.loads(capsys.readouterr().out)
         assert body["config"]["p"] == 97
@@ -478,9 +482,7 @@ class TestPinnedFingerprints:
     @pytest.mark.parametrize(
         "command", list(PINNED_FAILING), ids=lambda c: c.replace(" --", "_").replace(" ", "_")
     )
-    def test_failing_charp_fingerprint(self, capsys, monkeypatch, command):
-        # a recording run would freeze the missing golden fixtures in place
-        monkeypatch.delenv("CLOSURELAB_RECORD", raising=False)
+    def test_failing_charp_fingerprint(self, capsys, command):
         assert main(command.split()) == 1
         assert json.loads(capsys.readouterr().out)["fingerprint"] == self.PINNED_FAILING[command]
 
@@ -492,22 +494,37 @@ class TestGoldenFixtures:
         assert golden and golden[0]["status"] == "pass"
         assert golden[0]["golden"] == "match"
 
-    def test_fixture_mismatch_detected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CLOSURELAB_FIXTURES", str(tmp_path))
-        (tmp_path / "charp_p7_emax2_deg3.json").write_text(
-            json.dumps({"multiplier": "y", "degree": 1})
-        )
+    def test_fixture_mismatch_detected(self, monkeypatch):
+        monkeypatch.setitem(GOLDEN, "charp_p7_emax2_deg3", {"multiplier": "y", "degree": 1})
         report = run_experiment("charp", {"p": 7})
         golden = [c for c in report.checks if c["name"] == "p7/golden_multiplier"][0]
         assert golden["status"] == "fail"
+        assert golden["golden"] == "mismatch"
+        assert golden["expected"] == {"multiplier": "y", "degree": 1}
+        assert golden["actual"] == {"multiplier": "x", "degree": 1}
         assert not report.passed
 
-    def test_missing_fixture_fails_without_record_flag(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CLOSURELAB_FIXTURES", str(tmp_path))
-        monkeypatch.delenv("CLOSURELAB_RECORD", raising=False)
+    def test_missing_fixture_fails_without_record_flag(self, monkeypatch):
+        monkeypatch.delitem(GOLDEN, "charp_p7_emax2_deg3")
         report = run_experiment("charp", {"p": 7})
         golden = [c for c in report.checks if c["name"] == "p7/golden_multiplier"][0]
-        assert golden["status"] == "fail"
+        assert golden == {"name": "p7/golden_multiplier", "status": "fail", "golden": "missing fixture"}
+
+    def test_the_environment_records_nothing(self, tmp_path, capsys, monkeypatch):
+        """The golden values are a constant table: an unpinned configuration
+        fails its golden check whatever the environment says, and the run
+        writes no file."""
+        stray = tmp_path / "fixtures"
+        stray.write_text("not a directory\n")
+        monkeypatch.setenv("CLOSURELAB_RECORD", "1")
+        monkeypatch.setenv("CLOSURELAB_FIXTURES", str(stray))
+        assert main(["charp", "--p", "7", "--e-max", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        pinned = TestPinnedFingerprints.PINNED_FAILING["charp --p 7 --e-max 3"]
+        assert json.loads(captured.out)["fingerprint"] == pinned
+        assert stray.read_text() == "not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["fixtures"]
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +697,9 @@ class TestCliContract:
     @example(case=_padic_input(_dump({"alpha": "x", "oracle": {"mode": "adversarial", "sead": 4}})))
     @example(case=_padic_input(b"{}" + b" " * (INPUT_BYTE_LIMIT - 1)))
     @example(case=(["diff", "@left.json", "@right.json"], {"left.json": b"[" * 100000, "right.json": b"{}"}))
-    def test_exit_codes_and_error_lines(self, tmp_path, monkeypatch, case):
+    def test_exit_codes_and_error_lines(self, tmp_path, case):
         """Every run exits 0, 1 or 2 without a traceback, and exit 2 comes
         with exactly one ``error:`` or ``config error:`` line."""
-        # a recording run would freeze missing golden fixtures in place
-        monkeypatch.delenv("CLOSURELAB_RECORD", raising=False)
         argv, files = case
         for name, body in files.items():
             (tmp_path / name).write_bytes(body)
