@@ -21,12 +21,17 @@ coefficient lists to Python ints whose products and sums stand for the
 products and sums of the coefficients, plus a ``lower`` function that maps
 an accumulated int back to one domain element.  Rationals are cleared to
 one denominator per list and residues are their own ints.  A cyclotomic
-coordinate vector is evaluated at t = 2^B (Kronecker substitution; Harvey,
-J. Symb. Comput. 44, 2009), so one big-int product is one 6x6 convolution;
-B is chosen from the actual operand sizes so that every accumulated
-coordinate stays a balanced base-2^B digit, and ``lower`` unpacks the 11
-digits, folds t^6 + t^3 + 1 and cancels with one gcd once per output term
-(delayed reduction; Monagan and Pearce, J. Symb. Comput. 46, 2011).
+coordinate vector is evaluated at a power of two (Kronecker substitution;
+Harvey, J. Symb. Comput. 44, 2009).  When every vector of both lists is
+zero outside coordinates r and r + 3 for some r per list, the list is t^r
+times a polynomial in T = t^3 and only those two coordinates are packed, at
+T = 2^B, so one big-int product is one 2x2 convolution with three digits;
+otherwise all six are packed at t = 2^B and a product is one 6x6
+convolution with 11 digits.  B is chosen from the actual operand sizes so
+that every accumulated coordinate stays a balanced base-2^B digit, and
+``lower`` unpacks the digits, places them at their powers of t, folds
+t^6 + t^3 + 1 and cancels with one gcd once per output term (delayed
+reduction; Monagan and Pearce, J. Symb. Comput. 46, 2011).
 """
 
 from __future__ import annotations
@@ -237,6 +242,26 @@ def _abs_bits(vectors) -> int:
     return max(max(map(max, vectors)), -min(map(min, vectors))).bit_length()
 
 
+def _coset(vectors):
+    """The r in 0..2 such that the vectors are nonzero only at coordinates
+    r and r + 3 (the vectors of t^r * Q(theta)), or None if there is none."""
+    live = {k % 3 for k, column in enumerate(zip(*vectors)) if any(column)}
+    return live.pop() if len(live) == 1 else None
+
+
+def _pack(vectors, step: int, shift: int, bits: int) -> list:
+    """Each vector's coordinates shift, shift + step, ... as one int: their
+    polynomial in t^step evaluated at t^step = 2^bits (Kronecker
+    substitution)."""
+    out = []
+    for v in vectors:
+        x = 0
+        for c in reversed(v[shift::step]):
+            x = (x << bits) + c
+        out.append(x)
+    return out
+
+
 def _fold(cs: list) -> tuple:
     """Six ints: an int coefficient list in t reduced modulo t^6 + t^3 + 1."""
     for k in range(len(cs) - 1, CYCLO_DEGREE - 1, -1):
@@ -359,39 +384,46 @@ class CyclotomicField9:
 
     def lift_pair(self, xs, ys):
         """Each list over one denominator, each coordinate vector packed
-        as its value at t = 2^B.
+        as one int by ``_pack``.
 
-        An output coordinate sums at most ``min(len xs, len ys)``
-        convolution coefficients of six products each, so its size is
-        below ``6 * min(len) * max|x| * max|y|``; B one bit above that
-        bound keeps it a balanced digit in [-2^(B-1), 2^(B-1))."""
+        A list whose vectors are all zero outside coordinates r and r + 3
+        is t^r times a polynomial in T = t^3; when both lists are, only
+        those two coordinates are packed, at T = 2^B (step 3, shift r per
+        list), and the product lives on t^(rx+ry) times three digits.
+        Otherwise all six are packed at t = 2^B (step 1, shift 0) and the
+        product has 11 digits.  An output digit sums at most
+        ``min(len xs, len ys)`` term pairs of ``w`` products each (w = 2 or
+        6 packed coordinates), so its size is below
+        ``w * min(len) * max|x| * max|y|``; B one bit above that bound
+        keeps it a balanced digit in [-2^(B-1), 2^(B-1))."""
         vx, dx = _common_denominator(xs)
         vy, dy = _common_denominator(ys)
-        bits = _abs_bits(vx) + _abs_bits(vy) + (6 * min(len(xs), len(ys))).bit_length() + 1
+        rx, ry = _coset(vx), _coset(vy)
+        if rx is None or ry is None:
+            step, rx, ry = 1, 0, 0
+        else:
+            step = 3
+        width = CYCLO_DEGREE // step
+        bits = _abs_bits(vx) + _abs_bits(vy) + (width * min(len(xs), len(ys))).bit_length() + 1
         half = 1 << (bits - 1)
         mask = (1 << bits) - 1
-        shifts = tuple(range(0, 11 * bits, bits))
-        _, s1, s2, s3, s4, s5 = shifts[:6]
-        # half in every digit: the 11 digits of s + offset are nonnegative
+        digits = 2 * width - 1
+        shifts = range(0, digits * bits, bits)
+        # half in every digit: the digits of s + offset are nonnegative
         offset = sum([half << k for k in shifts])
+        # digit j of a product is the coefficient of t^(low + step * j)
+        low = rx + ry
+        size = low + step * (digits - 1) + 1
         den = dx * dy
-
-        def pack(vectors):
-            return [
-                a0 + (a1 << s1) + (a2 << s2) + (a3 << s3) + (a4 << s4) + (a5 << s5)
-                for a0, a1, a2, a3, a4, a5 in vectors
-            ]
 
         def lower(s):
             u = s + offset
-            c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = [
-                ((u >> k) & mask) - half for k in shifts
-            ]
-            # the fold of CycloNum.__mul__
-            num = (c0 - c6 + c9, c1 - c7 + c10, c2 - c8, c3 - c6, c4 - c7, c5 - c8)
+            cs = [0] * size
+            cs[low::step] = [((u >> k) & mask) - half for k in shifts]
+            num = _fold(cs)
             return _make(num, 1) if den == 1 else _reduced(num, den)
 
-        return pack(vx), pack(vy), lower
+        return _pack(vx, step, rx, bits), _pack(vy, step, ry, bits), lower
 
     def format(self, x: CycloNum, parenthesize: bool = False) -> str:
         text = format_cyclo(x)

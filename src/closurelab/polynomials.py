@@ -23,8 +23,11 @@ Products of two factors with at least ``LIFT_MIN_TERMS`` terms each run on
 Python ints: the coefficient domain's ``lift_pair`` lifts both coefficient
 lists, the product loop does one big-int multiply-add per term pair, and
 each output term is lowered back once.  Over Q(zeta_9) each coordinate
-vector is packed at t = 2^B with B at least ``bits(max|a|) + bits(max|b|) +
-bits(6 * min(len a, len b)) + 1``, computed from the operands, so that no
+vector is packed at a power of two: at T = t^3 = 2^B with its two
+coordinates r and r + 3 when both factors' coefficients lie in t^r *
+Q(theta) (r per factor), at t = 2^B with all six otherwise.  B is
+``bits(max|a|) + bits(max|b|) + bits(w * min(len a, len b)) + 1`` for w = 2
+or 6 packed coordinates, computed from the operands, so that no
 accumulated coordinate leaves its digit.  The threshold is where the
 lifted product starts to beat term-by-term arithmetic on dense
 homogeneous factors at tower coefficient sizes; smaller products, and
@@ -355,9 +358,12 @@ class Poly:
         - Factors of at least ``LIFT_MIN_TERMS`` terms each are multiplied
           on ints from the domain's ``lift_pair``: one big-int multiply-add
           per term pair, one ``lower`` per output term.  Over Q(zeta_9) the
-          ints pack each coordinate vector at t = 2^B, with B a bit above
-          ``bits(max|a|) + bits(max|b|) + bits(6 * min(len a, len b))``
-          so no accumulated coordinate overflows its digit.
+          ints pack each coordinate vector at a power of two 2^B: its two
+          coordinates r and r + 3 at T = t^3 when both factors lie in
+          t^r * Q(theta), three output digits; all six at t otherwise,
+          11 output digits.  B is a bit above ``bits(max|a|) +
+          bits(max|b|) + bits(w * min(len a, len b))``, w = 2 or 6 packed
+          coordinates, so no accumulated coordinate overflows its digit.
         - Smaller products multiply and add the coefficients term by term.
 
         A product monomial is the sum of the packed keys.  One OR over the

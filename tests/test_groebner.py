@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closurelab import tower
+from closurelab import coefficients, tower
 from closurelab.charp import _bracket_basis, fermat_ring
 from closurelab.experiments import run_experiment
 from closurelab.coefficients import CYCLO, QQ, CycloNum, DomainError, PrimeField, TruncatedPadicRing
@@ -392,6 +392,22 @@ class TestWorkCounters:
         monkeypatch.setattr(Poly, "__rmul__", counted_mul)
         _cold_run([("tower-colon", {"max_level": 5})])
         assert counts == {"products": 33, "pairs": 34617}
+
+    def test_tower_colon_packs_two_coordinates_per_lifted_coefficient(self, monkeypatch):
+        """Every coefficient of the tower's lifted products lies in
+        t^r * Q(theta), so in a cold ``tower-colon --max-level 5`` each of
+        the 33 lifted products packs both of its lists at step 3 (the two
+        coordinates r and r + 3) and none falls back to all six."""
+        steps = []
+        pack = coefficients._pack
+
+        def counted_pack(vectors, step, shift, bits):
+            steps.append(step)
+            return pack(vectors, step, shift, bits)
+
+        monkeypatch.setattr(coefficients, "_pack", counted_pack)
+        _cold_run([("tower-colon", {"max_level": 5})])
+        assert steps == [3] * (2 * 33)
 
     def test_no_unit_reaches_the_norm_formula(self, monkeypatch):
         """Count the CycloNum products made inside ``inverse``: none for a

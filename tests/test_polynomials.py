@@ -557,13 +557,35 @@ def _residues(domain):
     )
 
 
+def _coset_shapes(draw, terms):
+    """Q(zeta_9) coefficients reshaped at random: kept as drawn, moved into
+    t^r * Q(theta) (coordinates r and r + 3 only), or moved there and then
+    one coefficient taken out of it again by adding c * t^(r+1).  Half the
+    lists go into some t^r * Q(theta), so a quarter of the lifted products
+    pack two coordinates and the rest six."""
+    shape = draw(st.sampled_from(["coset", "coset", "broken", "drawn"]))
+    if shape == "drawn" or not terms:
+        return terms
+    r = draw(st.integers(0, 2))
+    terms = {
+        m: CycloNum([c if k % 3 == r else 0 for k, c in enumerate(x.coords)])
+        for m, x in terms.items()
+    }
+    if shape == "broken":
+        m = draw(st.sampled_from(sorted(terms)))
+        c = draw(st.integers(1, 3) | st.integers(1, 200).map(lambda k: 1 - (1 << k)))
+        terms[m] = terms[m] + CYCLO.coerce(c) * CycloNum.zeta_power(r + 1)
+    return terms
+
+
 @st.composite
-def _products(draw, domains=(QQ, CYCLO, *_RESIDUE_RINGS)):
-    """Two polynomials over one of ``domains`` with 0 to 12 terms each, on
-    both sides of LIFT_MIN_TERMS.  Integers are small or
+def _products(draw, domains=(QQ, CYCLO, *_RESIDUE_RINGS), min_size=0, cosets=False):
+    """Two polynomials over one of ``domains`` with ``min_size`` to 12 terms
+    each, by default on both sides of LIFT_MIN_TERMS.  Integers are small or
     +-(2^k - 1) for one k up to 200, denominators small, 3^j or 2^k - 1, so
     that lifted sums reach the packing width; residues are units times p^j,
-    so zero-divisor products occur."""
+    so zero-divisor products occur.  With ``cosets`` each Q(zeta_9) list is
+    reshaped by ``_coset_shapes``, one r per list."""
     domain = draw(st.sampled_from(domains))
     k = draw(st.integers(1, 200))
     ints = st.sampled_from([0, 1, -1, 2, (1 << k) - 1, 1 - (1 << k)])
@@ -586,13 +608,30 @@ def _products(draw, domains=(QQ, CYCLO, *_RESIDUE_RINGS)):
     ring = RingPresentation(domain, ("x", "y", "z")[:nvars])
     # few monomials, so that many term products meet in one output term
     mono = st.tuples(*[st.integers(0, 3 if nvars > 1 else 11)] * nvars)
-    f, g = (ring.poly(draw(st.dictionaries(mono, coeff, max_size=12))) for _ in range(2))
-    return f, g
+    factors = []
+    for _ in range(2):
+        terms = draw(st.dictionaries(mono, coeff, min_size=min_size, max_size=12))
+        if cosets and domain == CYCLO:
+            terms = _coset_shapes(draw, terms)
+        factors.append(ring.poly(terms))
+    return tuple(factors)
 
 
 @settings(max_examples=300, deadline=None)
 @given(problem=_products())
 def test_product_matches_the_schoolbook_product(problem):
+    f, g = problem
+    expected = _schoolbook(f, g).terms
+    assert (f * g).terms == expected
+    assert (g * f).terms == _schoolbook(g, f).terms == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=_products((CYCLO,), min_size=LIFT_MIN_TERMS, cosets=True))
+def test_lifted_cyclotomic_product_matches_the_schoolbook_product(problem):
+    """Q(zeta_9) products whose factors both take the lifted path, packed
+    at two coordinates (both lists in some t^r * Q(theta), r per list) or
+    at six (a list as drawn, or one coefficient out of its t^r * Q(theta))."""
     f, g = problem
     expected = _schoolbook(f, g).terms
     assert (f * g).terms == expected
@@ -632,6 +671,32 @@ def test_lifted_product_at_the_packing_width(k, n, signs):
     product = f * g
     assert product.terms == _schoolbook(f, g).terms
     # over one large denominator the numerators are the same
+    d = (1 << 127) - 1
+    scaled = Poly(ring, {m: c * CYCLO.coerce(Fraction(1, d)) for m, c in f.terms})
+    assert (scaled * g).terms == _schoolbook(scaled, g).terms
+
+
+@pytest.mark.parametrize("k", [1, 2, 31, 64, 200])
+@pytest.mark.parametrize("n", [LIFT_MIN_TERMS, 9])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1)])
+@pytest.mark.parametrize("shifts", [(0, 0), (1, 2), (2, 2)])
+def test_lifted_coset_product_at_the_packing_width(k, n, signs, shifts):
+    """Factors in t^rx * Q(theta) and t^ry * Q(theta) pack only coordinates
+    r and r + 3.  With both +-(2^k - 1) and n term products meeting in the
+    middle output term x^(n-1) y^(n-1), the T = t^3 digit of that term is
+    +-2 n (2^k - 1)^2, the largest sum the two-coordinate width must hold;
+    rx + ry = 4 puts the top digit at t^10, which the fold takes back."""
+    ring = RingPresentation(CYCLO, ("x", "y"))
+    top = (1 << k) - 1
+    f, g = (
+        ring.poly({
+            (i, n - 1 - i): CycloNum([sign * top if j % 3 == r else 0 for j in range(6)])
+            for i in range(n)
+        })
+        for sign, r in zip(signs, shifts)
+    )
+    product = f * g
+    assert product.terms == _schoolbook(f, g).terms
     d = (1 << 127) - 1
     scaled = Poly(ring, {m: c * CYCLO.coerce(Fraction(1, d)) for m, c in f.terms})
     assert (scaled * g).terms == _schoolbook(scaled, g).terms
