@@ -59,6 +59,18 @@ def frobenius(g: Poly) -> Poly:
     return Poly._presorted(ring, tuple((p * m, c) for m, c in g.terms))
 
 
+def exponent_bound(p: int, e_max: int, deg_bound: int) -> int:
+    """An exponent at least as large as any that ``contrast_row(p, e_max,
+    deg_bound)`` forms through ``frobenius`` or a multiplier product.  The
+    bracket generators reach x^q and y^q, q = p^e_max; the first rung
+    z^(2p); a later rung's normal form keeps z below 3 and x, y below the
+    previous q, so its Frobenius stays below q; and a multiplier c of
+    degree <= deg_bound times a rung stays below q + deg_bound.  Every one
+    of those lies below this bound, so ``frobenius`` raises no
+    ``OverflowError`` when it is below ``EXP_LIMIT``."""
+    return max(p ** e_max, 2 * p) + deg_bound
+
+
 def frobenius_power(gens, e: int) -> list[Poly]:
     """Bracket power I^[q]: the q-th powers of the generators, q = p^e."""
     if e < 0:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from . import charp, isogeny, padic, tower
 from .coefficients import PRIME_TEST_LIMIT, QQ, CycloNum, PrimeField, is_prime
 from .groebner import normal_form
-from .polynomials import ParseBudget, Poly, format_poly
+from .polynomials import EXP_LIMIT, ParseBudget, Poly, format_poly
 from .reports import ExperimentReport
 
 
@@ -253,14 +253,25 @@ def _golden(name: str, payload) -> dict:
 
 def run_charp(config: dict) -> ExperimentReport:
     cfg = _validated(config, "charp")
+    e_max, deg_bound = cfg["e_max"], cfg["deg_bound"]
     primes = _PRIMES_DEFAULT if cfg["p"] == 0 else (cfg["p"],)
+    # the field predicates see one field each; the exponent range depends
+    # on all three, so it is tested here, before any arithmetic
+    for p in primes:
+        top = charp.exponent_bound(p, e_max, deg_bound)
+        if top >= EXP_LIMIT:
+            raise ConfigError(
+                f"charp: p = {p} with e_max = {e_max} and deg_bound = {deg_bound} "
+                f"may form exponents up to {top}, past the packed limit {EXP_LIMIT - 1}"
+            )
     checks = []
     for p in primes:
         try:
-            row = charp.contrast_row(p, e_max=cfg["e_max"], deg_bound=cfg["deg_bound"])
+            row = charp.contrast_row(p, e_max=e_max, deg_bound=deg_bound)
         except OverflowError as exc:
-            # a Frobenius power past the packed exponent range: bad input
-            raise ConfigError(f"charp: p = {p} with e_max = {cfg['e_max']}: {exc}") from exc
+            # an exponent past the packed range on the colon path, which
+            # exponent_bound does not cover: bad input
+            raise ConfigError(f"charp: p = {p} with e_max = {e_max}: {exc}") from exc
         ordinary = p % 3 == 1
         checks.append(
             _check(f"p{p}/z2_outside_xy", row.z2_in_xy is False, membership=row.z2_in_xy)
@@ -279,12 +290,12 @@ def run_charp(config: dict) -> ExperimentReport:
                 row.multiplier is not None and all(row.witness_checks),
                 multiplier=row.multiplier,
                 degree=row.multiplier_degree,
-                witness_verified_for_e_up_to=cfg["e_max"],
+                witness_verified_for_e_up_to=e_max,
                 witness_checks=list(row.witness_checks),
             )
         )
         golden = _golden(
-            f"charp_p{p}_emax{cfg['e_max']}_deg{cfg['deg_bound']}",
+            f"charp_p{p}_emax{e_max}_deg{deg_bound}",
             {"multiplier": row.multiplier, "degree": row.multiplier_degree},
         )
         checks.append({"name": f"p{p}/golden_multiplier", **golden})
@@ -456,8 +467,7 @@ def run_padic(config: dict) -> ExperimentReport:
         # oracle independence: the two final pairs represent the same element
         A, B = trace.sums
         hA, hB = honest_trace.sums
-        same = m.equal(A * m.x + B * m.y, hA * m.x + hB * m.y)
-        all_ok &= same
+        all_ok &= not m.combine([(1, A * m.x), (1, B * m.y), (-1, hA * m.x), (-1, hB * m.y)])
     checks.append(
         _check("random_xy/adversarial_batch_verified", all_ok, samples=cfg["samples"])
     )

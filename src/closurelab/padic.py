@@ -72,8 +72,13 @@ class TruncatedModel:
             raise PolyParseError(f"total degree {f.degree()} passes the limit {INPUT_DEGREE_LIMIT}")
         return self.canon(f)
 
-    def equal(self, f: Poly, g: Poly) -> bool:
-        return self.canon(f - g).is_zero()
+    def combine(self, parts) -> Poly:
+        """The canonical form of sum(s * f for s, f in parts), for int
+        scalars ``s`` and Polys ``f`` of the ring: one dict, one sort, one
+        reduction mod p^N and one canonical-form scan
+        (``Poly.linear_combination``).  ``canon`` is linear, so this is the
+        Poly that canonicalising each partial sum of the chain would give."""
+        return self.canon(Poly.linear_combination(self.ring, parts))
 
     def coeff_val_floor(self, f: Poly) -> int:
         """Largest k with p^k dividing every coefficient (precision if f = 0)."""
@@ -132,12 +137,8 @@ class ApproxTrace(namedtuple("ApproxTrace", "p precision alpha steps")):
     def partial_sums(self, k: int) -> tuple[Poly, Poly]:
         """Canonical A_k = a_1 + ... + a_k and B_k = b_1 + ... + b_k."""
         m = model(self.p, self.precision)
-        A = m.ring.zero()
-        B = m.ring.zero()
-        for s in self.steps[:k]:
-            A = A + s.a
-            B = B + s.b
-        return m.canon(A), m.canon(B)
+        steps = self.steps[:k]
+        return m.combine([(1, s.a) for s in steps]), m.combine([(1, s.b) for s in steps])
 
     @property
     def sums(self) -> tuple[Poly, Poly]:
@@ -177,21 +178,20 @@ def honest_oracle(m: TruncatedModel):
     x, y = m.x.lm(), m.y.lm()
 
     def step(i: int, residual: Poly):
+        pw = m.p ** (i - 1)
         a_terms, b_terms = {}, {}
         for mono, c in residual.terms:
             if order.divides(x, mono):
-                a_terms[mono - x] = c
+                a_terms[mono - x] = c * pw
             elif order.divides(y, mono):
-                b_terms[mono - y] = c
+                b_terms[mono - y] = c * pw
             else:
                 z = order.exponents(mono)[0]
                 raise LiftingObstructionError(
                     f"residual monomial z^{z} is outside (x, y): {format_poly(residual)}"
                 )
-        pw = m.p ** (i - 1)
-        a = Poly(m.ring, a_terms) * pw
-        b = Poly(m.ring, b_terms) * pw
-        return m.canon(a), m.canon(b), m.ring.zero()
+        # the constructor reduces each c * p^(i-1) mod p^N
+        return m.canon(Poly(m.ring, a_terms)), m.canon(Poly(m.ring, b_terms)), m.ring.zero()
 
     return step
 
@@ -205,16 +205,15 @@ def adversarial_oracle(m: TruncatedModel, seed: int):
 
     def step(i: int, residual: Poly):
         a, b, c = honest(i, residual)
+        # s * p is a spurious syzygy multiple of p; u * p^i and v * p^i are
+        # junk that c takes back
         s = m.random_poly(rng, max_degree=2, terms=2)
-        sigma = s * m.p  # spurious syzygy multiple of p
-        a = m.canon(a + sigma * m.y)
-        b = m.canon(b - sigma * m.x)
         u = m.random_poly(rng, max_degree=1, terms=1)
         v = m.random_poly(rng, max_degree=1, terms=1)
-        pi = m.p ** i
-        a = m.canon(a + u * pi)
-        b = m.canon(b + v * pi)
-        c = m.canon(c - u * m.x - v * m.y)
+        p, pi = m.p, m.p ** i
+        a = m.combine([(1, a), (p, s * m.y), (pi, u)])
+        b = m.combine([(1, b), (-p, s * m.x), (pi, v)])
+        c = m.combine([(1, c), (-1, u * m.x), (-1, v * m.y)])
         return a, b, c
 
     return step
@@ -285,9 +284,10 @@ def successive_approx(alpha: Poly, step_oracle, precision: int) -> ApproxTrace:
     for i in range(1, precision + 1):
         a, b, c = step_oracle(i, residual)
         a, b, c = m.canon(a), m.canon(b), m.canon(c)
-        supplied = m.canon(a * m.x + b * m.y + c * p ** i)
-        expected = m.canon(residual * p ** (i - 1))
-        if supplied != expected:
+        ax, by = a * m.x, b * m.y
+        if m.combine([(1, ax), (1, by), (p ** i, c), (-(p ** (i - 1)), residual)]):
+            supplied = m.combine([(1, ax), (1, by), (p ** i, c)])
+            expected = m.combine([(p ** (i - 1), residual)])
             raise OracleInconsistencyError(
                 f"step {i}: oracle representation expands to {format_poly(supplied)}, "
                 f"expected {format_poly(expected)}"
@@ -307,23 +307,21 @@ def verify_trace(trace: ApproxTrace, alpha: Poly) -> bool:
     how the trace was built: the p^(i-1) divisibility ladder and the
     telescoping identity alpha = A_k x + B_k y + c_k p^k at every stage k.
 
-    The partial sums are kept running, A_k = A_(k-1) + a_k and
-    B_k = B_(k-1) + b_k, each canonicalised as ``partial_sums(k)`` returns
-    it, so a trace of precision N costs 2N additions, not N(N+1)."""
+    The identity is kept as one running residual, the canonical
+    D_k = alpha - A_k x - B_k y = D_(k-1) - a_k x - b_k y, and stage k
+    holds exactly when D_k equals the canonical c_k p^k, so a trace of
+    precision N costs N linear combinations, not N(N+1) additions."""
     m = model(trace.p, trace.precision)
-    alpha = m.canon(alpha)
     p = trace.p
     for i, s in enumerate(trace.steps, start=1):
         if i >= 2:
             lowest = min(m.coeff_val_floor(s.a), m.coeff_val_floor(s.b))
             if lowest < i - 1:
                 return False
-    A = B = m.ring.zero()
+    residual = m.canon(alpha)
     for k, s in enumerate(trace.steps, start=1):
-        A = m.canon(A + s.a)
-        B = m.canon(B + s.b)
-        total = m.canon(A * m.x + B * m.y + s.c * p ** k)
-        if total != alpha:
+        residual = m.combine([(1, residual), (-1, s.a * m.x), (-1, s.b * m.y)])
+        if residual != m.combine([(p ** k, s.c)]):
             return False
     return True
 

@@ -111,6 +111,30 @@ class TestFrobeniusPower:
                 charp.frobenius(ring.monomial(exps) + ring.one())
 
 
+class TestExponentBound:
+    @pytest.mark.parametrize(
+        "p, e_max, deg_bound", [(97, 1, 0), (2, 4, 6), (5, 3, 3), (7, 2, 0), (13, 2, 6), (23, 4, 6), (79, 3, 6)]
+    )
+    def test_bounds_every_exponent_formed(self, monkeypatch, p, e_max, deg_bound):
+        """Every exponent of a Frobenius power and of a polynomial reduced by
+        ``contrast_row`` lies within ``exponent_bound``, which is at most
+        ``deg_bound`` past the largest one, x^q with q = p^e_max."""
+        order = charp.fermat_ring(p).order
+        widest = 0
+
+        def record(f):
+            nonlocal widest
+            widest = max([widest, *(max(order.exponents(m)) for m, _ in f.terms)])
+            return f
+
+        frobenius, nf = charp.frobenius, charp.normal_form
+        monkeypatch.setattr(charp, "frobenius", lambda g: record(frobenius(g)))
+        monkeypatch.setattr(charp, "normal_form", lambda f, basis: nf(record(f), basis))
+        charp._bracket_basis.cache_clear()
+        charp.contrast_row(p, e_max=e_max, deg_bound=deg_bound)
+        assert p ** e_max <= widest <= charp.exponent_bound(p, e_max, deg_bound) < EXP_LIMIT
+
+
 class TestFrobeniusClosure:
     def test_supersingular_z2_is_in_closure(self):
         for p in (2, 5):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from closurelab import padic
 from closurelab.charp import fermat_ring
+from closurelab.cli import main
 from closurelab.groebner import exact_divide, groebner, membership_with_basis, normal_form
 from closurelab.polynomials import Poly, format_poly
 from test_polynomials import exponent_terms
@@ -124,7 +125,7 @@ class TestAdversarialRuns:
         tr = padic.successive_approx(alpha, padic.adversarial_oracle(m, seed=3), 4)
         assert padic.verify_trace(tr, alpha)
         A, B = tr.sums
-        assert m.equal(A * m.x + B * m.y, alpha)
+        assert m.combine([(1, A * m.x), (1, B * m.y), (-1, alpha)]).is_zero()
         for i, step in enumerate(tr.steps, start=1):
             if i >= 2:
                 assert min(m.coeff_val_floor(step.a), m.coeff_val_floor(step.b)) >= i - 1
@@ -148,7 +149,7 @@ class TestAdversarialRuns:
             t1 = padic.successive_approx(alpha, padic.honest_oracle(m), 4)
             t2 = padic.successive_approx(alpha, padic.adversarial_oracle(m, seed=k), 4)
             (A1, B1), (A2, B2) = t1.sums, t2.sums
-            assert m.equal(A1 * m.x + B1 * m.y, A2 * m.x + B2 * m.y)
+            assert m.combine([(1, A1 * m.x), (1, B1 * m.y), (-1, A2 * m.x), (-1, B2 * m.y)]).is_zero()
 
     def test_telescoping_at_every_stage(self):
         m = padic.model(2, 6)
@@ -270,6 +271,79 @@ class TestRunningSums:
         assert calls <= 2 * n
 
 
+@st.composite
+def _parts(draw):
+    """(p, N) and a list of (int scalar, Poly) parts of T_N: random
+    canonical elements, multiples of the relation (zero in T_N but not
+    canonical), raw polynomials with z-exponents up to 5, one-term x and y
+    shifts of random elements, and x and y themselves; the scalars run
+    over both signs and include multiples of p^N."""
+    p, n = draw(st.sampled_from([(2, 4), (5, 3), (7, 2), (5, 8)]))
+    m = padic.model(p, n)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    q = p ** n
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["canonical", "relation", "raw", "x_shift", "y_shift", "x", "y"]))
+        f = m.random_poly(rng, max_degree=2, terms=3)
+        if kind == "relation":
+            f = f * m.ring.relations[0]
+        elif kind == "raw":
+            monos = [(rng.randrange(6), rng.randrange(4), rng.randrange(4)) for _ in range(3)]
+            f = m.ring.poly({mono: rng.randrange(q) for mono in monos})
+        elif kind == "x_shift":
+            f = f * m.x
+        elif kind == "y_shift":
+            f = f * m.y
+        elif kind in ("x", "y"):
+            f = getattr(m, kind)
+        scalar = draw(
+            st.one_of(st.integers(-2 * q, 2 * q), st.integers(-3, 3).map(lambda k: k * q), st.sampled_from([1, -1]))
+        )
+        parts.append((scalar, f))
+    return m, parts
+
+
+class TestCombine:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_parts())
+    def test_matches_the_chained_sum(self, case):
+        m, parts = case
+        chained = m.canon(sum((s * f for s, f in parts), m.ring.zero()))
+        got = m.combine(parts)
+        assert got == chained
+        assert all(mono[0] <= 2 for mono, _ in exponent_terms(got))
+
+
+class TestWorkCount:
+    def test_padic_stress_builds_a_fixed_number_of_polys(self, monkeypatch, capsys):
+        """Polys built by one cold padic --precision 8 --samples 20 --seed 53
+        run (the perfbench padic-stress op): each T_N identity is one linear
+        combination, so the count stays at 7557 (12 415 when each identity
+        was a chain of products and additions)."""
+        for cached in (padic.model, padic.regular_sequence_check, fermat_ring):
+            cached.cache_clear()
+        built = 0
+        init, presorted = Poly.__init__, Poly._presorted.__func__
+
+        def counted_init(self, ring, terms):
+            nonlocal built
+            built += 1
+            init(self, ring, terms)
+
+        def counted_presorted(cls, ring, terms):
+            nonlocal built
+            built += 1
+            return presorted(cls, ring, terms)
+
+        monkeypatch.setattr(Poly, "__init__", counted_init)
+        monkeypatch.setattr(Poly, "_presorted", classmethod(counted_presorted))
+        assert main("padic --precision 8 --samples 20 --seed 53".split()) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert built == 7557
+
+
 class TestOracles:
     def test_inconsistent_oracle_detected(self):
         m = padic.model(5, 3)
@@ -277,8 +351,26 @@ class TestOracles:
         def lying_oracle(i, residual):
             return m.ring.one(), m.ring.zero(), m.ring.zero()
 
-        with pytest.raises(padic.OracleInconsistencyError):
+        with pytest.raises(padic.OracleInconsistencyError) as caught:
             padic.successive_approx(m.parse("y"), lying_oracle, 3)
+        assert str(caught.value) == "step 1: oracle representation expands to x, expected y"
+
+    def test_inconsistency_message_names_both_expansions(self):
+        # the oracle lies at step 2 only, where the residual and both
+        # expansions carry powers of p
+        m = padic.model(5, 3)
+        adversarial = padic.adversarial_oracle(m, seed=2)
+
+        def lying_oracle(i, residual):
+            a, b, c = adversarial(i, residual)
+            return (a + m.ring.one() if i == 2 else a), b, c
+
+        with pytest.raises(padic.OracleInconsistencyError) as caught:
+            padic.successive_approx(m.parse("x*y + 5*y^2"), lying_oracle, 3)
+        assert str(caught.value) == (
+            "step 2: oracle representation expands to 115*z*x^2 + 95*y^2 + x, "
+            "expected 115*z*x^2 + 95*y^2"
+        )
 
     def test_scripted_oracle_replay(self):
         m = padic.model(5, 2)
@@ -384,4 +476,4 @@ class TestKoszulCorrection:
         got = padic._koszul_correct(m, i, a, b)
         assert got == _reference_koszul_correct(m, i, a, b)
         assert min(map(m.coeff_val_floor, got)) >= i - 1
-        assert m.equal(got[0] * m.x + got[1] * m.y, a * m.x + b * m.y)
+        assert m.combine([(1, got[0] * m.x), (1, got[1] * m.y), (-1, a * m.x), (-1, b * m.y)]).is_zero()

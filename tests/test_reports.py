@@ -11,9 +11,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import closurelab
+from closurelab import charp
 from closurelab.cli import main
 from closurelab.experiments import GOLDEN, INPUT_BYTE_LIMIT, SCHEMAS, ConfigError, run_experiment
-from closurelab.polynomials import PARSE_TEXT_LIMIT
+from closurelab.polynomials import EXP_LIMIT, PARSE_TEXT_LIMIT
 from closurelab.reports import (
     ExperimentReport,
     ReportMismatchError,
@@ -153,6 +154,37 @@ class TestCli:
         body = json.loads(capsys.readouterr().out)
         assert body["config"]["p"] == 97
         assert {c["name"].split("/")[0] for c in body["checks"]} == {"p97"}
+
+    @pytest.mark.parametrize(
+        "p, e_max, deg_bound, refused",
+        [
+            # the largest p^e_max below 2^19 at each e_max, then the next prime
+            (79, 3, 6, False),
+            (83, 3, 0, True),
+            (23, 4, 6, False),
+            (29, 4, 0, True),
+            (97, 3, 3, True),
+            (97, 4, 3, True),
+        ],
+    )
+    def test_charp_refuses_unreachable_exponents_up_front(self, capsys, monkeypatch, p, e_max, deg_bound, refused):
+        """A configuration whose Frobenius powers would leave the packed
+        exponent range exits 2 with one line before any arithmetic; its
+        neighbour below the limit runs (and exits 1: no golden value)."""
+        argv = ["charp", "--p", str(p), "--e-max", str(e_max), "--deg-bound", str(deg_bound)]
+        if refused:
+            monkeypatch.setattr(charp, "contrast_row", lambda *a, **k: pytest.fail("arithmetic ran"))
+        assert main(argv) == (2 if refused else 1)
+        captured = capsys.readouterr()
+        if refused:
+            assert captured.out == ""
+            assert captured.err == (
+                f"config error: charp: p = {p} with e_max = {e_max} and deg_bound = {deg_bound} "
+                f"may form exponents up to {p ** e_max + deg_bound}, past the packed limit {EXP_LIMIT - 1}\n"
+            )
+        else:
+            assert captured.err == ""
+            assert json.loads(captured.out)["config"] == {"p": p, "e_max": e_max, "deg_bound": deg_bound}
 
     def test_flags_come_from_the_schemas(self, capsys):
         """Each experiment accepts a flag per schema field, --report and
