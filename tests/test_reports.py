@@ -473,6 +473,9 @@ class TestPinnedFingerprints:
         "tower-verify": "067cfab9e04927e73997b26f10c97a43131727045acc720580cbc1bfcb585374",
         "tower-colon": "5b3c6a018001ab07f73bcffb76587af6e3c3ddbdfad2358944c8fcb06e362123",
         "isogeny": "c8b2c6acf12a96810a19060a4823e7f60b28c527fce41cac92258dba250cb04c",
+        # the digit lifting of membership_digits at one and at three digits
+        "isogeny --n 1": "20cadebced912ece0d3d70d821483177f2afe7b12df971408b363dc3e487d09e",
+        "isogeny --n 3": "54b86308094fb1b923e72d08e6d8570be97d52f51071d6c92e53a14c317022e8",
         "padic": "a26c67452daf52b827b1c8d7153f38df96ea333d50832f74871dc2e7ad90acc9",
         "charp --p 7": "974051447e60ae7309b56bc0df2090085320437e6742c6c285fb4c14a95195cc",
         "tower-trace --pairs 10": "08ae18a7bb80dc7e057b7090465e423c652ea6b7024f1dd0e3db02e238d14a28",
