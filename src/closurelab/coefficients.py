@@ -1,6 +1,6 @@
 """Exact coefficient domains: rationals, the degree-6 cyclotomic field
-generated by a primitive ninth root of unity, and residues mod p^N (F_p is
-N = 1).
+generated by a primitive ninth root of unity, integers, and residues mod p^N
+(F_p is N = 1).
 
 A cyclotomic element is stored fraction-free, as six ints over one positive
 common denominator; products fold t^6 + t^3 + 1 inline and cancel with one
@@ -8,28 +8,28 @@ gcd.  The 18 units +-t^k are inverted by table lookup and every other
 element by the norm (Cohen, *A Course in Computational Algebraic Number
 Theory*, 4.2).
 
-A residue mod p^N is a plain int in [0, p^N), not a wrapper object, and
-``Poly`` reduces each output coefficient modulo the domain's ``modulus``
-once; QQ and Q(zeta_9) have ``modulus = None``.  Every domain exposes
-``zero``, ``one``, ``inv``, ``coerce``, ``is_field``, ``modulus``,
-``lift_pair`` and ``format``; residue rings add ``val``.  An int or a
-Fraction becomes a coefficient only through ``coerce``: ``CycloNum``
-arithmetic takes ``CycloNum`` operands alone.
+An integer is a plain int, and so is a residue mod p^N, in [0, p^N): ZZ is
+the residue ring with no modulus.  ``Poly`` reduces each output coefficient
+modulo the domain's ``modulus`` once; ZZ, QQ and Q(zeta_9) have ``modulus =
+None``.  Every domain exposes ``zero``, ``one``, ``inv``, ``coerce``,
+``is_field``, ``modulus``, ``lift_pair`` and ``format``; residue rings add
+``val``.  An int or a Fraction becomes a coefficient only through
+``coerce``: ``CycloNum`` arithmetic takes ``CycloNum`` operands alone.
 
 ``lift_pair`` serves multi-term polynomial products: it maps two
 coefficient lists to Python ints whose products and sums stand for the
 products and sums of the coefficients, plus a ``lower`` function that maps
 an accumulated int back to one domain element.  Rationals are cleared to
-one denominator per list and residues are their own ints.  A cyclotomic
-coordinate vector is evaluated at a power of two (Kronecker substitution;
-Harvey, J. Symb. Comput. 44, 2009).  When every vector of both lists is
-zero outside coordinates r and r + 3 for some r per list, the list is t^r
-times a polynomial in T = t^3 and only those two coordinates are packed, at
-T = 2^B, so one big-int product is one 2x2 convolution with three digits;
-otherwise all six are packed at t = 2^B and a product is one 6x6
-convolution with 11 digits.  B is chosen from the actual operand sizes so
-that every accumulated coordinate stays a balanced base-2^B digit, and
-``lower`` unpacks the digits, places them at their powers of t, folds
+one denominator per list, and integers and residues are their own ints.  A
+cyclotomic coordinate vector is evaluated at a power of two (Kronecker
+substitution; Harvey, J. Symb. Comput. 44, 2009).  When every vector of
+both lists is zero outside coordinates r and r + 3 for some r per list, the
+list is t^r times a polynomial in T = t^3 and only those two coordinates
+are packed, at T = 2^B, so one big-int product is one 2x2 convolution with
+three digits; otherwise all six are packed at t = 2^B and a product is
+one 6x6 convolution with 11 digits.  B is chosen from the actual operand
+sizes so that every accumulated coordinate stays a balanced base-2^B digit,
+and ``lower`` unpacks the digits, places them at their powers of t, folds
 t^6 + t^3 + 1 and cancels with one gcd once per output term (delayed
 reduction; Monagan and Pearce, J. Symb. Comput. 46, 2011).
 """
@@ -439,16 +439,48 @@ class CyclotomicField9:
         return hash(self.name)
 
 
-class TruncatedPadicRing:
-    """Z/p^N.  Its elements are plain ints in [0, p^N), and ``Poly`` reduces
-    each output coefficient modulo ``modulus`` once.  Not a field: the
-    Groebner engine rejects it and the digit-wise machinery in the p-adic
-    module is used instead.  Equal rings share type, p and N, so
-    ``PrimeField(p)`` differs from ``TruncatedPadicRing(p, 1)``."""
+class IntegerRing:
+    """Z as plain ints, and the base of the residue rings Z/p^N, which hold
+    the same ints reduced modulo ``modulus``: Z is the one with no modulus.
+    Not a field, so the Groebner engine rejects it; only +-1 is a unit.
+    Equal rings share type and ``modulus``: ``PrimeField(5) != Z/5^1``."""
 
+    name = "ZZ"
     is_field = False
+    modulus = None
     zero = 0
     one = 1
+
+    def coerce(self, x) -> int:
+        if isinstance(x, Fraction) and x.denominator == 1:
+            x = x.numerator
+        if isinstance(x, int):
+            mod = self.modulus
+            return x if mod is None else x % mod
+        raise TypeError(f"cannot coerce {x!r} into {self.name}")
+
+    def inv(self, x: int) -> int:
+        if x == 1 or x == -1:
+            return x
+        raise ZeroDivisionError(f"{x} is not a unit in {self.name}")
+
+    def lift_pair(self, xs, ys):
+        """The ints themselves; ``lower`` reduces modulo ``modulus`` once."""
+        return xs, ys, self.coerce
+
+    def format(self, x: int, parenthesize: bool = False) -> str:
+        return str(x)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.modulus == self.modulus
+
+    def __hash__(self):
+        return hash((type(self), self.modulus))
+
+
+class TruncatedPadicRing(IntegerRing):
+    """Z/p^N: the ints in [0, p^N), with ``modulus`` p^N.  The digit-wise
+    machinery of the p-adic module stands in for Groebner bases."""
 
     def __init__(self, p: int, precision: int):
         if not is_prime(p):
@@ -461,13 +493,6 @@ class TruncatedPadicRing:
         self.precision = precision
         self.modulus = p ** precision
         self.name = f"Z/{p}^{precision}"
-
-    def coerce(self, x) -> int:
-        if isinstance(x, Fraction) and x.denominator == 1:
-            x = x.numerator
-        if isinstance(x, int):
-            return x % self.modulus
-        raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
     def inv(self, x: int) -> int:
         if x % self.p == 0:
@@ -485,19 +510,6 @@ class TruncatedPadicRing:
             k += 1
         return k
 
-    def lift_pair(self, xs, ys):
-        """The residues themselves; ``lower`` reduces modulo p^N once."""
-        return xs, ys, self.coerce
-
-    def format(self, x: int, parenthesize: bool = False) -> str:
-        return str(x)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and (other.p, other.precision) == (self.p, self.precision)
-
-    def __hash__(self):
-        return hash(self.name)
-
 
 class PrimeField(TruncatedPadicRing):
     """F_p = Z/p^1, the residue ring that is a field."""
@@ -510,6 +522,7 @@ class PrimeField(TruncatedPadicRing):
 
 
 QQ = RationalField()
+ZZ = IntegerRing()
 CYCLO = CyclotomicField9()
 
 THETA = CycloNum.zeta_power(3)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .charp import fermat_ring
-from .coefficients import QQ, PrimeField
+from .coefficients import ZZ, PrimeField
 from .groebner import groebner, membership_with_basis, normal_form
 from .polynomials import Poly, RingPresentation, format_poly
 
@@ -30,9 +30,8 @@ class ConventionViolationError(ValueError):
 
 @lru_cache(maxsize=None)
 def integral_ring() -> RingPresentation:
-    """The ambient graded ring with integer coefficients (modelled over Q
-    with integrality enforced on endomorphism images)."""
-    return RingPresentation(QQ, ("z", "x", "y"), relations=["z^3 + x^3 + y^3"])
+    """The ambient graded ring with integer coefficients, over ``ZZ``."""
+    return RingPresentation(ZZ, ("z", "x", "y"), relations=["z^3 + x^3 + y^3"])
 
 
 class GradedEndo(namedtuple("GradedEndo", "x_image y_image z_image")):
@@ -43,15 +42,14 @@ class GradedEndo(namedtuple("GradedEndo", "x_image y_image z_image")):
 
     def __new__(cls, x_image: Poly, y_image: Poly, z_image: Poly):
         self = super().__new__(cls, x_image, y_image, z_image)
+        if any(p.ring.domain != ZZ for p in self.images()):
+            raise ValueError("images must have integer coefficients (domain ZZ)")
         degs = {p.degree() for p in self.images()}
         if len(degs) != 1:
             raise ValueError("images must share one degree")
         for p in self.images():
             if not p.is_homogeneous():
                 raise ValueError(f"image {format_poly(p)} is not homogeneous")
-            for _, c in p.terms:
-                if Fraction(c).denominator != 1:
-                    raise ValueError("images must have integer coefficients")
         return self
 
     def images(self) -> tuple[Poly, Poly, Poly]:
@@ -263,7 +261,7 @@ def _recast(poly: Poly, ring: RingPresentation) -> Poly:
     """``poly`` with each coefficient coerced into ``ring``'s domain: an
     integral poly reduces mod p into ``fermat_ring(p)``, and a poly over
     ``F_p`` lifts its int residues into ``integral_ring()``.  A coefficient
-    that is not an integer raises ``TypeError`` in a prime field."""
+    that is not an integer raises ``TypeError``."""
     coerce = ring.domain.coerce
     return Poly(ring, {m: coerce(c) for m, c in poly.terms})
 
@@ -296,11 +294,7 @@ def membership_digits(e: GradedEndo, p: int, n: int):
         cofs = [_recast(c, ring_z) for c in cert.cofactors]
         consumed = cofs[0] * gens_z[0] + cofs[1] * gens_z[1] + cofs[2] * rel_z
         diff = residual - consumed
-        next_terms = {}
-        for m, c in diff.terms:
-            f = Fraction(c)
-            if f.numerator % p != 0:
-                raise AssertionError("digit residual is not divisible by p")
-            next_terms[m] = f / p
-        residual = Poly(ring_z, next_terms)
+        if any(c % p for _, c in diff.terms):
+            raise AssertionError("digit residual is not divisible by p")
+        residual = Poly(ring_z, {m: c // p for m, c in diff.terms})
     return True, None

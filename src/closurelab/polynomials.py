@@ -402,14 +402,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not polynomials")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return square_and_multiply(self, n, mul)
 
     def mul_term(self, mono: int, coeff) -> "Poly":
         """self * coeff * x^mono in ``self.ring``, for a packed ``mono``.  The
@@ -467,6 +460,19 @@ class Poly:
 
     def __repr__(self):
         return format_poly(self)
+
+
+def square_and_multiply(base: Poly, n: int, multiply) -> Poly:
+    """base ** n for n >= 0 from ``base.ring.one()``, by right-to-left
+    binary powering with ``multiply`` for every product."""
+    result = base.ring.one()
+    while n:
+        if n & 1:
+            result = multiply(result, base)
+        n >>= 1
+        if n:
+            base = multiply(base, base)
+    return result
 
 
 def cached_power(powers: dict, v, base: Poly, e: int) -> Poly:
@@ -616,17 +622,6 @@ class _Parser:
         self.budget.spend(len(a.terms) * len(b.terms))
         return a * b
 
-    def power(self, base: Poly, n: int) -> Poly:
-        """base ** n by the same squarings as ``Poly.__pow__``, each charged."""
-        result = self.ring.one()
-        while n:
-            if n & 1:
-                result = self.multiply(result, base)
-            n >>= 1
-            if n:
-                base = self.multiply(base, base)
-        return result
-
     def parse_expr(self) -> Poly:
         one = self.ring.domain.one
         kind, val = self.peek()
@@ -680,7 +675,7 @@ class _Parser:
                 raise PolyParseError(f"exponent {n} is not below {EXP_LIMIT}")
             if len(base.terms) > 1:
                 self.check_degree(n * _total_degree(base))
-            return self.power(base, n)
+            return square_and_multiply(base, n, self.multiply)
         return base
 
     @staticmethod

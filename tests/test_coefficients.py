@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from closurelab.coefficients import (
     CYCLO,
     PRIME_TEST_LIMIT,
+    QQ,
+    ZZ,
     CycloNum,
+    IntegerRing,
     PrimeField,
     TruncatedPadicRing,
     _norm_inverse,
@@ -397,6 +400,32 @@ class TestTruncatedPadic:
     def test_char_three_rejected(self):
         with pytest.raises(ValueError, match="degenerates"):
             TruncatedPadicRing(3, 2)
+
+
+class TestIntegerRing:
+    """ZZ is the residue ring with no modulus: every int is its own
+    coefficient and nothing is reduced."""
+
+    def test_coerce_keeps_every_int(self):
+        assert ZZ.coerce(-7) == -7
+        assert ZZ.coerce(1 << 200) == 1 << 200
+        assert ZZ.coerce(Fraction(-8)) == -8
+        for bad in (Fraction(1, 2), CYCLO.one, 1.0):
+            with pytest.raises(TypeError, match="ZZ"):
+                ZZ.coerce(bad)
+
+    def test_only_plus_and_minus_one_are_units(self):
+        assert ZZ.inv(1) == 1
+        assert ZZ.inv(-1) == -1
+        for non_unit in (0, 2, -2, 7, 1 << 64):
+            with pytest.raises(ZeroDivisionError):
+                ZZ.inv(non_unit)
+
+    def test_equality(self):
+        assert not ZZ.is_field and ZZ.modulus is None
+        assert ZZ == IntegerRing() and hash(ZZ) == hash(IntegerRing())
+        for other in (QQ, CYCLO, PrimeField(5), TruncatedPadicRing(5, 1)):
+            assert ZZ != other and other != ZZ
 
 
 class TestResidueRingContract:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from closurelab import coefficients, tower
 from closurelab.charp import _bracket_basis, fermat_ring
 from closurelab.experiments import run_experiment
-from closurelab.coefficients import CYCLO, QQ, CycloNum, DomainError, PrimeField, TruncatedPadicRing
+from closurelab.coefficients import CYCLO, QQ, ZZ, CycloNum, DomainError, PrimeField, TruncatedPadicRing
 from closurelab.groebner import (
     _divide,
     colon,
@@ -70,6 +70,11 @@ class TestGroebnerExamples:
     def test_unsupported_padic_domain(self):
         ring = RingPresentation(TruncatedPadicRing(5, 2), ("x", "y"))
         with pytest.raises(DomainError, match="digit-wise"):
+            groebner([ring.parse("x")], ring)
+
+    def test_integers_are_not_a_field(self):
+        ring = RingPresentation(ZZ, ("x", "y"))
+        with pytest.raises(DomainError, match="field coefficients, not ZZ"):
             groebner([ring.parse("x")], ring)
 
 

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from closurelab import isogeny
-from closurelab.coefficients import QQ, PrimeField
+from closurelab.coefficients import QQ, ZZ, PrimeField
+from closurelab.polynomials import PolyParseError, RingPresentation
+
+
+def _rational_ring():
+    """The integral ring's variables, order and relation over QQ."""
+    return RingPresentation(QQ, ("z", "x", "y"), relations=["z^3 + x^3 + y^3"])
 
 
 def _identity():
@@ -31,9 +37,18 @@ class TestVerifyEndo:
             isogeny.GradedEndo(ring.parse("x + 1"), ring.var("y"), ring.var("z"))
 
     def test_fractional_coefficients_rejected(self):
+        """The integral ring is over ZZ, so 1/2 is refused when it is read."""
         ring = isogeny.integral_ring()
+        with pytest.raises(PolyParseError, match="ZZ"):
+            ring.parse("1/2*x")
+
+    def test_images_over_QQ_rejected(self):
+        ring = _rational_ring()
+        x, y, z = (ring.var(v) for v in "xyz")
         with pytest.raises(ValueError, match="integer"):
-            isogeny.GradedEndo(ring.parse("1/2*x"), ring.var("y"), ring.var("z"))
+            isogeny.GradedEndo(x, y, z)
+        with pytest.raises(ValueError, match="integer"):
+            isogeny.GradedEndo(ring.parse("1/2*x"), y, z)
 
 
 class TestHesseDouble:
@@ -159,12 +174,20 @@ class TestMembershipModPn:
         with pytest.raises(isogeny.ConventionViolationError):
             isogeny.membership_digits(_identity(), 2, 1)
 
+    def test_integral_ring_is_over_ZZ(self):
+        """The digits are lifted on plain ints: the integral ring's domain is
+        ZZ, and every coefficient of the doubling's images is an int."""
+        assert isogeny.integral_ring().domain is ZZ
+        images = isogeny.hesse_double().images()
+        assert all(type(c) is int for img in images for _, c in img.terms)
+
     def test_reduction_mod_p_refuses_a_fraction(self):
         """Reduction goes through the prime field's ``coerce``: an integer
-        coefficient reduces mod p, and x/2 raises instead of truncating to 0."""
+        coefficient reduces mod p, and x/2 (which ZZ cannot hold, so it is
+        built over QQ) raises instead of truncating to 0."""
         ring_z, ring_p = isogeny.integral_ring(), isogeny.fermat_ring(5)
         reduced = isogeny._recast(ring_z.parse("7*x - 3*y"), ring_p)
         assert reduced == ring_p.parse("2*x + 2*y")
         assert isogeny._recast(reduced, ring_z) == ring_z.parse("2*x + 2*y")
         with pytest.raises(TypeError):
-            isogeny._recast(ring_z.parse("1/2*x"), ring_p)
+            isogeny._recast(_rational_ring().parse("1/2*x"), ring_p)

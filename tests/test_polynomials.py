@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closurelab.charp import fermat_ring
-from closurelab.coefficients import CYCLO, QQ, CycloNum, PrimeField, TruncatedPadicRing
+from closurelab.coefficients import CYCLO, QQ, ZZ, CycloNum, PrimeField, TruncatedPadicRing
 from closurelab.groebner import _divide, elimination_ring, exact_divide, normal_form
 from closurelab.polynomials import (
     EXP_LIMIT,
@@ -579,12 +579,12 @@ def _coset_shapes(draw, terms):
 
 
 @st.composite
-def _products(draw, domains=(QQ, CYCLO, *_RESIDUE_RINGS), min_size=0, cosets=False):
+def _products(draw, domains=(QQ, CYCLO, ZZ, *_RESIDUE_RINGS), min_size=0, cosets=False):
     """Two polynomials over one of ``domains`` with ``min_size`` to 12 terms
     each, by default on both sides of LIFT_MIN_TERMS.  Integers are small or
     +-(2^k - 1) for one k up to 200, denominators small, 3^j or 2^k - 1, so
-    that lifted sums reach the packing width; residues are units times p^j,
-    so zero-divisor products occur.  With ``cosets`` each Q(zeta_9) list is
+    that lifted sums reach the packing width; ZZ takes the same integers, and
+    residues are units times p^j, so zero-divisor products occur.  With ``cosets`` each Q(zeta_9) list is
     reshaped by ``_coset_shapes``, one r per list."""
     domain = draw(st.sampled_from(domains))
     k = draw(st.integers(1, 200))
@@ -602,6 +602,8 @@ def _products(draw, domains=(QQ, CYCLO, *_RESIDUE_RINGS), min_size=0, cosets=Fal
             st.lists(ints, min_size=6, max_size=6),
             dens,
         )
+    elif domain == ZZ:
+        coeff = ints
     else:
         coeff = _residues(domain)
     nvars = draw(st.integers(1, 3))
@@ -704,8 +706,8 @@ def test_lifted_coset_product_at_the_packing_width(k, n, signs, shifts):
 
 @pytest.mark.parametrize(
     "domain",
-    [QQ, CYCLO, PrimeField(5), TruncatedPadicRing(5, 3)],
-    ids=["QQ", "cyclo9", "F5", "Z5^3"],
+    [QQ, CYCLO, ZZ, PrimeField(5), TruncatedPadicRing(5, 3)],
+    ids=["QQ", "cyclo9", "ZZ", "F5", "Z5^3"],
 )
 def test_products_that_cancel(domain):
     """(x - y)(1 + z + z^2 + z^3) times the 6-term x^5 + x^4 y + ... + y^5
