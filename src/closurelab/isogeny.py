@@ -17,7 +17,7 @@ from functools import lru_cache
 from .charp import fermat_ring
 from .coefficients import ZZ, PrimeField
 from .groebner import groebner, membership_with_basis, normal_form
-from .polynomials import Poly, RingPresentation, format_poly
+from .polynomials import Poly, RingPresentation, cached_power, format_poly
 
 
 class CandidateRejectedError(RuntimeError):
@@ -87,10 +87,14 @@ def compose_endo(e1: GradedEndo, e2: GradedEndo) -> GradedEndo:
     images = {"x": e2.x_image, "y": e2.y_image, "z": e2.z_image}
     ring = e1.x_image.ring
     powers = {}  # the three substitutions share the powers of the images
+
+    def power(v, e):
+        return cached_power(powers, v, images[v], e)
+
     return GradedEndo(
-        e1.x_image.substitute(images, ring, powers),
-        e1.y_image.substitute(images, ring, powers),
-        e1.z_image.substitute(images, ring, powers),
+        e1.x_image.substitute(images, ring, power),
+        e1.y_image.substitute(images, ring, power),
+        e1.z_image.substitute(images, ring, power),
     )
 
 

@@ -17,12 +17,18 @@ field (``OverflowError``).  Only this module knows the layout: exponent
 tuples are the public form, and ``WeightedGrevlex.key`` and
 ``WeightedGrevlex.exponents`` convert at the boundary (``ring.var``,
 ``ring.poly``, parsing, formatting, substitution and the domain modules
-that read single exponents).
+that read single exponents).  ``Poly.moved`` carries keys unchanged into
+another ring only after checking that its order packs alike
+(``WeightedGrevlex.packs_like``).
 
 Products of two factors with at least ``LIFT_MIN_TERMS`` terms each run on
 Python ints: the coefficient domain's ``lift_pair`` lifts both coefficient
-lists, the product loop does one big-int multiply-add per term pair, and
-each output term is lowered back once.  Over Q(zeta_9) each coordinate
+lists, one of two loops multiplies them, and each output term is lowered
+back once.  When both key lists are arithmetic progressions with one step,
+as for a homogeneous form in (x^3, y^3) times a monomial, output j has key
+a0 + b0 + j * step and its int is one ``sum(map(mul, ...))`` over a
+diagonal (``_diagonals``); any other shape takes the dict loop, one
+big-int multiply-add per term pair.  Over Q(zeta_9) each coordinate
 vector is packed at a power of two: at T = t^3 = 2^B with its two
 coordinates r and r + 3 when both factors' coefficients lie in t^r *
 Q(theta) (r per factor), at t = 2^B with all six otherwise.  B is
@@ -121,6 +127,12 @@ class WeightedGrevlex:
 
     def lcm(self, a: int, b: int) -> int:
         return sum(map(mul, self._units, map(max, self.exponents(a), self.exponents(b))))
+
+    def packs_like(self, other: "WeightedGrevlex") -> bool:
+        """True when both orders pack every exponent tuple into the same
+        key and decode it back the same way: weights (1/3, 1/3, 1/3) and
+        (1/9, 1/9, 1/9) scale to the same ints, and so pack alike."""
+        return self._units == other._units and self._head_excess == other._head_excess
 
     def check_fields(self, key: int):
         """Raise ``OverflowError`` when an exponent field of ``key``, or of an
@@ -278,6 +290,21 @@ class Poly:
                     out[m] = c * a if s is None else s + c * a
         return cls(ring, out)
 
+    def moved(self, ring: RingPresentation) -> "Poly":
+        """The same packed terms read in ``ring``: variable i of
+        ``self.ring`` becomes variable i of ``ring``.  Nothing is keyed or
+        sorted again, so ``ring`` must have the same domain and number of
+        variables and an order that packs like this one's
+        (``WeightedGrevlex.packs_like``); otherwise ``ValueError``."""
+        src = self.ring
+        if ring is not src and not (
+            ring.domain == src.domain
+            and len(ring.variables) == len(src.variables)
+            and ring.order.packs_like(src.order)
+        ):
+            raise ValueError(f"{src!r} and {ring!r} do not pack monomials alike")
+        return Poly._presorted(ring, self.terms)
+
     # -- basic queries -------------------------------------------------------
 
     def __bool__(self):
@@ -356,14 +383,21 @@ class Poly:
         - A constant or one-term factor scales and shifts the other
           factor's terms (``mul_term``); nothing is sorted again.
         - Factors of at least ``LIFT_MIN_TERMS`` terms each are multiplied
-          on ints from the domain's ``lift_pair``: one big-int multiply-add
-          per term pair, one ``lower`` per output term.  Over Q(zeta_9) the
-          ints pack each coordinate vector at a power of two 2^B: its two
-          coordinates r and r + 3 at T = t^3 when both factors lie in
-          t^r * Q(theta), three output digits; all six at t otherwise,
-          11 output digits.  B is a bit above ``bits(max|a|) +
-          bits(max|b|) + bits(w * min(len a, len b))``, w = 2 or 6 packed
-          coordinates, so no accumulated coordinate overflows its digit.
+          on ints from the domain's ``lift_pair``, and each output term is
+          lowered back once.  Over Q(zeta_9) the ints pack each coordinate
+          vector at a power of two 2^B: its two coordinates r and r + 3 at
+          T = t^3 when both factors lie in t^r * Q(theta), three output
+          digits; all six at t otherwise, 11 output digits.  B is a bit
+          above ``bits(max|a|) + bits(max|b|) + bits(w * min(len a, len
+          b))``, w = 2 or 6 packed coordinates, so no accumulated
+          coordinate overflows its digit.  The loop over the ints follows
+          the shape of the keys (M. Monagan and R. Pearce, "Sparse
+          polynomial multiplication and division in Maple 14", 2010):
+          when both key lists are arithmetic progressions with one step,
+          as a form in (x^3, y^3) times a monomial is, output j has key
+          a0 + b0 + j * step and is one sum of products over a diagonal
+          (``_diagonals``); otherwise each term pair adds its product into
+          a dict.
         - Smaller products multiply and add the coefficients term by term.
 
         A product monomial is the sum of the packed keys.  One OR over the
@@ -389,8 +423,19 @@ class Poly:
             ring.order.check_fields(reduce(or_, out, 0))
             return Poly(ring, out)
         xs, ys, lower = ring.domain.lift_pair([c for _, c in a], [c for _, c in b])
+        ma = [m for m, _ in a]
         mb = [m for m, _ in b]
-        for (m1, _), x in zip(a, xs):
+        a0, b0 = ma[0], mb[0]
+        step = ma[1] - a0
+        if ma == list(range(a0, a0 + len(a) * step, step)) and mb == list(
+            range(b0, b0 + len(b) * step, step)
+        ):
+            keys = range(a0 + b0, a0 + b0 + (len(a) + len(b) - 1) * step, step)
+            ring.order.check_fields(reduce(or_, keys, 0))
+            # ascending keys and lowered (canonical) coefficients
+            terms = zip(keys, map(lower, _diagonals(xs, ys)))
+            return Poly._presorted(ring, tuple(filter(_coefficient, terms)))
+        for m1, x in zip(ma, xs):
             for m2, y in zip(mb, ys):
                 m = m1 + m2
                 out[m] = get(m, 0) + x * y
@@ -433,18 +478,22 @@ class Poly:
         inv = self.ring.domain.inv(self.lc())
         return Poly(self.ring, {m: c * inv for m, c in self.terms})
 
-    def substitute(self, images: dict, target: RingPresentation | None = None, powers=None) -> "Poly":
+    def substitute(self, images: dict, target: RingPresentation | None = None, power=None) -> "Poly":
         """Ring-map style substitution: each variable goes to its image Poly
         (missing variables map to the same-named variable of the target).
 
-        ``powers`` maps (variable, exponent) to that power of the
-        variable's image, and ``cached_power`` reads and fills it, so a
-        caller that keeps one mapping per ``images`` forms each power once
-        across calls.  Without one the powers live for this call only.  The
-        terms are summed by ``linear_combination``."""
+        ``power(v, e)`` returns the image of variable ``v`` to the power e.
+        A caller that keeps the powers of ``images`` across calls passes
+        its own accessor, as the tower does for one table per depth; by
+        default ``cached_power`` forms them for this call only.  The terms
+        are summed by ``linear_combination``."""
         ring = target or next(iter(images.values())).ring
-        if powers is None:
+        if power is None:
             powers = {}
+
+            def power(v, e):
+                return cached_power(powers, v, images[v] if v in images else ring.var(v), e)
+
         one, coerce = ring.one(), ring.domain.coerce
         exponents = self.ring.order.exponents
         variables = self.ring.variables
@@ -453,13 +502,27 @@ class Poly:
             term = one
             for v, e in zip(variables, exponents(m)):
                 if e:
-                    base = images[v] if v in images else ring.var(v)
-                    term = term * cached_power(powers, v, base, e)
+                    term = term * power(v, e)
             parts.append((coerce(c), term))
         return Poly.linear_combination(ring, parts)
 
     def __repr__(self):
         return format_poly(self)
+
+
+def _diagonals(xs: list, ys: list) -> list:
+    """The coefficients of the product of the univariate polynomials with
+    coefficient lists ``xs`` and ``ys``: entry j is the sum over the
+    diagonal i + k = j of xs[i] * ys[k], each one C-level pass of ``sum``
+    and ``map`` over a slice of ``xs`` and of ``ys`` reversed."""
+    la, lb = len(xs), len(ys)
+    yr = ys[::-1]
+    out = []
+    for j in range(la + lb - 1):
+        lo, hi = max(0, j - lb + 1), min(j + 1, la)
+        r = lb - 1 - j  # ys[j - i] is yr[r + i]
+        out.append(sum(map(mul, xs[lo:hi], yr[r + lo:r + hi])))
+    return out
 
 
 def square_and_multiply(base: Poly, n: int, multiply) -> Poly:

@@ -11,6 +11,14 @@ level n through the defining system
 where the images of x_(n-1), y_(n-1) come from inverting the 2x2 linear
 system over Q(zeta_9).  Levels are materialized independently and embeddings
 compose on demand, so every Groebner computation stays in three variables.
+
+The tower is self-similar: every step has the same defining system, and the
+weights 3^-n of every level scale to (1, 1, 1), so a monomial packs into the
+same int at every level.  A_n over A_k is therefore A_(n-k) over A_0 with
+the variables renamed, and the images of depth d = n - k, their powers
+(``power_table``) and the probe's cofactors (``_probe_cofactors``) are each
+formed once, in the lowest ring that holds them, and moved up
+(``Poly.moved``) wherever they are read.
 """
 
 from __future__ import annotations
@@ -90,35 +98,66 @@ def build_level(n: int) -> TowerLevel:
 
 @lru_cache(maxsize=None)
 def variable_images(k: int, n: int) -> dict:
-    """Images of the level-k variables inside the level-n ring (k <= n)."""
+    """Images of the level-k variables inside the level-n ring (k <= n).
+
+    Every level has the same defining system, and every level's weights
+    scale to (1, 1, 1), so its packed keys are the same ints: A_n over A_k
+    is A_(n-k) over A_0 with the variables renamed.  So for k > 0 the
+    images are the depth-(n - k) ones, ``variable_images(0, n - k)``,
+    moved into A_n (``Poly.moved``) under the level-k names.  For k = 0
+    and n >= 2 they are A_1's images of x, y, z with x_1, y_1, z_1 sent on
+    to A_n, through the powers of depth n - 1."""
     if k > n:
         raise ValueError("can only embed lower levels into higher ones")
-    level_n = build_level(n)
-    if k == n:
-        return {v: level_n.ring.var(v) for v in level_variables(n)}
-    one_step = build_level(k + 1).embed_prev
-    if k + 1 == n:
+    ring = build_level(n).ring
+    if k:
+        images = variable_images(0, n - k)
+        return {vk: images[v].moved(ring) for vk, v in zip(level_variables(k), level_variables(0))}
+    if n == 0:
+        return {v: ring.var(v) for v in level_variables(0)}
+    one_step = build_level(1).embed_prev
+    if n == 1:
         return dict(one_step)
-    higher = variable_images(k + 1, n)
-    powers = power_table(k + 1, n)
-    return {v: img.substitute(higher, level_n.ring, powers) for v, img in one_step.items()}
+    higher = variable_images(1, n)
+    power = image_powers(1, n)
+    return {v: img.substitute(higher, ring, power) for v, img in one_step.items()}
 
 
 @lru_cache(maxsize=None)
-def power_table(k: int, n: int) -> dict:
-    """Powers of the level-k variable images in the level-n ring, keyed
-    (variable, exponent).  ``variable_images``, ``embed`` and
-    ``image_power`` fill it on demand through ``cached_power``: an odd
-    power is the previous entry times the image, an even one the half
-    entry squared, so the square behind each cube that ``variable_images``
-    forms stays for ``_probe_cofactors``.  The table only saves work: every
-    certificate built from it is still re-expanded and checked."""
+def power_table(d: int) -> dict:
+    """Powers of the depth-d images, those of x, y, z in A_d, keyed
+    (level-0 variable, exponent).  Since A_(k+d) over A_k is A_d over A_0
+    renamed, this one table serves every level pair (k, k + d), and each
+    power of a depth-d image is formed once per run.  ``image_powers``
+    fills it on demand through ``cached_power``: an odd power is the
+    previous entry times the image, an even one the half entry squared, so
+    the square behind each cube that ``variable_images`` forms stays for
+    ``_probe_cofactors``.  The table only saves work: every certificate
+    built from it is still re-expanded and checked."""
     return {}
+
+
+@lru_cache(maxsize=None)
+def image_powers(k: int, n: int):
+    """The accessor (v, e) -> (image of the level-k variable v in A_n)^e:
+    the depth-(n - k) table's entry for the level-0 variable in v's place,
+    moved into A_n."""
+    d = n - k
+    table = power_table(d)
+    images = variable_images(0, d)
+    ring = build_level(n).ring
+    base = dict(zip(level_variables(k), level_variables(0)))
+
+    def power(v: str, e: int) -> Poly:
+        v = base[v]
+        return cached_power(table, v, images[v], e).moved(ring)
+
+    return power
 
 
 def image_power(k: int, n: int, v: str, e: int) -> Poly:
     """The image of the level-k variable ``v`` in A_n, to the power e."""
-    return cached_power(power_table(k, n), v, variable_images(k, n)[v], e)
+    return image_powers(k, n)(v, e)
 
 
 def embed(f: Poly, from_level: int, to_level: int) -> Poly:
@@ -126,7 +165,7 @@ def embed(f: Poly, from_level: int, to_level: int) -> Poly:
     if from_level == to_level:
         return f
     images = variable_images(from_level, to_level)
-    return f.substitute(images, build_level(to_level).ring, power_table(from_level, to_level))
+    return f.substitute(images, build_level(to_level).ring, image_powers(from_level, to_level))
 
 
 @lru_cache(maxsize=None)
@@ -248,25 +287,30 @@ ColonProbe = namedtuple(
 )
 
 
+@lru_cache(maxsize=None)
 def _probe_cofactors(n: int):
     """Cofactors (u, v) with x_n * embed(z^2) = u*embed(x) + v*embed(y),
     built by descending through the tower one cube at a time.  Exact at every
-    step, so the certificate is checkable by pure expansion."""
-    level = build_level(n)
-    ring = level.ring
+    step, so the certificate is checkable by pure expansion.
+
+    The descent at level n starts from y_n^2 z_n^2 and multiplies by the
+    squares of the level-k images for k = n - 1, ..., 1, that is of depths
+    1, ..., n - 1.  Its first n - 2 steps are level n - 1's descent one
+    level up, so (u, v) is ``_probe_cofactors(n - 1)`` moved into A_n and
+    then the one step with k = 1, by the depth-(n - 1) squares."""
+    ring = build_level(n).ring
     theta13 = CycloNum.zeta_power(1)
     theta23 = CycloNum.zeta_power(2)
     theta53 = CycloNum.zeta_power(5)
-    zn, xn, yn = (ring.var(v) for v in level_variables(n))
-    u = yn * yn * zn * zn * theta13
-    v = yn * yn * zn * zn * theta23
-    for k in range(n - 1, 0, -1):
-        _, xk, yk = level_variables(k)
-        # the squares were formed on the way to the cubes of variable_images
-        uy = u * image_power(k, n, yk, 2)
-        vx = v * image_power(k, n, xk, 2)
-        u, v = (uy + vx) * theta13, uy * theta23 + vx * theta53
-    return u, v
+    if n == 1:
+        z1, _, y1 = (ring.var(v) for v in level_variables(1))
+        return y1 * y1 * z1 * z1 * theta13, y1 * y1 * z1 * z1 * theta23
+    u, v = (f.moved(ring) for f in _probe_cofactors(n - 1))
+    _, x1, y1 = level_variables(1)
+    # the squares were formed on the way to the cubes of variable_images
+    uy = u * image_power(1, n, y1, 2)
+    vx = v * image_power(1, n, x1, 2)
+    return (uy + vx) * theta13, uy * theta23 + vx * theta53
 
 
 def colon_probe(n: int, full_colon_max_level: int = 2) -> ColonProbe:
@@ -369,17 +413,26 @@ def trace_retraction(n: int, s: Poly) -> Poly:
     return pi
 
 
+@lru_cache(maxsize=None)
+def _retraction_factors():
+    """-z and the linear forms l1, l2, l3 in A, built once, with one table
+    of their powers keyed (index, exponent) for ``cached_power``."""
+    ring0 = build_level(0).ring
+    x0, y0, z0 = ring0.var("x"), ring0.var("y"), ring0.var("z")
+    return (-z0, *_linear_forms(x0, y0)), {}
+
+
 def retraction_preimage(pi: Poly) -> Poly:
     """Element of A whose embedding equals pi modulo the relation.
 
     Each invariant monomial x1^i y1^j z1^k (i = j = k = r mod 3) factors as
     (x1 y1 z1)^r times cubes; (x1 y1 z1) is -z and the cubes are the images
-    of the defining linear forms.
+    of the defining linear forms, so its preimage is (-z)^r l1^((i-r)/3)
+    l2^((j-r)/3) l3^((k-r)/3), each power read from one table.
     """
-    base = build_level(0)
-    ring0 = base.ring
-    x0, y0, z0 = ring0.var("x"), ring0.var("y"), ring0.var("z")
-    forms = _linear_forms(x0, y0)
+    ring0 = build_level(0).ring
+    factors, powers = _retraction_factors()
+    one = ring0.one()
     parts = []
     exponents = pi.ring.order.exponents
     for m, c in pi.terms:
@@ -387,10 +440,10 @@ def retraction_preimage(pi: Poly) -> Poly:
         r = i % 3
         if not ((i - k) % 3 == 0 and (j - k) % 3 == 0):
             raise NotInImageError(f"monomial {(k, i, j)} is not invariant")
-        term = (-z0) ** r
-        term = term * forms[0] ** ((i - r) // 3)
-        term = term * forms[1] ** ((j - r) // 3)
-        term = term * forms[2] ** ((k - r) // 3)
+        term = one
+        for index, e in enumerate((r, (i - r) // 3, (j - r) // 3, (k - r) // 3)):
+            if e:
+                term = term * cached_power(powers, index, factors[index], e)
         parts.append((c, term))
     return Poly.linear_combination(ring0, parts)
 

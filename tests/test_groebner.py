@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closurelab import coefficients, tower
+from closurelab import coefficients, polynomials, tower
 from closurelab.charp import _bracket_basis, fermat_ring
 from closurelab.experiments import run_experiment
 from closurelab.coefficients import CYCLO, QQ, ZZ, CycloNum, DomainError, PrimeField, TruncatedPadicRing
@@ -379,11 +379,13 @@ class TestWorkCounters:
     def test_tower_colon_forms_each_lifted_product_once(self, monkeypatch):
         """Count the products whose factors both have at least
         ``LIFT_MIN_TERMS`` terms, and their term pairs, in a cold
-        ``tower-colon --max-level 5``.  The tower's power table forms each
-        power of a variable image once, and ``_probe_cofactors`` forms
-        u * Y_k^2 and v * X_k^2 once each from the squares behind the cubes;
-        forming the cubes twice and those products twice took 57 products
-        and 46 047 pairs."""
+        ``tower-colon --max-level 5``.  One power table per depth forms each
+        power of a depth-d image once for all levels, and
+        ``_probe_cofactors(n)`` takes level n - 1's cofactors and one more
+        step, each u * Y^2 and v * X^2 from the squares behind the cubes.
+        One table per level pair and a full descent per level took 33
+        products and 34 617 pairs; forming the cubes twice and those
+        products twice, 57 products and 46 047 pairs."""
         counts = {"products": 0, "pairs": 0}
         mul = Poly.__mul__
 
@@ -396,12 +398,12 @@ class TestWorkCounters:
         monkeypatch.setattr(Poly, "__mul__", counted_mul)
         monkeypatch.setattr(Poly, "__rmul__", counted_mul)
         _cold_run([("tower-colon", {"max_level": 5})])
-        assert counts == {"products": 33, "pairs": 34617}
+        assert counts == {"products": 25, "pairs": 33425}
 
     def test_tower_colon_packs_two_coordinates_per_lifted_coefficient(self, monkeypatch):
         """Every coefficient of the tower's lifted products lies in
         t^r * Q(theta), so in a cold ``tower-colon --max-level 5`` each of
-        the 33 lifted products packs both of its lists at step 3 (the two
+        the 25 lifted products packs both of its lists at step 3 (the two
         coordinates r and r + 3) and none falls back to all six."""
         steps = []
         pack = coefficients._pack
@@ -412,7 +414,33 @@ class TestWorkCounters:
 
         monkeypatch.setattr(coefficients, "_pack", counted_pack)
         _cold_run([("tower-colon", {"max_level": 5})])
-        assert steps == [3] * (2 * 33)
+        assert steps == [3] * (2 * 25)
+
+    def test_lifted_products_pick_their_loop_by_the_keys(self, monkeypatch):
+        """Every lifted product of a cold ``tower-colon --max-level 5`` is a
+        form in (x^3, y^3) times a monomial by another such form, two key
+        progressions with one step, and sums diagonals; ``isogeny --n 3``
+        takes both loops."""
+        counts = {"lifted": 0, "diagonal": 0}
+        mul, diagonals = Poly.__mul__, polynomials._diagonals
+
+        def counted_mul(self, other):
+            if isinstance(other, Poly) and min(len(self.terms), len(other.terms)) >= LIFT_MIN_TERMS:
+                counts["lifted"] += 1
+            return mul(self, other)
+
+        def counted_diagonals(xs, ys):
+            counts["diagonal"] += 1
+            return diagonals(xs, ys)
+
+        monkeypatch.setattr(Poly, "__mul__", counted_mul)
+        monkeypatch.setattr(Poly, "__rmul__", counted_mul)
+        monkeypatch.setattr(polynomials, "_diagonals", counted_diagonals)
+        _cold_run([("tower-colon", {"max_level": 5})])
+        assert counts == {"lifted": 25, "diagonal": 25}
+        counts.update(lifted=0, diagonal=0)
+        _cold_run([("isogeny", {"n": 3})])
+        assert 0 < counts["diagonal"] < counts["lifted"]
 
     def test_no_unit_reaches_the_norm_formula(self, monkeypatch):
         """Count the CycloNum products made inside ``inverse``: none for a

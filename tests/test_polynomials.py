@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 from itertools import permutations
 from operator import add, le, sub
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from closurelab.charp import fermat_ring
 from closurelab.coefficients import CYCLO, QQ, ZZ, CycloNum, PrimeField, TruncatedPadicRing
 from closurelab.groebner import _divide, elimination_ring, exact_divide, normal_form
+from closurelab import polynomials
 from closurelab.polynomials import (
     EXP_LIMIT,
     LIFT_MIN_TERMS,
@@ -21,6 +23,7 @@ from closurelab.polynomials import (
     PolyParseError,
     RingPresentation,
     WeightedGrevlex,
+    cached_power,
     format_poly,
 )
 
@@ -362,6 +365,37 @@ def test_rings_with_equal_presentations_mix():
             op()
 
 
+def test_moved_reads_the_keys_in_a_ring_that_packs_alike():
+    """Weights 1/3 and 1/9 on every variable both scale to (1, 1, 1), so a
+    level-1 polynomial moves to level 2 by its keys alone, variable i to
+    variable i.  Another domain, an elimination block, other weights or
+    another number of variables pack differently, and are refused."""
+    third, ninth = (Fraction(1, 3),) * 3, (Fraction(1, 9),) * 3
+    level1 = RingPresentation(CYCLO, ("z1", "x1", "y1"), third)
+    level2 = RingPresentation(CYCLO, ("z2", "x2", "y2"), ninth)
+    f = level1.parse("z1^2*x1 + t*y1^3 - 2")
+    g = f.moved(level2)
+    assert g.ring is level2 and g.terms == f.terms
+    assert g == level2.parse("z2^2*x2 + t*y2^3 - 2")
+    assert g.moved(level1) == f and f.moved(level1) == f
+    assert g.degree() == Fraction(1, 3) and f.degree() == 1
+    for ring in (
+        RingPresentation(QQ, ("z2", "x2", "y2"), ninth),
+        RingPresentation(CYCLO, ("z2", "x2", "y2"), ninth, block=1),
+        RingPresentation(CYCLO, ("z2", "x2", "y2"), (1, 1, 2)),
+        RingPresentation(CYCLO, ("x2", "y2")),
+    ):
+        with pytest.raises(ValueError, match="do not pack monomials alike"):
+            f.moved(ring)
+    # a head weight of 2 * EXP_LIMIT + 1 packs keys like the elimination
+    # block over (1, 1, 1), but the block's degree counts z once, not 2^20 + 1 times
+    blocked = RingPresentation(CYCLO, ("z", "x", "y"), block=1)
+    mimic = RingPresentation(CYCLO, ("z", "x", "y"), (2 * EXP_LIMIT + 1, 1, 1))
+    assert blocked.order._units == mimic.order._units
+    with pytest.raises(ValueError, match="do not pack monomials alike"):
+        blocked.parse("z*x + y^2").moved(mimic)
+
+
 def _key_sorted_terms(ring, terms):
     """The constructor as a plain sort: descending by the Fraction key, then
     drop zero coefficients."""
@@ -473,15 +507,19 @@ def test_substitute_is_multiplicative(qq_ring):
         "y": target.parse("u - 1"),
         "z": target.parse("v^3"),
     }
-    # one power mapping for every call with these images, as the tower keeps
+    # one power table for every call with these images, as the tower keeps
     powers = {}
+
+    def power(v, e):
+        return cached_power(powers, v, images[v], e)
+
     for _ in range(15):
         terms_a = {tuple(rng.randrange(0, 3) for _ in range(3)): Fraction(rng.randrange(-3, 4)) for _ in range(3)}
         terms_b = {tuple(rng.randrange(0, 3) for _ in range(3)): Fraction(rng.randrange(-3, 4)) for _ in range(3)}
         a, b = qq_ring.poly(terms_a), qq_ring.poly(terms_b)
         assert (a * b).substitute(images, target) == a.substitute(images, target) * b.substitute(images, target)
-        shared = (a * b).substitute(images, target, powers)
-        assert shared == a.substitute(images, target, powers) * b.substitute(images, target, powers)
+        shared = (a * b).substitute(images, target, power)
+        assert shared == a.substitute(images, target, power) * b.substitute(images, target, power)
         assert shared == (a * b).substitute(images, target)
     assert powers and all(p == images[v] ** e for (v, e), p in powers.items())
 
@@ -578,6 +616,29 @@ def _coset_shapes(draw, terms):
     return terms
 
 
+def _coefficients(domain, k):
+    """Coefficients over ``domain``: integers 0, +-1, 2 and +-(2^k - 1),
+    over QQ and Q(zeta_9) on denominators that are small, 3^j or 2^j - 1;
+    residues as in ``_residues``."""
+    ints = st.sampled_from([0, 1, -1, 2, (1 << k) - 1, 1 - (1 << k)])
+    dens = st.one_of(
+        st.integers(1, 6),
+        st.integers(0, 60).map(lambda j: 3 ** j),
+        st.integers(1, 200).map(lambda j: (1 << j) - 1),
+    )
+    if domain == QQ:
+        return st.builds(Fraction, ints, dens)
+    if domain == CYCLO:
+        return st.builds(
+            lambda num, den: CycloNum([Fraction(c, den) for c in num]),
+            st.lists(ints, min_size=6, max_size=6),
+            dens,
+        )
+    if domain == ZZ:
+        return ints
+    return _residues(domain)
+
+
 @st.composite
 def _products(draw, domains=(QQ, CYCLO, ZZ, *_RESIDUE_RINGS), min_size=0, cosets=False):
     """Two polynomials over one of ``domains`` with ``min_size`` to 12 terms
@@ -587,25 +648,7 @@ def _products(draw, domains=(QQ, CYCLO, ZZ, *_RESIDUE_RINGS), min_size=0, cosets
     residues are units times p^j, so zero-divisor products occur.  With ``cosets`` each Q(zeta_9) list is
     reshaped by ``_coset_shapes``, one r per list."""
     domain = draw(st.sampled_from(domains))
-    k = draw(st.integers(1, 200))
-    ints = st.sampled_from([0, 1, -1, 2, (1 << k) - 1, 1 - (1 << k)])
-    dens = st.one_of(
-        st.integers(1, 6),
-        st.integers(0, 60).map(lambda j: 3 ** j),
-        st.integers(1, 200).map(lambda j: (1 << j) - 1),
-    )
-    if domain == QQ:
-        coeff = st.builds(Fraction, ints, dens)
-    elif domain == CYCLO:
-        coeff = st.builds(
-            lambda num, den: CycloNum([Fraction(c, den) for c in num]),
-            st.lists(ints, min_size=6, max_size=6),
-            dens,
-        )
-    elif domain == ZZ:
-        coeff = ints
-    else:
-        coeff = _residues(domain)
+    coeff = _coefficients(domain, draw(st.integers(1, 200)))
     nvars = draw(st.integers(1, 3))
     ring = RingPresentation(domain, ("x", "y", "z")[:nvars])
     # few monomials, so that many term products meet in one output term
@@ -702,6 +745,102 @@ def test_lifted_coset_product_at_the_packing_width(k, n, signs, shifts):
     d = (1 << 127) - 1
     scaled = Poly(ring, {m: c * CYCLO.coerce(Fraction(1, d)) for m, c in f.terms})
     assert (scaled * g).terms == _schoolbook(scaled, g).terms
+
+
+# ---------------------------------------------------------------------------
+# the lifted product's two loops: diagonals and the dict
+
+
+def _loops_taken(f, g):
+    """f * g and g * f, with the number of the two that summed diagonals."""
+    with mock.patch.object(polynomials, "_diagonals", wraps=polynomials._diagonals) as spy:
+        fg, gf = f * g, g * f
+    return fg, gf, spy.call_count
+
+
+def _form(ring, coefficients, step, shift, gap=None):
+    """sum c_i x^(step i) y^(step (L - 1 - i)) times the monomial ``shift``,
+    L the number of coefficients, without the term i = ``gap``: a
+    homogeneous form in (x^step, y^step) times a monomial, whose keys are an
+    arithmetic progression when nothing is left out."""
+    top = len(coefficients) - 1
+    px, py, pz = shift
+    return ring.poly({
+        (step * i + px, step * (top - i) + py, pz): c
+        for i, c in enumerate(coefficients)
+        if i != gap
+    })
+
+
+@st.composite
+def _progressions(draw, same_step=True, gap=False):
+    """Two forms in (x^s, y^s) times monomials over QQ, Q(zeta_9), ZZ, F_p
+    or Z/p^N, each with LIFT_MIN_TERMS to 12 terms and no zero coefficient,
+    so both key lists are progressions with one step.  Half the time the
+    second has the first's coefficients with sign (-1)^i, so the product is
+    f(u) f(-u), u = x^s / y^s, and every odd diagonal cancels to 0.  With
+    ``same_step`` false the second form is in (x^s', y^s'), s' != s; with
+    ``gap`` one inner term of the first is left out: both take the dict
+    loop.  The third entry is (s, the x-exponent of the two monomials) in
+    the alternating case and None otherwise."""
+    domain = draw(st.sampled_from([QQ, CYCLO, ZZ, *_RESIDUE_RINGS]))
+    coeff = _coefficients(domain, draw(st.integers(1, 200))).filter(bool)
+    ring = RingPresentation(domain, ("x", "y", "z"))
+    shifts = st.tuples(*[st.integers(0, 3)] * 3)
+    sizes = st.integers(LIFT_MIN_TERMS + gap, 12)
+    s = draw(st.integers(1, 4))
+    cs = draw(st.lists(coeff, min_size=draw(sizes), max_size=12))
+    sf, sg = draw(shifts), draw(shifts)
+    f = _form(ring, cs, s, sf, draw(st.integers(1, len(cs) - 2)) if gap else None)
+    if same_step and draw(st.booleans()):
+        ds = [-c if i % 2 else c for i, c in enumerate(cs)]
+        return f, _form(ring, ds, s, sg), (s, sf[0] + sg[0])
+    t = s if same_step else draw(st.integers(1, 4).filter(lambda t: t != s))
+    ds = draw(st.lists(coeff, min_size=draw(sizes), max_size=12))
+    return f, _form(ring, ds, t, sg), None
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_progressions())
+def test_diagonal_product_matches_the_schoolbook_product(problem):
+    f, g, alternating = problem
+    fg, gf, diagonal = _loops_taken(f, g)
+    assert diagonal == 2
+    assert fg.terms == gf.terms == _schoolbook(f, g).terms
+    if alternating:
+        # f(u) f(-u) is even in u: only even powers of x^s survive
+        s, low = alternating
+        assert all((e[0] - low) % (2 * s) == 0 for e, _ in exponent_terms(fg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=st.one_of(_progressions(same_step=False), _progressions(gap=True)))
+def test_products_off_one_progression_take_the_dict_loop(problem):
+    """Forms of two different steps, or one form with a gap, are not both
+    progressions with one step."""
+    f, g, _ = problem
+    fg, gf, diagonal = _loops_taken(f, g)
+    assert diagonal == 0
+    assert fg.terms == gf.terms == _schoolbook(f, g).terms
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [QQ, CYCLO, ZZ, PrimeField(5), TruncatedPadicRing(5, 3)],
+    ids=["QQ", "cyclo9", "ZZ", "F5", "Z5^3"],
+)
+def test_diagonals_that_cancel_to_zero(domain):
+    """With u = x^3 / y^3, (1 + u + ... + u^5)(1 - u + ... - u^5) y^30 z is
+    (1 + u^2 + u^4 - u^6 - u^8 - u^10) y^30 z: its five odd diagonals
+    cancel to 0 and drop out, and its even ones are lowered in order."""
+    ring = RingPresentation(domain, ("x", "y", "z"))
+    f = _form(ring, [1] * 6, 3, (0, 0, 1))
+    g = _form(ring, [1, -1] * 3, 3, (0, 0, 0))
+    fg, gf, diagonal = _loops_taken(f, g)
+    assert diagonal == 2
+    expected = ring.parse("(y^30 + x^6*y^24 + x^12*y^18 - x^18*y^12 - x^24*y^6 - x^30)*z")
+    assert fg == gf == _schoolbook(f, g) == expected
+    assert len(fg.terms) == 6
 
 
 @pytest.mark.parametrize(

@@ -189,6 +189,7 @@ def _clear_tower_caches():
 class TestPowerTable:
     def test_entries_are_fresh_powers(self):
         rng = random.Random(5)
+        _clear_tower_caches()
         for n in (1, 2, 3):
             tower.colon_probe(n)
             tower.verify_level(n)
@@ -198,32 +199,98 @@ class TestPowerTable:
                 images = tower.variable_images(0, n)
                 # a table-free substitution of the same images
                 assert tower.embed(f, 0, n) == f.substitute(images, tower.build_level(n).ring)
-        filled = 0
+        filled = {}
+        for d in range(4):
+            images = tower.variable_images(0, d)
+            for (v, e), power in tower.power_table(d).items():
+                assert power == images[v] ** e, (d, v, e)
+                filled[d] = filled.get(d, 0) + 1
+        # every depth that the levels 1-3 share holds entries
+        assert all(filled.get(d) for d in (1, 2, 3)), filled
+        # and each level pair of that depth reads them under its own names
         for n in (1, 2, 3):
             for k in range(n + 1):
                 images = tower.variable_images(k, n)
-                for (v, e), power in tower.power_table(k, n).items():
-                    assert power == images[v] ** e, (k, n, v, e)
-                    filled += 1
-        assert filled
+                for vk, v in zip(tower.level_variables(k), tower.level_variables(0)):
+                    for e in (1, 2, 3):
+                        power = tower.image_power(k, n, vk, e)
+                        assert power.ring is tower.build_level(n).ring
+                        assert power == images[vk] ** e, (k, n, vk, e)
 
     def test_a_corrupted_entry_fails_the_certificate(self):
         """The re-expansion of the certificate, not the table, decides: a
-        wrong square of y_k makes colon_probe raise."""
-        n, k = 3, 2
-        _clear_tower_caches()
-        try:
-            tower.variable_images(0, n)
-            yk = tower.level_variables(k)[2]
-            table = tower.power_table(k, n)
-            assert (yk, 2) in table
-            table[yk, 2] = table[yk, 2] + tower.build_level(n).ring.one()
-            with pytest.raises(VerificationError, match="does not re-expand"):
-                tower.colon_probe(n)
-        finally:
-            # no later test may see the bad entry
+        wrong square of the depth-d image of y, which every level reads
+        for its level-(n - d) variables, makes colon_probe(3) raise, for
+        d = 1 (read by level 2's descent, moved up) and d = 2 (level 3's
+        own step)."""
+        n = 3
+        for d in (1, 2):
             _clear_tower_caches()
-        assert tower.colon_probe(n).witness.verify()
+            try:
+                tower.variable_images(0, n)
+                table = tower.power_table(d)
+                assert ("y", 2) in table
+                table["y", 2] = table["y", 2] + tower.build_level(d).ring.one()
+                with pytest.raises(VerificationError, match="does not re-expand"):
+                    tower.colon_probe(n)
+            finally:
+                # no later test may see the bad entry
+                _clear_tower_caches()
+            assert tower.colon_probe(n).witness.verify()
+
+
+def _one_step_images(k, n, memo):
+    """The images of the level-k variables in A_n as a composition of
+    one-step ``substitute`` calls from A_k up to A_n, with no power table
+    and nothing moved between levels; ``memo`` keeps them per (k, n)."""
+    if (k, n) not in memo:
+        ring = tower.build_level(n).ring
+        if k == n:
+            images = {v: ring.var(v) for v in tower.level_variables(n)}
+        else:
+            higher = _one_step_images(k + 1, n, memo)
+            images = {v: img.substitute(higher, ring) for v, img in tower.build_level(k + 1).embed_prev.items()}
+        memo[k, n] = images
+    return memo[k, n]
+
+
+def _top_down_cofactors(n, memo):
+    """The probe's cofactors by the descent from y_n^2 z_n^2 through the
+    squares of the level-k images for k = n - 1, ..., 1, all in A_n."""
+    ring = tower.build_level(n).ring
+    t1, t2, t5 = (CycloNum.zeta_power(j) for j in (1, 2, 5))
+    zn, _, yn = (ring.var(v) for v in tower.level_variables(n))
+    u, v = yn * yn * zn * zn * t1, yn * yn * zn * zn * t2
+    for k in range(n - 1, 0, -1):
+        _, xk, yk = tower.level_variables(k)
+        images = _one_step_images(k, n, memo)
+        uy = u * images[yk] ** 2
+        vx = v * images[xk] ** 2
+        u, v = (uy + vx) * t1, uy * t2 + vx * t5
+    return u, v
+
+
+class TestSharedDepths:
+    """A_n over A_k is A_(n-k) over A_0 renamed, so the tower forms each
+    depth once and moves it up; these compare against the tower built one
+    level pair at a time."""
+
+    def test_images_are_the_one_step_composition(self):
+        _clear_tower_caches()
+        memo = {}
+        for n in range(6):
+            for k in range(n + 1):
+                images = tower.variable_images(k, n)
+                assert images == _one_step_images(k, n, memo), (k, n)
+                assert all(f.ring is tower.build_level(n).ring for f in images.values())
+
+    def test_cofactors_are_the_top_down_descent(self):
+        _clear_tower_caches()
+        memo = {}
+        for n in range(1, 6):
+            u, v = tower._probe_cofactors(n)
+            assert (u, v) == _top_down_cofactors(n, memo), n
+            assert u.ring is v.ring is tower.build_level(n).ring
 
 
 class TestZ2Membership:
