@@ -471,6 +471,8 @@ class TestPinnedFingerprints:
 
     PINNED = {
         "tower-verify": "067cfab9e04927e73997b26f10c97a43131727045acc720580cbc1bfcb585374",
+        # every level's identities, through level 6 (deeper than any workload)
+        "tower-verify --max-level 6": "4d657803dabdc0d60e8de9710ed85a6bb99c762fbcb74b8854f6c778311e4236",
         "tower-colon": "5b3c6a018001ab07f73bcffb76587af6e3c3ddbdfad2358944c8fcb06e362123",
         "isogeny": "c8b2c6acf12a96810a19060a4823e7f60b28c527fce41cac92258dba250cb04c",
         # the digit lifting of membership_digits at one and at three digits
