@@ -4,17 +4,19 @@ generated by a primitive ninth root of unity, integers, and residues mod p^N
 
 A cyclotomic element is stored fraction-free, as six ints over one positive
 common denominator; products fold t^6 + t^3 + 1 inline and cancel with one
-gcd.  The 18 units +-t^k are inverted by table lookup and every other
-element by the norm (Cohen, *A Course in Computational Algebraic Number
-Theory*, 4.2).
+gcd.  One table serves the 18 units +-t^k: it inverts them, and it gives
+the product with each as a signed coordinate shift with no gcd
+(``unit_shift``).  Every other element is inverted by the norm (Cohen, *A
+Course in Computational Algebraic Number Theory*, 4.2), cached.
 
 An integer is a plain int, and so is a residue mod p^N, in [0, p^N): ZZ is
 the residue ring with no modulus.  ``Poly`` reduces each output coefficient
 modulo the domain's ``modulus`` once; ZZ, QQ and Q(zeta_9) have ``modulus =
 None``.  Every domain exposes ``zero``, ``one``, ``inv``, ``coerce``,
-``is_field``, ``modulus``, ``lift_pair`` and ``format``; residue rings add
-``val``.  An int or a Fraction becomes a coefficient only through
-``coerce``: ``CycloNum`` arithmetic takes ``CycloNum`` operands alone.
+``is_field``, ``modulus``, ``lift_pair``, ``unit_shift`` (None outside
+Q(zeta_9)) and ``format``; residue rings add ``val``.  An int or a
+Fraction becomes a coefficient only through ``coerce``: ``CycloNum``
+arithmetic takes ``CycloNum`` operands alone.
 
 ``lift_pair`` serves multi-term polynomial products: it maps two
 coefficient lists to Python ints whose products and sums stand for the
@@ -29,15 +31,18 @@ are packed, at T = 2^B, so one big-int product is one 2x2 convolution with
 three digits; otherwise all six are packed at t = 2^B and a product is
 one 6x6 convolution with 11 digits.  B is chosen from the actual operand
 sizes so that every accumulated coordinate stays a balanced base-2^B digit,
-and ``lower`` unpacks the digits, places them at their powers of t, folds
-t^6 + t^3 + 1 and cancels with one gcd once per output term (delayed
-reduction; Monagan and Pearce, J. Symb. Comput. 46, 2011).
+and ``lower`` unpacks the digits, folds them (T^2 = -T - 1 into the two
+live coordinates, or t^6 + t^3 + 1 over all 11) and cancels with one gcd
+once per output term (delayed reduction; Monagan and Pearce, J. Symb.
+Comput. 46, 2011).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import itemgetter, sub
 
 # Minimal polynomial of the generator zeta (a primitive 9th root of unity):
 # t^6 + t^3 + 1.  Reduction of t^(6+j) is the two-term rewrite
@@ -183,9 +188,9 @@ class CycloNum:
         """1/a: a unit +-t^k is looked up (its inverse is +-t^(9-k)), and
         any other element goes through the norm formula."""
         if self.den == 1:
-            inv = _UNIT_INVERSES.get(self.num)
-            if inv is not None:
-                return inv
+            unit = _UNITS.get(self.num)
+            if unit is not None:
+                return unit[0]
         return _norm_inverse(self)
 
     def __repr__(self) -> str:
@@ -195,9 +200,12 @@ class CycloNum:
         return format_cyclo(self)
 
 
+@lru_cache(maxsize=256)
 def _norm_inverse(a: CycloNum) -> CycloNum:
     """The norm formula: 1/a is the product of the other five Galois
-    conjugates t -> t^k divided by the rational norm a * (that product)."""
+    conjugates t -> t^k divided by the rational norm a * (that product).
+    Cached: the tower inverts the same few leading coefficients again and
+    again."""
     if not a:
         raise ZeroDivisionError("inverse of zero in Q(zeta_9)")
     num, den = a.num, a.den
@@ -252,14 +260,14 @@ def _coset(vectors):
 def _pack(vectors, step: int, shift: int, bits: int) -> list:
     """Each vector's coordinates shift, shift + step, ... as one int: their
     polynomial in t^step evaluated at t^step = 2^bits (Kronecker
-    substitution)."""
-    out = []
-    for v in vectors:
-        x = 0
-        for c in reversed(v[shift::step]):
-            x = (x << bits) + c
-        out.append(x)
-    return out
+    substitution), two coordinates for step 3 and all six for step 1."""
+    if step == 3:
+        return [v[shift] + (v[shift + 3] << bits) for v in vectors]
+    s1, s2, s3, s4, s5 = range(bits, CYCLO_DEGREE * bits, bits)
+    return [
+        a0 + (a1 << s1) + (a2 << s2) + (a3 << s3) + (a4 << s4) + (a5 << s5)
+        for a0, a1, a2, a3, a4, a5 in vectors
+    ]
 
 
 def _fold(cs: list) -> tuple:
@@ -273,13 +281,105 @@ def _fold(cs: list) -> tuple:
     return tuple(cs[:CYCLO_DEGREE])
 
 
-# the 18 units +-t^k (k = 0..8), keyed on their stored numerators (den 1,
-# and each element has one stored form), mapped to their inverses +-t^(9-k)
-_UNIT_INVERSES = {
-    sign(CycloNum.zeta_power(k)).num: sign(CycloNum.zeta_power(9 - k))
-    for k in range(9)
-    for sign in (lambda u: u, CycloNum.__neg__)
-}
+def _dense_lower(bits: int, den: int):
+    """``lower`` for six packed coordinates: the 11 balanced base-2^bits
+    digits of a sum are its coefficients of t^0 .. t^10, folded inline by
+    t^(6+j) -> -t^(3+j) - t^j (t^9 = 1) and cancelled against ``den``
+    with one gcd."""
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    shifts = tuple(range(0, 11 * bits, bits))
+    # half in every digit: the 11 digits of s + offset are nonnegative
+    offset = sum([half << k for k in shifts])
+
+    def lower(s):
+        u = s + offset
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = [((u >> k) & mask) - half for k in shifts]
+        num = (c0 - c6 + c9, c1 - c7 + c10, c2 - c8, c3 - c6, c4 - c7, c5 - c8)
+        return _make(num, 1) if den == 1 else _reduced(num, den)
+
+    return lower
+
+
+# the two live coordinates r and r + 3 of t^r * Q(theta) as a numerator
+_PLACE = (
+    lambda a, b: (a, 0, 0, b, 0, 0),
+    lambda a, b: (0, a, 0, 0, b, 0),
+    lambda a, b: (0, 0, a, 0, 0, b),
+)
+
+
+def _coset_lower(bits: int, low: int, den: int):
+    """``lower`` for two packed coordinates: the three balanced
+    base-2^bits digits d0, d1, d2 of a sum are its coefficients of t^low
+    times 1, T, T^2 (T = t^3).  T^2 = -T - 1 makes that t^low * (a + b*T)
+    with a = d0 - d2 and b = d1 - d2, and when low >= 3, t^low is
+    t^(low - 3) * T and T * (a + b*T) = -b + (a - b)*T.  The two values
+    go straight to coordinates low % 3 and low % 3 + 3 and cancel against
+    ``den`` with one gcd."""
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    top = 2 * bits
+    # half in every digit: the digits of s + offset are d_j + half >= 0,
+    # so the halves cancel in a and b, and the top digit needs no mask
+    offset = half + (half << bits) + (half << top)
+    place = _PLACE[low % 3]
+    wrap = low >= 3
+
+    def lower(s):
+        u = s + offset
+        e2 = u >> top
+        a = (u & mask) - e2
+        b = ((u >> bits) & mask) - e2
+        if wrap:
+            a, b = -b, a - b
+        if den == 1:
+            return _make(place(a, b), 1)
+        g = gcd(den, a, b)
+        if g == 1:
+            return _make(place(a, b), den)
+        return _make(place(a // g, b // g), den // g)
+
+    return lower
+
+
+# a stored numerator padded to the nine coordinates of Z[t]/(t^9 - 1)
+_PAD = (0, 0, 0)
+
+
+def _unit_shift(plus: tuple, minus: tuple):
+    """x -> x * u for the unit u whose coordinate i of the product is
+    ``e[plus[i]] - e[minus[i]]``, e the numerator of x padded to nine."""
+    plus, minus = itemgetter(*plus), itemgetter(*minus)
+
+    def shift(x: CycloNum) -> CycloNum:
+        e = x.num + _PAD
+        return _make(tuple(map(sub, plus(e), minus(e))), x.den)
+
+    return shift
+
+
+def _unit_table() -> dict:
+    """The 18 units +-t^k (k = 0..8), keyed on their stored numerators
+    (den 1, and each element has one stored form), mapped to their
+    inverses +-t^(9-k) and to the shift x -> x * (+-t^k).
+
+    t^k rotates the nine coordinates of Z[t]/(t^9 - 1), in which a stored
+    numerator is zero at t^6 .. t^8, and t^(6+j) -> -t^(3+j) - t^j folds
+    the rotation back, so coordinate i of x * t^k is e[(i - k) % 9] -
+    e[(6 + i % 3 - k) % 9], and -t^k swaps the two.  The map is unimodular,
+    so a numerator in lowest terms over ``den`` stays so: no gcd."""
+    table = {}
+    for k in range(9):
+        plus = tuple((i - k) % 9 for i in range(CYCLO_DEGREE))
+        minus = tuple((6 + i % 3 - k) % 9 for i in range(CYCLO_DEGREE))
+        unit, inverse = CycloNum.zeta_power(k), CycloNum.zeta_power(9 - k)
+        table[unit.num] = (inverse, _unit_shift(plus, minus))
+        table[(-unit).num] = (-inverse, _unit_shift(minus, plus))
+    return table
+
+
+_UNITS = _unit_table()
 
 
 # the text of t^k in format_cyclo, k = 1..5
@@ -340,6 +440,9 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero in QQ")
         return 1 / x
 
+    def unit_shift(self, x: Fraction):
+        return None
+
     def lift_pair(self, xs, ys):
         """Numerators over one lcm denominator per list; ``lower`` divides
         a sum of products by the product of the two denominators."""
@@ -382,48 +485,46 @@ class CyclotomicField9:
     def inv(self, x: CycloNum) -> CycloNum:
         return x.inverse()
 
+    def unit_shift(self, x: CycloNum):
+        """The map c -> c * x as a signed coordinate shift with no gcd
+        when x is one of the 18 units +-t^k, else None."""
+        if x.den == 1:
+            unit = _UNITS.get(x.num)
+            if unit is not None:
+                return unit[1]
+        return None
+
     def lift_pair(self, xs, ys):
         """Each list over one denominator, each coordinate vector packed
-        as one int by ``_pack``.
+        as one int by ``_pack``; a square (``ys is xs``) is lifted once.
 
         A list whose vectors are all zero outside coordinates r and r + 3
         is t^r times a polynomial in T = t^3; when both lists are, only
         those two coordinates are packed, at T = 2^B (step 3, shift r per
-        list), and the product lives on t^(rx+ry) times three digits.
-        Otherwise all six are packed at t = 2^B (step 1, shift 0) and the
-        product has 11 digits.  An output digit sums at most
-        ``min(len xs, len ys)`` term pairs of ``w`` products each (w = 2 or
-        6 packed coordinates), so its size is below
-        ``w * min(len) * max|x| * max|y|``; B one bit above that bound
-        keeps it a balanced digit in [-2^(B-1), 2^(B-1))."""
+        list), and the product lives on t^(rx+ry) times three digits
+        (``_coset_lower``).  Otherwise all six are packed at t = 2^B (step
+        1, shift 0) and the product has 11 digits (``_dense_lower``).  An
+        output digit sums at most ``min(len xs, len ys)`` term pairs of
+        ``w`` products each (w = 2 or 6 packed coordinates), so its size is
+        below ``w * min(len) * max|x| * max|y|``; B one bit above that
+        bound keeps it a balanced digit in [-2^(B-1), 2^(B-1))."""
         vx, dx = _common_denominator(xs)
-        vy, dy = _common_denominator(ys)
-        rx, ry = _coset(vx), _coset(vy)
+        rx = _coset(vx)
+        if ys is xs:
+            vy, dy, ry = vx, dx, rx
+        else:
+            vy, dy = _common_denominator(ys)
+            ry = _coset(vy)
+        den = dx * dy
         if rx is None or ry is None:
             step, rx, ry = 1, 0, 0
         else:
             step = 3
         width = CYCLO_DEGREE // step
         bits = _abs_bits(vx) + _abs_bits(vy) + (width * min(len(xs), len(ys))).bit_length() + 1
-        half = 1 << (bits - 1)
-        mask = (1 << bits) - 1
-        digits = 2 * width - 1
-        shifts = range(0, digits * bits, bits)
-        # half in every digit: the digits of s + offset are nonnegative
-        offset = sum([half << k for k in shifts])
-        # digit j of a product is the coefficient of t^(low + step * j)
-        low = rx + ry
-        size = low + step * (digits - 1) + 1
-        den = dx * dy
-
-        def lower(s):
-            u = s + offset
-            cs = [0] * size
-            cs[low::step] = [((u >> k) & mask) - half for k in shifts]
-            num = _fold(cs)
-            return _make(num, 1) if den == 1 else _reduced(num, den)
-
-        return _pack(vx, step, rx, bits), _pack(vy, step, ry, bits), lower
+        lower = _dense_lower(bits, den) if step == 1 else _coset_lower(bits, rx + ry, den)
+        px = _pack(vx, step, rx, bits)
+        return px, px if ys is xs else _pack(vy, step, ry, bits), lower
 
     def format(self, x: CycloNum, parenthesize: bool = False) -> str:
         text = format_cyclo(x)
@@ -463,6 +564,9 @@ class IntegerRing:
         if x == 1 or x == -1:
             return x
         raise ZeroDivisionError(f"{x} is not a unit in {self.name}")
+
+    def unit_shift(self, x: int):
+        return None
 
     def lift_pair(self, xs, ys):
         """The ints themselves; ``lower`` reduces modulo ``modulus`` once."""

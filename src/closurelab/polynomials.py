@@ -23,21 +23,26 @@ another ring only after checking that its order packs alike
 
 Products of two factors with at least ``LIFT_MIN_TERMS`` terms each run on
 Python ints: the coefficient domain's ``lift_pair`` lifts both coefficient
-lists, one of two loops multiplies them, and each output term is lowered
+lists (a square ``p * p``, as ``cached_power`` forms, lifts its one list
+once), one of three loops multiplies them, and each output term is lowered
 back once.  When both key lists are arithmetic progressions with one step,
 as for a homogeneous form in (x^3, y^3) times a monomial, output j has key
 a0 + b0 + j * step and its int is one ``sum(map(mul, ...))`` over a
-diagonal (``_diagonals``); any other shape takes the dict loop, one
-big-int multiply-add per term pair.  Over Q(zeta_9) each coordinate
-vector is packed at a power of two: at T = t^3 = 2^B with its two
-coordinates r and r + 3 when both factors' coefficients lie in t^r *
-Q(theta) (r per factor), at t = 2^B with all six otherwise.  B is
-``bits(max|a|) + bits(max|b|) + bits(w * min(len a, len b)) + 1`` for w = 2
-or 6 packed coordinates, computed from the operands, so that no
-accumulated coordinate leaves its digit.  The threshold is where the
-lifted product starts to beat term-by-term arithmetic on dense
-homogeneous factors at tower coefficient sizes; smaller products, and
-products with a one-term factor, take the term-by-term paths.
+diagonal (``_diagonals``); a square of that shape sums half of each
+diagonal and doubles it, plus the middle square (``_square_diagonals``);
+any other shape takes the dict loop, one big-int multiply-add per term
+pair.  Over Q(zeta_9) each coordinate vector is packed at a power of two:
+at T = t^3 = 2^B with its two coordinates r and r + 3 when both factors'
+coefficients lie in t^r * Q(theta) (r per factor), at t = 2^B with all six
+otherwise.  B is ``bits(max|a|) + bits(max|b|) + bits(w * min(len a, len
+b)) + 1`` for w = 2 or 6 packed coordinates, computed from the operands,
+so that no accumulated coordinate leaves its digit.  On the two-coordinate
+packing an output's three digits fold by T^2 = -T - 1 straight into
+coordinates r and r + 3 of its coefficient, with one gcd over the
+denominator and those two values.  The threshold is where the lifted
+product starts to beat term-by-term arithmetic on dense homogeneous
+factors at tower coefficient sizes; smaller products, and products with a
+one-term factor, take the term-by-term paths.
 
 Residues mod p^N are plain ints, reduced modulo the domain's ``modulus``
 once per output coefficient: in the constructor, in ``mul_term`` (scalar
@@ -144,9 +149,10 @@ class WeightedGrevlex:
 class RingPresentation:
     """Coefficient domain + ordered variables + weights + at most one relation.
 
-    The relation may be given as polynomial text; it is parsed against this
-    ring and must be homogeneous for the declared weights.  A second
-    relation is refused (``ValueError``), so ``relations`` is itself a
+    The relation may be given as polynomial text, parsed against this ring,
+    or as a Poly of a ring that packs monomials alike, moved into this one
+    (``Poly.moved``); it must be homogeneous for the declared weights.  A
+    second relation is refused (``ValueError``), so ``relations`` is itself a
     Groebner basis of the relation ideal: one polynomial with a unit leading
     coefficient always is, and every reduction modulo the relation divides
     by it.  Quotient-ring semantics: every ideal computation appends the
@@ -171,16 +177,12 @@ class RingPresentation:
         }
         if len(relations) > 1:
             raise ValueError("a ring takes at most one relation")
-        rels = []
+        self.relations = ()
         for r in relations:
-            poly = self.parse(r) if isinstance(r, str) else r
-            if poly.ring is not self:
-                order = poly.ring.order
-                poly = self.poly({order.exponents(m): c for m, c in poly.terms})
+            poly = self.parse(r) if isinstance(r, str) else r.moved(self)
             if not poly.is_homogeneous():
                 raise ValueError(f"relation {poly} is not weighted-homogeneous")
-            rels.append(poly)
-        self.relations = tuple(rels)
+            self.relations = (poly,)
 
     # -- construction helpers ------------------------------------------------
 
@@ -396,8 +398,9 @@ class Poly:
           when both key lists are arithmetic progressions with one step,
           as a form in (x^3, y^3) times a monomial is, output j has key
           a0 + b0 + j * step and is one sum of products over a diagonal
-          (``_diagonals``); otherwise each term pair adds its product into
-          a dict.
+          (``_diagonals``), or for ``p * p`` twice the sum over half of it
+          plus the middle square (``_square_diagonals``); otherwise each
+          term pair adds its product into a dict.
         - Smaller products multiply and add the coefficients term by term.
 
         A product monomial is the sum of the packed keys.  One OR over the
@@ -422,18 +425,21 @@ class Poly:
                     out[m] = prod if s is None else s + prod
             ring.order.check_fields(reduce(or_, out, 0))
             return Poly(ring, out)
-        xs, ys, lower = ring.domain.lift_pair([c for _, c in a], [c for _, c in b])
+        square = a is b
+        ca = [c for _, c in a]
+        xs, ys, lower = ring.domain.lift_pair(ca, ca if square else [c for _, c in b])
         ma = [m for m, _ in a]
-        mb = [m for m, _ in b]
+        mb = ma if square else [m for m, _ in b]
         a0, b0 = ma[0], mb[0]
         step = ma[1] - a0
-        if ma == list(range(a0, a0 + len(a) * step, step)) and mb == list(
-            range(b0, b0 + len(b) * step, step)
+        if ma == list(range(a0, a0 + len(a) * step, step)) and (
+            square or mb == list(range(b0, b0 + len(b) * step, step))
         ):
             keys = range(a0 + b0, a0 + b0 + (len(a) + len(b) - 1) * step, step)
             ring.order.check_fields(reduce(or_, keys, 0))
+            sums = _square_diagonals(xs) if square else _diagonals(xs, ys)
             # ascending keys and lowered (canonical) coefficients
-            terms = zip(keys, map(lower, _diagonals(xs, ys)))
+            terms = zip(keys, map(lower, sums))
             return Poly._presorted(ring, tuple(filter(_coefficient, terms)))
         for m1, x in zip(ma, xs):
             for m2, y in zip(mb, ys):
@@ -454,7 +460,8 @@ class Poly:
         packed key is linear in the exponents, so adding ``mono`` to every
         key keeps the terms in order; residues are reduced modulo p^N and
         products that vanish (zero divisors of Z/p^N) are dropped.  A
-        coefficient equal to the domain's ``one`` only moves keys."""
+        coefficient equal to the domain's ``one`` only moves keys, and a
+        unit +-t^k of Q(zeta_9) shifts coordinates (``unit_shift``)."""
         ring = self.ring
         dom = ring.domain
         if coeff == dom.one:
@@ -462,12 +469,17 @@ class Poly:
                 return self
             terms = tuple([(m + mono, c) for m, c in self.terms])
         else:
-            mod = dom.modulus
-            if mod:
-                terms = [(m + mono, c * coeff % mod) for m, c in self.terms]
+            shift = dom.unit_shift(coeff)
+            if shift is not None:
+                # a unit times a nonzero coefficient is nonzero
+                terms = tuple([(m + mono, shift(c)) for m, c in self.terms])
             else:
-                terms = [(m + mono, c * coeff) for m, c in self.terms]
-            terms = tuple(filter(_coefficient, terms))
+                mod = dom.modulus
+                if mod:
+                    terms = [(m + mono, c * coeff % mod) for m, c in self.terms]
+                else:
+                    terms = [(m + mono, c * coeff) for m, c in self.terms]
+                terms = tuple(filter(_coefficient, terms))
         if mono:  # a constant factor moves no exponent
             ring.order.check_fields(reduce(or_, map(_monomial, terms), 0))
         return Poly._presorted(ring, terms)
@@ -522,6 +534,24 @@ def _diagonals(xs: list, ys: list) -> list:
         lo, hi = max(0, j - lb + 1), min(j + 1, la)
         r = lb - 1 - j  # ys[j - i] is yr[r + i]
         out.append(sum(map(mul, xs[lo:hi], yr[r + lo:r + hi])))
+    return out
+
+
+def _square_diagonals(xs: list) -> list:
+    """``_diagonals(xs, xs)`` from half of each diagonal: entry j is twice
+    the sum of xs[i] * xs[j - i] over i < j - i, plus xs[j / 2]^2 when j
+    is even, so a square pays for each pair of distinct terms once."""
+    n = len(xs)
+    xr = xs[::-1]
+    out = []
+    for j in range(2 * n - 1):
+        lo, mid = max(0, j - n + 1), (j + 1) >> 1
+        r = n - 1 - j  # xs[j - i] is xr[r + i]
+        s = sum(map(mul, xs[lo:mid], xr[r + lo:r + mid])) << 1
+        if not j & 1:
+            x = xs[j >> 1]
+            s += x * x
+        out.append(s)
     return out
 
 

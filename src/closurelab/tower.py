@@ -15,10 +15,11 @@ compose on demand, so every Groebner computation stays in three variables.
 The tower is self-similar: every step has the same defining system, and the
 weights 3^-n of every level scale to (1, 1, 1), so a monomial packs into the
 same int at every level.  A_n over A_k is therefore A_(n-k) over A_0 with
-the variables renamed, and the images of depth d = n - k, their powers
-(``power_table``) and the probe's cofactors (``_probe_cofactors``) are each
-formed once, in the lowest ring that holds them, and moved up
-(``Poly.moved``) wherever they are read.
+the variables renamed.  A_1 alone parses its relation and solves the
+system; every higher level is A_1 renamed.  The images of depth d = n - k,
+their powers (``power_table``) and the probe's cofactors
+(``_probe_cofactors``) are each formed once, in the lowest ring that holds
+them, and moved up (``Poly.moved``) wherever they are read.
 """
 
 from __future__ import annotations
@@ -63,20 +64,33 @@ class TowerLevel(namedtuple("TowerLevel", "n ring embed_prev")):
 
 @lru_cache(maxsize=None)
 def build_level(n: int) -> TowerLevel:
-    """Construct A_n; for n >= 1 also solve the embedding of A_(n-1)."""
+    """Construct A_n; for n >= 1 also the embedding of A_(n-1).
+
+    A_1 parses its relation and solves the defining system, and checks
+    that the solve recovers it exactly.  Every level's weights scale to
+    (1, 1, 1), so for n >= 2 the relation and the embedding are A_1's,
+    moved into A_n (``Poly.moved``) under the level-n names: no parse and
+    no solve.  ``verify_level(n)`` still checks all three identities at
+    every level."""
     if n < 0:
         raise ValueError("level index must be >= 0")
     zv, xv, yv = level_variables(n)
-    weight = Fraction(1, 3 ** n)
+    weights = (Fraction(1, 3 ** n),) * 3
+    if n >= 2:
+        first = build_level(1)
+        ring = RingPresentation(CYCLO, (zv, xv, yv), weights, relations=first.ring.relations)
+        names = dict(zip(level_variables(0), level_variables(n - 1)))
+        embed = {names[v]: img.moved(ring) for v, img in first.embed_prev.items()}
+        return TowerLevel(n, ring, embed)
     ring = RingPresentation(
         CYCLO,
         (zv, xv, yv),
-        (weight,) * 3,
+        weights,
         relations=[f"{zv}^3 + t^3*{xv}^3 + t^6*{yv}^3"],
     )
     if n == 0:
         return TowerLevel(0, ring, None)
-    # invert [[zeta, zeta^2], [zeta, zeta^5]] acting on (x_(n-1), y_(n-1))
+    # invert [[zeta, zeta^2], [zeta, zeta^5]] acting on (x, y)
     a = CycloNum.zeta_power(_FORM_EXPONENTS[0][0])
     b = CycloNum.zeta_power(_FORM_EXPONENTS[0][1])
     c = CycloNum.zeta_power(_FORM_EXPONENTS[1][0])
@@ -88,12 +102,11 @@ def build_level(n: int) -> TowerLevel:
     x_img = xcube * (d * det_inv) - ycube * (b * det_inv)
     y_img = ycube * (a * det_inv) - xcube * (c * det_inv)
     z_img = -(ring.var(xv) * ring.var(yv) * ring.var(zv))
-    zp, xp, yp = level_variables(n - 1)
-    embed = {xp: x_img, yp: y_img, zp: z_img}
+    embed = {"x": x_img, "y": y_img, "z": z_img}
     # the defining system must be recovered exactly
-    if ring.var(xv) ** 3 != x_img * a + y_img * b or ring.var(yv) ** 3 != x_img * c + y_img * d:
-        raise VerificationError(f"embedding solve failed at level {n}")
-    return TowerLevel(n, ring, embed)
+    if xcube != x_img * a + y_img * b or ycube != x_img * c + y_img * d:
+        raise VerificationError("embedding solve failed at level 1")
+    return TowerLevel(1, ring, embed)
 
 
 @lru_cache(maxsize=None)

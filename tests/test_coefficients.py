@@ -15,7 +15,11 @@ from closurelab.coefficients import (
     IntegerRing,
     PrimeField,
     TruncatedPadicRing,
+    _coset_lower,
+    _dense_lower,
+    _fold,
     _norm_inverse,
+    _reduced,
     format_cyclo,
     is_prime,
 )
@@ -99,6 +103,73 @@ class TestUnitInverses:
         assert (inv.num, inv.den) == (ref.num, ref.den)
         assert u * inv == CYCLO.one
         assert inv * u == CYCLO.one
+
+
+class TestUnitShifts:
+    """Multiplying by one of the 18 units is a signed coordinate shift, read
+    from the same table as the unit's inverse, with no gcd."""
+
+    @pytest.mark.parametrize("u", UNITS, ids=str)
+    def test_shift_is_the_product(self, u):
+        shift = CYCLO.unit_shift(u)
+        rng = random.Random(str(u))
+        big = [
+            CycloNum([Fraction(rng.randrange(-(1 << 90), 1 << 90), 3 ** 40) for _ in range(6)])
+            for _ in range(5)
+        ]
+        for x in [CYCLO.zero, CYCLO.one, *UNITS, *big, *(rand_cyclo(rng) for _ in range(30))]:
+            y, ref = shift(x), x * u
+            assert (y.num, y.den) == (ref.num, ref.den)
+
+    def test_only_the_units_shift(self):
+        others = (CycloNum([2]), CycloNum([1, 1]), CycloNum([Fraction(1, 2)]), CycloNum([1, 0, 0, 2]))
+        for x in (*others, CYCLO.zero):
+            assert CYCLO.unit_shift(x) is None
+        # 1 + t^3 is -t^6 in its one stored form
+        assert CYCLO.unit_shift(THETA + CYCLO.one) is CYCLO.unit_shift(-CycloNum.zeta_power(6))
+        assert QQ.unit_shift(Fraction(1)) is None
+        assert ZZ.unit_shift(-1) is None
+        assert PrimeField(5).unit_shift(1) is None
+
+
+# The lowers of the lifted product against the generic one: digit j of a
+# sum placed at t^(low + step * j), folded by ``_fold``, cancelled by one gcd.
+def _placed_lower(s, bits, step, low, den):
+    digits = 2 * (6 // step) - 1
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    u = s + sum(half << (bits * j) for j in range(digits))
+    cs = [0] * (low + step * (digits - 1) + 1)
+    cs[low::step] = [((u >> (bits * j)) & mask) - half for j in range(digits)]
+    return _reduced(_fold(cs), den)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), bits=st.integers(2, 200), step=st.sampled_from([1, 3]))
+def test_lowers_match_the_placed_fold(data, bits, step):
+    """Balanced digits up to both extremes, rx + ry = 0..4 on the two-
+    coordinate packing (low % 3 = r), ``den`` 1 or larger, digits with a
+    common factor of ``den``, and digit patterns whose fold cancels to 0:
+    equal digits on the packing at T = t^3 (1 + T + T^2 = 0)."""
+    half = 1 << (bits - 1)
+    digits = 2 * (6 // step) - 1
+    low = data.draw(st.integers(0, 4)) if step == 3 else 0
+    den = data.draw(st.sampled_from([1, 2, 3, 9, 3 ** 41, (1 << 61) - 1]) | st.integers(1, 10 ** 6))
+    extreme = st.sampled_from([-half, half - 1, 0, 1, -1])
+    digit = extreme | st.integers(-half, half - 1)
+    shape = data.draw(st.sampled_from(["free", "common", "cancel"]))
+    if shape == "cancel" and step == 3:
+        ds = [data.draw(digit)] * digits
+    elif shape == "common":
+        g = data.draw(st.sampled_from([d for d in (2, 3, 9, den) if den % d == 0] or [1]))
+        ds = [g * data.draw(st.integers(-(half // g), (half - 1) // g)) for _ in range(digits)]
+    else:
+        ds = [data.draw(digit) for _ in range(digits)]
+    s = sum(d << (bits * j) for j, d in enumerate(ds))
+    lower = _coset_lower(bits, low, den) if step == 3 else _dense_lower(bits, den)
+    got, ref = lower(s), _placed_lower(s, bits, step, low, den)
+    assert (got.num, got.den) == (ref.num, ref.den)
+    if shape == "cancel" and step == 3:
+        assert not got and got.den == 1
 
 
 class TestCycloFieldAxioms:

@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 from closurelab import coefficients, polynomials, tower
 from closurelab.charp import _bracket_basis, fermat_ring
 from closurelab.experiments import run_experiment
-from closurelab.coefficients import CYCLO, QQ, ZZ, CycloNum, DomainError, PrimeField, TruncatedPadicRing
+from closurelab.coefficients import (
+    CYCLO,
+    QQ,
+    ZZ,
+    CycloNum,
+    CyclotomicField9,
+    DomainError,
+    PrimeField,
+    TruncatedPadicRing,
+)
 from closurelab.groebner import (
     _divide,
     colon,
@@ -403,8 +412,10 @@ class TestWorkCounters:
     def test_tower_colon_packs_two_coordinates_per_lifted_coefficient(self, monkeypatch):
         """Every coefficient of the tower's lifted products lies in
         t^r * Q(theta), so in a cold ``tower-colon --max-level 5`` each of
-        the 25 lifted products packs both of its lists at step 3 (the two
-        coordinates r and r + 3) and none falls back to all six."""
+        the 25 lifted products packs its lists at step 3 (the two
+        coordinates r and r + 3) and none falls back to all six: two lists
+        for each of the 18 products of distinct factors, one for each of
+        the 7 squares."""
         steps = []
         pack = coefficients._pack
 
@@ -414,15 +425,18 @@ class TestWorkCounters:
 
         monkeypatch.setattr(coefficients, "_pack", counted_pack)
         _cold_run([("tower-colon", {"max_level": 5})])
-        assert steps == [3] * (2 * 25)
+        assert steps == [3] * (2 * 18 + 7)
 
     def test_lifted_products_pick_their_loop_by_the_keys(self, monkeypatch):
         """Every lifted product of a cold ``tower-colon --max-level 5`` is a
         form in (x^3, y^3) times a monomial by another such form, two key
-        progressions with one step, and sums diagonals; ``isogeny --n 3``
+        progressions with one step, and sums diagonals: 18 products of
+        distinct factors over whole diagonals and the 7 squares that
+        ``cached_power`` forms over half diagonals.  ``isogeny --n 3``
         takes both loops."""
-        counts = {"lifted": 0, "diagonal": 0}
-        mul, diagonals = Poly.__mul__, polynomials._diagonals
+        counts = {"lifted": 0, "diagonal": 0, "square": 0}
+        mul = Poly.__mul__
+        diagonals, squares = polynomials._diagonals, polynomials._square_diagonals
 
         def counted_mul(self, other):
             if isinstance(other, Poly) and min(len(self.terms), len(other.terms)) >= LIFT_MIN_TERMS:
@@ -433,14 +447,50 @@ class TestWorkCounters:
             counts["diagonal"] += 1
             return diagonals(xs, ys)
 
+        def counted_squares(xs):
+            counts["square"] += 1
+            return squares(xs)
+
         monkeypatch.setattr(Poly, "__mul__", counted_mul)
         monkeypatch.setattr(Poly, "__rmul__", counted_mul)
         monkeypatch.setattr(polynomials, "_diagonals", counted_diagonals)
+        monkeypatch.setattr(polynomials, "_square_diagonals", counted_squares)
         _cold_run([("tower-colon", {"max_level": 5})])
-        assert counts == {"lifted": 25, "diagonal": 25}
-        counts.update(lifted=0, diagonal=0)
+        assert counts == {"lifted": 25, "diagonal": 18, "square": 7}
+        counts.update(lifted=0, diagonal=0, square=0)
         _cold_run([("isogeny", {"n": 3})])
-        assert 0 < counts["diagonal"] < counts["lifted"]
+        assert 0 < counts["diagonal"] + counts["square"] < counts["lifted"]
+
+    def test_unit_shifts_and_norm_inversions_are_pinned(self, monkeypatch):
+        """In a cold ``tower-colon --max-level 5``, 49 ``mul_term`` calls
+        multiply by a unit +-t^k and shift 415 coefficients, where each
+        was a CycloNum product; the norm formula inverts 14 distinct
+        elements, the other 44 of its 58 calls read its cache."""
+        counts = {"shifts": 0, "shifted": 0, "norm": 0}
+        unit_shift, norm = CyclotomicField9.unit_shift, coefficients._norm_inverse
+
+        def counted_unit_shift(self, x):
+            shift = unit_shift(self, x)
+            if shift is None:
+                return None
+            counts["shifts"] += 1
+
+            def counted_shift(c):
+                counts["shifted"] += 1
+                return shift(c)
+
+            return counted_shift
+
+        def counted_norm(a):
+            counts["norm"] += 1
+            return norm(a)
+
+        counted_norm.cache_clear = norm.cache_clear
+        monkeypatch.setattr(CyclotomicField9, "unit_shift", counted_unit_shift)
+        monkeypatch.setattr(coefficients, "_norm_inverse", counted_norm)
+        _cold_run([("tower-colon", {"max_level": 5})])
+        assert counts == {"shifts": 49, "shifted": 415, "norm": 58}
+        assert norm.cache_info().misses == 14
 
     def test_no_unit_reaches_the_norm_formula(self, monkeypatch):
         """Count the CycloNum products made inside ``inverse``: none for a

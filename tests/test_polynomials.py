@@ -396,6 +396,19 @@ def test_moved_reads_the_keys_in_a_ring_that_packs_alike():
         blocked.parse("z*x + y^2").moved(mimic)
 
 
+def test_a_relation_poly_moves_into_a_ring_that_packs_alike():
+    """A relation given as a Poly is moved by its keys, as the tower's
+    levels take A_1's relation; a ring that packs otherwise refuses it."""
+    third, ninth = (Fraction(1, 3),) * 3, (Fraction(1, 9),) * 3
+    level1 = RingPresentation(CYCLO, ("z1", "x1", "y1"), third, relations=["z1^3 + t^3*x1^3 + t^6*y1^3"])
+    level2 = RingPresentation(CYCLO, ("z2", "x2", "y2"), ninth, relations=level1.relations)
+    (rel,) = level2.relations
+    assert rel.ring is level2 and rel.terms == level1.relations[0].terms
+    assert rel == level2.parse("z2^3 + t^3*x2^3 + t^6*y2^3")
+    with pytest.raises(ValueError, match="do not pack monomials alike"):
+        RingPresentation(CYCLO, ("z", "x", "y"), (1, 1, 2), relations=level1.relations)
+
+
 def _key_sorted_terms(ring, terms):
     """The constructor as a plain sort: descending by the Fraction key, then
     drop zero coefficients."""
@@ -822,6 +835,69 @@ def test_products_off_one_progression_take_the_dict_loop(problem):
     fg, gf, diagonal = _loops_taken(f, g)
     assert diagonal == 0
     assert fg.terms == gf.terms == _schoolbook(f, g).terms
+
+
+def _lowered_square(f):
+    """The square of a form ``f`` in (x^s, y^s) times a monomial through
+    ``_square_diagonals`` alone, on the lifted coefficient list, at any
+    length: output j at the j-th key of the doubled progression."""
+    cs = [c for _, c in f.terms]
+    xs, _, lower = f.ring.domain.lift_pair(cs, cs)
+    keys = [m for m, _ in f.terms]
+    step = keys[1] - keys[0] if len(keys) > 1 else 0
+    sums = polynomials._square_diagonals(xs)
+    return Poly(f.ring, {2 * keys[0] + j * step: lower(c) for j, c in enumerate(sums)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_square_loop_matches_the_schoolbook_square(data):
+    """A form with 1, 2, 89, 90 or up to 40 nonzero coefficients over QQ,
+    Q(zeta_9) (dense or in some t^r * Q(theta)), ZZ, F_p or Z/p^N, squared
+    over half diagonals, against the schoolbook square; from
+    LIFT_MIN_TERMS terms on, ``f * f`` takes the square loop and a product
+    of two equal factors that are not one object takes the diagonal loop,
+    with the same result."""
+    domain = data.draw(st.sampled_from([QQ, CYCLO, ZZ, *_RESIDUE_RINGS]))
+    coeff = _coefficients(domain, data.draw(st.integers(1, 200))).filter(bool)
+    if domain == CYCLO and data.draw(st.booleans()):
+        r = data.draw(st.integers(0, 2))
+        coeff = coeff.map(
+            lambda x: CycloNum([c if k % 3 == r else 0 for k, c in enumerate(x.coords)])
+        ).filter(bool)
+    n = data.draw(st.sampled_from([1, 2, 89, 90]) | st.integers(1, 40))
+    ring = RingPresentation(domain, ("x", "y", "z"))
+    coefficients = data.draw(st.lists(coeff, min_size=n, max_size=n))
+    step, shift = data.draw(st.integers(1, 3)), data.draw(st.tuples(*[st.integers(0, 3)] * 3))
+    f = _form(ring, coefficients, step, shift)
+    expected = _schoolbook(f, f)
+    assert _lowered_square(f) == expected
+    if n >= LIFT_MIN_TERMS:
+        with mock.patch.object(polynomials, "_square_diagonals", wraps=polynomials._square_diagonals) as spy:
+            assert (f * f).terms == expected.terms
+            assert spy.call_count == 1
+            assert (f * Poly(ring, dict(f.terms))).terms == expected.terms
+            assert spy.call_count == 1
+
+
+@pytest.mark.parametrize("k", [1, 64, 200])
+@pytest.mark.parametrize("n", [1, 2, LIFT_MIN_TERMS, 89, 90])
+@pytest.mark.parametrize("r", [None, 0, 2])
+def test_square_loop_at_the_packing_width(k, n, r):
+    """Every coefficient +-(2^k - 1) in each coordinate (r None) or at r
+    and r + 3 only, signs alternating: the middle diagonal of the square
+    collects n term products, as large as the width bound allows."""
+    ring = RingPresentation(CYCLO, ("x", "y"))
+    top = (1 << k) - 1
+    f = ring.poly({
+        (i, n - 1 - i): CycloNum([(-1) ** i * top if r is None or j % 3 == r else 0 for j in range(6)])
+        for i in range(n)
+    })
+    assert _lowered_square(f) == _schoolbook(f, f)
+    d = (1 << 127) - 1
+    scaled = Poly(ring, {m: c * CYCLO.coerce(Fraction(1, d)) for m, c in f.terms})
+    assert _lowered_square(scaled) == _schoolbook(scaled, scaled)
+    assert (scaled * scaled).terms == _schoolbook(scaled, scaled).terms
 
 
 @pytest.mark.parametrize(

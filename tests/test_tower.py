@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from closurelab import tower
-from closurelab.coefficients import CycloNum
+from closurelab.coefficients import CYCLO, CycloNum
 from closurelab.groebner import VerificationError, normal_form
-from closurelab.polynomials import format_poly
+from closurelab.polynomials import RingPresentation, format_poly
 
 
 def rand_cyclo(rng):
@@ -33,6 +33,25 @@ def rand_homogeneous(rng, ring, degree_steps=3):
     return out
 
 
+def _solved_level(n):
+    """A_n by the defining system, in its own names: the relation parsed,
+    and the images of x_(n-1), y_(n-1) by Cramer's rule from x_n^3 =
+    zeta*X + zeta^2*Y and y_n^3 = zeta*X + zeta^5*Y."""
+    zv, xv, yv = tower.level_variables(n)
+    ring = RingPresentation(
+        CYCLO, (zv, xv, yv), (Fraction(1, 3 ** n),) * 3, relations=[f"{zv}^3 + t^3*{xv}^3 + t^6*{yv}^3"]
+    )
+    a, b, c, d = (CycloNum.zeta_power(k) for k in (1, 2, 1, 5))
+    det = (a * d - b * c).inverse()
+    xc, yc = ring.parse(f"{xv}^3"), ring.parse(f"{yv}^3")
+    zp, xp, yp = tower.level_variables(n - 1)
+    return ring, {
+        xp: xc * (d * det) - yc * (b * det),
+        yp: yc * (a * det) - xc * (c * det),
+        zp: ring.parse(f"-{xv}*{yv}*{zv}"),
+    }
+
+
 class TestBuildLevel:
     def test_level_zero_has_no_embedding(self):
         level = tower.build_level(0)
@@ -52,13 +71,27 @@ class TestBuildLevel:
         assert level.embed_prev["y"] == expected
 
     def test_defining_system_recovered_exactly(self):
-        for n in (1, 2, 3):
+        for n in range(1, 7):
             level = tower.build_level(n)
             zv, xv, yv = tower.level_variables(n)
             zp, xp, yp = tower.level_variables(n - 1)
             X, Y = level.embed_prev[xp], level.embed_prev[yp]
             assert level.ring.var(xv) ** 3 == X * CycloNum.zeta_power(1) + Y * CycloNum.zeta_power(2)
             assert level.ring.var(yv) ** 3 == X * CycloNum.zeta_power(1) + Y * CycloNum.zeta_power(5)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_renamed_level_is_the_solved_level(self, n):
+        """Levels from 2 on are A_1's relation and embedding moved under
+        the level-n names; each equals a parse and a solve in A_n itself."""
+        level = tower.build_level(n)
+        ring, embed = _solved_level(n)
+        assert level.ring.variables == ring.variables
+        assert level.ring.weights == ring.weights
+        assert level.ring.relations[0].terms == ring.relations[0].terms
+        assert set(level.embed_prev) == set(embed)
+        for v, img in embed.items():
+            assert level.embed_prev[v].ring is level.ring
+            assert level.embed_prev[v].terms == img.terms
 
     def test_weights_shrink_by_three(self):
         for n in range(4):
