@@ -445,15 +445,17 @@ class RationalField:
 
     def lift_pair(self, xs, ys):
         """Numerators over one lcm denominator per list; ``lower`` divides
-        a sum of products by the product of the two denominators."""
+        a sum of products by the product of the two denominators.  A square
+        (``ys is xs``) is lifted once."""
         dx = lcm(*[c.denominator for c in xs])
-        dy = lcm(*[c.denominator for c in ys])
+        nx = [c.numerator * (dx // c.denominator) for c in xs]
+        if ys is xs:
+            dy, ny = dx, nx
+        else:
+            dy = lcm(*[c.denominator for c in ys])
+            ny = [c.numerator * (dy // c.denominator) for c in ys]
         den = dx * dy
-        return (
-            [c.numerator * (dx // c.denominator) for c in xs],
-            [c.numerator * (dy // c.denominator) for c in ys],
-            lambda s: Fraction(s, den),
-        )
+        return nx, ny, lambda s: Fraction(s, den)
 
     def format(self, x: Fraction, parenthesize: bool = False) -> str:
         return str(x)

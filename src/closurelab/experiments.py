@@ -183,7 +183,7 @@ def _random_level_poly(rng: random.Random, ring, max_exp=4, terms=4):
     for _ in range(terms):
         exps = tuple(rng.randrange(0, max_exp) for _ in ring.variables)
         coeff = CycloNum([Fraction(rng.randrange(-3, 4)) for _ in range(6)])
-        parts.append((coeff, ring.monomial(exps)))
+        parts.append((coeff, 0, ring.monomial(exps)))
     return Poly.linear_combination(ring, parts)
 
 
@@ -461,7 +461,8 @@ def run_padic(config: dict) -> ExperimentReport:
         # oracle independence: the two final pairs represent the same element
         A, B = trace.sums
         hA, hB = honest_trace.sums
-        all_ok &= not m.combine([(1, A * m.x), (1, B * m.y), (-1, hA * m.x), (-1, hB * m.y)])
+        x, y = m.x_key, m.y_key
+        all_ok &= not m.combine([(1, x, A), (1, y, B), (-1, x, hA), (-1, y, hB)])
     checks.append(
         _check("random_xy/adversarial_batch_verified", all_ok, samples=cfg["samples"])
     )

@@ -75,7 +75,7 @@ class MembershipCertificate:
     def expand(self) -> Poly:
         ring = self.target.ring
         one = ring.domain.one
-        return Poly.linear_combination(ring, [(one, c * g) for c, g in zip(self.cofactors, self.generators)])
+        return Poly.linear_combination(ring, [(one, 0, c * g) for c, g in zip(self.cofactors, self.generators)])
 
     def verify(self) -> bool:
         return self.expand() == self.target

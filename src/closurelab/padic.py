@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
+from math import gcd
 
 from .charp import fermat_ring
 from .coefficients import TruncatedPadicRing
@@ -49,18 +50,25 @@ class TruncatedModel:
             self.domain, ("z", "x", "y"), relations=["z^3 + x^3 + y^3"]
         )
         # a term needs dividing exactly when z^3, the relation's leading
-        # monomial, divides it
-        self._reducible = partial(self.ring.order.divides, self.ring.relations[0].lm())
+        # monomial, divides it (``WeightedGrevlex.divides``)
+        self._rel_lm = self.ring.relations[0].lm()
+        self._guard = self.ring.order.guard
+        # the packed keys of z, x and y: x^m * f shifts f's keys by m
+        self.z_key, self.x_key, self.y_key = (self.ring.var(v).lm() for v in ("z", "x", "y"))
         self.x = self.canon(self.ring.var("x"))
         self.y = self.canon(self.ring.var("y"))
+        # v_p of each divisor p^k of p^N
+        self._power_val = {p ** k: k for k in range(precision + 1)}
 
     def canon(self, f: Poly) -> Poly:
         """Normal form modulo the relation z^3 + x^3 + y^3: unique because a
         single monic polynomial is a Groebner basis over any coefficient
         ring, and every z-exponent of it is <= 2.  ``f`` itself when it is
         already canonical."""
-        if any(map(self._reducible, [m for m, _ in f.terms])):
-            return normal_form(f, self.ring.relations)
+        lm, guard = self._rel_lm, self._guard
+        for m, _ in f.terms:
+            if not (m - lm) & guard:
+                return normal_form(f, self.ring.relations)
         return f
 
     def parse(self, text: str, budget: ParseBudget | None = None) -> Poly:
@@ -73,24 +81,32 @@ class TruncatedModel:
         return self.canon(f)
 
     def combine(self, parts) -> Poly:
-        """The canonical form of sum(s * f for s, f in parts), for int
-        scalars ``s`` and Polys ``f`` of the ring: one dict, one sort, one
-        reduction mod p^N and one canonical-form scan
+        """The canonical form of sum(s * x^m * f for s, m, f in parts), for
+        int scalars ``s``, packed monomials ``m`` (0, ``x_key`` or
+        ``y_key`` for the multiples by x and y) and Polys ``f`` of the ring:
+        one dict, one sort, one reduction mod p^N and one canonical-form
+        scan, with no Poly built for a multiple
         (``Poly.linear_combination``).  ``canon`` is linear, so this is the
         Poly that canonicalising each partial sum of the chain would give."""
         return self.canon(Poly.linear_combination(self.ring, parts))
 
     def coeff_val_floor(self, f: Poly) -> int:
-        """Largest k with p^k dividing every coefficient (precision if f = 0)."""
-        val = self.domain.val
-        return min((val(c) for _, c in f.terms), default=self.precision)
+        """Largest k with p^k dividing every coefficient (precision if f =
+        0): v_p of gcd(p^N, coefficients), one gcd for the whole Poly."""
+        return self._power_val[gcd(self.domain.modulus, *[c for _, c in f.terms])]
 
     def random_poly(self, rng: random.Random, max_degree: int = 3, terms: int = 3) -> Poly:
+        """``terms`` draws of z^i x^j y^k (i <= 2, j, k <= ``max_degree``)
+        with a coefficient in [0, p^N); a later draw of the same monomial
+        replaces the earlier one."""
+        r = rng.randrange
+        kz, kx, ky, q = self.z_key, self.x_key, self.y_key, self.domain.modulus
         picked = {}
         for _ in range(terms):
-            m = (rng.randrange(0, 3), rng.randrange(0, max_degree + 1), rng.randrange(0, max_degree + 1))
-            picked[m] = rng.randrange(0, self.p ** self.precision)
-        return self.canon(self.ring.poly(picked))
+            # left to right: the draws come in the order z, x, y, coefficient
+            m = r(0, 3) * kz + r(0, max_degree + 1) * kx + r(0, max_degree + 1) * ky
+            picked[m] = r(0, q)
+        return self.canon(Poly(self.ring, picked))
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +154,7 @@ class ApproxTrace(namedtuple("ApproxTrace", "p precision alpha steps")):
         """Canonical A_k = a_1 + ... + a_k and B_k = b_1 + ... + b_k."""
         m = model(self.p, self.precision)
         steps = self.steps[:k]
-        return m.combine([(1, s.a) for s in steps]), m.combine([(1, s.b) for s in steps])
+        return m.combine([(1, 0, s.a) for s in steps]), m.combine([(1, 0, s.b) for s in steps])
 
     @property
     def sums(self) -> tuple[Poly, Poly]:
@@ -175,7 +191,7 @@ def honest_oracle(m: TruncatedModel):
     """Splits the canonical form of the residual over (x, y) directly; valid
     whenever every residual monomial is divisible by x or y."""
     order = m.ring.order
-    x, y = m.x.lm(), m.y.lm()
+    x, y = m.x_key, m.y_key
 
     def step(i: int, residual: Poly):
         pw = m.p ** (i - 1)
@@ -210,10 +226,10 @@ def adversarial_oracle(m: TruncatedModel, seed: int):
         s = m.random_poly(rng, max_degree=2, terms=2)
         u = m.random_poly(rng, max_degree=1, terms=1)
         v = m.random_poly(rng, max_degree=1, terms=1)
-        p, pi = m.p, m.p ** i
-        a = m.combine([(1, a), (p, s * m.y), (pi, u)])
-        b = m.combine([(1, b), (-p, s * m.x), (pi, v)])
-        c = m.combine([(1, c), (-1, u * m.x), (-1, v * m.y)])
+        p, pi, x, y = m.p, m.p ** i, m.x_key, m.y_key
+        a = m.combine([(1, 0, a), (p, y, s), (pi, 0, u)])
+        b = m.combine([(1, 0, b), (-p, x, s), (pi, 0, v)])
+        c = m.combine([(1, 0, c), (-1, x, u), (-1, y, v)])
         return a, b, c
 
     return step
@@ -248,7 +264,7 @@ def _koszul_correct(m: TruncatedModel, i: int, a: Poly, b: Poly):
     corrected pair, and b + t*x must be divisible by p^(i-1) as well.
     """
     q = m.p ** (i - 1)
-    y = m.y.lm()
+    y = m.y_key
     order = m.ring.order
     low = {mono: c % q for mono, c in a.terms if c % q}
     if not all(order.divides(y, mono) for mono in low):
@@ -256,8 +272,8 @@ def _koszul_correct(m: TruncatedModel, i: int, a: Poly, b: Poly):
             f"step {i}: a mod {m.p}^{i - 1} has a monomial outside (y): {format_poly(a)}"
         )
     t = Poly(m.ring, {mono - y: c for mono, c in low.items()})
-    a = a - t * m.y
-    b = b + t * m.x
+    a = m.combine([(1, 0, a), (-1, y, t)])
+    b = m.combine([(1, 0, b), (1, m.x_key, t)])
     if m.coeff_val_floor(b) < i - 1:
         raise LiftingObstructionError(
             f"step {i}: the Koszul syzygy does not reproduce b modulo {m.p}^{i - 1}"
@@ -278,16 +294,17 @@ def successive_approx(alpha: Poly, step_oracle, precision: int) -> ApproxTrace:
     if not regular_sequence_check(p, precision):
         raise LiftingObstructionError(f"(p, x, y) is not a regular sequence on T for p = {p}")
     m = model(p, precision)
+    x, y = m.x_key, m.y_key
     alpha = m.canon(alpha)
     residual = alpha
     steps = []
     for i in range(1, precision + 1):
         a, b, c = step_oracle(i, residual)
         a, b, c = m.canon(a), m.canon(b), m.canon(c)
-        ax, by = a * m.x, b * m.y
-        if m.combine([(1, ax), (1, by), (p ** i, c), (-(p ** (i - 1)), residual)]):
-            supplied = m.combine([(1, ax), (1, by), (p ** i, c)])
-            expected = m.combine([(p ** (i - 1), residual)])
+        ax, by = (1, x, a), (1, y, b)
+        if m.combine([ax, by, (p ** i, 0, c), (-(p ** (i - 1)), 0, residual)]):
+            supplied = m.combine([ax, by, (p ** i, 0, c)])
+            expected = m.combine([(p ** (i - 1), 0, residual)])
             raise OracleInconsistencyError(
                 f"step {i}: oracle representation expands to {format_poly(supplied)}, "
                 f"expected {format_poly(expected)}"
@@ -312,7 +329,7 @@ def verify_trace(trace: ApproxTrace, alpha: Poly) -> bool:
     holds exactly when D_k equals the canonical c_k p^k, so a trace of
     precision N costs N linear combinations, not N(N+1) additions."""
     m = model(trace.p, trace.precision)
-    p = trace.p
+    p, x, y = trace.p, m.x_key, m.y_key
     for i, s in enumerate(trace.steps, start=1):
         if i >= 2:
             lowest = min(m.coeff_val_floor(s.a), m.coeff_val_floor(s.b))
@@ -320,8 +337,8 @@ def verify_trace(trace: ApproxTrace, alpha: Poly) -> bool:
                 return False
     residual = m.canon(alpha)
     for k, s in enumerate(trace.steps, start=1):
-        residual = m.combine([(1, residual), (-1, s.a * m.x), (-1, s.b * m.y)])
-        if residual != m.combine([(p ** k, s.c)]):
+        residual = m.combine([(1, 0, residual), (-1, x, s.a), (-1, y, s.b)])
+        if residual != m.combine([(p ** k, 0, s.c)]):
             return False
     return True
 
@@ -330,4 +347,4 @@ def random_xy_element(m: TruncatedModel, rng: random.Random) -> Poly:
     """Random alpha from (x, y) * T_N."""
     u = m.random_poly(rng, max_degree=2, terms=3)
     v = m.random_poly(rng, max_degree=2, terms=3)
-    return m.canon(u * m.x + v * m.y)
+    return m.combine([(1, m.x_key, u), (1, m.y_key, v)])

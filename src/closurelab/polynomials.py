@@ -78,10 +78,11 @@ class WeightedGrevlex:
     monomial: base-2^FIELD_BITS digits ``e_(n-1) ... e_0`` below a signed top
     digit ``-wdeg`` (``-(M * e_0 + wdeg(tail))`` with a block, M above any
     tail degree).  The key is a linear form in the exponents, so products
-    add keys and quotients subtract them; ``divides`` is a guard-bit mask
-    test, and ``exponents`` decodes a key.  Weights are summed scaled to
-    integers by the lcm of their denominators; ``degree`` stays an exact
-    Fraction.  Two orders are equal when their weights and block are.
+    add keys and quotients subtract them; ``divides`` is a mask test on
+    the guard bits (``guard``), and ``exponents`` decodes a key.  Weights
+    are summed scaled to integers by the lcm of their denominators;
+    ``degree`` stays an exact Fraction.  Two orders are equal when their
+    weights and block are.
     """
 
     def __init__(self, weights, block: int = 0):
@@ -101,7 +102,7 @@ class WeightedGrevlex:
         self._top_shift = FIELD_BITS * n
         self._shifts = tuple(FIELD_BITS * i for i in range(n))
         self._units = tuple((1 << s) - (w << self._top_shift) for s, w in zip(self._shifts, top))
-        self._guard = sum(EXP_LIMIT << s for s in self._shifts)
+        self.guard = sum(EXP_LIMIT << s for s in self._shifts)
 
     def __eq__(self, other):
         if isinstance(other, WeightedGrevlex):
@@ -128,7 +129,7 @@ class WeightedGrevlex:
     def divides(self, a: int, b: int) -> bool:
         """True when monomial a divides b: b - a borrows into a guard bit
         exactly when some exponent of a exceeds b's."""
-        return not (b - a) & self._guard
+        return not (b - a) & self.guard
 
     def lcm(self, a: int, b: int) -> int:
         return sum(map(mul, self._units, map(max, self.exponents(a), self.exponents(b))))
@@ -142,7 +143,7 @@ class WeightedGrevlex:
     def check_fields(self, key: int):
         """Raise ``OverflowError`` when an exponent field of ``key``, or of an
         OR of keys, has reached its guard bit: a product left the range."""
-        if key & self._guard:
+        if key & self.guard:
             raise OverflowError(f"a monomial exponent reached {EXP_LIMIT}")
 
 
@@ -269,27 +270,37 @@ class Poly:
 
     @classmethod
     def linear_combination(cls, ring: RingPresentation, parts) -> "Poly":
-        """sum(c * f for c, f in parts) in ``ring``, for scalars ``c`` of its
-        domain and Polys ``f`` of compatible rings.  Every term is summed
-        into one dict and sorted once, where a loop ``out = out + c * f``
-        copies and sorts the partial sum at each step (S. C. Johnson,
-        "Sparse polynomial arithmetic", 1974).  A scalar equal to the
-        domain's ``one`` is not multiplied; residues are reduced once, by
-        the constructor."""
+        """sum(c * x^m * f for c, m, f in parts) in ``ring``, for scalars
+        ``c`` of its domain, packed monomials ``m`` (0 for no shift) and
+        Polys ``f`` of compatible rings.  The key is linear, so the term of
+        ``f`` with key k lands at k + m.  Every term is summed into one dict
+        and sorted once, where a loop ``out = out + c * (f * x^m)`` builds
+        each multiple and copies and sorts the partial sum at each step
+        (S. C. Johnson, "Sparse polynomial arithmetic", 1974).  A scalar
+        equal to the domain's ``one`` is not multiplied; residues are
+        reduced once, by the constructor.  When some part is shifted, one
+        OR over the output keys checks every exponent field, as
+        ``mul_term`` does (``OverflowError``)."""
         out = {}
         get = out.get
         one = ring.domain.one
-        for c, f in parts:
+        shifted = 0
+        for c, m, f in parts:
             if f.ring is not ring and not ring.compatible(f.ring):
                 raise ValueError("polynomials from incompatible rings")
+            shifted |= m
             if c == one:
-                for m, a in f.terms:
-                    s = get(m)
-                    out[m] = a if s is None else s + a
+                for k, a in f.terms:
+                    k += m
+                    s = get(k)
+                    out[k] = a if s is None else s + a
             else:
-                for m, a in f.terms:
-                    s = get(m)
-                    out[m] = c * a if s is None else s + c * a
+                for k, a in f.terms:
+                    k += m
+                    s = get(k)
+                    out[k] = c * a if s is None else s + c * a
+        if shifted:
+            ring.order.check_fields(reduce(or_, out, 0))
         return cls(ring, out)
 
     def moved(self, ring: RingPresentation) -> "Poly":
@@ -515,7 +526,7 @@ class Poly:
             for v, e in zip(variables, exponents(m)):
                 if e:
                     term = term * power(v, e)
-            parts.append((coerce(c), term))
+            parts.append((coerce(c), 0, term))
         return Poly.linear_combination(ring, parts)
 
     def __repr__(self):
@@ -722,17 +733,17 @@ class _Parser:
         if kind == "op" and val in "+-":
             self.take()
             negate = val == "-"
-        parts = [(-one if negate else one, self.parse_term())]
+        parts = [(-one if negate else one, 0, self.parse_term())]
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                parts.append((-one if val == "-" else one, self.parse_term()))
+                parts.append((-one if val == "-" else one, 0, self.parse_term()))
             else:
                 break
         if len(parts) == 1 and not negate:
-            return parts[0][1]
-        self.budget.spend(sum(len(f.terms) for _, f in parts))
+            return parts[0][2]
+        self.budget.spend(sum(len(f.terms) for _, _, f in parts))
         return Poly.linear_combination(self.ring, parts)
 
     def parse_term(self) -> Poly:

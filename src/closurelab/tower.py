@@ -457,7 +457,7 @@ def retraction_preimage(pi: Poly) -> Poly:
         for index, e in enumerate((r, (i - r) // 3, (j - r) // 3, (k - r) // 3)):
             if e:
                 term = term * cached_power(powers, index, factors[index], e)
-        parts.append((c, term))
+        parts.append((c, 0, term))
     return Poly.linear_combination(ring0, parts)
 
 

@@ -64,8 +64,8 @@ class TestCanonicalForm:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        pn=st.sampled_from([(2, 4), (5, 1), (5, 3), (7, 2)]),
-        z_max=st.sampled_from([2, 5]),
+        pn=st.sampled_from([(2, 4), (5, 1), (5, 3), (7, 2), (13, 2)]),
+        z_max=st.sampled_from([2, 3, 5]),
         data=st.data(),
     )
     def test_canon_matches_the_normal_form(self, pn, z_max, data):
@@ -85,6 +85,55 @@ class TestCanonicalForm:
         assert r.terms == normal_form(f, m.ring.relations).terms
         if all(z <= 2 for (z, _, _), _ in exponent_terms(f)):
             assert r is f
+
+
+def _reference_random_poly(m, rng, max_degree, terms):
+    """``random_poly`` as it was first written: exponent tuples keyed and
+    coerced by ``ring.poly``."""
+    picked = {}
+    for _ in range(terms):
+        mono = (rng.randrange(0, 3), rng.randrange(0, max_degree + 1), rng.randrange(0, max_degree + 1))
+        picked[mono] = rng.randrange(0, m.p ** m.precision)
+    return m.canon(m.ring.poly(picked))
+
+
+class TestModelHelpers:
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.sampled_from([2, 5, 13]), n=st.integers(1, 8), data=st.data())
+    def test_coeff_val_floor_is_the_least_valuation(self, p, n, data):
+        """One gcd with p^N gives the least v_p over the coefficients, on
+        units times p^j up to j = N - 1, and the precision on zero."""
+        m = padic.model(p, n)
+        residue = st.builds(
+            lambda u, j: m.domain.coerce(u * p ** j),
+            st.integers(1, p ** n).filter(lambda u: u % p),
+            st.integers(0, n - 1) | st.just(n - 1),
+        )
+        terms = data.draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3)), residue, max_size=5
+            )
+        )
+        f = m.ring.poly(terms)
+        expected = min((m.domain.val(c) for _, c in f.terms), default=n)
+        assert m.coeff_val_floor(f) == expected
+        assert m.coeff_val_floor(m.ring.zero()) == n
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pn=st.sampled_from([(2, 4), (5, 3), (5, 8), (13, 2)]),
+        max_degree=st.integers(0, 4),
+        terms=st.integers(0, 6),
+        seed=st.integers(0, 2 ** 32),
+    )
+    def test_random_poly_matches_the_exponent_tuple_construction(self, pn, max_degree, terms, seed):
+        """The packed-key draw gives the Poly of the exponent-tuple one from
+        the same RNG state, and leaves the RNG in the same state."""
+        m = padic.model(*pn)
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = m.random_poly(rng, max_degree=max_degree, terms=terms)
+        assert got == _reference_random_poly(m, ref, max_degree, terms)
+        assert rng.getstate() == ref.getstate()
 
 
 class TestHonestRuns:
@@ -125,7 +174,7 @@ class TestAdversarialRuns:
         tr = padic.successive_approx(alpha, padic.adversarial_oracle(m, seed=3), 4)
         assert padic.verify_trace(tr, alpha)
         A, B = tr.sums
-        assert m.combine([(1, A * m.x), (1, B * m.y), (-1, alpha)]).is_zero()
+        assert m.combine([(1, m.x_key, A), (1, m.y_key, B), (-1, 0, alpha)]).is_zero()
         for i, step in enumerate(tr.steps, start=1):
             if i >= 2:
                 assert min(m.coeff_val_floor(step.a), m.coeff_val_floor(step.b)) >= i - 1
@@ -149,7 +198,8 @@ class TestAdversarialRuns:
             t1 = padic.successive_approx(alpha, padic.honest_oracle(m), 4)
             t2 = padic.successive_approx(alpha, padic.adversarial_oracle(m, seed=k), 4)
             (A1, B1), (A2, B2) = t1.sums, t2.sums
-            assert m.combine([(1, A1 * m.x), (1, B1 * m.y), (-1, A2 * m.x), (-1, B2 * m.y)]).is_zero()
+            x, y = m.x_key, m.y_key
+            assert m.combine([(1, x, A1), (1, y, B1), (-1, x, A2), (-1, y, B2)]).is_zero()
 
     def test_telescoping_at_every_stage(self):
         m = padic.model(2, 6)
@@ -273,11 +323,13 @@ class TestRunningSums:
 
 @st.composite
 def _parts(draw):
-    """(p, N) and a list of (int scalar, Poly) parts of T_N: random
-    canonical elements, multiples of the relation (zero in T_N but not
-    canonical), raw polynomials with z-exponents up to 5, one-term x and y
-    shifts of random elements, and x and y themselves; the scalars run
-    over both signs and include multiples of p^N."""
+    """(p, N) and a list of (int scalar, shift variable or None, Poly)
+    parts of T_N: random canonical elements, multiples of the relation
+    (zero in T_N but not canonical), raw polynomials with z-exponents up to
+    5, one-term x and y shifts of random elements, and x and y themselves;
+    the scalars run over both signs and include multiples of p^N, and each
+    part is shifted by nothing, x, y or z (a z shift of a z^2 term leaves
+    the canonical form, so the sum needs a real reduction)."""
     p, n = draw(st.sampled_from([(2, 4), (5, 3), (7, 2), (5, 8)]))
     m = padic.model(p, n)
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
@@ -300,7 +352,7 @@ def _parts(draw):
         scalar = draw(
             st.one_of(st.integers(-2 * q, 2 * q), st.integers(-3, 3).map(lambda k: k * q), st.sampled_from([1, -1]))
         )
-        parts.append((scalar, f))
+        parts.append((scalar, draw(st.sampled_from([None, "x", "y", "z"])), f))
     return m, parts
 
 
@@ -309,8 +361,9 @@ class TestCombine:
     @given(case=_parts())
     def test_matches_the_chained_sum(self, case):
         m, parts = case
-        chained = m.canon(sum((s * f for s, f in parts), m.ring.zero()))
-        got = m.combine(parts)
+        chained = m.canon(sum((s * (f * m.ring.var(v) if v else f) for s, v, f in parts), m.ring.zero()))
+        keys = {None: 0, "x": m.x_key, "y": m.y_key, "z": m.z_key}
+        got = m.combine([(s, keys[v], f) for s, v, f in parts])
         assert got == chained
         assert all(mono[0] <= 2 for mono, _ in exponent_terms(got))
 
@@ -319,10 +372,11 @@ class TestWorkCount:
     def test_padic_stress_builds_a_fixed_number_of_polys(self, monkeypatch, capsys):
         """Polys built by one cold padic --precision 8 --samples 20 --seed 53
         run (the perfbench padic-stress op): each T_N identity is one linear
-        combination and each trace is verified once, by successive_approx,
-        so the count is 6853 (7557 when the experiment verified every trace
-        a second time, 12 415 when each identity was a chain of products
-        and additions)."""
+        combination whose x- and y-multiples are shifted keys, not Polys,
+        and each trace is verified once, by successive_approx, so the count
+        is 4164 (6853 when each multiple a * x was built as a Poly, 7557
+        when the experiment also verified every trace a second time, 12 415
+        when each identity was a chain of products and additions)."""
         for cached in (padic.model, padic.regular_sequence_check, fermat_ring):
             cached.cache_clear()
         built = 0
@@ -343,7 +397,7 @@ class TestWorkCount:
         assert main("padic --precision 8 --samples 20 --seed 53".split()) == 0
         monkeypatch.undo()
         capsys.readouterr()
-        assert built == 6853
+        assert built == 4164
 
 
 class TestOracles:
@@ -478,4 +532,5 @@ class TestKoszulCorrection:
         got = padic._koszul_correct(m, i, a, b)
         assert got == _reference_koszul_correct(m, i, a, b)
         assert min(map(m.coeff_val_floor, got)) >= i - 1
-        assert m.combine([(1, got[0] * m.x), (1, got[1] * m.y), (-1, a * m.x), (-1, b * m.y)]).is_zero()
+        x, y = m.x_key, m.y_key
+        assert m.combine([(1, x, got[0]), (1, y, got[1]), (-1, x, a), (-1, y, b)]).is_zero()

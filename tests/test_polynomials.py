@@ -552,7 +552,7 @@ def test_incompatible_ring_arithmetic_rejected(qq_ring):
     with pytest.raises(ValueError, match="incompatible"):
         qq_ring.parse("x") + other.parse("a")
     with pytest.raises(ValueError, match="incompatible"):
-        Poly.linear_combination(qq_ring, [(QQ.one, qq_ring.parse("x")), (QQ.one, other.parse("a"))])
+        Poly.linear_combination(qq_ring, [(QQ.one, 0, qq_ring.parse("x")), (QQ.one, 0, other.parse("a"))])
 
 
 @settings(max_examples=150, deadline=None)
@@ -561,13 +561,14 @@ def test_linear_combination_matches_the_running_sum(problem, scalars):
     """One dict for the whole sum gives the Poly that adding one scaled
     part at a time gives, with zero scalars, cancellation and scalar one."""
     ring, term_dicts = problem
-    parts = [(ring.domain.coerce(c), ring.poly(t)) for c, t in zip(scalars, term_dicts)]
-    parts.append((ring.domain.one, ring.poly(term_dicts[0])))
-    parts.append((ring.domain.coerce(-1), ring.poly(term_dicts[0])))
+    parts = [(ring.domain.coerce(c), 0, ring.poly(t)) for c, t in zip(scalars, term_dicts)]
+    parts.append((ring.domain.one, 0, ring.poly(term_dicts[0])))
+    parts.append((ring.domain.coerce(-1), 0, ring.poly(term_dicts[0])))
     expected = ring.zero()
-    for c, f in parts:
+    for c, _, f in parts:
         expected = expected + f * c
     assert Poly.linear_combination(ring, parts).terms == expected.terms
+
 
 
 def test_pow_matches_repeated_multiplication(qq_ring):
@@ -1137,3 +1138,69 @@ def test_residue_arithmetic_matches_dicts_of_ints(problem):
     assert sum((q * d for q, d in zip(quots, divisors)), rem) == f
     # a unit leading coefficient makes division by g exact on multiples of g
     assert exact_divide(f * g, g) == f
+
+
+@st.composite
+def _shifted_parts(draw):
+    """(c, m, f) parts over QQ, Q(zeta_9), ZZ, F_p or Z/p^N: the two
+    factors of ``_products`` and an equal one built afresh, each scaled by
+    a drawn coefficient (zero included), the domain's ``one`` or -1, and
+    shifted by a packed monomial that is 0 about half the time."""
+    f, g = draw(_products())
+    ring = f.ring
+    dom = ring.domain
+    coeff = st.one_of(
+        _coefficients(dom, draw(st.integers(1, 200))), st.sampled_from([dom.zero, dom.one, dom.coerce(-1)])
+    )
+    shift = st.one_of(
+        st.just(0), st.tuples(*[st.integers(0, 3)] * len(ring.variables)).map(ring.order.key)
+    )
+    return ring, [(draw(coeff), draw(shift), h) for h in (f, g, Poly(ring, dict(f.terms)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_shifted_parts())
+def test_shifted_linear_combination_matches_the_chained_sum(problem):
+    """Each (c, m, f) adds c * x^m * f: the Poly of the chained sum of
+    ``c * f.mul_term(m, one)``, with zero and nonzero shifts, in every
+    domain."""
+    ring, parts = problem
+    one = ring.domain.one
+    expected = ring.zero()
+    for c, m, f in parts:
+        expected = expected + f.mul_term(m, one) * c
+    assert Poly.linear_combination(ring, parts).terms == expected.terms
+
+
+def test_shifted_linear_combination_refuses_overflow_and_foreign_rings(qq_ring):
+    """A shift that takes an exponent to EXP_LIMIT raises ``OverflowError``,
+    as ``mul_term`` does, also when the shifted term cancels; a part from an
+    incompatible ring raises ``ValueError``, shifted or not."""
+    f = qq_ring.parse("x^3 + y")
+    near = qq_ring.order.key((EXP_LIMIT - 3, 0, 0))
+    assert Poly.linear_combination(qq_ring, [(QQ.one, near - qq_ring.order.key((1, 0, 0)), f)])
+    for parts in ([(QQ.one, near, f)], [(QQ.one, near, f), (QQ.coerce(-1), near, f)]):
+        with pytest.raises(OverflowError):
+            Poly.linear_combination(qq_ring, parts)
+    with pytest.raises(OverflowError):
+        f.mul_term(near, QQ.one)
+    other = RingPresentation(QQ, ("a", "b"))
+    for shift in (0, qq_ring.order.key((0, 1, 0))):
+        with pytest.raises(ValueError, match="incompatible"):
+            Poly.linear_combination(qq_ring, [(QQ.one, 0, f), (QQ.one, shift, other.parse("a"))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_products((QQ,), min_size=LIFT_MIN_TERMS), data=st.data())
+def test_rational_square_lifts_its_list_once(problem, data):
+    """``QQ.lift_pair(cs, cs)`` returns one list for both factors, and a
+    QQ square ``f * f`` of at least LIFT_MIN_TERMS terms, on the dict loop
+    or (as a form) on the square loop, equals the schoolbook square."""
+    f, _ = problem
+    cs = [c for _, c in f.terms]
+    xs, ys, _ = QQ.lift_pair(cs, cs)
+    assert ys is xs
+    assert xs == QQ.lift_pair(cs, list(cs))[0]
+    assert (f * f).terms == _schoolbook(f, f).terms
+    form = _form(RingPresentation(QQ, ("x", "y", "z")), cs, data.draw(st.integers(1, 3)), (0, 0, 0))
+    assert (form * form).terms == _schoolbook(form, form).terms
