@@ -24,19 +24,25 @@ another ring only after checking that its order packs alike
 Products of two factors with at least ``LIFT_MIN_TERMS`` terms each run on
 Python ints: the coefficient domain's ``lift_pair`` lifts both coefficient
 lists (a square ``p * p``, as ``cached_power`` forms, lifts its one list
-once), one of three loops multiplies them, and each output term is lowered
+once), one of two loops multiplies them, and each output term is lowered
 back once.  When both key lists are arithmetic progressions with one step,
 as for a homogeneous form in (x^3, y^3) times a monomial, output j has key
-a0 + b0 + j * step and its int is one ``sum(map(mul, ...))`` over a
-diagonal (``_diagonals``); a square of that shape sums half of each
-diagonal and doubles it, plus the middle square (``_square_diagonals``);
-any other shape takes the dict loop, one big-int multiply-add per term
-pair.  Over Q(zeta_9) each coordinate vector is packed at a power of two:
-at T = t^3 = 2^B with its two coordinates r and r + 3 when both factors'
-coefficients lie in t^r * Q(theta) (r per factor), at t = 2^B with all six
-otherwise.  B is ``bits(max|a|) + bits(max|b|) + bits(w * min(len a, len
-b)) + 1`` for w = 2 or 6 packed coordinates, computed from the operands,
-so that no accumulated coordinate leaves its digit.  On the two-coordinate
+a0 + b0 + j * step and the output ints are the digits of one big-int
+product (Kronecker substitution, ``_kronecker``): each lifted list is
+packed into one int at a whole number of bytes per entry, the two are
+multiplied (a square squares its one int), and the product's bytes are
+read back.  CPython's Karatsuba multiply makes this faster than a sum
+per output term at every tower level (D. Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic
+Comput. 44 (2009); R. Fateman, "Can you save time in multiplying
+polynomials by encoding them as integers?", 2010).  Any other shape takes
+the dict loop, one big-int multiply-add per term pair.  Over Q(zeta_9)
+each coordinate vector is packed at a power of two: at T = t^3 = 2^B
+with its two coordinates r and r + 3 when both factors' coefficients lie
+in t^r * Q(theta) (r per factor), at t = 2^B with all six otherwise.
+B is ``bits(max|a|) + bits(max|b|) + bits(w * min(len a, len b)) + 1``
+for w = 2 or 6 packed coordinates, computed from the operands, so that no
+accumulated coordinate leaves its digit.  On the two-coordinate
 packing an output's three digits fold by T^2 = -T - 1 straight into
 coordinates r and r + 3 of its coefficient, with one gcd over the
 denominator and those two values.  The threshold is where the lifted
@@ -408,10 +414,10 @@ class Poly:
           polynomial multiplication and division in Maple 14", 2010):
           when both key lists are arithmetic progressions with one step,
           as a form in (x^3, y^3) times a monomial is, output j has key
-          a0 + b0 + j * step and is one sum of products over a diagonal
-          (``_diagonals``), or for ``p * p`` twice the sum over half of it
-          plus the middle square (``_square_diagonals``); otherwise each
-          term pair adds its product into a dict.
+          a0 + b0 + j * step and is digit j of one big-int product of the
+          two packed lists (``_kronecker``; D. Harvey 2009, R. Fateman
+          2010), which for ``p * p`` squares one int; otherwise each term
+          pair adds its product into a dict.
         - Smaller products multiply and add the coefficients term by term.
 
         A product monomial is the sum of the packed keys.  One OR over the
@@ -448,7 +454,7 @@ class Poly:
         ):
             keys = range(a0 + b0, a0 + b0 + (len(a) + len(b) - 1) * step, step)
             ring.order.check_fields(reduce(or_, keys, 0))
-            sums = _square_diagonals(xs) if square else _diagonals(xs, ys)
+            sums = _kronecker(xs, ys)
             # ascending keys and lowered (canonical) coefficients
             terms = zip(keys, map(lower, sums))
             return Poly._presorted(ring, tuple(filter(_coefficient, terms)))
@@ -533,37 +539,31 @@ class Poly:
         return format_poly(self)
 
 
-def _diagonals(xs: list, ys: list) -> list:
+def _kronecker(xs: list, ys: list) -> list:
     """The coefficients of the product of the univariate polynomials with
-    coefficient lists ``xs`` and ``ys``: entry j is the sum over the
-    diagonal i + k = j of xs[i] * ys[k], each one C-level pass of ``sum``
-    and ``map`` over a slice of ``xs`` and of ``ys`` reversed."""
+    coefficient lists ``xs`` and ``ys``, from one big-int product.  Each
+    list is packed at 2^W per entry, W a whole number of bytes at least
+    ``bits(max|x|) + bits(max|y|) + bits(min(len)) + 1``, so every output
+    entry is a balanced digit in [-2^(W-1), 2^(W-1)); ``ys is xs`` squares
+    the one packed int.  Packing and reading back go through byte strings
+    with an offset of 2^(W-1) per digit, which makes every digit
+    non-negative, so both are linear in the size, with no shift per digit."""
     la, lb = len(xs), len(ys)
-    yr = ys[::-1]
-    out = []
-    for j in range(la + lb - 1):
-        lo, hi = max(0, j - lb + 1), min(j + 1, la)
-        r = lb - 1 - j  # ys[j - i] is yr[r + i]
-        out.append(sum(map(mul, xs[lo:hi], yr[r + lo:r + hi])))
-    return out
+    bits = max(max(xs), -min(xs)).bit_length() + max(max(ys), -min(ys)).bit_length()
+    k = (bits + min(la, lb).bit_length() + 8) >> 3  # W / 8 bytes per digit
+    half = 1 << (8 * k - 1)
+    offset = bytes(k - 1) + b"\x80"  # one digit 2^(W-1), little-endian
+    from_bytes = int.from_bytes
 
+    def pack(zs):
+        raw = b"".join([(z + half).to_bytes(k, "little") for z in zs])
+        return from_bytes(raw, "little") - from_bytes(offset * len(zs), "little")
 
-def _square_diagonals(xs: list) -> list:
-    """``_diagonals(xs, xs)`` from half of each diagonal: entry j is twice
-    the sum of xs[i] * xs[j - i] over i < j - i, plus xs[j / 2]^2 when j
-    is even, so a square pays for each pair of distinct terms once."""
-    n = len(xs)
-    xr = xs[::-1]
-    out = []
-    for j in range(2 * n - 1):
-        lo, mid = max(0, j - n + 1), (j + 1) >> 1
-        r = n - 1 - j  # xs[j - i] is xr[r + i]
-        s = sum(map(mul, xs[lo:mid], xr[r + lo:r + mid])) << 1
-        if not j & 1:
-            x = xs[j >> 1]
-            s += x * x
-        out.append(s)
-    return out
+    x = pack(xs)
+    n = la + lb - 1
+    prod = x * x if ys is xs else x * pack(ys)
+    raw = (prod + from_bytes(offset * n, "little")).to_bytes(n * k, "little")
+    return [from_bytes(raw[i:i + k], "little") - half for i in range(0, n * k, k)]
 
 
 def square_and_multiply(base: Poly, n: int, multiply) -> Poly:

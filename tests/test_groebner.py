@@ -430,36 +430,32 @@ class TestWorkCounters:
     def test_lifted_products_pick_their_loop_by_the_keys(self, monkeypatch):
         """Every lifted product of a cold ``tower-colon --max-level 5`` is a
         form in (x^3, y^3) times a monomial by another such form, two key
-        progressions with one step, and sums diagonals: 18 products of
-        distinct factors over whole diagonals and the 7 squares that
-        ``cached_power`` forms over half diagonals.  ``isogeny --n 3``
-        takes both loops."""
-        counts = {"lifted": 0, "diagonal": 0, "square": 0}
+        progressions with one step, and is one big-int product
+        (``_kronecker``): 18 products of distinct factors, which pass two
+        lists, and the 7 squares that ``cached_power`` forms, which pass one
+        list twice.  ``isogeny --n 3`` takes both loops."""
+        counts = {"lifted": 0, "kronecker": 0, "square": 0}
         mul = Poly.__mul__
-        diagonals, squares = polynomials._diagonals, polynomials._square_diagonals
+        kronecker = polynomials._kronecker
 
         def counted_mul(self, other):
             if isinstance(other, Poly) and min(len(self.terms), len(other.terms)) >= LIFT_MIN_TERMS:
                 counts["lifted"] += 1
             return mul(self, other)
 
-        def counted_diagonals(xs, ys):
-            counts["diagonal"] += 1
-            return diagonals(xs, ys)
-
-        def counted_squares(xs):
-            counts["square"] += 1
-            return squares(xs)
+        def counted_kronecker(xs, ys):
+            counts["kronecker"] += 1
+            counts["square"] += ys is xs
+            return kronecker(xs, ys)
 
         monkeypatch.setattr(Poly, "__mul__", counted_mul)
         monkeypatch.setattr(Poly, "__rmul__", counted_mul)
-        monkeypatch.setattr(polynomials, "_diagonals", counted_diagonals)
-        monkeypatch.setattr(polynomials, "_square_diagonals", counted_squares)
+        monkeypatch.setattr(polynomials, "_kronecker", counted_kronecker)
         _cold_run([("tower-colon", {"max_level": 5})])
-        assert counts == {"lifted": 25, "diagonal": 18, "square": 7}
-        counts.update(lifted=0, diagonal=0, square=0)
+        assert counts == {"lifted": 25, "kronecker": 25, "square": 7}
+        counts.update(lifted=0, kronecker=0, square=0)
         _cold_run([("isogeny", {"n": 3})])
-        assert 0 < counts["diagonal"] + counts["square"] < counts["lifted"]
+        assert 0 < counts["kronecker"] < counts["lifted"]
 
     def test_unit_shifts_and_norm_inversions_are_pinned(self, monkeypatch):
         """In a cold ``tower-colon --max-level 5``, 49 ``mul_term`` calls

@@ -5,7 +5,7 @@ from itertools import permutations
 from operator import add, le, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closurelab.charp import fermat_ring
@@ -762,12 +762,13 @@ def test_lifted_coset_product_at_the_packing_width(k, n, signs, shifts):
 
 
 # ---------------------------------------------------------------------------
-# the lifted product's two loops: diagonals and the dict
+# the lifted product's two loops: one big-int product and the dict
 
 
 def _loops_taken(f, g):
-    """f * g and g * f, with the number of the two that summed diagonals."""
-    with mock.patch.object(polynomials, "_diagonals", wraps=polynomials._diagonals) as spy:
+    """f * g and g * f, with the number of the two that went through the
+    big-int product ``_kronecker``."""
+    with mock.patch.object(polynomials, "_kronecker", wraps=polynomials._kronecker) as spy:
         fg, gf = f * g, g * f
     return fg, gf, spy.call_count
 
@@ -792,7 +793,7 @@ def _progressions(draw, same_step=True, gap=False):
     or Z/p^N, each with LIFT_MIN_TERMS to 12 terms and no zero coefficient,
     so both key lists are progressions with one step.  Half the time the
     second has the first's coefficients with sign (-1)^i, so the product is
-    f(u) f(-u), u = x^s / y^s, and every odd diagonal cancels to 0.  With
+    f(u) f(-u), u = x^s / y^s, and every odd output digit cancels to 0.  With
     ``same_step`` false the second form is in (x^s', y^s'), s' != s; with
     ``gap`` one inner term of the first is left out: both take the dict
     loop.  The third entry is (s, the x-exponent of the two monomials) in
@@ -817,9 +818,12 @@ def _progressions(draw, same_step=True, gap=False):
 @settings(max_examples=200, deadline=None)
 @given(problem=_progressions())
 def test_diagonal_product_matches_the_schoolbook_product(problem):
+    """Two forms in (x^s, y^s) times monomials, both key lists progressions
+    with one step, go through ``_kronecker`` in either order, and the
+    product equals the schoolbook product."""
     f, g, alternating = problem
-    fg, gf, diagonal = _loops_taken(f, g)
-    assert diagonal == 2
+    fg, gf, packed = _loops_taken(f, g)
+    assert packed == 2
     assert fg.terms == gf.terms == _schoolbook(f, g).terms
     if alternating:
         # f(u) f(-u) is even in u: only even powers of x^s survive
@@ -833,20 +837,85 @@ def test_products_off_one_progression_take_the_dict_loop(problem):
     """Forms of two different steps, or one form with a gap, are not both
     progressions with one step."""
     f, g, _ = problem
-    fg, gf, diagonal = _loops_taken(f, g)
-    assert diagonal == 0
+    fg, gf, packed = _loops_taken(f, g)
+    assert packed == 0
     assert fg.terms == gf.terms == _schoolbook(f, g).terms
+
+
+def _convolution(xs, ys):
+    """The product of the coefficient lists ``xs`` and ``ys`` by its
+    definition: entry i + j collects xs[i] * ys[j], one pair at a time."""
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] += x * y
+    return out
+
+
+def _alternating(n, k, sign=1):
+    """sign * (-1)^i (2^k - 1) for i < n: with itself or its copy, every
+    output digit collects its term products with one sign, so the middle
+    one is min(len) (2^k - 1)^2 in size, at the packing width's bound."""
+    top = (1 << k) - 1
+    return [sign * top if i % 2 == 0 else -sign * top for i in range(n)]
+
+
+@st.composite
+def _int_lists(draw):
+    """Two int lists for ``_kronecker``: lengths 1 to 100, lopsided pairs
+    such as 6 x 90 among them; entries signed, all negative or alternating
+    +-(2^k - 1), k up to about 3000 bits per list; a third of the pairs
+    are one list twice (``ys is xs``), a square."""
+    rng = draw(st.randoms(use_true_random=False))
+    la, lb = draw(
+        st.sampled_from([(6, 90), (90, 6), (1, 100), (100, 100)])
+        | st.tuples(st.integers(1, 100), st.integers(1, 100))
+    )
+    bits = st.sampled_from([0, 1, 7, 8, 9, 64, 300, 3000]) | st.integers(0, 3000)
+
+    def entries(n, k):
+        shape = draw(st.sampled_from(["signed", "negative", "alternating"]))
+        if shape == "alternating":
+            return _alternating(n, k, draw(st.sampled_from([1, -1])))
+        if shape == "negative":
+            return [-1 - rng.getrandbits(k) for _ in range(n)]
+        return [rng.randint(1 - (1 << k), (1 << k) - 1) for _ in range(n)]
+
+    k = draw(bits)
+    xs = entries(la, k)
+    if draw(st.integers(0, 2)) == 0:
+        return xs, xs
+    return xs, entries(lb, draw(st.just(k) | bits))
+
+
+def _square(xs):
+    return xs, xs
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands=_int_lists())
+@example(operands=_square(_alternating(64, 64)))
+@example(operands=(_alternating(100, 3000), _alternating(100, 3000)))
+@example(operands=(_alternating(6, 8, -1), _alternating(90, 8)))
+@example(operands=_square([-1]))
+def test_kronecker_matches_the_nested_loop_convolution(operands):
+    """The big-int product equals the convolution by its definition, which
+    shares no code with the engine; the examples put a middle digit at the
+    width bound, as a square, as two equal lists and as a 6 x 90 pair."""
+    xs, ys = operands
+    assert polynomials._kronecker(xs, ys) == _convolution(xs, ys)
 
 
 def _lowered_square(f):
     """The square of a form ``f`` in (x^s, y^s) times a monomial through
-    ``_square_diagonals`` alone, on the lifted coefficient list, at any
+    ``_kronecker(xs, xs)`` alone, on the lifted coefficient list, at any
     length: output j at the j-th key of the doubled progression."""
     cs = [c for _, c in f.terms]
-    xs, _, lower = f.ring.domain.lift_pair(cs, cs)
+    xs, ys, lower = f.ring.domain.lift_pair(cs, cs)
+    assert ys is xs
     keys = [m for m, _ in f.terms]
     step = keys[1] - keys[0] if len(keys) > 1 else 0
-    sums = polynomials._square_diagonals(xs)
+    sums = polynomials._kronecker(xs, xs)
     return Poly(f.ring, {2 * keys[0] + j * step: lower(c) for j, c in enumerate(sums)})
 
 
@@ -855,10 +924,10 @@ def _lowered_square(f):
 def test_square_loop_matches_the_schoolbook_square(data):
     """A form with 1, 2, 89, 90 or up to 40 nonzero coefficients over QQ,
     Q(zeta_9) (dense or in some t^r * Q(theta)), ZZ, F_p or Z/p^N, squared
-    over half diagonals, against the schoolbook square; from
-    LIFT_MIN_TERMS terms on, ``f * f`` takes the square loop and a product
-    of two equal factors that are not one object takes the diagonal loop,
-    with the same result."""
+    as one packed int, against the schoolbook square; from LIFT_MIN_TERMS
+    terms on, ``f * f`` passes ``_kronecker`` one list for both factors,
+    which squares it, and a product of two equal factors that are not one
+    object passes two lists and multiplies, with the same result."""
     domain = data.draw(st.sampled_from([QQ, CYCLO, ZZ, *_RESIDUE_RINGS]))
     coeff = _coefficients(domain, data.draw(st.integers(1, 200))).filter(bool)
     if domain == CYCLO and data.draw(st.booleans()):
@@ -874,11 +943,15 @@ def test_square_loop_matches_the_schoolbook_square(data):
     expected = _schoolbook(f, f)
     assert _lowered_square(f) == expected
     if n >= LIFT_MIN_TERMS:
-        with mock.patch.object(polynomials, "_square_diagonals", wraps=polynomials._square_diagonals) as spy:
+        with mock.patch.object(polynomials, "_kronecker", wraps=polynomials._kronecker) as spy:
             assert (f * f).terms == expected.terms
             assert spy.call_count == 1
+            xs, ys = spy.call_args.args
+            assert ys is xs
             assert (f * Poly(ring, dict(f.terms))).terms == expected.terms
-            assert spy.call_count == 1
+            assert spy.call_count == 2
+            xs, ys = spy.call_args.args
+            assert ys is not xs and ys == xs
 
 
 @pytest.mark.parametrize("k", [1, 64, 200])
@@ -886,7 +959,7 @@ def test_square_loop_matches_the_schoolbook_square(data):
 @pytest.mark.parametrize("r", [None, 0, 2])
 def test_square_loop_at_the_packing_width(k, n, r):
     """Every coefficient +-(2^k - 1) in each coordinate (r None) or at r
-    and r + 3 only, signs alternating: the middle diagonal of the square
+    and r + 3 only, signs alternating: the middle digit of the square
     collects n term products, as large as the width bound allows."""
     ring = RingPresentation(CYCLO, ("x", "y"))
     top = (1 << k) - 1
@@ -908,13 +981,14 @@ def test_square_loop_at_the_packing_width(k, n, r):
 )
 def test_diagonals_that_cancel_to_zero(domain):
     """With u = x^3 / y^3, (1 + u + ... + u^5)(1 - u + ... - u^5) y^30 z is
-    (1 + u^2 + u^4 - u^6 - u^8 - u^10) y^30 z: its five odd diagonals
-    cancel to 0 and drop out, and its even ones are lowered in order."""
+    (1 + u^2 + u^4 - u^6 - u^8 - u^10) y^30 z: the five odd digits of its
+    big-int product cancel to 0 and drop out, and the even ones are lowered
+    in order."""
     ring = RingPresentation(domain, ("x", "y", "z"))
     f = _form(ring, [1] * 6, 3, (0, 0, 1))
     g = _form(ring, [1, -1] * 3, 3, (0, 0, 0))
-    fg, gf, diagonal = _loops_taken(f, g)
-    assert diagonal == 2
+    fg, gf, packed = _loops_taken(f, g)
+    assert packed == 2
     expected = ring.parse("(y^30 + x^6*y^24 + x^12*y^18 - x^18*y^12 - x^24*y^6 - x^30)*z")
     assert fg == gf == _schoolbook(f, g) == expected
     assert len(fg.terms) == 6
@@ -1195,7 +1269,7 @@ def test_shifted_linear_combination_refuses_overflow_and_foreign_rings(qq_ring):
 def test_rational_square_lifts_its_list_once(problem, data):
     """``QQ.lift_pair(cs, cs)`` returns one list for both factors, and a
     QQ square ``f * f`` of at least LIFT_MIN_TERMS terms, on the dict loop
-    or (as a form) on the square loop, equals the schoolbook square."""
+    or (as a form) squared as one packed int, equals the schoolbook square."""
     f, _ = problem
     cs = [c for _, c in f.terms]
     xs, ys, _ = QQ.lift_pair(cs, cs)
