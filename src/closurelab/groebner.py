@@ -26,17 +26,24 @@ class VerificationError(AssertionError):
     """An exact re-expansion check failed; indicates an engine bug."""
 
 
+class GroebnerBudgetError(RuntimeError):
+    """A Buchberger run needed more S-pairs than its ``max_pairs`` bound."""
+
+
 class _Tracked:
     """Basis element together with its representation in the input
     generators, poly == sum(rep[i] * inputs[i]) exactly, or rep None when
-    no representation is tracked."""
+    no representation is tracked; ``sugar`` is a scaled weighted degree
+    (``WeightedGrevlex.wdeg``) and ``exps`` the exponent tuple of the
+    leading monomial, decoded once."""
 
-    __slots__ = ("poly", "rep", "sugar")
+    __slots__ = ("poly", "rep", "sugar", "exps")
 
-    def __init__(self, poly: Poly, rep: tuple, sugar: Fraction):
+    def __init__(self, poly: Poly, rep: tuple, sugar: int, exps: tuple):
         self.poly = poly
         self.rep = rep
         self.sugar = sugar
+        self.exps = exps
 
 
 class GroebnerBasis:
@@ -168,16 +175,21 @@ def _divide(f: Poly, divisors, track: bool = True):
                 qc = c * inv % mod if mod else c * inv
                 if track:
                     quotients[i].append((qm, qc))
+                nqc = -qc
                 for dm, dc in divisors[i].terms[1:]:
                     nm = qm + dm
                     old = work.get(nm)
-                    s = (dom.zero if old is None else old) - qc * dc
+                    if old is None:
+                        # qc and dc are nonzero, so is their product (over
+                        # Z/p^N one that is 0 mod p^N is skipped when popped)
+                        check_fields(nm)
+                        heappush(heap, nm)
+                        work[nm] = nqc * dc
+                        continue
+                    s = old + nqc * dc
                     if s:
-                        if old is None:
-                            check_fields(nm)
-                            heappush(heap, nm)
                         work[nm] = s
-                    elif old is not None:
+                    else:
                         del work[nm]
                 break
         else:
@@ -210,16 +222,21 @@ def normal_form(f: Poly, basis, with_quotients: bool = False):
     return (rem, quots) if with_quotients else rem
 
 
-def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBasis:
+def groebner(
+    gens, ring: RingPresentation, *, reps: bool = False, max_pairs: int | None = None
+) -> GroebnerBasis:
     """Reduced Groebner basis of (gens) + (ring relations).
 
     Buchberger with the Gebauer-Moeller pair criteria; each step takes the
-    ``min`` pair by degree, then sugar, then ascending lcm, then indices.
-    Leading coefficients are normalized to 1, so the reduced basis is the
-    unique one for the ring's order.  With ``reps`` each element carries
-    its cofactor vector over the inputs (``GroebnerBasis.reps``), which
-    ``membership_with_basis`` needs; without it ``reps`` is None, and the
-    generators are the same.
+    ``min`` pair by degree, then sugar, then ascending lcm, then indices,
+    where degree and sugar are scaled weighted degrees (ints, ordered as
+    the Fractions they scale).  Leading coefficients are normalized to 1,
+    so the reduced basis is the unique one for the ring's order.  With
+    ``reps`` each element carries its cofactor vector over the inputs
+    (``GroebnerBasis.reps``), which ``membership_with_basis`` needs;
+    without it ``reps`` is None, and the generators are the same.  A run
+    that would take more than ``max_pairs`` S-pairs raises
+    ``GroebnerBudgetError``; None means no bound.
     """
     if not ring.domain.is_field:
         raise DomainError(
@@ -230,13 +247,14 @@ def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBas
     n_inputs = len(inputs)
     dom = ring.domain
     order = ring.order
-    deg, divides, lcm_of = order.degree, order.divides, order.lcm
+    wdeg, divides, lcm_of = order.wdeg, order.divides, order.lcm_of_exponents
+    exponents = order.exponents
 
     def unit_rep(i: int) -> tuple:
         return tuple(ring.one() if j == i else ring.zero() for j in range(n_inputs))
 
     basis: list[_Tracked] = []
-    # (deg(lcm), sugar, -lcm, i, j, lcm) with i < j: tuples compare in
+    # (wdeg(lcm), sugar, -lcm, i, j, lcm) with i < j: tuples compare in
     # selection order (-lcm is ascending in the monomial order), and (i, j)
     # is unique, so lcm is never compared
     pairs: list[tuple] = []
@@ -244,8 +262,8 @@ def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBas
     def add_pairs(t: _Tracked, t_index: int):
         # Gebauer-Moeller update for the new element against the current basis
         nonlocal pairs
-        lm_new = t.poly.lm()
-        fresh = [(lcm_of(lm_new, other.poly.lm()), i) for i, other in enumerate(basis[:t_index])]
+        lm_new, e_new = t.poly.lm(), t.exps
+        fresh = [(lcm_of(e_new, other.exps), i) for i, other in enumerate(basis[:t_index])]
         # criterion M: drop a new pair whose lcm is a proper multiple of
         # another new pair's lcm
         keep = []
@@ -272,24 +290,25 @@ def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBas
             *_, i, j, lcm = p
             if (
                 divides(lm_new, lcm)
-                and lcm_of(basis[i].poly.lm(), lm_new) != lcm
-                and lcm_of(basis[j].poly.lm(), lm_new) != lcm
+                and lcm_of(basis[i].exps, e_new) != lcm
+                and lcm_of(basis[j].exps, e_new) != lcm
             ):
                 continue
             new_pairs.append(p)
         for lcm, i in kept3:
             other = basis[i]
             s = max(
-                other.sugar + deg(lcm - other.poly.lm()),
-                t.sugar + deg(lcm - lm_new),
+                other.sugar + wdeg(lcm - other.poly.lm()),
+                t.sugar + wdeg(lcm - lm_new),
             )
-            new_pairs.append((deg(lcm), s, -lcm, i, t_index, lcm))
+            new_pairs.append((wdeg(lcm), s, -lcm, i, t_index, lcm))
         pairs = new_pairs
 
     for idx, g in enumerate(inputs):
         if g.is_zero():
             continue
-        tr = _Tracked(g, unit_rep(idx) if reps else None, g.degree())
+        sugar = max([wdeg(m) for m, _ in g.terms])
+        tr = _Tracked(g, unit_rep(idx) if reps else None, sugar, exponents(g.lm()))
         basis.append(tr)
         add_pairs(tr, len(basis) - 1)
 
@@ -303,7 +322,11 @@ def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBas
             rep = [r - u for r, u in zip(rep, used)]
         return rem, rep
 
+    taken = 0
     while pairs:
+        if taken == max_pairs:
+            raise GroebnerBudgetError(f"Buchberger needs more than {max_pairs} S-pairs")
+        taken += 1
         p = min(pairs)
         pairs.remove(p)
         _, sugar, _, i, j, lcm = p
@@ -320,7 +343,7 @@ def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBas
         if rem.is_zero():
             continue
         inv = dom.inv(rem.lc())
-        tr = _Tracked(rem * inv, _scaled(rep, inv), sugar)
+        tr = _Tracked(rem * inv, _scaled(rep, inv), sugar, exponents(rem.lm()))
         basis.append(tr)
         add_pairs(tr, len(basis) - 1)
 
@@ -338,7 +361,7 @@ def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBas
     for t in minimal:
         rem, rep = reduce_tracked(t.poly, t.rep, [u for u in minimal if u is not t])
         inv = dom.inv(rem.lc())
-        reduced.append(_Tracked(rem * inv, _scaled(rep, inv), t.sugar))
+        reduced.append(_Tracked(rem * inv, _scaled(rep, inv), t.sugar, t.exps))
     reduced.sort(key=lambda t: t.poly.lm(), reverse=True)
     return GroebnerBasis(ring, inputs, reduced, reps)
 

@@ -86,8 +86,9 @@ class WeightedGrevlex:
     tail degree).  The key is a linear form in the exponents, so products
     add keys and quotients subtract them; ``divides`` is a mask test on
     the guard bits (``guard``), and ``exponents`` decodes a key.  Weights
-    are summed scaled to integers by the lcm of their denominators;
-    ``degree`` stays an exact Fraction.  Two orders are equal when their
+    are summed scaled to integers by the lcm of their denominators
+    (``scale``): ``wdeg`` is that int, the weighted degree times ``scale``,
+    and ``degree`` the exact Fraction.  Two orders are equal when their
     weights and block are.
     """
 
@@ -96,8 +97,8 @@ class WeightedGrevlex:
         if block not in (0, 1) or block > len(self.weights):
             raise ValueError("the elimination block holds at most one variable")
         self.block = block
-        self._scale = math.lcm(*(w.denominator for w in self.weights))
-        top = [int(w * self._scale) for w in self.weights]
+        self.scale = math.lcm(*(w.denominator for w in self.weights))
+        top = [int(w * self.scale) for w in self.weights]
         self._head_excess = 0
         if block:
             # the top digit counts the head variable M times, its degree once
@@ -128,9 +129,12 @@ class WeightedGrevlex:
     def exponents(self, key: int) -> tuple:
         return tuple((key >> s) & _FIELD_MASK for s in self._shifts)
 
+    def wdeg(self, key: int) -> int:
+        """The weighted degree of a monomial times ``scale``."""
+        return -(key >> self._top_shift) - self._head_excess * (key & _FIELD_MASK)
+
     def degree(self, key: int) -> Fraction:
-        wdeg = -(key >> self._top_shift) - self._head_excess * (key & _FIELD_MASK)
-        return Fraction(wdeg, self._scale)
+        return Fraction(self.wdeg(key), self.scale)
 
     def divides(self, a: int, b: int) -> bool:
         """True when monomial a divides b: b - a borrows into a guard bit
@@ -138,7 +142,11 @@ class WeightedGrevlex:
         return not (b - a) & self.guard
 
     def lcm(self, a: int, b: int) -> int:
-        return sum(map(mul, self._units, map(max, self.exponents(a), self.exponents(b))))
+        return self.lcm_of_exponents(self.exponents(a), self.exponents(b))
+
+    def lcm_of_exponents(self, a: tuple, b: tuple) -> int:
+        """The key of the lcm of two monomials given as exponent tuples."""
+        return sum(map(mul, self._units, map(max, a, b)))
 
     def packs_like(self, other: "WeightedGrevlex") -> bool:
         """True when both orders pack every exponent tuple into the same

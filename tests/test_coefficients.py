@@ -374,6 +374,27 @@ def test_arithmetic_matches_the_fraction_reference(xs, ys, s):
 
 
 @settings(max_examples=150, deadline=None)
+@given(xs=_ELEMENTS, ys=_ELEMENTS, ks=st.lists(st.integers(-30, 30), max_size=6))
+def test_sub_matches_adding_the_negative(xs, ys, ks):
+    """``a - b`` subtracts numerators directly: it equals ``a + (-b)`` and
+    the Fraction reference when the denominators differ and when they are
+    equal (b = a + an integral element keeps a's denominator), and
+    ``a - a`` is the canonical zero, with denominator 1."""
+    a, b = CycloNum(xs), CycloNum(ys)
+    same = a + CycloNum(ks)
+    assert same.den == a.den
+    ra = _ref_fold(xs)
+    for other, ref in ((b, _ref_fold(ys)), (same, tuple(x + y for x, y in zip(ra, _ref_fold(ks))))):
+        diff = a - other
+        _assert_matches(diff, tuple(x - y for x, y in zip(ra, ref)))
+        assert diff == a + (-other)
+    for x in (a, b, same):
+        zero = x - x
+        _assert_canonical(zero)
+        assert zero == CYCLO.zero and zero.num == (0,) * 6 and zero.den == 1
+
+
+@settings(max_examples=150, deadline=None)
 @given(xs=_ELEMENTS, ys=_ELEMENTS, zs=st.lists(st.integers(-1, 1), max_size=2))
 def test_hash_respects_equality(xs, ys, zs):
     """``a == b`` implies ``hash(a) == hash(b)``, on pairs that are equal by

@@ -25,6 +25,7 @@ from closurelab.coefficients import (
     TruncatedPadicRing,
 )
 from closurelab.groebner import (
+    GroebnerBudgetError,
     _divide,
     colon,
     elimination_ring,
@@ -324,25 +325,45 @@ class TestBuchbergerProperty:
         text = json.dumps([[format_poly(c) for c in rep] for rep in gb.reps])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_pair_budget_bounds_the_run(self):
+        """The first pinned input takes 24 S-pairs: a bound of 23 raises
+        ``GroebnerBudgetError``, and a bound of 24 gives the unbounded
+        basis."""
+        ring = fermat_ring(5)
+        gens = [ring.parse(g) for g in ["3*z^2*x^3*y^2 + 2*z^2*x^2*y^3", "2*z*x^3*y^3 + 3*z^3"]]
+        for bound in (0, 1, 23):
+            with pytest.raises(GroebnerBudgetError, match=f"more than {bound} S-pairs"):
+                groebner(gens, ring, max_pairs=bound)
+        assert groebner(gens, ring, max_pairs=24).generators == groebner(gens, ring).generators
+
 
 def _package_modules():
     return [mod for name, mod in sys.modules.items() if name.split(".")[0] == "closurelab"]
 
 
+def _bind_groebner(monkeypatch, wrap):
+    """Bind every closurelab module's ``groebner`` to ``wrap(original)``."""
+    original = importlib.import_module("closurelab.groebner").groebner
+    wrapped = wrap(original)
+    for mod in _package_modules():
+        if getattr(mod, "groebner", None) is original:
+            monkeypatch.setattr(mod, "groebner", wrapped)
+
+
 def _wrap_groebner(monkeypatch, record):
     """Bind every closurelab module's ``groebner`` to a wrapper that hands
     each call's generator list and basis to ``record``."""
-    original = importlib.import_module("closurelab.groebner").groebner
 
-    def counted(gens, ring, **options):
-        gens = list(gens)
-        gb = original(gens, ring, **options)
-        record(gens, gb)
-        return gb
+    def wrap(original):
+        def counted(gens, ring, **options):
+            gens = list(gens)
+            gb = original(gens, ring, **options)
+            record(gens, gb)
+            return gb
 
-    for mod in _package_modules():
-        if getattr(mod, "groebner", None) is original:
-            monkeypatch.setattr(mod, "groebner", counted)
+        return counted
+
+    _bind_groebner(monkeypatch, wrap)
 
 
 # the runs whose Buchberger work the counters below bound
@@ -384,6 +405,36 @@ class TestWorkCounters:
         assert built and not any(built)
         _cold_run([("isogeny", {})])
         assert any(built)
+
+    def test_buchberger_makes_no_fraction_degree(self, monkeypatch):
+        """The pair queue and the sugar run on scaled int degrees
+        (``WeightedGrevlex.wdeg``), so in a cold ``tower-colon`` no
+        ``WeightedGrevlex.degree`` call, one Fraction each, is made inside
+        ``groebner``."""
+        counts = {"groebner": 0, "inside": 0, "depth": 0}
+
+        def wrap(original):
+            def counted(gens, ring, **options):
+                counts["groebner"] += 1
+                counts["depth"] += 1
+                try:
+                    return original(gens, ring, **options)
+                finally:
+                    counts["depth"] -= 1
+
+            return counted
+
+        degree = WeightedGrevlex.degree
+
+        def counted_degree(self, key):
+            if counts["depth"]:
+                counts["inside"] += 1
+            return degree(self, key)
+
+        _bind_groebner(monkeypatch, wrap)
+        monkeypatch.setattr(WeightedGrevlex, "degree", counted_degree)
+        _cold_run([("tower-colon", {})])
+        assert counts["groebner"] and counts["inside"] == 0
 
     def test_tower_colon_forms_each_lifted_product_once(self, monkeypatch):
         """Count the products whose factors both have at least

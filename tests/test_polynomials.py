@@ -186,6 +186,35 @@ def test_packed_keys_are_linear_and_decode(data, nvars, block):
     assert (order.lcm(ka, kb) == ka + kb) == (not any(map(min, a, b)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    nvars=st.integers(1, 4),
+    block=st.integers(0, 1),
+)
+def test_scaled_degrees_order_pairs_as_the_fractions(data, nvars, block):
+    """``degree`` is ``wdeg`` over ``scale``, and pair tuples (degree,
+    sugar, -lcm, i, j) sort the same with int degrees as with the
+    Fractions they scale; small exponents make ties in degree and sugar."""
+    weights = data.draw(
+        st.lists(st.integers(0, 5).map(lambda n: Fraction(1, 3 ** n)), min_size=nvars, max_size=nvars)
+    )
+    order = WeightedGrevlex(weights, block=block)
+    exps = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, EXP_LIMIT // 2 - 1))] * nvars)
+    keys = [order.key(e) for e in data.draw(st.lists(exps, min_size=1, max_size=12))]
+    for k in keys:
+        assert order.degree(k) == Fraction(order.wdeg(k), order.scale)
+    pairs = []
+    for i, k in enumerate(keys):
+        sugar = order.wdeg(k) + data.draw(st.integers(0, 2))
+        j = data.draw(st.integers(0, 3))
+        pairs.append((order.wdeg(k), sugar, -k, j, i))
+    by_fraction = sorted(
+        pairs, key=lambda p: (order.degree(-p[2]), Fraction(p[1], order.scale)) + p[2:]
+    )
+    assert sorted(pairs) == by_fraction
+
+
 def test_packed_fields_raise_on_overflow():
     """An exponent past the last one its field holds raises, whether it is
     packed at the boundary or reached by a product; z^(2 * 13^4), the
