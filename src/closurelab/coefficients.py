@@ -156,15 +156,7 @@ class CycloNum:
 
     def __sub__(self, other) -> "CycloNum":
         if isinstance(other, CycloNum):
-            a0, a1, a2, a3, a4, a5 = self.num
-            b0, b1, b2, b3, b4, b5 = other.num
-            da, db = self.den, other.den
-            if da == db:
-                num = (a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5)
-                return _make(num, 1) if da == 1 else _reduced(num, da)
-            num = (a0 * db - b0 * da, a1 * db - b1 * da, a2 * db - b2 * da,
-                   a3 * db - b3 * da, a4 * db - b4 * da, a5 * db - b5 * da)
-            return _reduced(num, da * db)
+            return self + (-other)
         return NotImplemented
 
     def __mul__(self, other) -> "CycloNum":

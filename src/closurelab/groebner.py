@@ -26,10 +26,6 @@ class VerificationError(AssertionError):
     """An exact re-expansion check failed; indicates an engine bug."""
 
 
-class GroebnerBudgetError(RuntimeError):
-    """A Buchberger run needed more S-pairs than its ``max_pairs`` bound."""
-
-
 class _Tracked:
     """Basis element together with its representation in the input
     generators, poly == sum(rep[i] * inputs[i]) exactly, or rep None when
@@ -222,9 +218,7 @@ def normal_form(f: Poly, basis, with_quotients: bool = False):
     return (rem, quots) if with_quotients else rem
 
 
-def groebner(
-    gens, ring: RingPresentation, *, reps: bool = False, max_pairs: int | None = None
-) -> GroebnerBasis:
+def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBasis:
     """Reduced Groebner basis of (gens) + (ring relations).
 
     Buchberger with the Gebauer-Moeller pair criteria; each step takes the
@@ -234,9 +228,7 @@ def groebner(
     so the reduced basis is the unique one for the ring's order.  With
     ``reps`` each element carries its cofactor vector over the inputs
     (``GroebnerBasis.reps``), which ``membership_with_basis`` needs;
-    without it ``reps`` is None, and the generators are the same.  A run
-    that would take more than ``max_pairs`` S-pairs raises
-    ``GroebnerBudgetError``; None means no bound.
+    without it ``reps`` is None, and the generators are the same.
     """
     if not ring.domain.is_field:
         raise DomainError(
@@ -322,11 +314,7 @@ def groebner(
             rep = [r - u for r, u in zip(rep, used)]
         return rem, rep
 
-    taken = 0
     while pairs:
-        if taken == max_pairs:
-            raise GroebnerBudgetError(f"Buchberger needs more than {max_pairs} S-pairs")
-        taken += 1
         p = min(pairs)
         pairs.remove(p)
         _, sugar, _, i, j, lcm = p

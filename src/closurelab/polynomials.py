@@ -141,9 +141,6 @@ class WeightedGrevlex:
         exactly when some exponent of a exceeds b's."""
         return not (b - a) & self.guard
 
-    def lcm(self, a: int, b: int) -> int:
-        return self.lcm_of_exponents(self.exponents(a), self.exponents(b))
-
     def lcm_of_exponents(self, a: tuple, b: tuple) -> int:
         """The key of the lcm of two monomials given as exponent tuples."""
         return sum(map(mul, self._units, map(max, a, b)))

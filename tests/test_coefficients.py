@@ -376,10 +376,10 @@ def test_arithmetic_matches_the_fraction_reference(xs, ys, s):
 @settings(max_examples=150, deadline=None)
 @given(xs=_ELEMENTS, ys=_ELEMENTS, ks=st.lists(st.integers(-30, 30), max_size=6))
 def test_sub_matches_adding_the_negative(xs, ys, ks):
-    """``a - b`` subtracts numerators directly: it equals ``a + (-b)`` and
-    the Fraction reference when the denominators differ and when they are
-    equal (b = a + an integral element keeps a's denominator), and
-    ``a - a`` is the canonical zero, with denominator 1."""
+    """``a - b`` equals ``a + (-b)`` and the Fraction reference when the
+    denominators differ and when they are equal (b = a + an integral
+    element keeps a's denominator), and ``a - a`` is the canonical zero,
+    with denominator 1."""
     a, b = CycloNum(xs), CycloNum(ys)
     same = a + CycloNum(ks)
     assert same.den == a.den
