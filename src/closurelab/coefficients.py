@@ -18,23 +18,21 @@ Q(zeta_9)) and ``format``; residue rings add ``val``.  An int or a
 Fraction becomes a coefficient only through ``coerce``: ``CycloNum``
 arithmetic takes ``CycloNum`` operands alone.
 
-``lift_pair`` serves multi-term polynomial products: it maps two
-coefficient lists to Python ints whose products and sums stand for the
+``lift_pair`` serves the one big-int product of ``Poly.__mul__``: it maps
+two coefficient lists to Python ints whose products and sums stand for the
 products and sums of the coefficients, plus a ``lower`` function that maps
-an accumulated int back to one domain element.  Rationals are cleared to
-one denominator per list, and integers and residues are their own ints.  A
-cyclotomic coordinate vector is evaluated at a power of two (Kronecker
-substitution; Harvey, J. Symb. Comput. 44, 2009).  When every vector of
-both lists is zero outside coordinates r and r + 3 for some r per list, the
-list is t^r times a polynomial in T = t^3 and only those two coordinates
-are packed, at T = 2^B, so one big-int product is one 2x2 convolution with
-three digits; otherwise all six are packed at t = 2^B and a product is
-one 6x6 convolution with 11 digits.  B is chosen from the actual operand
-sizes so that every accumulated coordinate stays a balanced base-2^B digit,
-and ``lower`` unpacks the digits, folds them (T^2 = -T - 1 into the two
-live coordinates, or t^6 + t^3 + 1 over all 11) and cancels with one gcd
-once per output term (delayed reduction; Monagan and Pearce, J. Symb.
-Comput. 46, 2011).
+an accumulated int back to one domain element, or returns None when it
+does not lift those lists and the product goes term by term.  Integers and
+residues are their own ints, and QQ lifts nothing.  Q(zeta_9) lifts two
+lists when every vector of each is zero outside coordinates r and r + 3
+for some r per list: the list is t^r times a polynomial in T = t^3, and
+those two coordinates are packed at T = 2^B (Kronecker substitution;
+Harvey, J. Symb. Comput. 44, 2009), so one big-int product is one 2x2
+convolution with three digits.  B is chosen from the actual operand sizes
+so that every accumulated coordinate stays a balanced base-2^B digit, and
+``lower`` unpacks the three digits, folds them by T^2 = -T - 1 into the
+two live coordinates and cancels with one gcd once per output term
+(delayed reduction; Monagan and Pearce, J. Symb. Comput. 46, 2011).
 """
 
 from __future__ import annotations
@@ -257,17 +255,10 @@ def _coset(vectors):
     return live.pop() if len(live) == 1 else None
 
 
-def _pack(vectors, step: int, shift: int, bits: int) -> list:
-    """Each vector's coordinates shift, shift + step, ... as one int: their
-    polynomial in t^step evaluated at t^step = 2^bits (Kronecker
-    substitution), two coordinates for step 3 and all six for step 1."""
-    if step == 3:
-        return [v[shift] + (v[shift + 3] << bits) for v in vectors]
-    s1, s2, s3, s4, s5 = range(bits, CYCLO_DEGREE * bits, bits)
-    return [
-        a0 + (a1 << s1) + (a2 << s2) + (a3 << s3) + (a4 << s4) + (a5 << s5)
-        for a0, a1, a2, a3, a4, a5 in vectors
-    ]
+def _pack(vectors, shift: int, bits: int) -> list:
+    """Each vector's coordinates shift and shift + 3 as one int: its
+    polynomial in T = t^3 evaluated at T = 2^bits (Kronecker substitution)."""
+    return [v[shift] + (v[shift + 3] << bits) for v in vectors]
 
 
 def _fold(cs: list) -> tuple:
@@ -279,26 +270,6 @@ def _fold(cs: list) -> tuple:
             cs[k - 6] -= c
     cs += [0] * (CYCLO_DEGREE - len(cs))
     return tuple(cs[:CYCLO_DEGREE])
-
-
-def _dense_lower(bits: int, den: int):
-    """``lower`` for six packed coordinates: the 11 balanced base-2^bits
-    digits of a sum are its coefficients of t^0 .. t^10, folded inline by
-    t^(6+j) -> -t^(3+j) - t^j (t^9 = 1) and cancelled against ``den``
-    with one gcd."""
-    half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    shifts = tuple(range(0, 11 * bits, bits))
-    # half in every digit: the 11 digits of s + offset are nonnegative
-    offset = sum([half << k for k in shifts])
-
-    def lower(s):
-        u = s + offset
-        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = [((u >> k) & mask) - half for k in shifts]
-        num = (c0 - c6 + c9, c1 - c7 + c10, c2 - c8, c3 - c6, c4 - c7, c5 - c8)
-        return _make(num, 1) if den == 1 else _reduced(num, den)
-
-    return lower
 
 
 # the two live coordinates r and r + 3 of t^r * Q(theta) as a numerator
@@ -444,18 +415,8 @@ class RationalField:
         return None
 
     def lift_pair(self, xs, ys):
-        """Numerators over one lcm denominator per list; ``lower`` divides
-        a sum of products by the product of the two denominators.  A square
-        (``ys is xs``) is lifted once."""
-        dx = lcm(*[c.denominator for c in xs])
-        nx = [c.numerator * (dx // c.denominator) for c in xs]
-        if ys is xs:
-            dy, ny = dx, nx
-        else:
-            dy = lcm(*[c.denominator for c in ys])
-            ny = [c.numerator * (dy // c.denominator) for c in ys]
-        den = dx * dy
-        return nx, ny, lambda s: Fraction(s, den)
+        """None: products over QQ go term by term."""
+        return None
 
     def format(self, x: Fraction, parenthesize: bool = False) -> str:
         return str(x)
@@ -497,36 +458,27 @@ class CyclotomicField9:
         return None
 
     def lift_pair(self, xs, ys):
-        """Each list over one denominator, each coordinate vector packed
-        as one int by ``_pack``; a square (``ys is xs``) is lifted once.
+        """Both lists packed for ``_kronecker`` when each lies in some
+        t^r * Q(theta) (coordinates r and r + 3 only; r per list), else
+        None, and the product goes term by term.
 
-        A list whose vectors are all zero outside coordinates r and r + 3
-        is t^r times a polynomial in T = t^3; when both lists are, only
-        those two coordinates are packed, at T = 2^B (step 3, shift r per
-        list), and the product lives on t^(rx+ry) times three digits
-        (``_coset_lower``).  Otherwise all six are packed at t = 2^B (step
-        1, shift 0) and the product has 11 digits (``_dense_lower``).  An
-        output digit sums at most ``min(len xs, len ys)`` term pairs of
-        ``w`` products each (w = 2 or 6 packed coordinates), so its size is
-        below ``w * min(len) * max|x| * max|y|``; B one bit above that
-        bound keeps it a balanced digit in [-2^(B-1), 2^(B-1))."""
-        vx, dx = _common_denominator(xs)
-        rx = _coset(vx)
-        if ys is xs:
-            vy, dy, ry = vx, dx, rx
-        else:
-            vy, dy = _common_denominator(ys)
-            ry = _coset(vy)
-        den = dx * dy
+        Each list is taken over one denominator and each vector packed as
+        one int at T = t^3 = 2^B (``_pack``); a square (``ys is xs``) is
+        lifted once.  The product lives on t^(rx+ry) times three digits
+        (``_coset_lower``).  An output digit sums at most ``min(len xs,
+        len ys)`` term pairs of two products each, so its size is below
+        ``2 * min(len) * max|x| * max|y|``; B one bit above that bound
+        keeps it a balanced digit in [-2^(B-1), 2^(B-1))."""
+        rx = _coset([x.num for x in xs])
+        ry = rx if ys is xs else _coset([y.num for y in ys])
         if rx is None or ry is None:
-            step, rx, ry = 1, 0, 0
-        else:
-            step = 3
-        width = CYCLO_DEGREE // step
-        bits = _abs_bits(vx) + _abs_bits(vy) + (width * min(len(xs), len(ys))).bit_length() + 1
-        lower = _dense_lower(bits, den) if step == 1 else _coset_lower(bits, rx + ry, den)
-        px = _pack(vx, step, rx, bits)
-        return px, px if ys is xs else _pack(vy, step, ry, bits), lower
+            return None
+        vx, dx = _common_denominator(xs)
+        vy, dy = (vx, dx) if ys is xs else _common_denominator(ys)
+        bits = _abs_bits(vx) + _abs_bits(vy) + (2 * min(len(xs), len(ys))).bit_length() + 1
+        px = _pack(vx, rx, bits)
+        lower = _coset_lower(bits, rx + ry, dx * dy)
+        return px, px if ys is xs else _pack(vy, ry, bits), lower
 
     def format(self, x: CycloNum, parenthesize: bool = False) -> str:
         text = format_cyclo(x)

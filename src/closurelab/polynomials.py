@@ -21,34 +21,27 @@ that read single exponents).  ``Poly.moved`` carries keys unchanged into
 another ring only after checking that its order packs alike
 (``WeightedGrevlex.packs_like``).
 
-Products of two factors with at least ``LIFT_MIN_TERMS`` terms each run on
-Python ints: the coefficient domain's ``lift_pair`` lifts both coefficient
-lists (a square ``p * p``, as ``cached_power`` forms, lifts its one list
-once), one of two loops multiplies them, and each output term is lowered
-back once.  When both key lists are arithmetic progressions with one step,
-as for a homogeneous form in (x^3, y^3) times a monomial, output j has key
-a0 + b0 + j * step and the output ints are the digits of one big-int
-product (Kronecker substitution, ``_kronecker``): each lifted list is
-packed into one int at a whole number of bytes per entry, the two are
-multiplied (a square squares its one int), and the product's bytes are
-read back.  CPython's Karatsuba multiply makes this faster than a sum
-per output term at every tower level (D. Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", J. Symbolic
-Comput. 44 (2009); R. Fateman, "Can you save time in multiplying
-polynomials by encoding them as integers?", 2010).  Any other shape takes
-the dict loop, one big-int multiply-add per term pair.  Over Q(zeta_9)
-each coordinate vector is packed at a power of two: at T = t^3 = 2^B
-with its two coordinates r and r + 3 when both factors' coefficients lie
-in t^r * Q(theta) (r per factor), at t = 2^B with all six otherwise.
-B is ``bits(max|a|) + bits(max|b|) + bits(w * min(len a, len b)) + 1``
-for w = 2 or 6 packed coordinates, computed from the operands, so that no
-accumulated coordinate leaves its digit.  On the two-coordinate
-packing an output's three digits fold by T^2 = -T - 1 straight into
-coordinates r and r + 3 of its coefficient, with one gcd over the
-denominator and those two values.  The threshold is where the lifted
-product starts to beat term-by-term arithmetic on dense homogeneous
-factors at tower coefficient sizes; smaller products, and products with a
-one-term factor, take the term-by-term paths.
+A product of two factors with at least ``LIFT_MIN_TERMS`` terms each whose
+key lists are arithmetic progressions with one step, as for a homogeneous
+form in (x^3, y^3) times a monomial, runs on Python ints when the
+coefficient domain's ``lift_pair`` lifts both coefficient lists (a square
+``p * p``, as ``cached_power`` forms, lifts its one list once).  Output j
+has key a0 + b0 + j * step, and the output ints are the digits of one
+big-int product (Kronecker substitution, ``_kronecker``): each lifted list
+is packed into one int at a whole number of bytes per entry, the two are
+multiplied (a square squares its one int), the product's bytes are read
+back, and each output term is lowered back once.  CPython's Karatsuba
+multiply makes this faster than a sum per output term at every tower
+level (D. Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", J. Symbolic Comput. 44 (2009); R. Fateman, "Can
+you save time in multiplying polynomials by encoding them as integers?",
+2010).  ZZ and the residue rings lift their ints as they are; Q(zeta_9)
+lifts two lists whose coefficients lie in t^r * Q(theta), r per list, on
+their two coordinates r and r + 3; QQ lifts nothing.  Every other product,
+including every product with fewer terms, another key shape or lists the
+domain does not lift, is multiplied term by term.  The threshold is where
+the lifted product starts to beat term-by-term arithmetic on dense
+homogeneous factors at tower coefficient sizes.
 
 Residues mod p^N are plain ints, reduced modulo the domain's ``modulus``
 once per output coefficient: in the constructor, in ``mul_term`` (scalar
@@ -240,8 +233,9 @@ class RingPresentation:
 _monomial = itemgetter(0)
 _coefficient = itemgetter(1)
 
-# Poly.__mul__ lifts both factors to ints when each has at least this many
-# terms; below it the packing costs more than the per-term arithmetic saves
+# Poly.__mul__ lifts two progressions to ints only when each has at least
+# this many terms; below it the packing costs more than the per-term
+# arithmetic saves
 LIFT_MIN_TERMS = 6
 
 
@@ -406,24 +400,15 @@ class Poly:
 
         - A constant or one-term factor scales and shifts the other
           factor's terms (``mul_term``); nothing is sorted again.
-        - Factors of at least ``LIFT_MIN_TERMS`` terms each are multiplied
-          on ints from the domain's ``lift_pair``, and each output term is
-          lowered back once.  Over Q(zeta_9) the ints pack each coordinate
-          vector at a power of two 2^B: its two coordinates r and r + 3 at
-          T = t^3 when both factors lie in t^r * Q(theta), three output
-          digits; all six at t otherwise, 11 output digits.  B is a bit
-          above ``bits(max|a|) + bits(max|b|) + bits(w * min(len a, len
-          b))``, w = 2 or 6 packed coordinates, so no accumulated
-          coordinate overflows its digit.  The loop over the ints follows
-          the shape of the keys (M. Monagan and R. Pearce, "Sparse
-          polynomial multiplication and division in Maple 14", 2010):
-          when both key lists are arithmetic progressions with one step,
-          as a form in (x^3, y^3) times a monomial is, output j has key
-          a0 + b0 + j * step and is digit j of one big-int product of the
+        - Factors of at least ``LIFT_MIN_TERMS`` terms each whose key
+          lists are arithmetic progressions with one step, as a form in
+          (x^3, y^3) times a monomial is, are one big-int product when the
+          domain's ``lift_pair`` lifts their coefficient lists: output j
+          has key a0 + b0 + j * step and is digit j of the product of the
           two packed lists (``_kronecker``; D. Harvey 2009, R. Fateman
-          2010), which for ``p * p`` squares one int; otherwise each term
-          pair adds its product into a dict.
-        - Smaller products multiply and add the coefficients term by term.
+          2010), which for ``p * p`` squares one int, lowered back once.
+        - Every other product multiplies and adds the coefficients term by
+          term.
 
         A product monomial is the sum of the packed keys.  One OR over the
         output keys checks every exponent field (``OverflowError``).
@@ -436,39 +421,32 @@ class Poly:
             return self.mul_term(*b[0])
         if len(a) == 1 and other.ring is ring:
             return other.mul_term(*a[0])
+        if len(a) >= LIFT_MIN_TERMS and len(b) >= LIFT_MIN_TERMS:
+            square = a is b
+            a0, b0 = a[0][0], b[0][0]
+            step = a[1][0] - a0
+            if [m for m, _ in a] == list(range(a0, a0 + len(a) * step, step)) and (
+                square or [m for m, _ in b] == list(range(b0, b0 + len(b) * step, step))
+            ):
+                ca = [c for _, c in a]
+                lifted = ring.domain.lift_pair(ca, ca if square else [c for _, c in b])
+                if lifted is not None:
+                    xs, ys, lower = lifted
+                    keys = range(a0 + b0, a0 + b0 + (len(a) + len(b) - 1) * step, step)
+                    ring.order.check_fields(reduce(or_, keys, 0))
+                    # ascending keys and lowered (canonical) coefficients
+                    terms = zip(keys, map(lower, _kronecker(xs, ys)))
+                    return Poly._presorted(ring, tuple(filter(_coefficient, terms)))
         out = {}
         get = out.get
-        if len(a) < LIFT_MIN_TERMS or len(b) < LIFT_MIN_TERMS:
-            for m1, c1 in a:
-                for m2, c2 in b:
-                    m = m1 + m2
-                    s = get(m)
-                    prod = c1 * c2
-                    out[m] = prod if s is None else s + prod
-            ring.order.check_fields(reduce(or_, out, 0))
-            return Poly(ring, out)
-        square = a is b
-        ca = [c for _, c in a]
-        xs, ys, lower = ring.domain.lift_pair(ca, ca if square else [c for _, c in b])
-        ma = [m for m, _ in a]
-        mb = ma if square else [m for m, _ in b]
-        a0, b0 = ma[0], mb[0]
-        step = ma[1] - a0
-        if ma == list(range(a0, a0 + len(a) * step, step)) and (
-            square or mb == list(range(b0, b0 + len(b) * step, step))
-        ):
-            keys = range(a0 + b0, a0 + b0 + (len(a) + len(b) - 1) * step, step)
-            ring.order.check_fields(reduce(or_, keys, 0))
-            sums = _kronecker(xs, ys)
-            # ascending keys and lowered (canonical) coefficients
-            terms = zip(keys, map(lower, sums))
-            return Poly._presorted(ring, tuple(filter(_coefficient, terms)))
-        for m1, x in zip(ma, xs):
-            for m2, y in zip(mb, ys):
+        for m1, c1 in a:
+            for m2, c2 in b:
                 m = m1 + m2
-                out[m] = get(m, 0) + x * y
+                s = get(m)
+                prod = c1 * c2
+                out[m] = prod if s is None else s + prod
         ring.order.check_fields(reduce(or_, out, 0))
-        return Poly(ring, dict(zip(out, map(lower, out.values()))))
+        return Poly(ring, out)
 
     __rmul__ = __mul__
 

@@ -16,7 +16,6 @@ from closurelab.coefficients import (
     PrimeField,
     TruncatedPadicRing,
     _coset_lower,
-    _dense_lower,
     _fold,
     _norm_inverse,
     _reduced,
@@ -132,43 +131,40 @@ class TestUnitShifts:
         assert PrimeField(5).unit_shift(1) is None
 
 
-# The lowers of the lifted product against the generic one: digit j of a
-# sum placed at t^(low + step * j), folded by ``_fold``, cancelled by one gcd.
-def _placed_lower(s, bits, step, low, den):
-    digits = 2 * (6 // step) - 1
+# The lower of the lifted product against the generic one: digit j of a
+# sum placed at t^(low + 3 j), folded by ``_fold``, cancelled by one gcd.
+def _placed_lower(s, bits, low, den):
     half, mask = 1 << (bits - 1), (1 << bits) - 1
-    u = s + sum(half << (bits * j) for j in range(digits))
-    cs = [0] * (low + step * (digits - 1) + 1)
-    cs[low::step] = [((u >> (bits * j)) & mask) - half for j in range(digits)]
+    u = s + sum(half << (bits * j) for j in range(3))
+    cs = [0] * (low + 7)
+    cs[low::3] = [((u >> (bits * j)) & mask) - half for j in range(3)]
     return _reduced(_fold(cs), den)
 
 
 @settings(max_examples=400, deadline=None)
-@given(data=st.data(), bits=st.integers(2, 200), step=st.sampled_from([1, 3]))
-def test_lowers_match_the_placed_fold(data, bits, step):
+@given(data=st.data(), bits=st.integers(2, 200))
+def test_lowers_match_the_placed_fold(data, bits):
     """Balanced digits up to both extremes, rx + ry = 0..4 on the two-
     coordinate packing (low % 3 = r), ``den`` 1 or larger, digits with a
     common factor of ``den``, and digit patterns whose fold cancels to 0:
     equal digits on the packing at T = t^3 (1 + T + T^2 = 0)."""
     half = 1 << (bits - 1)
-    digits = 2 * (6 // step) - 1
-    low = data.draw(st.integers(0, 4)) if step == 3 else 0
+    low = data.draw(st.integers(0, 4))
     den = data.draw(st.sampled_from([1, 2, 3, 9, 3 ** 41, (1 << 61) - 1]) | st.integers(1, 10 ** 6))
     extreme = st.sampled_from([-half, half - 1, 0, 1, -1])
     digit = extreme | st.integers(-half, half - 1)
     shape = data.draw(st.sampled_from(["free", "common", "cancel"]))
-    if shape == "cancel" and step == 3:
-        ds = [data.draw(digit)] * digits
+    if shape == "cancel":
+        ds = [data.draw(digit)] * 3
     elif shape == "common":
         g = data.draw(st.sampled_from([d for d in (2, 3, 9, den) if den % d == 0] or [1]))
-        ds = [g * data.draw(st.integers(-(half // g), (half - 1) // g)) for _ in range(digits)]
+        ds = [g * data.draw(st.integers(-(half // g), (half - 1) // g)) for _ in range(3)]
     else:
-        ds = [data.draw(digit) for _ in range(digits)]
+        ds = [data.draw(digit) for _ in range(3)]
     s = sum(d << (bits * j) for j, d in enumerate(ds))
-    lower = _coset_lower(bits, low, den) if step == 3 else _dense_lower(bits, den)
-    got, ref = lower(s), _placed_lower(s, bits, step, low, den)
+    got, ref = _coset_lower(bits, low, den)(s), _placed_lower(s, bits, low, den)
     assert (got.num, got.den) == (ref.num, ref.den)
-    if shape == "cancel" and step == 3:
+    if shape == "cancel":
         assert not got and got.den == 1
 
 

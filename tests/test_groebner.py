@@ -451,20 +451,19 @@ class TestWorkCounters:
     def test_tower_colon_packs_two_coordinates_per_lifted_coefficient(self, monkeypatch):
         """Every coefficient of the tower's lifted products lies in
         t^r * Q(theta), so in a cold ``tower-colon --max-level 5`` each of
-        the 25 lifted products packs its lists at step 3 (the two
-        coordinates r and r + 3) and none falls back to all six: two lists
-        for each of the 18 products of distinct factors, one for each of
-        the 7 squares."""
-        steps = []
+        the 25 lifted products packs its lists on the two coordinates r and
+        r + 3: two lists for each of the 18 products of distinct factors,
+        one for each of the 7 squares."""
+        calls = []
         pack = coefficients._pack
 
-        def counted_pack(vectors, step, shift, bits):
-            steps.append(step)
-            return pack(vectors, step, shift, bits)
+        def counted_pack(vectors, shift, bits):
+            calls.append(shift)
+            return pack(vectors, shift, bits)
 
         monkeypatch.setattr(coefficients, "_pack", counted_pack)
         _cold_run([("tower-colon", {"max_level": 5})])
-        assert steps == [3] * (2 * 18 + 7)
+        assert len(calls) == 2 * 18 + 7
 
     def test_lifted_products_pick_their_loop_by_the_keys(self, monkeypatch):
         """Every lifted product of a cold ``tower-colon --max-level 5`` is a
@@ -472,7 +471,10 @@ class TestWorkCounters:
         progressions with one step, and is one big-int product
         (``_kronecker``): 18 products of distinct factors, which pass two
         lists, and the 7 squares that ``cached_power`` forms, which pass one
-        list twice.  ``isogeny --n 3`` takes both loops."""
+        list twice.  ``isogeny --n 3`` makes 45 products of that size over
+        ZZ and F_2: 6 squares of progressions over ZZ are big-int products,
+        and the other 39, whose keys are not progressions with one step, go
+        term by term."""
         counts = {"lifted": 0, "kronecker": 0, "square": 0}
         mul = Poly.__mul__
         kronecker = polynomials._kronecker
@@ -494,7 +496,7 @@ class TestWorkCounters:
         assert counts == {"lifted": 25, "kronecker": 25, "square": 7}
         counts.update(lifted=0, kronecker=0, square=0)
         _cold_run([("isogeny", {"n": 3})])
-        assert 0 < counts["kronecker"] < counts["lifted"]
+        assert counts == {"lifted": 45, "kronecker": 6, "square": 6}
 
     def test_unit_shifts_and_norm_inversions_are_pinned(self, monkeypatch):
         """In a cold ``tower-colon --max-level 5``, 49 ``mul_term`` calls

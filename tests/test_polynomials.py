@@ -644,8 +644,8 @@ def _coset_shapes(draw, terms):
     """Q(zeta_9) coefficients reshaped at random: kept as drawn, moved into
     t^r * Q(theta) (coordinates r and r + 3 only), or moved there and then
     one coefficient taken out of it again by adding c * t^(r+1).  Half the
-    lists go into some t^r * Q(theta), so a quarter of the lifted products
-    pack two coordinates and the rest six."""
+    lists go into some t^r * Q(theta), so a quarter of the products have
+    two lists that ``lift_pair`` lifts."""
     shape = draw(st.sampled_from(["coset", "coset", "broken", "drawn"]))
     if shape == "drawn" or not terms:
         return terms
@@ -719,9 +719,11 @@ def test_product_matches_the_schoolbook_product(problem):
 @settings(max_examples=150, deadline=None)
 @given(problem=_products((CYCLO,), min_size=LIFT_MIN_TERMS, cosets=True))
 def test_lifted_cyclotomic_product_matches_the_schoolbook_product(problem):
-    """Q(zeta_9) products whose factors both take the lifted path, packed
-    at two coordinates (both lists in some t^r * Q(theta), r per list) or
-    at six (a list as drawn, or one coefficient out of its t^r * Q(theta))."""
+    """Q(zeta_9) products of at least LIFT_MIN_TERMS terms per factor, with
+    both lists in some t^r * Q(theta) (r per list), a list as drawn, or one
+    coefficient out of its t^r * Q(theta).  Random keys are seldom two
+    progressions, so nearly all go term by term; the coset forms below
+    take the big-int product."""
     f, g = problem
     expected = _schoolbook(f, g).terms
     assert (f * g).terms == expected
@@ -750,8 +752,8 @@ def test_mul_term_by_one_matches_the_multiply_path(problem, data):
 def test_lifted_product_at_the_packing_width(k, n, signs):
     """Every coordinate of every coefficient is +-(2^k - 1) and the middle
     output term x^(n-1) y^(n-1) collects n term products, so the t^5
-    coefficient of its unfolded convolution is +-6 n (2^k - 1)^2: the
-    largest sum the packing width must hold."""
+    coefficient of its unfolded convolution is +-6 n (2^k - 1)^2; dense
+    lists lie in no t^r * Q(theta), so these progressions go term by term."""
     ring = RingPresentation(CYCLO, ("x", "y"))
     top = (1 << k) - 1
     f, g = (
@@ -793,7 +795,7 @@ def test_lifted_coset_product_at_the_packing_width(k, n, signs, shifts):
 
 
 # ---------------------------------------------------------------------------
-# the lifted product's two loops: one big-int product and the dict
+# the big-int product of two progressions, and the lists it does not lift
 
 
 def _loops_taken(f, g):
@@ -802,6 +804,23 @@ def _loops_taken(f, g):
     with mock.patch.object(polynomials, "_kronecker", wraps=polynomials._kronecker) as spy:
         fg, gf = f * g, g * f
     return fg, gf, spy.call_count
+
+
+def _in_coset(x, r):
+    """The part of a CycloNum x in t^r * Q(theta): coordinates r and r + 3."""
+    return CycloNum([c if k % 3 == r else 0 for k, c in enumerate(x.coords)])
+
+
+def _lifts(f, g):
+    """Whether ``lift_pair`` lifts the coefficient lists of f and g: ZZ and
+    the residue rings always, QQ never, Q(zeta_9) when each list lies in
+    some t^r * Q(theta), its nonzero coordinates all at r and r + 3."""
+    domain = f.ring.domain
+    if domain == QQ:
+        return False
+    if domain != CYCLO:
+        return True
+    return all(len({k % 3 for _, c in h.terms for k, x in enumerate(c.num) if x}) == 1 for h in (f, g))
 
 
 def _form(ring, coefficients, step, shift, gap=None):
@@ -819,18 +838,22 @@ def _form(ring, coefficients, step, shift, gap=None):
 
 
 @st.composite
-def _progressions(draw, same_step=True, gap=False):
-    """Two forms in (x^s, y^s) times monomials over QQ, Q(zeta_9), ZZ, F_p
-    or Z/p^N, each with LIFT_MIN_TERMS to 12 terms and no zero coefficient,
-    so both key lists are progressions with one step.  Half the time the
-    second has the first's coefficients with sign (-1)^i, so the product is
-    f(u) f(-u), u = x^s / y^s, and every odd output digit cancels to 0.  With
-    ``same_step`` false the second form is in (x^s', y^s'), s' != s; with
-    ``gap`` one inner term of the first is left out: both take the dict
-    loop.  The third entry is (s, the x-exponent of the two monomials) in
-    the alternating case and None otherwise."""
-    domain = draw(st.sampled_from([QQ, CYCLO, ZZ, *_RESIDUE_RINGS]))
+def _progressions(draw, same_step=True, gap=False, domains=(QQ, CYCLO, ZZ, *_RESIDUE_RINGS)):
+    """Two forms in (x^s, y^s) times monomials over one of ``domains``, each
+    with LIFT_MIN_TERMS to 12 terms and no zero coefficient, so both key
+    lists are progressions with one step; half the Q(zeta_9) pairs have
+    their coefficients in some t^r * Q(theta), one r for both.  Half the
+    time the second has the first's coefficients with sign (-1)^i, so the
+    product is f(u) f(-u), u = x^s / y^s, and every odd output digit
+    cancels to 0.  With ``same_step`` false the second form is in
+    (x^s', y^s'), s' != s; with ``gap`` one inner term of the first is left
+    out: both go term by term.  The third entry is (s, the x-exponent of
+    the two monomials) in the alternating case and None otherwise."""
+    domain = draw(st.sampled_from(domains))
     coeff = _coefficients(domain, draw(st.integers(1, 200))).filter(bool)
+    if domain == CYCLO and draw(st.booleans()):
+        r = draw(st.integers(0, 2))
+        coeff = coeff.map(lambda x: _in_coset(x, r)).filter(bool)
     ring = RingPresentation(domain, ("x", "y", "z"))
     shifts = st.tuples(*[st.integers(0, 3)] * 3)
     sizes = st.integers(LIFT_MIN_TERMS + gap, 12)
@@ -850,11 +873,12 @@ def _progressions(draw, same_step=True, gap=False):
 @given(problem=_progressions())
 def test_diagonal_product_matches_the_schoolbook_product(problem):
     """Two forms in (x^s, y^s) times monomials, both key lists progressions
-    with one step, go through ``_kronecker`` in either order, and the
-    product equals the schoolbook product."""
+    with one step, go through ``_kronecker`` in either order when the
+    domain lifts both lists and term by term otherwise, and the product
+    equals the schoolbook product."""
     f, g, alternating = problem
     fg, gf, packed = _loops_taken(f, g)
-    assert packed == 2
+    assert packed == (2 if _lifts(f, g) else 0)
     assert fg.terms == gf.terms == _schoolbook(f, g).terms
     if alternating:
         # f(u) f(-u) is even in u: only even powers of x^s survive
@@ -866,8 +890,33 @@ def test_diagonal_product_matches_the_schoolbook_product(problem):
 @given(problem=st.one_of(_progressions(same_step=False), _progressions(gap=True)))
 def test_products_off_one_progression_take_the_dict_loop(problem):
     """Forms of two different steps, or one form with a gap, are not both
-    progressions with one step."""
+    progressions with one step, and go term by term."""
     f, g, _ = problem
+    fg, gf, packed = _loops_taken(f, g)
+    assert packed == 0
+    assert fg.terms == gf.terms == _schoolbook(f, g).terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=_progressions(domains=(QQ, CYCLO)), data=st.data())
+def test_progressions_the_domain_does_not_lift_go_term_by_term(problem, data):
+    """Two progressions with one step over QQ, or over Q(zeta_9) with one
+    list off every t^r * Q(theta) (one coefficient set to 1 + t, which has
+    coordinates 0 and 1), make no ``_kronecker`` call and equal the
+    schoolbook product."""
+    f, g, _ = problem
+
+    def off_every_coset(h):
+        terms = dict(exponent_terms(h))
+        terms[data.draw(st.sampled_from(sorted(terms)))] = CycloNum([1, 1])
+        return h.ring.poly(terms)
+
+    if f.ring.domain == CYCLO:
+        if data.draw(st.booleans()):
+            f = off_every_coset(f)
+        else:
+            g = off_every_coset(g)
+    assert not _lifts(f, g)
     fg, gf, packed = _loops_taken(f, g)
     assert packed == 0
     assert fg.terms == gf.terms == _schoolbook(f, g).terms
@@ -954,11 +1003,13 @@ def _lowered_square(f):
 @given(data=st.data())
 def test_square_loop_matches_the_schoolbook_square(data):
     """A form with 1, 2, 89, 90 or up to 40 nonzero coefficients over QQ,
-    Q(zeta_9) (dense or in some t^r * Q(theta)), ZZ, F_p or Z/p^N, squared
-    as one packed int, against the schoolbook square; from LIFT_MIN_TERMS
-    terms on, ``f * f`` passes ``_kronecker`` one list for both factors,
-    which squares it, and a product of two equal factors that are not one
-    object passes two lists and multiplies, with the same result."""
+    Q(zeta_9) (dense or in some t^r * Q(theta)), ZZ, F_p or Z/p^N, against
+    the schoolbook square: squared as one packed int where ``lift_pair``
+    lifts its list.  From LIFT_MIN_TERMS terms on, ``f * f`` then passes
+    ``_kronecker`` one list for both factors, which squares it, and a
+    product of two equal factors that are not one object passes two lists
+    and multiplies; QQ and dense Q(zeta_9) squares make no such call.
+    Every way gives the same result."""
     domain = data.draw(st.sampled_from([QQ, CYCLO, ZZ, *_RESIDUE_RINGS]))
     coeff = _coefficients(domain, data.draw(st.integers(1, 200))).filter(bool)
     if domain == CYCLO and data.draw(st.booleans()):
@@ -972,36 +1023,43 @@ def test_square_loop_matches_the_schoolbook_square(data):
     step, shift = data.draw(st.integers(1, 3)), data.draw(st.tuples(*[st.integers(0, 3)] * 3))
     f = _form(ring, coefficients, step, shift)
     expected = _schoolbook(f, f)
-    assert _lowered_square(f) == expected
+    lifts = _lifts(f, f)
+    if lifts:
+        assert _lowered_square(f) == expected
     if n >= LIFT_MIN_TERMS:
         with mock.patch.object(polynomials, "_kronecker", wraps=polynomials._kronecker) as spy:
             assert (f * f).terms == expected.terms
-            assert spy.call_count == 1
-            xs, ys = spy.call_args.args
-            assert ys is xs
+            assert spy.call_count == lifts
+            if lifts:
+                xs, ys = spy.call_args.args
+                assert ys is xs
             assert (f * Poly(ring, dict(f.terms))).terms == expected.terms
-            assert spy.call_count == 2
-            xs, ys = spy.call_args.args
-            assert ys is not xs and ys == xs
+            assert spy.call_count == 2 * lifts
+            if lifts:
+                xs, ys = spy.call_args.args
+                assert ys is not xs and ys == xs
 
 
 @pytest.mark.parametrize("k", [1, 64, 200])
 @pytest.mark.parametrize("n", [1, 2, LIFT_MIN_TERMS, 89, 90])
 @pytest.mark.parametrize("r", [None, 0, 2])
 def test_square_loop_at_the_packing_width(k, n, r):
-    """Every coefficient +-(2^k - 1) in each coordinate (r None) or at r
-    and r + 3 only, signs alternating: the middle digit of the square
-    collects n term products, as large as the width bound allows."""
+    """Every coefficient +-(2^k - 1) at r and r + 3 only, signs
+    alternating: the middle digit of the square collects n term products,
+    as large as the width bound allows.  With every coordinate set (r
+    None) no t^r * Q(theta) holds the list, and the square goes term by
+    term."""
     ring = RingPresentation(CYCLO, ("x", "y"))
     top = (1 << k) - 1
     f = ring.poly({
         (i, n - 1 - i): CycloNum([(-1) ** i * top if r is None or j % 3 == r else 0 for j in range(6)])
         for i in range(n)
     })
-    assert _lowered_square(f) == _schoolbook(f, f)
     d = (1 << 127) - 1
     scaled = Poly(ring, {m: c * CYCLO.coerce(Fraction(1, d)) for m, c in f.terms})
-    assert _lowered_square(scaled) == _schoolbook(scaled, scaled)
+    if r is not None:
+        assert _lowered_square(f) == _schoolbook(f, f)
+        assert _lowered_square(scaled) == _schoolbook(scaled, scaled)
     assert (scaled * scaled).terms == _schoolbook(scaled, scaled).terms
 
 
@@ -1014,12 +1072,13 @@ def test_diagonals_that_cancel_to_zero(domain):
     """With u = x^3 / y^3, (1 + u + ... + u^5)(1 - u + ... - u^5) y^30 z is
     (1 + u^2 + u^4 - u^6 - u^8 - u^10) y^30 z: the five odd digits of its
     big-int product cancel to 0 and drop out, and the even ones are lowered
-    in order."""
+    in order.  QQ lifts nothing and goes term by term, to the same result;
+    the rational integers of Q(zeta_9) lie in t^0 * Q(theta) and lift."""
     ring = RingPresentation(domain, ("x", "y", "z"))
     f = _form(ring, [1] * 6, 3, (0, 0, 1))
     g = _form(ring, [1, -1] * 3, 3, (0, 0, 0))
     fg, gf, packed = _loops_taken(f, g)
-    assert packed == 2
+    assert packed == (0 if domain == QQ else 2)
     expected = ring.parse("(y^30 + x^6*y^24 + x^12*y^18 - x^18*y^12 - x^24*y^6 - x^30)*z")
     assert fg == gf == _schoolbook(f, g) == expected
     assert len(fg.terms) == 6
@@ -1293,19 +1352,3 @@ def test_shifted_linear_combination_refuses_overflow_and_foreign_rings(qq_ring):
     for shift in (0, qq_ring.order.key((0, 1, 0))):
         with pytest.raises(ValueError, match="incompatible"):
             Poly.linear_combination(qq_ring, [(QQ.one, 0, f), (QQ.one, shift, other.parse("a"))])
-
-
-@settings(max_examples=60, deadline=None)
-@given(problem=_products((QQ,), min_size=LIFT_MIN_TERMS), data=st.data())
-def test_rational_square_lifts_its_list_once(problem, data):
-    """``QQ.lift_pair(cs, cs)`` returns one list for both factors, and a
-    QQ square ``f * f`` of at least LIFT_MIN_TERMS terms, on the dict loop
-    or (as a form) squared as one packed int, equals the schoolbook square."""
-    f, _ = problem
-    cs = [c for _, c in f.terms]
-    xs, ys, _ = QQ.lift_pair(cs, cs)
-    assert ys is xs
-    assert xs == QQ.lift_pair(cs, list(cs))[0]
-    assert (f * f).terms == _schoolbook(f, f).terms
-    form = _form(RingPresentation(QQ, ("x", "y", "z")), cs, data.draw(st.integers(1, 3)), (0, 0, 0))
-    assert (form * form).terms == _schoolbook(form, form).terms
