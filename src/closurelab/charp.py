@@ -124,11 +124,14 @@ def tight_closure_witness(f: Poly, gens, c: Poly, e_max: int) -> list[bool]:
     ]
 
 
-def monomials_of_degree(ring: RingPresentation, d: int, lex_names=("x", "y", "z")):
+_LEX_NAMES = ("x", "y", "z")
+
+
+def monomials_of_degree(ring: RingPresentation, d: int):
     """Degree-d monomials in graded-lex order with x > y > z."""
-    idx = [ring.variables.index(v) for v in lex_names]
+    idx = [ring.variables.index(v) for v in _LEX_NAMES]
     seen = []
-    for combo in combinations_with_replacement(range(len(lex_names)), d):
+    for combo in combinations_with_replacement(range(len(_LEX_NAMES)), d):
         e = [0] * len(ring.variables)
         for c in combo:
             e[idx[c]] += 1

@@ -193,12 +193,12 @@ def run_tower_trace(config: dict) -> ExperimentReport:
     ring = level.ring
     basis = tower.relation_basis(1)
     checks = []
-    pi_one = tower.trace_retraction(1, ring.one())
+    pi_one = tower.trace_retraction(ring.one())
     checks.append(_check("trace/unit_fixed", pi_one == ring.one(), value=format_poly(pi_one)))
-    pi_x1 = tower.trace_retraction(1, ring.var("x1"))
+    pi_x1 = tower.trace_retraction(ring.var("x1"))
     checks.append(_check("trace/new_generator_killed", pi_x1.is_zero(), value=format_poly(pi_x1)))
     z2 = tower.z2_image(1)
-    pi_z2 = tower.trace_retraction(1, z2)
+    pi_z2 = tower.trace_retraction(z2)
     checks.append(
         _check(
             "trace/embedded_subring_fixed",
@@ -213,9 +213,9 @@ def run_tower_trace(config: dict) -> ExperimentReport:
         s = _random_level_poly(rng, ring)
         a = _random_level_poly(rng, base_ring, max_exp=3, terms=3)
         ea = tower.embed(a, 0, 1)
-        pi_s = tower.trace_retraction(1, s)
-        idempotent &= tower.trace_retraction(1, pi_s) == pi_s
-        lhs = tower.trace_retraction(1, ea * s)
+        pi_s = tower.trace_retraction(s)
+        idempotent &= tower.trace_retraction(pi_s) == pi_s
+        lhs = tower.trace_retraction(ea * s)
         rhs = normal_form(ea * pi_s, basis)
         linear &= normal_form(lhs - rhs, basis).is_zero()
     checks.append(_check("trace/idempotent", idempotent, pairs=cfg["pairs"]))

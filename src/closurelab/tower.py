@@ -15,18 +15,19 @@ compose on demand, so every Groebner computation stays in three variables.
 The tower is self-similar: every step has the same defining system, and the
 weights 3^-n of every level scale to (1, 1, 1), so a monomial packs into the
 same int at every level.  A_n over A_k is therefore A_(n-k) over A_0 with
-the variables renamed.  A_1 alone parses its relation and solves the
-system; every higher level is A_1 renamed.  The images of depth d = n - k,
-their powers (``power_table``) and the probe's cofactors
+the variables renamed, and the engine works by depth d = n - k: A_0 parses
+the relation, which every level moves in under its names (``Poly.moved``);
+``variable_images(0, 1)`` solves the defining system once; and the images
+of depth d, their powers (``power_table``) and the probe's cofactors
 (``_probe_cofactors``) are each formed once, in the lowest ring that holds
-them, and moved up (``Poly.moved``) wherever they are read.
+them, and moved up wherever they are read.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .coefficients import CYCLO, THETA, CycloNum
 from .groebner import (
@@ -50,10 +51,8 @@ def level_variables(n: int) -> tuple[str, str, str]:
     return (f"z{n}", f"x{n}", f"y{n}")
 
 
-class TowerLevel(namedtuple("TowerLevel", "n ring embed_prev")):
-    """Level-n ring with the images of the previous level's variables:
-    ``embed_prev`` maps each previous-level variable name to a Poly here
-    (None at level 0)."""
+class TowerLevel(namedtuple("TowerLevel", "n ring")):
+    """Level-n ring; ``variable_images(n - 1, n)`` embeds the level below."""
 
     __slots__ = ()
 
@@ -64,62 +63,26 @@ class TowerLevel(namedtuple("TowerLevel", "n ring embed_prev")):
 
 @lru_cache(maxsize=None)
 def build_level(n: int) -> TowerLevel:
-    """Construct A_n; for n >= 1 also the embedding of A_(n-1).
-
-    A_1 parses its relation and solves the defining system, and checks
-    that the solve recovers it exactly.  Every level's weights scale to
-    (1, 1, 1), so for n >= 2 the relation and the embedding are A_1's,
-    moved into A_n (``Poly.moved``) under the level-n names: no parse and
-    no solve.  ``verify_level(n)`` still checks all three identities at
-    every level."""
+    """A_n: A_0 parses its relation, and every higher level moves it in
+    under the level-n names (``Poly.moved``), since every level's weights
+    scale to (1, 1, 1)."""
     if n < 0:
         raise ValueError("level index must be >= 0")
-    zv, xv, yv = level_variables(n)
-    weights = (Fraction(1, 3 ** n),) * 3
-    if n >= 2:
-        first = build_level(1)
-        ring = RingPresentation(CYCLO, (zv, xv, yv), weights, relations=first.ring.relations)
-        names = dict(zip(level_variables(0), level_variables(n - 1)))
-        embed = {names[v]: img.moved(ring) for v, img in first.embed_prev.items()}
-        return TowerLevel(n, ring, embed)
-    ring = RingPresentation(
-        CYCLO,
-        (zv, xv, yv),
-        weights,
-        relations=[f"{zv}^3 + t^3*{xv}^3 + t^6*{yv}^3"],
-    )
-    if n == 0:
-        return TowerLevel(0, ring, None)
-    # invert [[zeta, zeta^2], [zeta, zeta^5]] acting on (x, y)
-    a = CycloNum.zeta_power(_FORM_EXPONENTS[0][0])
-    b = CycloNum.zeta_power(_FORM_EXPONENTS[0][1])
-    c = CycloNum.zeta_power(_FORM_EXPONENTS[1][0])
-    d = CycloNum.zeta_power(_FORM_EXPONENTS[1][1])
-    det = a * d - b * c
-    det_inv = det.inverse()
-    xcube = ring.var(xv) ** 3
-    ycube = ring.var(yv) ** 3
-    x_img = xcube * (d * det_inv) - ycube * (b * det_inv)
-    y_img = ycube * (a * det_inv) - xcube * (c * det_inv)
-    z_img = -(ring.var(xv) * ring.var(yv) * ring.var(zv))
-    embed = {"x": x_img, "y": y_img, "z": z_img}
-    # the defining system must be recovered exactly
-    if xcube != x_img * a + y_img * b or ycube != x_img * c + y_img * d:
-        raise VerificationError("embedding solve failed at level 1")
-    return TowerLevel(1, ring, embed)
+    names = level_variables(n)
+    relation = build_level(0).ring.relations[0] if n else "z^3 + t^3*x^3 + t^6*y^3"
+    ring = RingPresentation(CYCLO, names, (Fraction(1, 3 ** n),) * 3, relations=[relation])
+    return TowerLevel(n, ring)
 
 
 @lru_cache(maxsize=None)
 def variable_images(k: int, n: int) -> dict:
     """Images of the level-k variables inside the level-n ring (k <= n).
 
-    Every level has the same defining system, and every level's weights
-    scale to (1, 1, 1), so its packed keys are the same ints: A_n over A_k
-    is A_(n-k) over A_0 with the variables renamed.  So for k > 0 the
-    images are the depth-(n - k) ones, ``variable_images(0, n - k)``,
-    moved into A_n (``Poly.moved``) under the level-k names.  For k = 0
-    and n >= 2 they are A_1's images of x, y, z with x_1, y_1, z_1 sent on
-    to A_n, through the powers of depth n - 1."""
+    A_n over A_k is A_(n-k) over A_0 with the variables renamed, so for
+    k > 0 the images are the depth-(n - k) ones, ``variable_images(0, n -
+    k)``, moved into A_n under the level-k names.  For k = 0, A_1 solves
+    the defining system and checks that the solve recovers it exactly, and
+    from n = 2 on the images are A_1's, embedded into A_n."""
     if k > n:
         raise ValueError("can only embed lower levels into higher ones")
     ring = build_level(n).ring
@@ -128,12 +91,24 @@ def variable_images(k: int, n: int) -> dict:
         return {vk: images[v].moved(ring) for vk, v in zip(level_variables(k), level_variables(0))}
     if n == 0:
         return {v: ring.var(v) for v in level_variables(0)}
-    one_step = build_level(1).embed_prev
-    if n == 1:
-        return dict(one_step)
-    higher = variable_images(1, n)
-    power = image_powers(1, n)
-    return {v: img.substitute(higher, ring, power) for v, img in one_step.items()}
+    if n >= 2:
+        return {v: embed(img, 1, n) for v, img in variable_images(0, 1).items()}
+    # invert [[zeta, zeta^2], [zeta, zeta^5]] acting on (x, y)
+    a = CycloNum.zeta_power(_FORM_EXPONENTS[0][0])
+    b = CycloNum.zeta_power(_FORM_EXPONENTS[0][1])
+    c = CycloNum.zeta_power(_FORM_EXPONENTS[1][0])
+    d = CycloNum.zeta_power(_FORM_EXPONENTS[1][1])
+    det = a * d - b * c
+    det_inv = det.inverse()
+    z1, x1, y1 = (ring.var(v) for v in level_variables(1))
+    xcube = x1 ** 3
+    ycube = y1 ** 3
+    x_img = xcube * (d * det_inv) - ycube * (b * det_inv)
+    y_img = ycube * (a * det_inv) - xcube * (c * det_inv)
+    # the defining system must be recovered exactly
+    if xcube != x_img * a + y_img * b or ycube != x_img * c + y_img * d:
+        raise VerificationError("embedding solve failed at level 1")
+    return {"x": x_img, "y": y_img, "z": -(x1 * y1 * z1)}
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +116,7 @@ def power_table(d: int) -> dict:
     """Powers of the depth-d images, those of x, y, z in A_d, keyed
     (level-0 variable, exponent).  Since A_(k+d) over A_k is A_d over A_0
     renamed, this one table serves every level pair (k, k + d), and each
-    power of a depth-d image is formed once per run.  ``image_powers``
+    power of a depth-d image is formed once per run.  ``image_power``
     fills it on demand through ``cached_power``: an odd power is the
     previous entry times the image, an even one the half entry squared, so
     the square behind each cube that ``variable_images`` forms stays for
@@ -150,27 +125,14 @@ def power_table(d: int) -> dict:
     return {}
 
 
-@lru_cache(maxsize=None)
-def image_powers(k: int, n: int):
-    """The accessor (v, e) -> (image of the level-k variable v in A_n)^e:
-    the depth-(n - k) table's entry for the level-0 variable in v's place,
+def image_power(k: int, n: int, v: str, e: int) -> Poly:
+    """The image of the level-k variable ``v`` in A_n, to the power e: the
+    depth-(n - k) table's entry for the level-0 variable in v's place,
     moved into A_n."""
     d = n - k
-    table = power_table(d)
-    images = variable_images(0, d)
-    ring = build_level(n).ring
-    base = dict(zip(level_variables(k), level_variables(0)))
-
-    def power(v: str, e: int) -> Poly:
-        v = base[v]
-        return cached_power(table, v, images[v], e).moved(ring)
-
-    return power
-
-
-def image_power(k: int, n: int, v: str, e: int) -> Poly:
-    """The image of the level-k variable ``v`` in A_n, to the power e."""
-    return image_powers(k, n)(v, e)
+    v = v[0]  # a level-k name is the level-0 name followed by k
+    power = cached_power(power_table(d), v, variable_images(0, d)[v], e)
+    return power.moved(build_level(n).ring)
 
 
 def embed(f: Poly, from_level: int, to_level: int) -> Poly:
@@ -178,7 +140,8 @@ def embed(f: Poly, from_level: int, to_level: int) -> Poly:
     if from_level == to_level:
         return f
     images = variable_images(from_level, to_level)
-    return f.substitute(images, build_level(to_level).ring, image_powers(from_level, to_level))
+    power = partial(image_power, from_level, to_level)
+    return f.substitute(images, build_level(to_level).ring, power)
 
 
 @lru_cache(maxsize=None)
@@ -187,10 +150,10 @@ def relation_basis(n: int) -> tuple[Poly, ...]:
     return build_level(n).ring.relations
 
 
-def valuation(f: Poly, level: TowerLevel) -> Fraction | None:
-    """Minimal weighted degree of the normal form; None (infinite) iff f is 0
-    in A_n."""
-    nf = normal_form(f, relation_basis(level.n))
+def valuation(f: Poly) -> Fraction | None:
+    """Minimal weighted degree of the normal form modulo f's level
+    relation; None (infinite) iff f is 0 in that level."""
+    nf = normal_form(f, f.ring.relations)
     if nf.is_zero():
         return None
     return nf.min_degree()
@@ -220,10 +183,10 @@ def verify_level(n: int) -> list[IdentityCheck]:
     """
     if n < 1:
         raise ValueError("verify_level needs n >= 1")
-    level = build_level(n)
-    ring = level.ring
-    zp, xp, yp = level_variables(n - 1)
-    X, Y, Z = level.embed_prev[xp], level.embed_prev[yp], level.embed_prev[zp]
+    ring = build_level(n).ring
+    _, xp, yp = level_variables(n - 1)
+    images = variable_images(n - 1, n)
+    X, Y = images[xp], images[yp]
     theta = THETA
     checks = []
 
@@ -342,14 +305,10 @@ def colon_probe(n: int, full_colon_max_level: int = 2) -> ColonProbe:
     witness = MembershipCertificate(target, (X0, Y0, rel), (u, v, ring.zero()))
     witness.check()
 
-    val_x = valuation(xn, level)
+    val_x = valuation(xn)
     zp = variable_images(n - 1, n)[level_variables(n - 1)[0]]
-    lhs = valuation(zp, level)
-    rhs = (
-        val_x,
-        valuation(level.var("y"), level),
-        valuation(level.var("z"), level),
-    )
+    lhs = valuation(zp)
+    rhs = (val_x, valuation(level.var("y")), valuation(level.var("z")))
     if lhs != sum(rhs):
         raise VerificationError(f"valuation recurrence fails at level {n}")
 
@@ -357,7 +316,7 @@ def colon_probe(n: int, full_colon_max_level: int = 2) -> ColonProbe:
     if n <= full_colon_max_level:
         gens = colon([X0, Y0], z2_image(n), ring)
         # the reduced basis contains relation multiples, which are 0 in A_n
-        vals = [valuation(g, level) for g in gens]
+        vals = [valuation(g) for g in gens]
         min_val = min((v for v in vals if v is not None), default=None)
         full = (tuple(format_poly(g) for g in gens), min_val)
 
@@ -395,7 +354,7 @@ class NotInImageError(RuntimeError):
     """The averaged element failed to rewrite over the embedded subring."""
 
 
-def trace_retraction(n: int, s: Poly) -> Poly:
+def trace_retraction(s: Poly) -> Poly:
     """Group-average projection pi(s) = (1/9) * sum over the (Z/3)^2 action
     x1 -> theta^a x1, y1 -> theta^b y1, z1 -> theta^(-a-b) z1.
 
@@ -404,8 +363,6 @@ def trace_retraction(n: int, s: Poly) -> Poly:
     exactly the invariant monomials.  The result is returned in canonical
     level-1 form after checking it rewrites over the embedded copy of A.
     """
-    if n != 1:
-        raise ValueError("the retraction is implemented for level 1 only")
     level = build_level(1)
     if not s.ring.compatible(level.ring):
         raise ValueError("element does not live in the level-1 ring")
@@ -481,12 +438,9 @@ def contradiction_bound(delta: Fraction, vz: Fraction) -> ContradictionBound:
     if delta <= 0 or vz <= 0:
         raise ValueError("delta and v(z) must be positive")
     ratio = (vz / delta - 1) / 2
+    # ratio >= -1/2 is exact and int() truncates it toward 0, so this is
+    # the least N >= 1 above ratio: (2N+1) * delta > v(z) and no smaller N
     n = max(1, int(ratio) + 1)
-    # exact boundary: (2N+1) delta must exceed vz strictly
-    while (2 * n + 1) * delta <= vz:
-        n += 1
-    while n > 1 and (2 * (n - 1) + 1) * delta > vz:
-        n -= 1
     bounds = []
     current = 3 * delta
     for _ in range(n):

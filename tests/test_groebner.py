@@ -499,8 +499,8 @@ class TestWorkCounters:
         assert counts == {"lifted": 45, "kronecker": 6, "square": 6}
 
     def test_unit_shifts_and_norm_inversions_are_pinned(self, monkeypatch):
-        """In a cold ``tower-colon --max-level 5``, 49 ``mul_term`` calls
-        multiply by a unit +-t^k and shift 415 coefficients, where each
+        """In a cold ``tower-colon --max-level 5``, 42 ``mul_term`` calls
+        multiply by a unit +-t^k and shift 408 coefficients, where each
         was a CycloNum product; the norm formula inverts 14 distinct
         elements, the other 44 of its 58 calls read its cache."""
         counts = {"shifts": 0, "shifted": 0, "norm": 0}
@@ -526,7 +526,7 @@ class TestWorkCounters:
         monkeypatch.setattr(CyclotomicField9, "unit_shift", counted_unit_shift)
         monkeypatch.setattr(coefficients, "_norm_inverse", counted_norm)
         _cold_run([("tower-colon", {"max_level": 5})])
-        assert counts == {"shifts": 49, "shifted": 415, "norm": 58}
+        assert counts == {"shifts": 42, "shifted": 408, "norm": 58}
         assert norm.cache_info().misses == 14
 
     def test_no_unit_reaches_the_norm_formula(self, monkeypatch):

@@ -55,43 +55,45 @@ def _solved_level(n):
 class TestBuildLevel:
     def test_level_zero_has_no_embedding(self):
         level = tower.build_level(0)
-        assert level.embed_prev is None
         assert level.ring.weights == (Fraction(1),) * 3
 
     def test_embedding_of_z(self):
         level = tower.build_level(1)
         z1, x1, y1 = (level.ring.var(v) for v in ("z1", "x1", "y1"))
-        assert level.embed_prev["z"] == -(x1 * y1 * z1)
+        assert tower.variable_images(0, 1)["z"] == -(x1 * y1 * z1)
 
     def test_embedding_of_y_matches_solved_system(self):
         level = tower.build_level(1)
         ring = level.ring
         denom = (CycloNum.zeta_power(2) - CycloNum.zeta_power(5)).inverse()
         expected = (ring.var("x1") ** 3 - ring.var("y1") ** 3) * denom
-        assert level.embed_prev["y"] == expected
+        assert tower.variable_images(0, 1)["y"] == expected
 
     def test_defining_system_recovered_exactly(self):
         for n in range(1, 7):
             level = tower.build_level(n)
             zv, xv, yv = tower.level_variables(n)
             zp, xp, yp = tower.level_variables(n - 1)
-            X, Y = level.embed_prev[xp], level.embed_prev[yp]
+            images = tower.variable_images(n - 1, n)
+            X, Y = images[xp], images[yp]
             assert level.ring.var(xv) ** 3 == X * CycloNum.zeta_power(1) + Y * CycloNum.zeta_power(2)
             assert level.ring.var(yv) ** 3 == X * CycloNum.zeta_power(1) + Y * CycloNum.zeta_power(5)
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_renamed_level_is_the_solved_level(self, n):
-        """Levels from 2 on are A_1's relation and embedding moved under
-        the level-n names; each equals a parse and a solve in A_n itself."""
+        """Levels from 1 on are A_0's relation moved under the level-n
+        names, and their embedding A_1's solve moved; each equals a parse
+        and a solve in A_n itself."""
         level = tower.build_level(n)
         ring, embed = _solved_level(n)
+        images = tower.variable_images(n - 1, n)
         assert level.ring.variables == ring.variables
         assert level.ring.weights == ring.weights
         assert level.ring.relations[0].terms == ring.relations[0].terms
-        assert set(level.embed_prev) == set(embed)
+        assert set(images) == set(embed)
         for v, img in embed.items():
-            assert level.embed_prev[v].ring is level.ring
-            assert level.embed_prev[v].terms == img.terms
+            assert images[v].ring is level.ring
+            assert images[v].terms == img.terms
 
     def test_weights_shrink_by_three(self):
         for n in range(4):
@@ -131,18 +133,17 @@ class TestValuation:
         for n in (0, 1, 2, 3):
             level = tower.build_level(n)
             for base in ("x", "y", "z"):
-                assert tower.valuation(level.var(base), level) == Fraction(1, 3 ** n)
+                assert tower.valuation(level.var(base)) == Fraction(1, 3 ** n)
 
     def test_embedded_z_has_valuation_one(self):
-        level = tower.build_level(1)
         z_img = tower.embed(tower.build_level(0).ring.parse("z"), 0, 1)
-        assert tower.valuation(z_img, level) == Fraction(1)
+        assert tower.valuation(z_img) == Fraction(1)
 
     def test_zero_is_infinite(self):
         level = tower.build_level(1)
-        v = tower.valuation(level.ring.zero(), level)
+        v = tower.valuation(level.ring.zero())
         assert v is None
-        assert tower.valuation(level.ring.relations[0], level) is None
+        assert tower.valuation(level.ring.relations[0]) is None
 
     def test_multiplicativity_and_ultrametric(self):
         rng = random.Random(8)
@@ -151,29 +152,27 @@ class TestValuation:
             for _ in range(25):
                 f = rand_poly(rng, level.ring, max_exp=3, terms=3)
                 g = rand_poly(rng, level.ring, max_exp=3, terms=3)
-                vf, vg = tower.valuation(f, level), tower.valuation(g, level)
-                vfg = tower.valuation(f * g, level)
+                vf, vg = tower.valuation(f), tower.valuation(g)
+                vfg = tower.valuation(f * g)
                 assert vf is not None and vg is not None
                 assert vfg == vf + vg
-                vsum = tower.valuation(f + g, level)
+                vsum = tower.valuation(f + g)
                 assert vsum is None or vsum >= min(vf, vg)
 
     def test_compatibility_with_embedding(self):
         rng = random.Random(12)
         for n in (1, 2):
             low = tower.build_level(n - 1)
-            high = tower.build_level(n)
             for _ in range(10):
                 f = rand_homogeneous(rng, low.ring)
-                v_low = tower.valuation(f, low)
-                v_high = tower.valuation(tower.embed(f, n - 1, n), high)
+                v_low = tower.valuation(f)
+                v_high = tower.valuation(tower.embed(f, n - 1, n))
                 assert v_low == v_high
 
     def test_decay_recurrence(self):
         for n in (1, 2, 3):
-            level = tower.build_level(n)
             zp = tower.variable_images(n - 1, n)[tower.level_variables(n - 1)[0]]
-            lhs = tower.valuation(zp, level)
+            lhs = tower.valuation(zp)
             assert lhs == Fraction(3, 3 ** n) == Fraction(1, 3 ** (n - 1))
 
 
@@ -282,7 +281,7 @@ def _one_step_images(k, n, memo):
             images = {v: ring.var(v) for v in tower.level_variables(n)}
         else:
             higher = _one_step_images(k + 1, n, memo)
-            images = {v: img.substitute(higher, ring) for v, img in tower.build_level(k + 1).embed_prev.items()}
+            images = {v: img.substitute(higher, ring) for v, img in tower.variable_images(k, k + 1).items()}
         memo[k, n] = images
     return memo[k, n]
 
@@ -342,11 +341,11 @@ class TestZ2Membership:
 class TestTraceRetraction:
     def test_unit(self):
         ring = tower.build_level(1).ring
-        assert tower.trace_retraction(1, ring.one()) == ring.one()
+        assert tower.trace_retraction(ring.one()) == ring.one()
 
     def test_character_eigenvector_killed(self):
         ring = tower.build_level(1).ring
-        assert tower.trace_retraction(1, ring.var("x1")).is_zero()
+        assert tower.trace_retraction(ring.var("x1")).is_zero()
 
     def test_embedded_elements_fixed(self):
         rng = random.Random(5)
@@ -355,7 +354,7 @@ class TestTraceRetraction:
         for _ in range(10):
             f = rand_poly(rng, base, max_exp=3, terms=3)
             ef = tower.embed(f, 0, 1)
-            assert normal_form(tower.trace_retraction(1, ef) - ef, basis).is_zero()
+            assert normal_form(tower.trace_retraction(ef) - ef, basis).is_zero()
 
     def test_idempotent_and_linear(self):
         rng = random.Random(6)
@@ -366,9 +365,9 @@ class TestTraceRetraction:
             s = rand_poly(rng, ring)
             a = rand_poly(rng, base, max_exp=3, terms=2)
             ea = tower.embed(a, 0, 1)
-            pi_s = tower.trace_retraction(1, s)
-            assert tower.trace_retraction(1, pi_s) == pi_s
-            lhs = tower.trace_retraction(1, ea * s)
+            pi_s = tower.trace_retraction(s)
+            assert tower.trace_retraction(pi_s) == pi_s
+            lhs = tower.trace_retraction(ea * s)
             assert normal_form(lhs - ea * pi_s, basis).is_zero()
 
     def test_agrees_with_literal_group_average(self):
@@ -387,12 +386,12 @@ class TestTraceRetraction:
                     }
                     acc = acc + s.substitute(images, ring)
             avg = acc * Fraction(1, 9)
-            assert normal_form(avg - tower.trace_retraction(1, s), basis).is_zero()
+            assert normal_form(avg - tower.trace_retraction(s), basis).is_zero()
 
     def test_wrong_level_rejected(self):
         ring = tower.build_level(2).ring
         with pytest.raises(ValueError):
-            tower.trace_retraction(2, ring.one())
+            tower.trace_retraction(ring.one())
 
 
 class TestContradictionBound:
