@@ -104,8 +104,8 @@ class TruncatedModel:
         picked = {}
         for _ in range(terms):
             # left to right: the draws come in the order z, x, y, coefficient
-            m = r(0, 3) * kz + r(0, max_degree + 1) * kx + r(0, max_degree + 1) * ky
-            picked[m] = r(0, q)
+            m = r(3) * kz + r(max_degree + 1) * kx + r(max_degree + 1) * ky
+            picked[m] = r(q)
         return self.canon(Poly(self.ring, picked))
 
 
@@ -194,20 +194,29 @@ def honest_oracle(m: TruncatedModel):
     x, y = m.x_key, m.y_key
 
     def step(i: int, residual: Poly):
-        pw = m.p ** (i - 1)
-        a_terms, b_terms = {}, {}
+        ring = m.ring
+        zero = ring.zero()
+        if not residual:
+            return zero, zero, zero
+        pw, q = m.p ** (i - 1), m.domain.modulus
+        a_terms, b_terms = [], []
         for mono, c in residual.terms:
             if order.divides(x, mono):
-                a_terms[mono - x] = c * pw
+                terms, mono = a_terms, mono - x
             elif order.divides(y, mono):
-                b_terms[mono - y] = c * pw
+                terms, mono = b_terms, mono - y
             else:
                 z = order.exponents(mono)[0]
                 raise LiftingObstructionError(
                     f"residual monomial z^{z} is outside (x, y): {format_poly(residual)}"
                 )
-        # the constructor reduces each c * p^(i-1) mod p^N
-        return m.canon(Poly(m.ring, a_terms)), m.canon(Poly(m.ring, b_terms)), m.ring.zero()
+            c = c * pw % q
+            if c:
+                terms.append((mono, c))
+        # each part keeps the residual's ascending keys, moved by one key
+        a = Poly._presorted(ring, tuple(a_terms))
+        b = Poly._presorted(ring, tuple(b_terms))
+        return m.canon(a), m.canon(b), zero
 
     return step
 
@@ -262,18 +271,22 @@ def _koszul_correct(m: TruncatedModel, i: int, a: Poly, b: Poly):
     setting y = 0 forces w|_(y=0) = 0, so L lies in (y) + (rel) exactly
     when y divides each of its monomials.  Then (a - t*y, b + t*x) is the
     corrected pair, and b + t*x must be divisible by p^(i-1) as well.
+    When L = 0 the canonical pair is already that pair and is returned as
+    it is.
     """
     q = m.p ** (i - 1)
     y = m.y_key
     order = m.ring.order
-    low = {mono: c % q for mono, c in a.terms if c % q}
-    if not all(order.divides(y, mono) for mono in low):
+    low = [(mono, r) for mono, c in a.terms if (r := c % q)]
+    if not all(order.divides(y, mono) for mono, _ in low):
         raise LiftingObstructionError(
             f"step {i}: a mod {m.p}^{i - 1} has a monomial outside (y): {format_poly(a)}"
         )
-    t = Poly(m.ring, {mono - y: c for mono, c in low.items()})
-    a = m.combine([(1, 0, a), (-1, y, t)])
-    b = m.combine([(1, 0, b), (1, m.x_key, t)])
+    if low:
+        # a's keys moved by one key stay ascending, and each r < q <= p^N
+        t = Poly._presorted(m.ring, tuple([(mono - y, r) for mono, r in low]))
+        a = m.combine([(1, 0, a), (-1, y, t)])
+        b = m.combine([(1, 0, b), (1, m.x_key, t)])
     if m.coeff_val_floor(b) < i - 1:
         raise LiftingObstructionError(
             f"step {i}: the Koszul syzygy does not reproduce b modulo {m.p}^{i - 1}"

@@ -44,8 +44,9 @@ the lifted product starts to beat term-by-term arithmetic on dense
 homogeneous factors at tower coefficient sizes.
 
 Residues mod p^N are plain ints, reduced modulo the domain's ``modulus``
-once per output coefficient: in the constructor, in ``mul_term`` (scalar
-and one-term products) and in the division step.  Over QQ and Q(zeta_9)
+once per output coefficient: in the constructor, in negation, in
+``mul_term`` (scalar and one-term products, ``monic``) and in the
+division step.  Over QQ and Q(zeta_9)
 ``modulus`` is None and nothing is reduced.
 """
 
@@ -176,6 +177,7 @@ class RingPresentation:
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
         self.order = WeightedGrevlex(self.weights, block)
+        self._zero = Poly._presorted(self, ())
         n = len(self.variables)
         self._var_keys = {
             v: self.order.key(tuple(int(j == i) for j in range(n))) for i, v in enumerate(self.variables)
@@ -192,7 +194,8 @@ class RingPresentation:
     # -- construction helpers ------------------------------------------------
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        """The ring's one zero polynomial, shared: a Poly never changes."""
+        return self._zero
 
     def one(self) -> "Poly":
         return self.const(self.domain.one)
@@ -245,23 +248,26 @@ class Poly:
     as ints), with no zero coefficient; the zero polynomial is the empty
     tuple.
 
-    The constructor takes a dict packed monomial -> coefficient, sorts the
-    ints, reduces each coefficient modulo the domain's ``modulus`` when it
-    has one (residues arrive as raw int sums and products) and drops zero
-    coefficients; ``RingPresentation.poly`` builds one from exponent
-    tuples."""
+    The constructor takes a dict packed monomial -> coefficient and builds
+    the terms in one pass over the sorted ints: it reduces each coefficient
+    modulo the domain's ``modulus`` when it has one (residues arrive as raw
+    int sums and products) and drops zero coefficients; an empty dict is
+    the empty tuple at once.  ``RingPresentation.poly`` builds one from
+    exponent tuples, and ``RingPresentation.zero`` is one shared zero per
+    ring."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: RingPresentation, terms: dict):
         self.ring = ring
-        monos = sorted(terms)
+        if not terms:
+            self.terms = ()
+            return
         mod = ring.domain.modulus
         if mod:
-            coeffs = [terms[m] % mod for m in monos]
+            self.terms = tuple([(m, c) for m in sorted(terms) if (c := terms[m] % mod)])
         else:
-            coeffs = map(terms.__getitem__, monos)
-        self.terms = tuple(filter(_coefficient, zip(monos, coeffs)))
+            self.terms = tuple([(m, c) for m in sorted(terms) if (c := terms[m])])
 
     @classmethod
     def _presorted(cls, ring: RingPresentation, terms: tuple) -> "Poly":
@@ -285,7 +291,9 @@ class Poly:
         equal to the domain's ``one`` is not multiplied; residues are
         reduced once, by the constructor.  When some part is shifted, one
         OR over the output keys checks every exponent field, as
-        ``mul_term`` does (``OverflowError``)."""
+        ``mul_term`` does (``OverflowError``).  A part with no terms adds
+        nothing once its ring is checked, and a sum of such parts is the
+        ring's shared zero."""
         out = {}
         get = out.get
         one = ring.domain.one
@@ -293,17 +301,22 @@ class Poly:
         for c, m, f in parts:
             if f.ring is not ring and not ring.compatible(f.ring):
                 raise ValueError("polynomials from incompatible rings")
+            terms = f.terms
+            if not terms:
+                continue
             shifted |= m
             if c == one:
-                for k, a in f.terms:
+                for k, a in terms:
                     k += m
                     s = get(k)
                     out[k] = a if s is None else s + a
             else:
-                for k, a in f.terms:
+                for k, a in terms:
                     k += m
                     s = get(k)
                     out[k] = c * a if s is None else s + c * a
+        if not out:
+            return ring.zero()
         if shifted:
             ring.order.check_fields(reduce(or_, out, 0))
         return cls(ring, out)
@@ -372,7 +385,11 @@ class Poly:
         return self.ring.const(other)
 
     def __neg__(self):
-        return Poly(self.ring, {m: -c for m, c in self.terms})
+        # the negative of a nonzero coefficient is nonzero: the order stays
+        mod = self.ring.domain.modulus
+        if mod:
+            return Poly._presorted(self.ring, tuple([(m, -c % mod) for m, c in self.terms]))
+        return Poly._presorted(self.ring, tuple([(m, -c) for m, c in self.terms]))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -487,18 +504,21 @@ class Poly:
     def monic(self) -> "Poly":
         if not self.terms:
             return self
-        inv = self.ring.domain.inv(self.lc())
-        return Poly(self.ring, {m: c * inv for m, c in self.terms})
+        # a unit factor keeps the terms in order (``mul_term``)
+        return self.mul_term(0, self.ring.domain.inv(self.lc()))
 
-    def substitute(self, images: dict, target: RingPresentation | None = None, power=None) -> "Poly":
+    def substitute(
+        self, images: dict | None = None, target: RingPresentation | None = None, power=None
+    ) -> "Poly":
         """Ring-map style substitution: each variable goes to its image Poly
         (missing variables map to the same-named variable of the target).
 
         ``power(v, e)`` returns the image of variable ``v`` to the power e.
-        A caller that keeps the powers of ``images`` across calls passes
-        its own accessor, as the tower does for one table per depth; by
-        default ``cached_power`` forms them for this call only.  The terms
-        are summed by ``linear_combination``."""
+        A caller that keeps the powers of the images across calls passes
+        its own accessor and the target ring, and then needs no
+        ``images``, as the tower does for one table per depth; by default
+        ``cached_power`` forms the powers of ``images`` for this call only.
+        The terms are summed by ``linear_combination``."""
         ring = target or next(iter(images.values())).ring
         if power is None:
             powers = {}

@@ -139,9 +139,8 @@ def embed(f: Poly, from_level: int, to_level: int) -> Poly:
     """Image of a level-k element inside the level-n ring."""
     if from_level == to_level:
         return f
-    images = variable_images(from_level, to_level)
     power = partial(image_power, from_level, to_level)
-    return f.substitute(images, build_level(to_level).ring, power)
+    return f.substitute(target=build_level(to_level).ring, power=power)
 
 
 @lru_cache(maxsize=None)

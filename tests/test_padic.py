@@ -373,10 +373,14 @@ class TestWorkCount:
         """Polys built by one cold padic --precision 8 --samples 20 --seed 53
         run (the perfbench padic-stress op): each T_N identity is one linear
         combination whose x- and y-multiples are shifted keys, not Polys,
-        and each trace is verified once, by successive_approx, so the count
-        is 4164 (6853 when each multiple a * x was built as a Poly, 7557
-        when the experiment also verified every trace a second time, 12 415
-        when each identity was a chain of products and additions)."""
+        and each trace is verified once, by successive_approx; an honest
+        step on a zero residual and a linear combination of zero parts
+        return the ring's one shared zero, and a Koszul correction with no
+        low part returns its pair as it is, so the count is 2506 (4164 when
+        each of those zeros was a new Poly and each such pair was rebuilt,
+        6853 when each multiple a * x was built as a Poly, 7557 when the
+        experiment also verified every trace a second time, 12 415 when
+        each identity was a chain of products and additions)."""
         for cached in (padic.model, padic.regular_sequence_check, fermat_ring):
             cached.cache_clear()
         built = 0
@@ -397,7 +401,7 @@ class TestWorkCount:
         assert main("padic --precision 8 --samples 20 --seed 53".split()) == 0
         monkeypatch.undo()
         capsys.readouterr()
-        assert built == 4164
+        assert built == 2506
 
 
 class TestOracles:

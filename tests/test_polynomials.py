@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 from itertools import permutations
-from operator import add, le, sub
+from operator import add, itemgetter, le, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -1352,3 +1352,95 @@ def test_shifted_linear_combination_refuses_overflow_and_foreign_rings(qq_ring):
     for shift in (0, qq_ring.order.key((0, 1, 0))):
         with pytest.raises(ValueError, match="incompatible"):
             Poly.linear_combination(qq_ring, [(QQ.one, 0, f), (QQ.one, shift, other.parse("a"))])
+
+
+# ---------------------------------------------------------------------------
+# one-pass construction, the shared zero and terms kept in order
+
+
+def _filtered_constructor(ring, terms):
+    """The constructor as it was: a sorted key list, a list of residues,
+    then ``zip`` and ``filter`` to drop the zeros."""
+    monos = sorted(terms)
+    mod = ring.domain.modulus
+    if mod:
+        coeffs = [terms[m] % mod for m in monos]
+    else:
+        coeffs = map(terms.__getitem__, monos)
+    return tuple(filter(itemgetter(1), zip(monos, coeffs)))
+
+
+_PADIC_XY = RingPresentation(TruncatedPadicRing(5, 3), ("x", "y"))
+
+
+@st.composite
+def _raw_term_dicts(draw):
+    """A packed key -> coefficient dict over QQ, Q(zeta_9), F_p or Z/p^N,
+    possibly empty, with its keys in the order drawn (not sorted) and zero
+    coefficients; residues are raw ints, negative, out of range or
+    multiples of p^N that vanish."""
+    domain = draw(st.sampled_from([QQ, CYCLO, PrimeField(7), TruncatedPadicRing(5, 3), TruncatedPadicRing(2, 6)]))
+    ring = RingPresentation(domain, ("x", "y"))
+    q = domain.modulus
+    if q:
+        coeff = st.one_of(
+            st.integers(-3 * q, 3 * q),
+            st.builds(lambda u, j: u * domain.p ** j, st.integers(-q, q), st.integers(0, domain.precision)),
+        )
+    else:
+        coeff = st.one_of(_coefficients(domain, draw(st.integers(1, 60))), st.just(domain.zero))
+    mono = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(ring.order.key)
+    return ring, draw(st.dictionaries(mono, coeff, max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_raw_term_dicts())
+@example(problem=(_PADIC_XY, {}))
+@example(
+    problem=(
+        _PADIC_XY,
+        {_PADIC_XY.order.key(e): c for e, c in (((0, 1), 125), ((2, 0), -1), ((1, 0), 126), ((0, 0), -250))},
+    )
+)
+def test_constructor_matches_the_filtered_constructor(problem):
+    ring, terms = problem
+    assert Poly(ring, terms).terms == _filtered_constructor(ring, terms)
+
+
+def test_each_ring_has_one_shared_zero(qq_ring):
+    zero = qq_ring.zero()
+    assert zero is qq_ring.zero()
+    assert zero.ring is qq_ring and zero.terms == ()
+    assert zero == Poly(qq_ring, {}) == qq_ring.parse("x - x")
+    twin = RingPresentation(QQ, ("x", "y", "z"))
+    assert twin.zero() is not zero and twin.zero() == zero
+
+
+def test_linear_combination_refuses_a_zero_part_from_a_foreign_ring(qq_ring):
+    """A part with no terms adds nothing, but its ring is still checked."""
+    f = qq_ring.parse("x + y")
+    foreign = RingPresentation(QQ, ("a", "b")).zero()
+    for shift in (0, qq_ring.order.key((0, 1, 0))):
+        with pytest.raises(ValueError, match="incompatible"):
+            Poly.linear_combination(qq_ring, [(QQ.one, 0, f), (QQ.one, shift, foreign)])
+        assert Poly.linear_combination(qq_ring, [(QQ.one, 0, f), (QQ.one, shift, qq_ring.zero())]) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_raw_term_dicts())
+def test_negation_and_monic_match_their_dict_built_reference(problem):
+    """``-f`` and ``f.monic()`` keep f's order; each equals the Poly the
+    constructor builds from the dict of its coefficients."""
+    ring, terms = problem
+    f = Poly(ring, terms)
+    assert (-f).terms == Poly(ring, {m: -c for m, c in f.terms}).terms
+    if not f:
+        assert f.monic() is f
+        return
+    try:
+        inv = ring.domain.inv(f.lc())
+    except ZeroDivisionError:  # a leading residue divisible by p
+        with pytest.raises(ZeroDivisionError):
+            f.monic()
+        return
+    assert f.monic().terms == Poly(ring, {m: c * inv for m, c in f.terms}).terms

@@ -483,9 +483,11 @@ class TestPinnedFingerprints:
         "tower-trace --pairs 10": "08ae18a7bb80dc7e057b7090465e423c652ea6b7024f1dd0e3db02e238d14a28",
         # perfbench's tower-deep op: products of up to 82 terms over Q(zeta_9)
         "tower-colon --max-level 5": "63f622c944e870aa02c1303052a09b07fbed1a2957b3a7bd3a7d140efb1b5880",
-        # perfbench's charp-matrix op (every p) and its padic-stress op at seed 53
+        # perfbench's charp-matrix op (every p) and its padic-stress op at
+        # seeds 53 and 0; the random draws of a seeded run must not change
         "charp --p 0 --e-max 2 --deg-bound 3": "efc77164058fffbdeaa3777540705057c6a8ca17430bb7afef03cdb083d98eb5",
         "padic --precision 8 --samples 20 --seed 53": "4942a02e36cb93a60d5f84c5a1d6f0187fc1db745ae45275d16840847a3a8566",
+        "padic --precision 8 --samples 20 --seed 0": "e8ed49fc465045a9c92787b7cabc7d75b3034a6aa8f8e0c445c26054705a9089",
         # every experiment at its defaults, seed 0
         "all": "2f311f5d7111a9ae606f433400f2bd82028d74e875b3e475a315a24cc519f6d5",
     }
