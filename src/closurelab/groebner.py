@@ -97,18 +97,12 @@ class MembershipCertificate:
         }
 
 
-def _combination(quots, reps):
-    """The cofactor vector sum(q_i * reps_i) over the nonzero quotients q_i,
-    or None when every quotient is zero."""
-    acc = None
-    for q, rep in zip(quots, reps):
-        if q.is_zero():
-            continue
-        if acc is None:
-            acc = [q * r for r in rep]
-        else:
-            acc = [a + q * r for a, r in zip(acc, rep)]
-    return acc
+def _combination(ring: RingPresentation, parts, n: int) -> list:
+    """Per coordinate k < n, sum(c * x^m * r[k] for c, m, r in parts) over
+    cofactor vectors r, as one ``linear_combination``: an S-polynomial's
+    rows take its two shifted parts and a cofactor sum one part per term
+    of each quotient, so no product q * r[k] and no partial sum is built."""
+    return [Poly.linear_combination(ring, [(c, m, r[k]) for c, m, r in parts]) for k in range(n)]
 
 
 def _scaled(rep, c):
@@ -241,6 +235,7 @@ def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBas
     order = ring.order
     wdeg, divides, lcm_of = order.wdeg, order.divides, order.lcm_of_exponents
     exponents = order.exponents
+    one = dom.one
 
     def unit_rep(i: int) -> tuple:
         return tuple(ring.one() if j == i else ring.zero() for j in range(n_inputs))
@@ -309,9 +304,10 @@ def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBas
         rem, quots = _divide(poly, [t.poly for t in against], track=reps)
         if rep is None:
             return rem, None
-        used = _combination(quots, [t.rep for t in against])
-        if used is not None:
-            rep = [r - u for r, u in zip(rep, used)]
+        # rep - sum(q_i * rep_i), over the terms of every quotient
+        used = [(-c, m, t.rep) for q, t in zip(quots, against) for m, c in q.terms]
+        if used:
+            rep = _combination(ring, [(one, 0, rep), *used], n_inputs)
         return rem, rep
 
     while pairs:
@@ -322,11 +318,11 @@ def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBas
         mi = lcm - fi.poly.lm()
         mj = lcm - fj.poly.lm()
         ci = dom.inv(fi.poly.lc())
-        cj = dom.inv(fj.poly.lc())
-        spoly = fi.poly.mul_term(mi, ci) - fj.poly.mul_term(mj, cj)
+        ncj = -dom.inv(fj.poly.lc())
+        spoly = Poly.linear_combination(ring, ((ci, mi, fi.poly), (ncj, mj, fj.poly)))
         rep = None
         if reps:
-            rep = [ri.mul_term(mi, ci) - rj.mul_term(mj, cj) for ri, rj in zip(fi.rep, fj.rep)]
+            rep = _combination(ring, ((ci, mi, fi.rep), (ncj, mj, fj.rep)), n_inputs)
         rem, rep = reduce_tracked(spoly, rep, basis)
         if rem.is_zero():
             continue
@@ -372,7 +368,8 @@ def membership_with_basis(f: Poly, gb: GroebnerBasis):
     rem, quots = normal_form(f, gb, with_quotients=True)
     if not rem.is_zero():
         return False, None
-    cof = _combination(quots, gb.reps) or [f.ring.zero() for _ in gb.inputs]
+    parts = [(c, m, r) for q, r in zip(quots, gb.reps) for m, c in q.terms]
+    cof = _combination(f.ring, parts, len(gb.inputs))
     cert = MembershipCertificate(f, gb.inputs, cof)
     cert.check()
     return True, cert

@@ -43,6 +43,12 @@ domain does not lift, is multiplied term by term.  The threshold is where
 the lifted product starts to beat term-by-term arithmetic on dense
 homogeneous factors at tower coefficient sizes.
 
+``Poly.linear_combination`` is the one accumulator: a sum, a difference,
+a term-by-term product and Buchberger's S-polynomials and cofactor rows
+are each one linear combination, summed into one dict and sorted once.
+``cached_power`` is the one powering routine, for ``**``, the parser's
+``^`` and the power tables of substitution.
+
 Residues mod p^N are plain ints, reduced modulo the domain's ``modulus``
 once per output coefficient: in the constructor, in negation, in
 ``mul_term`` (scalar and one-term products, ``monic``) and in the
@@ -178,6 +184,7 @@ class RingPresentation:
             raise ValueError("weights must be positive")
         self.order = WeightedGrevlex(self.weights, block)
         self._zero = Poly._presorted(self, ())
+        self._one = Poly._presorted(self, ((0, domain.one),))
         n = len(self.variables)
         self._var_keys = {
             v: self.order.key(tuple(int(j == i) for j in range(n))) for i, v in enumerate(self.variables)
@@ -198,7 +205,8 @@ class RingPresentation:
         return self._zero
 
     def one(self) -> "Poly":
-        return self.const(self.domain.one)
+        """The ring's one constant polynomial 1, shared like the zero."""
+        return self._one
 
     def const(self, c) -> "Poly":
         # every exponent of a constant is 0, and so is its packed key
@@ -288,15 +296,16 @@ class Poly:
         and sorted once, where a loop ``out = out + c * (f * x^m)`` builds
         each multiple and copies and sorts the partial sum at each step
         (S. C. Johnson, "Sparse polynomial arithmetic", 1974).  A scalar
-        equal to the domain's ``one`` is not multiplied; residues are
-        reduced once, by the constructor.  When some part is shifted, one
-        OR over the output keys checks every exponent field, as
-        ``mul_term`` does (``OverflowError``).  A part with no terms adds
-        nothing once its ring is checked, and a sum of such parts is the
-        ring's shared zero."""
+        equal to the domain's ``one`` is not multiplied, and one equal to
+        ``-one`` subtracts; residues are reduced once, by the constructor.
+        When some part is shifted, one OR over the output keys checks every
+        exponent field, as ``mul_term`` does (``OverflowError``).  A part
+        with no terms adds nothing once its ring is checked, and a sum of
+        such parts is the ring's shared zero."""
         out = {}
         get = out.get
         one = ring.domain.one
+        minus_one = -one
         shifted = 0
         for c, m, f in parts:
             if f.ring is not ring and not ring.compatible(f.ring):
@@ -310,6 +319,11 @@ class Poly:
                     k += m
                     s = get(k)
                     out[k] = a if s is None else s + a
+            elif c == minus_one:
+                for k, a in terms:
+                    k += m
+                    s = get(k)
+                    out[k] = -a if s is None else s - a
             else:
                 for k, a in terms:
                     k += m
@@ -392,25 +406,17 @@ class Poly:
         return Poly._presorted(self.ring, tuple([(m, -c) for m, c in self.terms]))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms:
-            s = out.get(m)
-            out[m] = c if s is None else s + c
-        return Poly(self.ring, out)
+        one = self.ring.domain.one
+        return Poly.linear_combination(self.ring, ((one, 0, self), (one, 0, self._coerce(other))))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms:
-            s = out.get(m)
-            out[m] = -c if s is None else s - c
-        return Poly(self.ring, out)
+        one = self.ring.domain.one
+        return Poly.linear_combination(self.ring, ((one, 0, self), (-one, 0, self._coerce(other))))
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         """The product in ``self.ring``, by one of three paths.
@@ -424,8 +430,10 @@ class Poly:
           has key a0 + b0 + j * step and is digit j of the product of the
           two packed lists (``_kronecker``; D. Harvey 2009, R. Fateman
           2010), which for ``p * p`` squares one int, lowered back once.
-        - Every other product multiplies and adds the coefficients term by
-          term.
+        - Every other product is the linear combination of ``other``
+          shifted by each term of ``self`` and scaled by its coefficient
+          (``linear_combination``): one dict, the coefficient products
+          formed as ``c1 * c2`` with the factor of ``self`` first.
 
         A product monomial is the sum of the packed keys.  One OR over the
         output keys checks every exponent field (``OverflowError``).
@@ -454,23 +462,14 @@ class Poly:
                     # ascending keys and lowered (canonical) coefficients
                     terms = zip(keys, map(lower, _kronecker(xs, ys)))
                     return Poly._presorted(ring, tuple(filter(_coefficient, terms)))
-        out = {}
-        get = out.get
-        for m1, c1 in a:
-            for m2, c2 in b:
-                m = m1 + m2
-                s = get(m)
-                prod = c1 * c2
-                out[m] = prod if s is None else s + prod
-        ring.order.check_fields(reduce(or_, out, 0))
-        return Poly(ring, out)
+        return Poly.linear_combination(ring, [(c, m, other) for m, c in a])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not polynomials")
-        return square_and_multiply(self, n, mul)
+        return cached_power({}, None, self, n) if n else self.ring.one()
 
     def mul_term(self, mono: int, coeff) -> "Poly":
         """self * coeff * x^mono in ``self.ring``, for a packed ``mono``.  The
@@ -569,33 +568,22 @@ def _kronecker(xs: list, ys: list) -> list:
     return [from_bytes(raw[i:i + k], "little") - half for i in range(0, n * k, k)]
 
 
-def square_and_multiply(base: Poly, n: int, multiply) -> Poly:
-    """base ** n for n >= 0 from ``base.ring.one()``, by right-to-left
-    binary powering with ``multiply`` for every product."""
-    result = base.ring.one()
-    while n:
-        if n & 1:
-            result = multiply(result, base)
-        n >>= 1
-        if n:
-            base = multiply(base, base)
-    return result
-
-
-def cached_power(powers: dict, v, base: Poly, e: int) -> Poly:
-    """``base ** e`` through ``powers``, which maps (v, exponent) to that
-    power of ``base`` and is filled on the way: an odd power is the
+def cached_power(powers: dict, v, base: Poly, e: int, multiply=mul) -> Poly:
+    """``base ** e`` for e >= 1 through ``powers``, which maps (v, exponent)
+    to that power of ``base`` and is filled on the way: an odd power is the
     ``e - 1`` entry times ``base`` and an even one the ``e / 2`` entry
-    squared, so every power below ``e`` that it passes through is kept."""
+    squared, each product formed by ``multiply``, so every power below
+    ``e`` that it passes through is kept.  It is the one powering routine:
+    ``Poly.__pow__`` and the parser's ``^`` pass a fresh table."""
     p = powers.get((v, e))
     if p is None:
         if e == 1:
             p = base
         elif e & 1:
-            p = cached_power(powers, v, base, e - 1) * base
+            p = multiply(cached_power(powers, v, base, e - 1, multiply), base)
         else:
-            p = cached_power(powers, v, base, e >> 1)
-            p = p * p
+            p = cached_power(powers, v, base, e >> 1, multiply)
+            p = multiply(p, p)
         powers[v, e] = p
     return p
 
@@ -669,8 +657,8 @@ PRODUCT_DEGREE_LIMIT = 32
 # read PARSE_TEXT_LIMIT characters and PARSE_WORK_LIMIT term operations.  A
 # term operation is one term pair of a product or power, or one term read
 # by a sum or a negation.  (1+x+y+z)^32, the costliest factor that
-# PRODUCT_DEGREE_LIMIT admits, takes 974 072 of them, so a text holds one
-# such factor and not two
+# PRODUCT_DEGREE_LIMIT admits, takes 967 527 of them in its five squarings
+# (``cached_power``), so a text holds one such factor and not two
 PARSE_TEXT_LIMIT = 1 << 14
 PARSE_WORK_LIMIT = 1_000_000
 
@@ -782,7 +770,7 @@ class _Parser:
                 raise PolyParseError(f"exponent {n} is not below {EXP_LIMIT}")
             if len(base.terms) > 1:
                 self.check_degree(n * _total_degree(base))
-            return square_and_multiply(base, n, self.multiply)
+            return cached_power({}, None, base, n, self.multiply) if n else self.ring.one()
         return base
 
     @staticmethod

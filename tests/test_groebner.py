@@ -36,7 +36,7 @@ from closurelab.groebner import (
     normal_form,
 )
 from closurelab.polynomials import LIFT_MIN_TERMS, Poly, RingPresentation, WeightedGrevlex, format_poly
-from test_polynomials import _fraction_key, exponent_terms
+from test_polynomials import _dict_sum, _fraction_key, _schoolbook, exponent_terms
 
 
 def mono_divides(a, b):
@@ -323,6 +323,10 @@ class TestBuchbergerProperty:
         gb = groebner([ring.parse(g) for g in gens], ring, reps=True)
         text = json.dumps([[format_poly(c) for c in rep] for rep in gb.reps])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        # each row re-expands to its basis element, on exponent tuples
+        one = ring.domain.one
+        for g, rep in zip(gb.generators, gb.reps):
+            assert _dict_sum(ring, [(one, 0, _schoolbook(r, h)) for r, h in zip(rep, gb.inputs)]) == g
 
 
 def _package_modules():
@@ -471,10 +475,12 @@ class TestWorkCounters:
         progressions with one step, and is one big-int product
         (``_kronecker``): 18 products of distinct factors, which pass two
         lists, and the 7 squares that ``cached_power`` forms, which pass one
-        list twice.  ``isogeny --n 3`` makes 45 products of that size over
+        list twice.  ``isogeny --n 3`` makes 42 products of that size over
         ZZ and F_2: 6 squares of progressions over ZZ are big-int products,
-        and the other 39, whose keys are not progressions with one step, go
-        term by term."""
+        and the other 36, whose keys are not progressions with one step, go
+        term by term.  It made 45 when Buchberger summed each cofactor
+        update from products q * r; it now adds the terms of the quotients
+        in one linear combination per coordinate."""
         counts = {"lifted": 0, "kronecker": 0, "square": 0}
         mul = Poly.__mul__
         kronecker = polynomials._kronecker
@@ -496,13 +502,16 @@ class TestWorkCounters:
         assert counts == {"lifted": 25, "kronecker": 25, "square": 7}
         counts.update(lifted=0, kronecker=0, square=0)
         _cold_run([("isogeny", {"n": 3})])
-        assert counts == {"lifted": 45, "kronecker": 6, "square": 6}
+        assert counts == {"lifted": 42, "kronecker": 6, "square": 6}
 
     def test_unit_shifts_and_norm_inversions_are_pinned(self, monkeypatch):
-        """In a cold ``tower-colon --max-level 5``, 42 ``mul_term`` calls
-        multiply by a unit +-t^k and shift 408 coefficients, where each
+        """In a cold ``tower-colon --max-level 5``, 36 ``mul_term`` calls
+        multiply by a unit +-t^k and shift 398 coefficients, where each
         was a CycloNum product; the norm formula inverts 14 distinct
-        elements, the other 44 of its 58 calls read its cache."""
+        elements, the other 44 of its 58 calls read its cache.  The counts
+        were 42 and 408 when Buchberger formed each S-polynomial from two
+        ``mul_term`` calls; it is now one linear combination, which
+        multiplies by its scalars."""
         counts = {"shifts": 0, "shifted": 0, "norm": 0}
         unit_shift, norm = CyclotomicField9.unit_shift, coefficients._norm_inverse
 
@@ -526,7 +535,7 @@ class TestWorkCounters:
         monkeypatch.setattr(CyclotomicField9, "unit_shift", counted_unit_shift)
         monkeypatch.setattr(coefficients, "_norm_inverse", counted_norm)
         _cold_run([("tower-colon", {"max_level": 5})])
-        assert counts == {"shifts": 42, "shifted": 408, "norm": 58}
+        assert counts == {"shifts": 36, "shifted": 398, "norm": 58}
         assert norm.cache_info().misses == 14
 
     def test_no_unit_reaches_the_norm_formula(self, monkeypatch):

@@ -376,11 +376,15 @@ class TestWorkCount:
         and each trace is verified once, by successive_approx; an honest
         step on a zero residual and a linear combination of zero parts
         return the ring's one shared zero, and a Koszul correction with no
-        low part returns its pair as it is, so the count is 2506 (4164 when
-        each of those zeros was a new Poly and each such pair was rebuilt,
-        6853 when each multiple a * x was built as a Poly, 7557 when the
-        experiment also verified every trace a second time, 12 415 when
-        each identity was a chain of products and additions)."""
+        low part returns its pair as it is, each S-polynomial is one linear
+        combination, a power starts from its base, not from 1, and each of
+        the 4 rings builds its one ``ring.one()``, so the count is 2473
+        (2472 with a new Poly per ``ring.one()`` call; 2506 when each
+        S-polynomial was two ``mul_term`` products and a difference; 4164
+        when each of those zeros was a new Poly and each such pair was
+        rebuilt, 6853 when each multiple a * x was built as a Poly, 7557
+        when the experiment also verified every trace a second time,
+        12 415 when each identity was a chain of products and additions)."""
         for cached in (padic.model, padic.regular_sequence_check, fermat_ring):
             cached.cache_clear()
         built = 0
@@ -401,7 +405,7 @@ class TestWorkCount:
         assert main("padic --precision 8 --samples 20 --seed 53".split()) == 0
         monkeypatch.undo()
         capsys.readouterr()
-        assert built == 2506
+        assert built == 2473
 
 
 class TestOracles:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 from itertools import permutations
-from operator import add, itemgetter, le, sub
+from operator import add, itemgetter, le, mul, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -292,10 +292,11 @@ def test_parser_charges_every_product_sum_and_negation_to_one_budget():
     # over QQ no multinomial coefficient vanishes, as some do mod p
     ring = RingPresentation(QQ, ("z", "x", "y"))
     budget = ParseBudget()
-    # x+y reads 2 terms; (x+y)^2 squares (2 * 2 pairs), then 1 * (x+y)^2
-    # (1 * 3); -z reads 1 term, x*(-z) forms 1 pair, the outer sum reads 3 + 1
+    # x+y reads 2 terms; (x+y)^2 squares (2 * 2 pairs); -z reads 1 term,
+    # x*(-z) forms 1 pair, the outer sum reads 3 + 1.  The power no longer
+    # forms 1 * (x+y)^2 (1 * 3 more, 15 in all) as its last product
     assert ring.parse("(x+y)^2 + x*-z", budget) == ring.parse("x^2 + 2*x*y + y^2 - x*z")
-    assert PARSE_WORK_LIMIT - budget.work_left == 2 + 4 + 3 + 1 + 1 + 4
+    assert PARSE_WORK_LIMIT - budget.work_left == 2 + 4 + 1 + 1 + 4
     assert PARSE_TEXT_LIMIT - budget.text_left == len("(x+y)^2 + x*-z")
 
     big = f"(1+x+y+z)^{PRODUCT_DEGREE_LIMIT}"
@@ -586,28 +587,32 @@ def test_incompatible_ring_arithmetic_rejected(qq_ring):
         Poly.linear_combination(qq_ring, [(QQ.one, 0, qq_ring.parse("x")), (QQ.one, 0, other.parse("a"))])
 
 
+def _dict_sum(ring, parts):
+    """sum(c * x^m * f for c, m, f in parts) as a sum into one dict on
+    exponent tuples, with the domain's own ``*`` and ``+``, as
+    ``_schoolbook`` multiplies: no Poly arithmetic, so it is an oracle for
+    ``linear_combination`` and for the sums and products built on it."""
+    exponents = ring.order.exponents
+    out = {}
+    for c, m, f in parts:
+        shift = exponents(m)
+        for e, a in exponent_terms(f):
+            e = tuple(map(add, e, shift))
+            out[e] = out[e] + c * a if e in out else c * a
+    return ring.poly(out)
+
+
 @settings(max_examples=150, deadline=None)
 @given(problem=_term_dicts(), scalars=st.lists(st.integers(-2, 2), min_size=2, max_size=2))
 def test_linear_combination_matches_the_running_sum(problem, scalars):
-    """One dict for the whole sum gives the Poly that adding one scaled
-    part at a time gives, with zero scalars, cancellation and scalar one."""
+    """One dict for the whole sum gives the Poly that summing each scaled
+    part's terms on exponent tuples gives, with zero scalars, cancellation,
+    scalar one and scalar -1."""
     ring, term_dicts = problem
     parts = [(ring.domain.coerce(c), 0, ring.poly(t)) for c, t in zip(scalars, term_dicts)]
     parts.append((ring.domain.one, 0, ring.poly(term_dicts[0])))
     parts.append((ring.domain.coerce(-1), 0, ring.poly(term_dicts[0])))
-    expected = ring.zero()
-    for c, _, f in parts:
-        expected = expected + f * c
-    assert Poly.linear_combination(ring, parts).terms == expected.terms
-
-
-
-def test_pow_matches_repeated_multiplication(qq_ring):
-    p = qq_ring.parse("x + 2*y - z")
-    direct = qq_ring.one()
-    for k in range(6):
-        assert p ** k == direct
-        direct = direct * p
+    assert Poly.linear_combination(ring, parts).terms == _dict_sum(ring, parts).terms
 
 
 # ---------------------------------------------------------------------------
@@ -728,6 +733,53 @@ def test_lifted_cyclotomic_product_matches_the_schoolbook_product(problem):
     expected = _schoolbook(f, g).terms
     assert (f * g).terms == expected
     assert (g * f).terms == _schoolbook(g, f).terms == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(problem=_term_dicts())
+def test_pow_matches_repeated_multiplication(problem):
+    """``f ** n`` (``cached_power`` from a fresh table) is the schoolbook
+    product of n factors f, and ``f ** 0`` the ring's one, over F_p and QQ,
+    with and without an elimination block."""
+    ring, (terms, _) = problem
+    f = ring.poly(terms)
+    direct = ring.one()
+    for n in range(7):
+        assert (f ** n).terms == direct.terms
+        direct = _schoolbook(direct, f)
+    with pytest.raises(ValueError, match="negative"):
+        f ** -1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    problem=_products((QQ, CYCLO, *_RESIDUE_RINGS)),
+    data=st.data(),
+    foreign=st.sampled_from(["variables", "domain"]),
+)
+def test_sums_and_differences_match_the_dict_sum(problem, data, foreign):
+    """``f + g``, ``f - g`` and ``c - f`` for a scalar c against the sum
+    on exponent tuples, over QQ, Q(zeta_9), F_p and Z/p^N, whose drawn
+    coefficients include zero divisors; a Poly of an incompatible ring
+    raises ``ValueError`` from ``+``, ``-`` and ``*`` in either order."""
+    f, g = problem
+    ring = f.ring
+    dom = ring.domain
+    one, minus_one = dom.one, dom.coerce(-1)
+    c = data.draw(_coefficients(dom, data.draw(st.integers(1, 200))))
+    assert (f + g).terms == _dict_sum(ring, [(one, 0, f), (one, 0, g)]).terms
+    assert (f - g).terms == _dict_sum(ring, [(one, 0, f), (minus_one, 0, g)]).terms
+    constant = ring.poly({(0,) * len(ring.variables): c})
+    assert (c - f).terms == _dict_sum(ring, [(one, 0, constant), (minus_one, 0, f)]).terms
+    if foreign == "variables":
+        other = RingPresentation(dom, ("u", "v", "w")[: len(ring.variables)])
+    else:
+        other = RingPresentation(PrimeField(7) if dom == QQ else QQ, ring.variables)
+    h = other.poly({(1,) + (0,) * (len(ring.variables) - 1): other.domain.one})
+    for u, v in ((f, h), (h, f)):
+        for op in (add, sub, mul):
+            with pytest.raises(ValueError, match="incompatible"):
+                op(u, v)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1329,11 +1381,7 @@ def test_shifted_linear_combination_matches_the_chained_sum(problem):
     ``c * f.mul_term(m, one)``, with zero and nonzero shifts, in every
     domain."""
     ring, parts = problem
-    one = ring.domain.one
-    expected = ring.zero()
-    for c, m, f in parts:
-        expected = expected + f.mul_term(m, one) * c
-    assert Poly.linear_combination(ring, parts).terms == expected.terms
+    assert Poly.linear_combination(ring, parts).terms == _dict_sum(ring, parts).terms
 
 
 def test_shifted_linear_combination_refuses_overflow_and_foreign_rings(qq_ring):
