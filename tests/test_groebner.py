@@ -26,6 +26,7 @@ from closurelab.coefficients import (
 )
 from closurelab.groebner import (
     _divide,
+    _lift,
     colon,
     elimination_ring,
     exact_divide,
@@ -320,13 +321,36 @@ class TestBuchbergerProperty:
         # order the S-pairs are taken in: (degree, sugar, ascending lcm, i, j).
         # These vectors change under any other of those orders.
         ring = fermat_ring(5) if weights is None else RingPresentation(QQ, ("z", "x", "y"), weights)
-        gb = groebner([ring.parse(g) for g in gens], ring, reps=True)
-        text = json.dumps([[format_poly(c) for c in rep] for rep in gb.reps])
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
-        # each row re-expands to its basis element, on exponent tuples
-        one = ring.domain.one
-        for g, rep in zip(gb.generators, gb.reps):
-            assert _dict_sum(ring, [(one, 0, _schoolbook(r, h)) for r, h in zip(rep, gb.inputs)]) == g
+        _assert_cofactors_pinned(groebner([ring.parse(g) for g in gens], ring, reps=True), digest)
+
+    @pytest.mark.parametrize(
+        "level, digest",
+        [
+            (1, "9d33b1db4e17ee8b5adaa42585e4d32e7accb8f73f4edc9b411caf889f582899"),
+            (2, "707c203bc651b58d0cf5e7b0c5fb8edee651ffb540f784614266c8b6fc24fd5e"),
+        ],
+    )
+    def test_block_order_pair_selection_is_pinned(self, level, digest):
+        # the elimination input that ``colon`` builds for ((x, y) : z^2) at
+        # a tower level, over Q(zeta_9) with the block order on _t, which
+        # the two digests above, over one weighted grevlex, do not reach
+        ring = tower.build_level(level).ring
+        images = tower.variable_images(0, level)
+        ext = elimination_ring(ring)
+        t = ext.var("_t")
+        lifted = [t * _lift(g, ext) for g in (images["x"], images["y"], *ring.relations)]
+        lifted.append((ext.one() - t) * _lift(tower.z2_image(level), ext))
+        _assert_cofactors_pinned(groebner(lifted, ext, reps=True), digest)
+
+
+def _assert_cofactors_pinned(gb, digest):
+    """The sha256 of ``gb``'s cofactor rows as text is ``digest``, and each
+    row re-expands to its basis element on exponent tuples."""
+    text = json.dumps([[format_poly(c) for c in rep] for rep in gb.reps])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    one = gb.ring.domain.one
+    for g, rep in zip(gb.generators, gb.reps):
+        assert _dict_sum(gb.ring, [(one, 0, _schoolbook(r, h)) for r, h in zip(rep, gb.inputs)]) == g
 
 
 def _package_modules():
@@ -362,13 +386,18 @@ def _wrap_groebner(monkeypatch, record):
 COUNTED_RUNS = [("tower-colon", {}), ("charp", {}), ("padic", {}), ("tower-trace", {"pairs": 1})]
 
 
-def _cold_run(runs):
-    """Run each (experiment, config) in process with every closurelab
-    cache cleared first, as in a fresh process; each must pass."""
+def _clear_caches():
+    """Clear every closurelab cache, as in a fresh process."""
     for mod in _package_modules():
         for value in vars(mod).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+
+
+def _cold_run(runs):
+    """Run each (experiment, config) in process with every closurelab
+    cache cleared first, as in a fresh process; each must pass."""
+    _clear_caches()
     for name, config in runs:
         assert run_experiment(name, config).passed, name
 
@@ -427,6 +456,51 @@ class TestWorkCounters:
         monkeypatch.setattr(WeightedGrevlex, "degree", counted_degree)
         _cold_run([("tower-colon", {})])
         assert counts["groebner"] and counts["inside"] == 0
+
+    @pytest.mark.parametrize(
+        "name, config, runs, reductions",
+        [
+            ("tower-colon", {}, 7, 71),
+            ("charp", {}, 12, 36),
+            ("padic", {}, 5, 23),
+            ("isogeny", {}, 2, 12),
+            ("charp", {"p": 0, "e_max": 4, "deg_bound": 0}, 44, 336),
+        ],
+    )
+    def test_buchberger_reductions_are_pinned(self, monkeypatch, name, config, runs, reductions):
+        """Count the ``groebner`` runs of a cold run and the ``_divide``
+        calls made inside them: one per S-pair that the Gebauer-Moeller
+        criteria keep and one tail reduction per element of each minimal
+        basis, so a change to the pair set changes the count.  ``charp
+        --p 0 --e-max 4 --deg-bound 0`` finds no tight-closure multiplier
+        for p = 7 and 13 and has no golden entry, so it fails; its
+        Buchberger work is counted all the same."""
+        module = importlib.import_module("closurelab.groebner")
+        counts = {"runs": 0, "reductions": 0, "depth": 0}
+
+        def wrap(original):
+            def counted(gens, ring, **options):
+                counts["runs"] += 1
+                counts["depth"] += 1
+                try:
+                    return original(gens, ring, **options)
+                finally:
+                    counts["depth"] -= 1
+
+            return counted
+
+        divide = module._divide
+
+        def counted_divide(f, divisors, track=True):
+            if counts["depth"]:
+                counts["reductions"] += 1
+            return divide(f, divisors, track)
+
+        _bind_groebner(monkeypatch, wrap)
+        monkeypatch.setattr(module, "_divide", counted_divide)
+        _clear_caches()
+        run_experiment(name, config)
+        assert (counts["runs"], counts["reductions"]) == (runs, reductions)
 
     def test_tower_colon_forms_each_lifted_product_once(self, monkeypatch):
         """Count the products whose factors both have at least
