@@ -171,7 +171,7 @@ def find_multiplier(f: Poly, gens, deg_bound: int, e_max: int) -> Poly | None:
     relations = list(ring.relations)
     current = None
     for e, fe in enumerate(powers, 1):
-        piece = colon(frobenius_power(gens, e), fe, ring) if fe else [ring.one()]
+        piece = colon(frobenius_power(gens, e), fe) if fe else [ring.one()]
         current = piece if current is None else intersect(current + relations, piece + relations, ring)
     for g in groebner(current, ring).generators:
         if g.degree() <= deg_bound and not normal_form(g, ring.relations).is_zero():

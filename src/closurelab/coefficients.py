@@ -398,6 +398,7 @@ class RationalField:
 
     zero = Fraction(0)
     one = Fraction(1)
+    minus_one = Fraction(-1)
 
     def coerce(self, x) -> Fraction:
         if isinstance(x, Fraction):
@@ -437,6 +438,7 @@ class CyclotomicField9:
 
     zero = CycloNum([])
     one = CycloNum([1])
+    minus_one = CycloNum([-1])
 
     def coerce(self, x) -> CycloNum:
         if isinstance(x, CycloNum):
@@ -505,6 +507,7 @@ class IntegerRing:
     modulus = None
     zero = 0
     one = 1
+    minus_one = -1
 
     def coerce(self, x) -> int:
         if isinstance(x, Fraction) and x.denominator == 1:

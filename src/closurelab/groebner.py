@@ -1,16 +1,17 @@
 """Buchberger Groebner bases with optional representation tracking, normal
 forms, certified ideal membership, and colon ideals.
 
-Ideal computations use quotient-ring semantics: the ring's relation is
-appended to every generator set internally.  The one exception is
-``intersect``, which meets two ideals exactly as given.  A ring has at most
-one relation, and that polynomial is its own Groebner basis, so reducing
-modulo the relation alone is ``normal_form(f, ring.relations)`` and runs no
-Buchberger.
-On request (``groebner(..., reps=True)``) representation vectors are
-carried through the whole computation, so that a membership answer comes
-with cofactors whose expansion reproduces the target exactly; a basis built
-without them cannot certify membership.
+Ideal computations use quotient-ring semantics: the relation of the ring
+(f's ring for ``ideal_member`` and ``colon``) is appended to every
+generator set internally.  The one exception is ``intersect``, which meets
+two ideals exactly as given.  A ring has at most one relation, and that
+polynomial is its own Groebner basis, so reducing modulo the relation alone
+is ``normal_form(f, ring.relations)``, the remainder of the one division
+loop ``_divide``, and runs no Buchberger.  On request (``groebner(...,
+reps=True)``) representation vectors are carried through the whole
+computation, so that a membership answer comes with cofactors whose
+expansion reproduces the target exactly; a basis built without them
+cannot certify membership.
 """
 
 from __future__ import annotations
@@ -199,29 +200,27 @@ def exact_divide(f: Poly, g: Poly) -> Poly:
     return q
 
 
-def normal_form(f: Poly, basis, with_quotients: bool = False):
+def normal_form(f: Poly, basis) -> Poly:
     """Remainder of full division of f by the divisors in ``basis``, any
     sequence of polynomials: a GroebnerBasis iterates its generators, and
     ``ring.relations`` is the relation ideal's own basis.  Zero iff f lies
     in the ideal when the divisors form a Groebner basis; f itself when
-    there are none."""
+    there are none.  The quotients are ``_divide``'s."""
     divisors = list(basis)
-    if not divisors:
-        return (f, []) if with_quotients else f
-    rem, quots = _divide(f, divisors, track=with_quotients)
-    return (rem, quots) if with_quotients else rem
+    return _divide(f, divisors, track=False)[0] if divisors else f
 
 
 def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBasis:
     """Reduced Groebner basis of (gens) + (ring relations).
 
-    Buchberger with the Gebauer-Moeller pair criteria; each step takes the
-    ``min`` pair by degree, then sugar, then ascending lcm, then indices,
-    where degree and sugar are scaled weighted degrees (ints, ordered as
-    the Fractions they scale).  Leading coefficients are normalized to 1,
-    so the reduced basis is the unique one for the ring's order.  With
-    ``reps`` each element carries its cofactor vector over the inputs
-    (``GroebnerBasis.reps``), which ``membership_with_basis`` needs;
+    Buchberger with the pair criteria of R. Gebauer and H. M. Moeller (J.
+    Symbolic Comput. 6, 1988), applied in one pass per new basis element;
+    each step takes the ``min`` pair by degree, then sugar, then ascending
+    lcm, then indices, where degree and sugar are scaled weighted degrees
+    (ints, ordered as the Fractions they scale).  Leading coefficients are
+    normalized to 1, so the reduced basis is the unique one for the ring's
+    order.  With ``reps`` each element carries its cofactor vector over the
+    inputs (``GroebnerBasis.reps``), which ``membership_with_basis`` needs;
     without it ``reps`` is None, and the generators are the same.
     """
     if not ring.domain.is_field:
@@ -246,58 +245,37 @@ def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBas
     # is unique, so lcm is never compared
     pairs: list[tuple] = []
 
-    def add_pairs(t: _Tracked, t_index: int):
-        # Gebauer-Moeller update for the new element against the current basis
-        nonlocal pairs
-        lm_new, e_new = t.poly.lm(), t.exps
-        fresh = [(lcm_of(e_new, other.exps), i) for i, other in enumerate(basis[:t_index])]
-        # criterion M: drop a new pair whose lcm is a proper multiple of
-        # another new pair's lcm
-        keep = []
-        for lcm, i in fresh:
-            dominated = any(
-                i2 != i and lcm2 != lcm and divides(lcm2, lcm) for lcm2, i2 in fresh
-            )
-            if not dominated:
-                keep.append((lcm, i))
-        # criterion F: keep one representative per lcm (lowest index)
-        seen_lcms = set()
-        kept2 = []
-        for lcm, i in keep:
-            if lcm in seen_lcms:
+    def add_pairs(t: _Tracked):
+        # Gebauer-Moeller update, then t joins the basis as element j
+        lm_new, e_new, j = t.poly.lm(), t.exps, len(basis)
+        # drop an old pair p, (i, j, lcm) = p[3:], whose lcm lm_new divides,
+        # unless lm_new and element i or j have that same lcm
+        pairs[:] = [
+            p
+            for p in pairs
+            if not divides(lm_new, p[5])
+            or lcm_of(basis[p[3]].exps, e_new) == p[5]
+            or lcm_of(basis[p[4]].exps, e_new) == p[5]
+        ]
+        # criterion F: one new pair per lcm, the lowest index
+        fresh = {}
+        for i, other in enumerate(basis):
+            fresh.setdefault(lcm_of(e_new, other.exps), i)
+        for lcm, i in fresh.items():
+            lm_i = basis[i].poly.lm()
+            # criterion B: coprime leading monomials, whose lcm is their
+            # product; criterion M: a proper multiple of another new lcm
+            if lcm == lm_new + lm_i or any(m != lcm and divides(m, lcm) for m in fresh):
                 continue
-            seen_lcms.add(lcm)
-            kept2.append((lcm, i))
-        # criterion B: drop those with coprime leading monomials, whose lcm
-        # is their product
-        kept3 = [(lcm, i) for lcm, i in kept2 if lcm != lm_new + basis[i].poly.lm()]
-        # prune old pairs made redundant by the new leading monomial
-        new_pairs = []
-        for p in pairs:
-            *_, i, j, lcm = p
-            if (
-                divides(lm_new, lcm)
-                and lcm_of(basis[i].exps, e_new) != lcm
-                and lcm_of(basis[j].exps, e_new) != lcm
-            ):
-                continue
-            new_pairs.append(p)
-        for lcm, i in kept3:
-            other = basis[i]
-            s = max(
-                other.sugar + wdeg(lcm - other.poly.lm()),
-                t.sugar + wdeg(lcm - lm_new),
-            )
-            new_pairs.append((wdeg(lcm), s, -lcm, i, t_index, lcm))
-        pairs = new_pairs
+            s = max(basis[i].sugar + wdeg(lcm - lm_i), t.sugar + wdeg(lcm - lm_new))
+            pairs.append((wdeg(lcm), s, -lcm, i, j, lcm))
+        basis.append(t)
 
     for idx, g in enumerate(inputs):
         if g.is_zero():
             continue
         sugar = max([wdeg(m) for m, _ in g.terms])
-        tr = _Tracked(g, unit_rep(idx) if reps else None, sugar, exponents(g.lm()))
-        basis.append(tr)
-        add_pairs(tr, len(basis) - 1)
+        add_pairs(_Tracked(g, unit_rep(idx) if reps else None, sugar, exponents(g.lm())))
 
     def reduce_tracked(poly: Poly, rep, against: list) -> tuple:
         # rep is None exactly when no cofactors are tracked
@@ -327,9 +305,7 @@ def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBas
         if rem.is_zero():
             continue
         inv = dom.inv(rem.lc())
-        tr = _Tracked(rem * inv, _scaled(rep, inv), sugar, exponents(rem.lm()))
-        basis.append(tr)
-        add_pairs(tr, len(basis) - 1)
+        add_pairs(_Tracked(rem * inv, _scaled(rep, inv), sugar, exponents(rem.lm())))
 
     # minimalize: drop elements whose leading monomial is divisible by
     # another; the reverse sort by the descending key ranks them ascending
@@ -350,12 +326,10 @@ def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBas
     return GroebnerBasis(ring, inputs, reduced, reps)
 
 
-def ideal_member(f: Poly, gens, ring: RingPresentation | None = None):
-    """Decide f in (gens) + (relations); on success return an exact
-    MembershipCertificate over the generators and the relations."""
-    ring = ring or f.ring
-    gb = groebner(list(gens), ring, reps=True)
-    return membership_with_basis(f, gb)
+def ideal_member(f: Poly, gens):
+    """Decide f in (gens) + (relations of f's ring); on success return an
+    exact MembershipCertificate over the generators and the relations."""
+    return membership_with_basis(f, groebner(list(gens), f.ring, reps=True))
 
 
 def membership_with_basis(f: Poly, gb: GroebnerBasis):
@@ -365,7 +339,7 @@ def membership_with_basis(f: Poly, gb: GroebnerBasis):
     certificate."""
     if gb.reps is None:
         raise ValueError("membership needs a basis built with cofactors (groebner(..., reps=True))")
-    rem, quots = normal_form(f, gb, with_quotients=True)
+    rem, quots = _divide(f, gb.generators)
     if not rem.is_zero():
         return False, None
     parts = [(c, m, r) for q, r in zip(quots, gb.reps) for m, c in q.terms]
@@ -409,13 +383,13 @@ def intersect(gens_a, gens_b, ring: RingPresentation) -> list:
     return [_drop(g, ring) for g in gb.generators if ext.order.exponents(g.lm())[0] == 0]
 
 
-def colon(gens, f: Poly, ring: RingPresentation | None = None) -> list:
-    """Generators of ((gens) + relations : f) in the quotient ring.
+def colon(gens, f: Poly) -> list:
+    """Generators of ((gens) + relations : f) in the quotient ring of f.
 
     g is in the result iff g*f lies in (gens) in the quotient; computed as
     (1/f) * ((gens + relations) intersect (f)).
     """
-    ring = ring or f.ring
+    ring = f.ring
     if f.is_zero():
         raise ZeroDivisionError("colon by the zero polynomial")
     if normal_form(f, ring.relations).is_zero():

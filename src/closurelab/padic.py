@@ -127,12 +127,12 @@ def regular_sequence_check(p: int, precision: int) -> bool:
     ring = fermat_ring(p)
     x, y = ring.parse("x"), ring.parse("y")
     # ((0) : x) must be (0) in the quotient
-    for g in colon([], x, ring):
+    for g in colon([], x):
         if not normal_form(g, ring.relations).is_zero():
             return False
     # ((x) : y) must stay inside (x)
     x_basis = groebner([x], ring)
-    for g in colon([x], y, ring):
+    for g in colon([x], y):
         if not normal_form(g, x_basis).is_zero():
             return False
     return True

@@ -296,16 +296,16 @@ class Poly:
         and sorted once, where a loop ``out = out + c * (f * x^m)`` builds
         each multiple and copies and sorts the partial sum at each step
         (S. C. Johnson, "Sparse polynomial arithmetic", 1974).  A scalar
-        equal to the domain's ``one`` is not multiplied, and one equal to
-        ``-one`` subtracts; residues are reduced once, by the constructor.
+        that is the domain's shared ``one`` or ``minus_one`` adds or
+        subtracts with no product (an equal copy multiplies, to the same
+        sum); residues are reduced once, by the constructor.
         When some part is shifted, one OR over the output keys checks every
         exponent field, as ``mul_term`` does (``OverflowError``).  A part
         with no terms adds nothing once its ring is checked, and a sum of
         such parts is the ring's shared zero."""
         out = {}
         get = out.get
-        one = ring.domain.one
-        minus_one = -one
+        one, minus_one = ring.domain.one, ring.domain.minus_one
         shifted = 0
         for c, m, f in parts:
             if f.ring is not ring and not ring.compatible(f.ring):
@@ -314,12 +314,12 @@ class Poly:
             if not terms:
                 continue
             shifted |= m
-            if c == one:
+            if c is one:
                 for k, a in terms:
                     k += m
                     s = get(k)
                     out[k] = a if s is None else s + a
-            elif c == minus_one:
+            elif c is minus_one:
                 for k, a in terms:
                     k += m
                     s = get(k)
@@ -412,8 +412,8 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        one = self.ring.domain.one
-        return Poly.linear_combination(self.ring, ((one, 0, self), (-one, 0, self._coerce(other))))
+        dom = self.ring.domain
+        return Poly.linear_combination(self.ring, ((dom.one, 0, self), (dom.minus_one, 0, self._coerce(other))))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -718,18 +718,18 @@ class _Parser:
         return a * b
 
     def parse_expr(self) -> Poly:
-        one = self.ring.domain.one
+        one, minus_one = self.ring.domain.one, self.ring.domain.minus_one
         kind, val = self.peek()
         negate = False
         if kind == "op" and val in "+-":
             self.take()
             negate = val == "-"
-        parts = [(-one if negate else one, 0, self.parse_term())]
+        parts = [(minus_one if negate else one, 0, self.parse_term())]
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                parts.append((-one if val == "-" else one, 0, self.parse_term()))
+                parts.append((minus_one if val == "-" else one, 0, self.parse_term()))
             else:
                 break
         if len(parts) == 1 and not negate:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from closurelab.charp import fermat_ring
 from closurelab.coefficients import CYCLO, QQ, ZZ, CycloNum, PrimeField, TruncatedPadicRing
-from closurelab.groebner import _divide, elimination_ring, exact_divide, normal_form
+from closurelab.groebner import _divide, elimination_ring, exact_divide
 from closurelab import polynomials
 from closurelab.polynomials import (
     EXP_LIMIT,
@@ -615,6 +615,33 @@ def test_linear_combination_matches_the_running_sum(problem, scalars):
     assert Poly.linear_combination(ring, parts).terms == _dict_sum(ring, parts).terms
 
 
+@pytest.mark.parametrize(
+    "domain, one, minus_one",
+    [
+        (QQ, Fraction(1), Fraction(-1)),
+        (CYCLO, CycloNum([1]), CycloNum([-1])),
+        (PrimeField(5), 5 + 1, 5 - 1),
+        (TruncatedPadicRing(5, 3), 125 + 1, 125 - 1),
+    ],
+    ids=["QQ", "Q(zeta9)", "F_5", "Z/5^3"],
+)
+def test_scalars_equal_to_the_shared_units_give_the_same_sum(domain, one, minus_one):
+    """``linear_combination`` adds or subtracts with no product only for
+    the domain's shared ``one`` and ``minus_one`` objects; a scalar equal
+    to one of them (a residue equal modulo p^N) that is another object is
+    multiplied, to the same Poly, shifted or not."""
+    ring = RingPresentation(domain, ("x", "y"))
+    f, g = ring.parse("2*x^2 + 3*x*y - 1"), ring.parse("x^2 - 3*x*y + y")
+    for shared, copy in ((domain.one, one), (domain.minus_one, minus_one)):
+        assert copy is not shared
+        for shift in (0, ring.order.key((1, 0))):
+            by_shared = Poly.linear_combination(ring, [(domain.one, 0, f), (shared, shift, g)])
+            by_copy = Poly.linear_combination(ring, [(domain.one, 0, f), (copy, shift, g)])
+            assert by_copy == by_shared
+            assert by_shared == _dict_sum(ring, [(domain.one, 0, f), (shared, shift, g)])
+    assert f - g == Poly.linear_combination(ring, [(one, 0, f), (minus_one, 0, g)])
+
+
 # ---------------------------------------------------------------------------
 # Poly.__mul__ against the term-by-term product
 
@@ -1180,9 +1207,8 @@ def test_zero_divisor_products_vanish():
                 assert not (low * p ** (k - 1)).is_zero()
             # each division step by x^2 + p^k y takes a quotient term
             # p^j * (x or y), and its update p^(j+k) * (x y or y^2) vanishes
-            rem, (q,) = normal_form(
-                ring.parse("x^3 + x^2*y") * p ** j, [ring.parse("x^2") + p ** k * ring.var("y")],
-                with_quotients=True,
+            rem, (q,) = _divide(
+                ring.parse("x^3 + x^2*y") * p ** j, [ring.parse("x^2") + p ** k * ring.var("y")]
             )
             assert rem.is_zero() and q == ring.parse("x + y") * p ** j
 
@@ -1346,7 +1372,7 @@ def test_residue_arithmetic_matches_dicts_of_ints(problem):
     inv = pow(lc, -1, modulus)
     assert as_dict(g.monic()) == _reduced({m: c * inv for m, c in gd.items()}, modulus)
     divisors = [g] + ([h] if h and h.lc() % ring.domain.p else [])
-    rem, quots = normal_form(f, divisors, with_quotients=True)
+    rem, quots = _divide(f, divisors)
     ref_rem, ref_quots = _ref_divide(fd, [as_dict(d) for d in divisors], ring)
     assert as_dict(rem) == ref_rem
     assert [as_dict(q) for q in quots] == ref_quots
