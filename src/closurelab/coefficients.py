@@ -39,8 +39,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter, sub
 
 # Minimal polynomial of the generator zeta (a primitive 9th root of unity):
 # t^6 + t^3 + 1.  Reduction of t^(6+j) is the two-term rewrite
@@ -239,13 +239,14 @@ def _reduced(num: tuple, den: int) -> CycloNum:
 def _common_denominator(xs) -> tuple:
     """The numerators of CycloNums over their lcm denominator, and that
     denominator."""
-    den = lcm(*[x.den for x in xs])
+    den = lcm(*{x.den for x in xs})
     return [x.num if x.den == den else [c * (den // x.den) for c in x.num] for x in xs], den
 
 
 def _abs_bits(vectors) -> int:
-    """Bit length of the largest absolute value among the coordinates."""
-    return max(max(map(max, vectors)), -min(map(min, vectors))).bit_length()
+    """Bit length of the largest absolute value among the coordinates, in
+    one pass over them."""
+    return max(map(abs, chain.from_iterable(vectors))).bit_length()
 
 
 def _coset(vectors):
@@ -272,30 +273,23 @@ def _fold(cs: list) -> tuple:
     return tuple(cs[:CYCLO_DEGREE])
 
 
-# the two live coordinates r and r + 3 of t^r * Q(theta) as a numerator
-_PLACE = (
-    lambda a, b: (a, 0, 0, b, 0, 0),
-    lambda a, b: (0, a, 0, 0, b, 0),
-    lambda a, b: (0, 0, a, 0, 0, b),
-)
-
-
 def _coset_lower(bits: int, low: int, den: int):
     """``lower`` for two packed coordinates: the three balanced
     base-2^bits digits d0, d1, d2 of a sum are its coefficients of t^low
     times 1, T, T^2 (T = t^3).  T^2 = -T - 1 makes that t^low * (a + b*T)
     with a = d0 - d2 and b = d1 - d2, and when low >= 3, t^low is
     t^(low - 3) * T and T * (a + b*T) = -b + (a - b)*T.  The two values
-    go straight to coordinates low % 3 and low % 3 + 3 and cancel against
-    ``den`` with one gcd."""
+    go straight to coordinates low % 3 and low % 3 + 3 of a CycloNum built
+    in place, and cancel against ``den`` with one gcd."""
     half = 1 << (bits - 1)
     mask = (1 << bits) - 1
     top = 2 * bits
     # half in every digit: the digits of s + offset are d_j + half >= 0,
     # so the halves cancel in a and b, and the top digit needs no mask
     offset = half + (half << bits) + (half << top)
-    place = _PLACE[low % 3]
+    r = low % 3
     wrap = low >= 3
+    new = object.__new__
 
     def lower(s):
         u = s + offset
@@ -304,12 +298,17 @@ def _coset_lower(bits: int, low: int, den: int):
         b = ((u >> bits) & mask) - e2
         if wrap:
             a, b = -b, a - b
-        if den == 1:
-            return _make(place(a, b), 1)
-        g = gcd(den, a, b)
-        if g == 1:
-            return _make(place(a, b), den)
-        return _make(place(a // g, b // g), den // g)
+        d = den
+        if d != 1:
+            g = gcd(d, a, b)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        x = new(CycloNum)
+        x.num = (a, 0, 0, b, 0, 0) if r == 0 else (0, a, 0, 0, b, 0) if r == 1 else (0, 0, a, 0, 0, b)
+        x.den = d
+        return x
 
     return lower
 
@@ -318,14 +317,24 @@ def _coset_lower(bits: int, low: int, den: int):
 _PAD = (0, 0, 0)
 
 
-def _unit_shift(plus: tuple, minus: tuple):
-    """x -> x * u for the unit u whose coordinate i of the product is
-    ``e[plus[i]] - e[minus[i]]``, e the numerator of x padded to nine."""
-    plus, minus = itemgetter(*plus), itemgetter(*minus)
+def _unit_shift(k: int, negate: bool):
+    """x -> x * t^k, or x * -t^k when ``negate``: the numerator of x padded
+    to the nine coordinates r of Z[t]/(t^9 - 1) is rotated by k, and
+    t^(6+j) -> -t^(3+j) - t^j folds the rotation back, so coordinate i of
+    x * t^k is r[i] - r[6 + i % 3], and -t^k swaps the two."""
+    cut = 9 - k
+    new = object.__new__
 
     def shift(x: CycloNum) -> CycloNum:
         e = x.num + _PAD
-        return _make(tuple(map(sub, plus(e), minus(e))), x.den)
+        r0, r1, r2, r3, r4, r5, r6, r7, r8 = e[cut:] + e[:cut]
+        y = new(CycloNum)
+        if negate:
+            y.num = (r6 - r0, r7 - r1, r8 - r2, r6 - r3, r7 - r4, r8 - r5)
+        else:
+            y.num = (r0 - r6, r1 - r7, r2 - r8, r3 - r6, r4 - r7, r5 - r8)
+        y.den = x.den
+        return y
 
     return shift
 
@@ -333,20 +342,16 @@ def _unit_shift(plus: tuple, minus: tuple):
 def _unit_table() -> dict:
     """The 18 units +-t^k (k = 0..8), keyed on their stored numerators
     (den 1, and each element has one stored form), mapped to their
-    inverses +-t^(9-k) and to the shift x -> x * (+-t^k).
-
-    t^k rotates the nine coordinates of Z[t]/(t^9 - 1), in which a stored
-    numerator is zero at t^6 .. t^8, and t^(6+j) -> -t^(3+j) - t^j folds
-    the rotation back, so coordinate i of x * t^k is e[(i - k) % 9] -
-    e[(6 + i % 3 - k) % 9], and -t^k swaps the two.  The map is unimodular,
-    so a numerator in lowest terms over ``den`` stays so: no gcd."""
+    inverses +-t^(9-k) and to the shift x -> x * (+-t^k) (``_unit_shift``),
+    which is unimodular, so a numerator in lowest terms over ``den`` stays
+    so: no gcd.  Each unit is built once, so 1 and -1 invert to the very
+    objects they are: the field's shared ``one`` and ``minus_one``."""
+    powers = [CycloNum.zeta_power(k) for k in range(9)]
+    negatives = [-u for u in powers]
     table = {}
     for k in range(9):
-        plus = tuple((i - k) % 9 for i in range(CYCLO_DEGREE))
-        minus = tuple((6 + i % 3 - k) % 9 for i in range(CYCLO_DEGREE))
-        unit, inverse = CycloNum.zeta_power(k), CycloNum.zeta_power(9 - k)
-        table[unit.num] = (inverse, _unit_shift(plus, minus))
-        table[(-unit).num] = (-inverse, _unit_shift(minus, plus))
+        table[powers[k].num] = (powers[-k % 9], _unit_shift(k, False))
+        table[negatives[k].num] = (negatives[-k % 9], _unit_shift(k, True))
     return table
 
 
@@ -357,34 +362,39 @@ _UNITS = _unit_table()
 _T_POWERS = ("", "t", "t^2", "t^3", "t^4", "t^5")
 
 
-def format_cyclo(value: CycloNum) -> str:
+def format_cyclo(value: CycloNum, parenthesize: bool = False) -> str:
     """Canonical text form, e.g. ``-t^5 - t^2`` or ``1/2``: each coordinate
     ``num[k] / den`` in lowest terms, as ``str`` of a Fraction writes it,
-    from one gcd and no Fraction."""
+    from one gcd and no Fraction, its sign written as the separator.  With
+    ``parenthesize``, every form but a positive rational (the one with no
+    sign, space or t) is wrapped in parentheses, as a coefficient before a
+    monomial is."""
     num, den = value.num, value.den
-    parts = []
-    for k in range(CYCLO_DEGREE - 1, -1, -1):
+    out = []
+    for k in (5, 4, 3, 2, 1, 0):
         a = num[k]
         if not a:
             continue
+        if a < 0:
+            out.append(" - " if out else "-")
+            a = -a
+        elif out:
+            out.append(" + ")
         g = gcd(a, den)
         d = den // g
-        c = f"{a // g}/{d}" if d != 1 else str(a // g)
-        if k == 0:
-            term = c
+        c = str(a // g) if d == 1 else f"{a // g}/{d}"
+        if not k:
+            out.append(c)
         elif c == "1":
-            term = _T_POWERS[k]
-        elif c == "-1":
-            term = "-" + _T_POWERS[k]
+            out.append(_T_POWERS[k])
         else:
-            term = f"{c}*{_T_POWERS[k]}"
-        if not parts:
-            parts.append(term)
-        elif term[0] == "-":
-            parts.append("- " + term[1:])
-        else:
-            parts.append("+ " + term)
-    return " ".join(parts) if parts else "0"
+            out.append(f"{c}*{_T_POWERS[k]}")
+    if not out:
+        return "0"
+    # one piece with no sign is a positive rational unless it holds t
+    if parenthesize and (len(out) > 1 or not num[0]):
+        return f"({''.join(out)})"
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +447,9 @@ class CyclotomicField9:
     modulus = None
 
     zero = CycloNum([])
-    one = CycloNum([1])
-    minus_one = CycloNum([-1])
+    # the unit table's 1 and -1, which ``inverse`` returns for them
+    one = _UNITS[(1, 0, 0, 0, 0, 0)][0]
+    minus_one = _UNITS[(-1, 0, 0, 0, 0, 0)][0]
 
     def coerce(self, x) -> CycloNum:
         if isinstance(x, CycloNum):
@@ -482,12 +493,8 @@ class CyclotomicField9:
         lower = _coset_lower(bits, rx + ry, dx * dy)
         return px, px if ys is xs else _pack(vy, ry, bits), lower
 
-    def format(self, x: CycloNum, parenthesize: bool = False) -> str:
-        text = format_cyclo(x)
-        needs_parens = any(ch in text for ch in "+- ") or "t" in text
-        if parenthesize and needs_parens:
-            return f"({text})"
-        return text
+    # format(x, parenthesize=False) is format_cyclo
+    format = staticmethod(format_cyclo)
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField9)

@@ -137,7 +137,7 @@ def _divide(f: Poly, divisors, track: bool = True):
         if not d.terms:
             raise ZeroDivisionError("division by the zero polynomial")
     dom = ring.domain
-    mod = dom.modulus
+    mod, one = dom.modulus, dom.one
     divides = ring.order.divides
     check_fields = ring.order.check_fields
     lms = [d.lm() for d in divisors]
@@ -163,7 +163,9 @@ def _divide(f: Poly, divisors, track: bool = True):
                 inv = inv_lcs[i]
                 if inv is None:
                     inv = inv_lcs[i] = dom.inv(divisors[i].lc())
-                qc = c * inv % mod if mod else c * inv
+                # a monic divisor's inverse is the shared one, and c * one is c
+                # (c is reduced already over Z/p^N)
+                qc = c if inv is one else c * inv % mod if mod else c * inv
                 if track:
                     quotients[i].append((qm, qc))
                 nqc = -qc

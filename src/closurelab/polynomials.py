@@ -297,15 +297,20 @@ class Poly:
         each multiple and copies and sorts the partial sum at each step
         (S. C. Johnson, "Sparse polynomial arithmetic", 1974).  A scalar
         that is the domain's shared ``one`` or ``minus_one`` adds or
-        subtracts with no product (an equal copy multiplies, to the same
-        sum); residues are reduced once, by the constructor.
-        When some part is shifted, one OR over the output keys checks every
-        exponent field, as ``mul_term`` does (``OverflowError``).  A part
-        with no terms adds nothing once its ring is checked, and a sum of
-        such parts is the ring's shared zero."""
+        subtracts with no product (an equal copy is scaled like any other
+        scalar, to the same sum); residues are reduced once, by the
+        constructor.  Over Q(zeta_9) any other unit scalar +-t^k shifts
+        coordinates (``unit_shift``) in place of each product; every other
+        domain multiplies inline.  When some part is shifted, one OR over
+        the output keys checks every exponent field, as ``mul_term`` does
+        (``OverflowError``).  A part with no terms adds nothing once its
+        ring is checked, and a sum of such parts is the ring's shared
+        zero."""
         out = {}
         get = out.get
-        one, minus_one = ring.domain.one, ring.domain.minus_one
+        dom = ring.domain
+        one, minus_one = dom.one, dom.minus_one
+        unit_shift = dom.unit_shift if dom is CYCLO else None
         shifted = 0
         for c, m, f in parts:
             if f.ring is not ring and not ring.compatible(f.ring):
@@ -324,6 +329,11 @@ class Poly:
                     k += m
                     s = get(k)
                     out[k] = -a if s is None else s - a
+            elif unit_shift is not None and (shift := unit_shift(c)) is not None:
+                for k, a in terms:
+                    k += m
+                    s = get(k)
+                    out[k] = shift(a) if s is None else s + shift(a)
             else:
                 for k, a in terms:
                     k += m
@@ -477,10 +487,15 @@ class Poly:
         key keeps the terms in order; residues are reduced modulo p^N and
         products that vanish (zero divisors of Z/p^N) are dropped.  A
         coefficient equal to the domain's ``one`` only moves keys, and a
-        unit +-t^k of Q(zeta_9) shifts coordinates (``unit_shift``)."""
+        unit +-t^k of Q(zeta_9) shifts coordinates (``unit_shift``).  Over
+        Q(zeta_9) ``one`` is told by identity, then by its stored form,
+        with no ``CycloNum`` comparison."""
         ring = self.ring
         dom = ring.domain
-        if coeff == dom.one:
+        one = dom.one
+        if coeff is one or (
+            coeff.den == 1 and coeff.num == one.num if dom is CYCLO else coeff == one
+        ):
             if not mono:
                 return self
             terms = tuple([(m + mono, c) for m, c in self.terms])
@@ -593,30 +608,44 @@ def cached_power(powers: dict, v, base: Poly, e: int, multiply=mul) -> Poly:
 
 
 def format_poly(p: Poly) -> str:
-    if not p.terms:
+    """Canonical text form, e.g. ``x^2*y - 3/2*z + 1`` over QQ or
+    ``(t^3 + 1)*x1^2*y1 + (-1)*z1`` over Q(zeta_9): the terms in order, each coefficient as the domain formats it (parenthesized
+    before a monomial where it needs it), a coefficient 1 left out and -1
+    written as a sign, each later term joined by its sign.  Each term is
+    printed in one pass, its exponents read straight off the packed key."""
+    terms = p.terms
+    if not terms:
         return "0"
     ring = p.ring
-    parts = []
-    for m, c in p.terms:
-        mono = "*".join(
-            v if e == 1 else f"{v}^{e}" for v, e in zip(ring.variables, ring.order.exponents(m)) if e
-        )
-        ctext = ring.domain.format(c, parenthesize=bool(mono))
-        if not mono:
-            term = ctext
-        elif ctext == "1":
-            term = mono
-        elif ctext == "-1":
-            term = f"-{mono}"
+    fmt = ring.domain.format
+    fields = tuple(zip(ring.order._shifts, ring.variables))
+    out = []
+    for m, c in terms:
+        factors = []
+        for s, v in fields:
+            e = m >> s & _FIELD_MASK
+            if e:
+                factors.append(v if e == 1 else f"{v}^{e}")
+        if factors:
+            mono = "*".join(factors)
+            ctext = fmt(c, True)
+            if ctext == "1":
+                term = mono
+            elif ctext == "-1":
+                term = "-" + mono
+            else:
+                term = f"{ctext}*{mono}"
         else:
-            term = f"{ctext}*{mono}"
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append("- " + term[1:])
+            term = fmt(c)
+        if not out:
+            out.append(term)
+        elif term[0] == "-":
+            out.append(" - ")
+            out.append(term[1:])
         else:
-            parts.append("+ " + term)
-    return " ".join(parts)
+            out.append(" + ")
+            out.append(term)
+    return "".join(out)
 
 
 _TOKEN = re.compile(

@@ -37,12 +37,17 @@ class ExperimentReport:
         return all(c["status"] == "pass" for c in self.checks)
 
     def fingerprint(self) -> str:
-        core = {
-            "experiment": self.experiment,
-            "config": self.config,
-            "checks": self.checks,
-        }
-        return hashlib.sha256(canonical_json(core).encode("utf-8")).hexdigest()
+        return self._fingerprint(canonical_json(self.checks))
+
+    def _fingerprint(self, checks: str) -> str:
+        """The fingerprint from the checks' canonical JSON: SHA-256 of the
+        canonical JSON of the fingerprinted fields (keys sorted), fed to
+        the hash in pieces rather than joined first."""
+        digest = hashlib.sha256(b'{"checks":')
+        digest.update(checks.encode("utf-8"))
+        digest.update(f',"config":{canonical_json(self.config)},"experiment":'.encode("utf-8"))
+        digest.update(f"{canonical_json(self.experiment)}}}".encode("utf-8"))
+        return digest.hexdigest()
 
     def to_dict(self) -> dict:
         return {
@@ -54,7 +59,16 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+        """``canonical_json(self.to_dict())``, with the checks serialized
+        once for both the fingerprint and the body, which is one join."""
+        checks = canonical_json(self.checks)
+        return "".join((
+            '{"checks":', checks,
+            ',"config":', canonical_json(self.config),
+            ',"engine_version":', canonical_json(self.engine_version),
+            ',"experiment":', canonical_json(self.experiment),
+            ',"fingerprint":"', self._fingerprint(checks), '"}',
+        ))
 
     def to_text(self) -> str:
         lines = [f"experiment: {self.experiment}"]

@@ -103,6 +103,14 @@ class TestUnitInverses:
         assert u * inv == CYCLO.one
         assert inv * u == CYCLO.one
 
+    def test_one_and_minus_one_invert_to_the_shared_objects(self):
+        """1 and -1 invert to the field's shared ``one`` and ``minus_one``,
+        from the shared objects and from equal copies, so the callers that
+        test a scalar by identity take their product-free branches."""
+        for shared in (CYCLO.one, CYCLO.minus_one):
+            assert CYCLO.inv(shared) is shared
+            assert CYCLO.inv(CYCLO.coerce(shared.num[0])) is shared
+
 
 class TestUnitShifts:
     """Multiplying by one of the 18 units is a signed coordinate shift, read

@@ -579,13 +579,14 @@ class TestWorkCounters:
         assert counts == {"lifted": 42, "kronecker": 6, "square": 6}
 
     def test_unit_shifts_and_norm_inversions_are_pinned(self, monkeypatch):
-        """In a cold ``tower-colon --max-level 5``, 36 ``mul_term`` calls
-        multiply by a unit +-t^k and shift 398 coefficients, where each
-        was a CycloNum product; the norm formula inverts 14 distinct
-        elements, the other 44 of its 58 calls read its cache.  The counts
-        were 42 and 408 when Buchberger formed each S-polynomial from two
-        ``mul_term`` calls; it is now one linear combination, which
-        multiplies by its scalars."""
+        """In a cold ``tower-colon --max-level 5``, 74 ``mul_term`` calls
+        and linear-combination parts multiply by a unit +-t^k and shift 611
+        coefficients, where each was a CycloNum product; the norm formula
+        inverts 14 distinct elements, the other 44 of its 58 calls read its
+        cache.  The counts were 42 and 408 when Buchberger formed each
+        S-polynomial from two ``mul_term`` calls, and 36 and 398 while the
+        one linear combination that replaced them multiplied by its unit
+        scalars instead of shifting."""
         counts = {"shifts": 0, "shifted": 0, "norm": 0}
         unit_shift, norm = CyclotomicField9.unit_shift, coefficients._norm_inverse
 
@@ -609,8 +610,57 @@ class TestWorkCounters:
         monkeypatch.setattr(CyclotomicField9, "unit_shift", counted_unit_shift)
         monkeypatch.setattr(coefficients, "_norm_inverse", counted_norm)
         _cold_run([("tower-colon", {"max_level": 5})])
-        assert counts == {"shifts": 36, "shifted": 398, "norm": 58}
+        assert counts == {"shifts": 74, "shifted": 611, "norm": 58}
         assert norm.cache_info().misses == 14
+
+    @pytest.mark.parametrize(
+        "config, products",
+        [({}, 584), ({"max_level": 5}, 1024)],
+        ids=["default", "max_level=5"],
+    )
+    def test_cyclotomic_products_are_pinned(self, monkeypatch, config, products):
+        """The CycloNum products of a cold ``tower-colon``: 804 and 1 352
+        before unit scalars of linear combinations shifted coordinates, the
+        inverse of +-1 became the shared ``one`` or ``minus_one`` (so
+        S-polynomials of monic elements add with no product) and
+        ``_divide`` stopped multiplying by the inverse of a monic
+        divisor's leading coefficient."""
+        calls = []
+        mul = CycloNum.__mul__
+
+        def counted_mul(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(CycloNum, "__mul__", counted_mul)
+        monkeypatch.setattr(CycloNum, "__rmul__", counted_mul)
+        _cold_run([("tower-colon", config)])
+        assert len(calls) == products
+
+    def test_mul_term_tells_one_with_no_comparison(self, monkeypatch):
+        """``mul_term`` decides that a Q(zeta_9) scalar is 1 by identity and
+        by its stored form, so a run makes no ``CycloNum.__eq__`` call from
+        it (``tower-trace --pairs 500`` made 11 528 such calls when it
+        compared each scalar with ``one``), and an equal copy of ``one``
+        still only moves keys."""
+        frames = []
+        eq = CycloNum.__eq__
+
+        def counted_eq(self, other):
+            frames.append(sys._getframe(1).f_code)
+            return eq(self, other)
+
+        monkeypatch.setattr(CycloNum, "__eq__", counted_eq)
+        _cold_run([("tower-trace", {"pairs": 20})])
+        assert Poly.mul_term.__code__ not in frames
+        ring = tower.build_level(1).ring
+        f = ring.parse("t*x1^2 + (1/2 - t^4)*y1*z1")
+        copy = CycloNum([1])
+        assert copy is not CYCLO.one
+        assert f.mul_term(0, copy) is f
+        shift = ring.order.key((0, 1, 0))
+        assert f.mul_term(shift, copy).terms == tuple((m + shift, c) for m, c in f.terms)
+        assert Poly.mul_term.__code__ not in frames
 
     def test_no_unit_reaches_the_norm_formula(self, monkeypatch):
         """Count the CycloNum products made inside ``inverse``: none for a

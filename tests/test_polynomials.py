@@ -629,7 +629,8 @@ def test_scalars_equal_to_the_shared_units_give_the_same_sum(domain, one, minus_
     """``linear_combination`` adds or subtracts with no product only for
     the domain's shared ``one`` and ``minus_one`` objects; a scalar equal
     to one of them (a residue equal modulo p^N) that is another object is
-    multiplied, to the same Poly, shifted or not."""
+    multiplied (over Q(zeta_9), unit-shifted), to the same Poly, shifted
+    or not."""
     ring = RingPresentation(domain, ("x", "y"))
     f, g = ring.parse("2*x^2 + 3*x*y - 1"), ring.parse("x^2 - 3*x*y + y")
     for shared, copy in ((domain.one, one), (domain.minus_one, minus_one)):
@@ -1518,3 +1519,165 @@ def test_negation_and_monic_match_their_dict_built_reference(problem):
             f.monic()
         return
     assert f.monic().terms == Poly(ring, {m: c * inv for m, c in f.terms}).terms
+
+
+# ---------------------------------------------------------------------------
+# the printer against the term-by-term printer it replaced
+
+
+def _reference_cyclo(value, parenthesize):
+    """A Q(zeta_9) coefficient as the earlier printer wrote it: each term
+    built as text with its sign, joined by its sign, and parenthesized when
+    the text holds a sign, a space or t."""
+    parts = []
+    for k in range(5, -1, -1):
+        a = value.num[k]
+        if not a:
+            continue
+        c = str(Fraction(a, value.den))
+        if k == 0:
+            term = c
+        elif c == "1":
+            term = ("", "t", "t^2", "t^3", "t^4", "t^5")[k]
+        elif c == "-1":
+            term = "-" + ("", "t", "t^2", "t^3", "t^4", "t^5")[k]
+        else:
+            term = f"{c}*" + ("", "t", "t^2", "t^3", "t^4", "t^5")[k]
+        if not parts:
+            parts.append(term)
+        elif term[0] == "-":
+            parts.append("- " + term[1:])
+        else:
+            parts.append("+ " + term)
+    text = " ".join(parts) if parts else "0"
+    if parenthesize and (any(ch in text for ch in "+- ") or "t" in text):
+        return f"({text})"
+    return text
+
+
+def _reference_format(p):
+    """``format_poly`` as it was: the exponents of each term decoded to a
+    tuple, the monomial joined from them, the coefficient's text compared
+    with 1 and -1, each later term joined by the sign its text starts with."""
+    if not p.terms:
+        return "0"
+    ring = p.ring
+    parts = []
+    for m, c in p.terms:
+        mono = "*".join(
+            v if e == 1 else f"{v}^{e}" for v, e in zip(ring.variables, ring.order.exponents(m)) if e
+        )
+        if ring.domain == CYCLO:
+            ctext = _reference_cyclo(c, bool(mono))
+        else:
+            ctext = str(c)
+        if not mono:
+            term = ctext
+        elif ctext == "1":
+            term = mono
+        elif ctext == "-1":
+            term = f"-{mono}"
+        else:
+            term = f"{ctext}*{mono}"
+        if not parts:
+            parts.append(term)
+        elif term.startswith("-"):
+            parts.append("- " + term[1:])
+        else:
+            parts.append("+ " + term)
+    return " ".join(parts)
+
+
+_UNIT_POWERS = [u for k in range(9) for u in (CycloNum.zeta_power(k), -CycloNum.zeta_power(k))]
+
+
+def _printed_cyclo():
+    """Q(zeta_9) coefficients of every shape the printer meets: in some
+    t^r * Q(theta), dense, rational, the shared 1 and -1 and equal copies,
+    and the units +-t^k."""
+    ints = st.integers(-(1 << 70), 1 << 70)
+    dens = st.sampled_from([1, 2, 3, 9, 7 * 3 ** 20, (1 << 61) - 1])
+    dense = st.builds(
+        lambda num, d: CycloNum([Fraction(c, d) for c in num]), st.lists(ints, min_size=6, max_size=6), dens
+    )
+    coset = st.builds(
+        lambda a, b, r, d: CycloNum([0] * r + [Fraction(a, d), 0, 0, Fraction(b, d)]),
+        ints, ints, st.integers(0, 2), dens,
+    )
+    rational = st.builds(lambda a, d: CYCLO.coerce(Fraction(a, d)), ints, dens)
+    units = st.sampled_from([CYCLO.one, CYCLO.minus_one, CycloNum([1]), CycloNum([-1]), *_UNIT_POWERS])
+    return st.one_of(dense, coset, rational, units).filter(bool)
+
+
+@st.composite
+def _printed_polys(draw):
+    """A polynomial over QQ, Q(zeta_9), F_7 or Z/5^3, in a plain ring or one
+    with an elimination block, with a constant term half the time and
+    sometimes nothing else."""
+    domain = draw(st.sampled_from([QQ, CYCLO, PrimeField(7), TruncatedPadicRing(5, 3)]))
+    block = draw(st.integers(0, 1))
+    names = ("w", "x1", "y1", "z1")[: draw(st.integers(1 + block, 4))]
+    weights = [Fraction(1, 3 ** (i % 2 + 1)) for i in range(len(names))]
+    ring = RingPresentation(domain, names, weights, block=block)
+    if domain == CYCLO:
+        coeff = _printed_cyclo()
+    elif domain == QQ:
+        coeff = st.builds(Fraction, st.integers(-(1 << 70), 1 << 70), st.integers(1, 50)).filter(bool)
+    else:
+        coeff = st.integers(1, domain.modulus - 1)
+    exps = st.tuples(*[st.integers(0, 3) | st.sampled_from([0, 1, 27, EXP_LIMIT - 1])] * len(names))
+    constant = draw(st.booleans())
+    terms = {} if draw(st.booleans()) and constant else draw(st.dictionaries(exps, coeff, max_size=8))
+    if constant:
+        terms[(0,) * len(names)] = draw(coeff)
+    return ring.poly(terms)
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=_printed_polys())
+def test_format_matches_the_reference_printer(p):
+    assert format_poly(p) == _reference_format(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_printed_polys().filter(lambda p: p.ring.domain == CYCLO))
+def test_cyclotomic_text_parses_back(p):
+    """``parse(format_poly(f)) == f`` over Q(zeta_9), where coefficients are
+    printed in parentheses and as ``(-1)*x``."""
+    assert p.ring.parse(format_poly(p)) == p
+
+
+def test_cyclotomic_format_keeps_its_forms():
+    """The forms the printer writes over Q(zeta_9): ``(-1)*`` for a -1
+    before a monomial, a positive rational bare, any other coefficient in
+    parentheses, and a constant term unparenthesized."""
+    ring = RingPresentation(CYCLO, ("x", "y"))
+    assert format_poly(ring.parse("x - y")) == "x + (-1)*y"
+    assert format_poly(ring.parse("-x + 1/2*y - 3")) == "(-1)*x + 1/2*y - 3"
+    assert format_poly(ring.parse("t*x + (1 - t^5)*y - t^2 + 1/3")) == "(t)*x + (-t^5 + 1)*y - t^2 + 1/3"
+    assert format_poly(ring.const(CycloNum([0, 0, -1]))) == "-t^2"
+    assert CYCLO.format(CycloNum([Fraction(-2, 3)]), True) == "(-2/3)"
+    assert CYCLO.format(CYCLO.zero, True) == "0"
+
+
+# ---------------------------------------------------------------------------
+# unit scalars of a linear combination over Q(zeta_9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=_products((CYCLO,)), data=st.data())
+def test_unit_scalars_match_the_dict_sum(problem, data):
+    """A linear combination whose scalars are the 18 units +-t^k, the shared
+    ``one`` and ``minus_one`` and equal copies of both, each part shifted
+    or not, is the sum on exponent tuples with the domain's own ``*`` and
+    ``+``: a unit shifts coordinates in place of the product."""
+    f, g = problem
+    ring = f.ring
+    n = len(ring.variables)
+    shifts = [0, *(ring.order.key(tuple(int(i == j) for j in range(n))) for i in range(n))]
+    scalars = [*_UNIT_POWERS, CYCLO.one, CYCLO.minus_one, CycloNum([1]), CycloNum([-1])]
+    parts = [(u, data.draw(st.sampled_from(shifts)), data.draw(st.sampled_from([f, g]))) for u in scalars]
+    assert Poly.linear_combination(ring, parts).terms == _dict_sum(ring, parts).terms
+    for u in scalars:
+        pair = [(u, 0, f), (u, 0, g)]
+        assert Poly.linear_combination(ring, pair).terms == _dict_sum(ring, pair).terms

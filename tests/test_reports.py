@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -33,6 +34,40 @@ class TestDeterminism:
         a = run_experiment("tower-trace", {"pairs": 10, "seed": 4})
         b = run_experiment("tower-trace", {"pairs": 10, "seed": 4})
         assert a.to_json() == b.to_json()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    experiment=st.text(max_size=12),
+    config=st.dictionaries(st.text(max_size=6), _json_values, max_size=4),
+    checks=st.lists(
+        st.fixed_dictionaries(
+            {"name": st.text(max_size=8), "status": st.sampled_from(["pass", "fail"])},
+            optional={"value": _json_values},
+        ),
+        max_size=4,
+    ),
+)
+def test_serialization_matches_the_document_serialized_whole(experiment, config, checks):
+    """``to_json``, which serializes the checks once for the fingerprint
+    and the body, and ``fingerprint`` give the bytes of the canonical JSON
+    of the whole document and the SHA-256 of the canonical JSON of the
+    fingerprinted fields, as each was computed when it serialized its own
+    dict; names and values include quotes, escapes and non-ASCII text."""
+    report = ExperimentReport(experiment, config, checks)
+    core = {"experiment": experiment, "config": config, "checks": checks}
+    canonical = json.dumps(core, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    whole = dict(core, engine_version=report.engine_version, fingerprint=digest)
+    assert report.fingerprint() == digest
+    assert report.to_json() == json.dumps(whole, sort_keys=True, separators=(",", ":"))
 
 
 class TestDiff:
