@@ -236,7 +236,7 @@ def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBas
     order = ring.order
     wdeg, divides, lcm_of = order.wdeg, order.divides, order.lcm_of_exponents
     exponents = order.exponents
-    one = dom.one
+    one, minus_one = dom.one, dom.minus_one
 
     def unit_rep(i: int) -> tuple:
         return tuple(ring.one() if j == i else ring.zero() for j in range(n_inputs))
@@ -298,7 +298,10 @@ def groebner(gens, ring: RingPresentation, *, reps: bool = False) -> GroebnerBas
         mi = lcm - fi.poly.lm()
         mj = lcm - fj.poly.lm()
         ci = dom.inv(fi.poly.lc())
-        ncj = -dom.inv(fj.poly.lc())
+        cj = dom.inv(fj.poly.lc())
+        # a monic element's inverse is the shared one: its part subtracts
+        # through linear_combination's product-free minus_one branch
+        ncj = minus_one if cj is one else -cj
         spoly = Poly.linear_combination(ring, ((ci, mi, fi.poly), (ncj, mj, fj.poly)))
         rep = None
         if reps:
@@ -386,17 +389,31 @@ def intersect(gens_a, gens_b, ring: RingPresentation) -> list:
 
 
 def colon(gens, f: Poly) -> list:
-    """Generators of ((gens) + relations : f) in the quotient ring of f.
+    """Reduced Groebner basis of ((gens) + relations : f) in f's quotient ring.
 
-    g is in the result iff g*f lies in (gens) in the quotient; computed as
-    (1/f) * ((gens + relations) intersect (f)).
+    ``gens`` is either generators or a ``GroebnerBasis`` of f's ring; a
+    basis of another ring raises ``ValueError``.  Generators are first
+    turned into their basis (no generators: the relation alone, its own
+    basis), so both forms take one path.  With ``r = NF_I(f)`` the normal
+    form modulo that basis, ``(I : f) = (I : r)`` (Cox, Little and
+    O'Shea, *Ideals, Varieties, and Algorithms*, section 4.4): when r is
+    zero, f lies in I and the colon is the unit ideal, unless f is zero in
+    the quotient, which raises ``ZeroDivisionError``; otherwise the
+    result is (1/r) * (I intersect (r)), eliminated from the basis of I
+    and the shorter r.
     """
     ring = f.ring
-    if f.is_zero():
-        raise ZeroDivisionError("colon by the zero polynomial")
-    if normal_form(f, ring.relations).is_zero():
-        raise ZeroDivisionError(f"{format_poly(f)} reduces to zero in the quotient ring")
-    meet = intersect(list(gens) + list(ring.relations), [f], ring)
-    quotients = [exact_divide(g, f) for g in meet]
-    gb = groebner(quotients, ring)
-    return list(gb.generators)
+    if isinstance(gens, GroebnerBasis):
+        if gens.ring is not ring:
+            raise ValueError("colon needs a Groebner basis of f's ring")
+        basis = list(gens)
+    else:
+        gens = list(gens)
+        basis = list(groebner(gens, ring)) if gens else list(ring.relations)
+    r = normal_form(f, basis)
+    if r.is_zero():
+        if normal_form(f, ring.relations).is_zero():
+            raise ZeroDivisionError(f"{format_poly(f)} reduces to zero in the quotient ring")
+        return [ring.one()]
+    quotients = [exact_divide(g, r) for g in intersect(basis, [r], ring)]
+    return list(groebner(quotients, ring).generators)

@@ -132,7 +132,7 @@ def regular_sequence_check(p: int, precision: int) -> bool:
             return False
     # ((x) : y) must stay inside (x)
     x_basis = groebner([x], ring)
-    for g in colon([x], y):
+    for g in colon(x_basis, y):
         if not normal_form(g, x_basis).is_zero():
             return False
     return True

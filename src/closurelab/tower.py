@@ -313,7 +313,7 @@ def colon_probe(n: int, full_colon_max_level: int = 2) -> ColonProbe:
 
     full = None
     if n <= full_colon_max_level:
-        gens = colon([X0, Y0], z2_image(n))
+        gens = colon(xy_image_basis(n), z2_image(n))
         # the reduced basis contains relation multiples, which are 0 in A_n
         vals = [valuation(g) for g in gens]
         min_val = min((v for v in vals if v is not None), default=None)

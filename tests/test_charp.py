@@ -429,6 +429,28 @@ class TestIntersectionPath:
             assert all(normal_form(g, basis).is_zero() for g in meet)
 
 
+    @pytest.mark.parametrize("p, target, deg_bound", [(5, "1", 3), (7, "z^2", 0)])
+    def test_a_ring_without_the_relation_meets_the_same_ideals(self, monkeypatch, p, target, deg_bound):
+        # each colon is taken from a bracket basis, which lives in
+        # fermat_ring(p) whatever compatible ring f has, so a ring without
+        # the relation meets the same colon ideals as the quotient (the
+        # final test differs: there the relation is not zero)
+        meets = []
+        intersect = charp.intersect
+
+        def recording(gens_a, gens_b, ring):
+            meet = intersect(gens_a, gens_b, ring)
+            meets.append([format_poly(g) for g in meet])
+            return meet
+
+        monkeypatch.setattr(charp, "intersect", recording)
+        fermat = charp.fermat_ring(p)
+        bare = RingPresentation(fermat.domain, fermat.variables)
+        for ring in (fermat, bare):
+            gens = [ring.parse("x"), ring.parse("y")]
+            charp.find_multiplier(ring.parse(target), gens, deg_bound, 2)
+        assert len(meets) == 2 and meets[0] == meets[1]
+
     def test_a_zero_rung_contributes_the_unit_ideal(self, monkeypatch):
         # NF(f^q) = 0 means f^q lies in I^[q]: every c qualifies at that q,
         # so its colon piece is the whole ring and the meet is the e = 1 colon

@@ -331,15 +331,46 @@ class TestBuchbergerProperty:
         ],
     )
     def test_block_order_pair_selection_is_pinned(self, level, digest):
-        # the elimination input that ``colon`` builds for ((x, y) : z^2) at
-        # a tower level, over Q(zeta_9) with the block order on _t, which
-        # the two digests above, over one weighted grevlex, do not reach
+        # the elimination input that ``colon`` built for ((x, y) : z^2) at a
+        # tower level while it started from the raw generators and the
+        # unreduced z^2 image, over Q(zeta_9) with the block order on _t,
+        # which the two digests above, over one weighted grevlex, do not
+        # reach; the input ``colon`` builds now is pinned below
         ring = tower.build_level(level).ring
         images = tower.variable_images(0, level)
         ext = elimination_ring(ring)
         t = ext.var("_t")
         lifted = [t * _lift(g, ext) for g in (images["x"], images["y"], *ring.relations)]
         lifted.append((ext.one() - t) * _lift(tower.z2_image(level), ext))
+        _assert_cofactors_pinned(groebner(lifted, ext, reps=True), digest)
+
+    @pytest.mark.parametrize(
+        "level, digest",
+        [
+            (1, "5fa27c08620eee6c9f8d0b7ee1d614a05b32917d12e400fd7519e0f6dbc43639"),
+            (2, "d640f8ad7e54b741f1185caa5392f12eedb5beb06485cf0cbacaf9f6f183d5e3"),
+        ],
+    )
+    def test_colon_elimination_input_is_pinned(self, monkeypatch, level, digest):
+        # the elimination input that ``colon`` builds for ((x, y) : z^2) at
+        # a tower level: _t times the held basis of (x, y) + relation and
+        # (1 - _t) times the normal form of z^2 modulo that basis
+        ring = tower.build_level(level).ring
+        basis = tower.xy_image_basis(level)
+        ext = elimination_ring(ring)
+        t = ext.var("_t")
+        lifted = [t * _lift(g, ext) for g in basis]
+        lifted.append((ext.one() - t) * _lift(normal_form(tower.z2_image(level), basis), ext))
+        module = importlib.import_module("closurelab.groebner")
+        inputs = []
+
+        def recording(gens, ring, **options):
+            inputs.append(list(gens))
+            return groebner(gens, ring, **options)
+
+        monkeypatch.setattr(module, "groebner", recording)
+        colon(basis, tower.z2_image(level))
+        assert inputs[0] == lifted
         _assert_cofactors_pinned(groebner(lifted, ext, reps=True), digest)
 
 
@@ -460,7 +491,7 @@ class TestWorkCounters:
     @pytest.mark.parametrize(
         "name, config, runs, reductions",
         [
-            ("tower-colon", {}, 7, 71),
+            ("tower-colon", {}, 7, 68),
             ("charp", {}, 12, 36),
             ("padic", {}, 5, 23),
             ("isogeny", {}, 2, 12),
@@ -474,7 +505,10 @@ class TestWorkCounters:
         basis, so a change to the pair set changes the count.  ``charp
         --p 0 --e-max 4 --deg-bound 0`` finds no tight-closure multiplier
         for p = 7 and 13 and has no golden entry, so it fails; its
-        Buchberger work is counted all the same."""
+        Buchberger work is counted all the same.  ``tower-colon`` made 71
+        reductions when ``colon`` eliminated from the raw generators and the
+        unreduced z^2 image, where it now starts from the held basis and
+        the normal form."""
         module = importlib.import_module("closurelab.groebner")
         counts = {"runs": 0, "reductions": 0, "depth": 0}
 
@@ -579,14 +613,17 @@ class TestWorkCounters:
         assert counts == {"lifted": 42, "kronecker": 6, "square": 6}
 
     def test_unit_shifts_and_norm_inversions_are_pinned(self, monkeypatch):
-        """In a cold ``tower-colon --max-level 5``, 74 ``mul_term`` calls
-        and linear-combination parts multiply by a unit +-t^k and shift 611
+        """In a cold ``tower-colon --max-level 5``, 42 ``mul_term`` calls
+        and linear-combination parts multiply by a unit +-t^k and shift 523
         coefficients, where each was a CycloNum product; the norm formula
-        inverts 14 distinct elements, the other 44 of its 58 calls read its
+        inverts 12 distinct elements, the other 14 of its 26 calls read its
         cache.  The counts were 42 and 408 when Buchberger formed each
-        S-polynomial from two ``mul_term`` calls, and 36 and 398 while the
-        one linear combination that replaced them multiplied by its unit
-        scalars instead of shifting."""
+        S-polynomial from two ``mul_term`` calls, 36 and 398 while the one
+        linear combination that replaced them multiplied by its unit
+        scalars instead of shifting, 74 and 611 (58 norm calls, 14
+        distinct) while ``colon`` eliminated from the raw generators and
+        the unreduced z^2 image, and 69 and 563 while the S-polynomial part
+        of a monic element negated the shared one into a -1 that shifted."""
         counts = {"shifts": 0, "shifted": 0, "norm": 0}
         unit_shift, norm = CyclotomicField9.unit_shift, coefficients._norm_inverse
 
@@ -610,12 +647,45 @@ class TestWorkCounters:
         monkeypatch.setattr(CyclotomicField9, "unit_shift", counted_unit_shift)
         monkeypatch.setattr(coefficients, "_norm_inverse", counted_norm)
         _cold_run([("tower-colon", {"max_level": 5})])
-        assert counts == {"shifts": 74, "shifted": 611, "norm": 58}
-        assert norm.cache_info().misses == 14
+        assert counts == {"shifts": 42, "shifted": 523, "norm": 26}
+        assert norm.cache_info().misses == 12
+
+    def test_s_polynomials_subtract_by_the_shared_minus_one(self, monkeypatch):
+        """Every -1 scalar of an S-polynomial part is the domain's shared
+        ``minus_one``, which ``linear_combination`` subtracts with no
+        product and no shift, in a cold ``tower-colon`` and over QQ, where
+        +-1 invert to the shared ``one`` and ``minus_one``.  Negating the
+        inverse of a monic element's leading coefficient made a new -1
+        instead, which took a unit shift over Q(zeta_9) and a product per
+        term over QQ: in ``tower-colon`` for 31 of 33 such parts while
+        ``colon`` eliminated from the raw generators and for all 27 once it
+        started from the held basis, and for all 14 in the QQ colon below
+        while ``colon`` eliminated from the raw generators and the inverse
+        of 1 was a new Fraction."""
+        buchberger = importlib.import_module("closurelab.groebner").groebner.__code__
+        combination = Poly.linear_combination.__func__
+        scalars = {"shared": 0, "copies": 0}
+
+        def counted(cls, ring, parts):
+            if sys._getframe(1).f_code is buchberger:
+                parts = list(parts)
+                minus_one = ring.domain.minus_one
+                for c, _, _ in parts:
+                    if c == minus_one:
+                        scalars["shared" if c is minus_one else "copies"] += 1
+            return combination(cls, ring, parts)
+
+        monkeypatch.setattr(Poly, "linear_combination", classmethod(counted))
+        _cold_run([("tower-colon", {})])
+        assert scalars["shared"] and scalars["copies"] == 0
+        scalars.update(shared=0, copies=0)
+        ring = RingPresentation(QQ, ("x", "y"))
+        colon([ring.parse("x^2 - y"), ring.parse("2*x*y - 1")], ring.parse("x + y"))
+        assert scalars["shared"] and scalars["copies"] == 0
 
     @pytest.mark.parametrize(
         "config, products",
-        [({}, 584), ({"max_level": 5}, 1024)],
+        [({}, 432), ({"max_level": 5}, 872)],
         ids=["default", "max_level=5"],
     )
     def test_cyclotomic_products_are_pinned(self, monkeypatch, config, products):
@@ -624,7 +694,8 @@ class TestWorkCounters:
         inverse of +-1 became the shared ``one`` or ``minus_one`` (so
         S-polynomials of monic elements add with no product) and
         ``_divide`` stopped multiplying by the inverse of a monic
-        divisor's leading coefficient."""
+        divisor's leading coefficient, and 584 and 1 024 while ``colon``
+        eliminated from the raw generators and the unreduced z^2 image."""
         calls = []
         mul = CycloNum.__mul__
 
@@ -878,6 +949,65 @@ class TestColon:
             assert ok == expected
             if ok:
                 assert cert.verify()
+
+
+_QQ_ZXY = RingPresentation(QQ, ("z", "x", "y"))
+
+
+def _homogeneous_form(draw, ring):
+    """A form of degree 1 to 3 with up to four terms and coefficients in
+    -3..3, the sizes ``_homogeneous_ideals`` draws; it may be zero."""
+    d = draw(st.integers(1, 3))
+    monos = [m for m in all_monomials(3, d) if sum(m) == d]
+    picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(picked), max_size=len(picked)))
+    return ring.poly({m: ring.domain.coerce(c) for m, c in zip(picked, coeffs)})
+
+
+@st.composite
+def _colon_problems(draw):
+    """QQ[z, x, y] or the Fermat quotient over F_5, one to three forms as
+    generators and a form f to divide by."""
+    ring = draw(st.sampled_from([_QQ_ZXY, fermat_ring(5)]))
+    gens = [_homogeneous_form(draw, ring) for _ in range(draw(st.integers(1, 3)))]
+    return ring, gens, _homogeneous_form(draw, ring)
+
+
+def _colon_by_elimination(gens, f):
+    """(1/f) * ((gens + relations) intersect (f)), reduced: the colon
+    eliminated from the raw generators and the unreduced f."""
+    ring = f.ring
+    meet = intersect(list(gens) + list(ring.relations), [f], ring)
+    return list(groebner([exact_divide(g, f) for g in meet], ring).generators)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_colon_problems())
+def test_colon_matches_elimination_by_the_unreduced_f(problem):
+    """``colon`` reduces f modulo the basis of the ideal before it
+    eliminates, since (I : f) = (I : NF_I(f)); its reduced basis is the one
+    that eliminating from the raw generators and f itself gives, whether it
+    is handed the generators or their Groebner basis."""
+    ring, gens, f = problem
+    basis = groebner(gens, ring)
+    zero = f * ring.relations[0] if ring.relations else ring.zero()
+    for form in (gens, basis):
+        with pytest.raises(ZeroDivisionError):
+            colon(form, zero)
+    other = RingPresentation(ring.domain, ring.variables)
+    with pytest.raises(ValueError, match="basis of f's ring"):
+        colon(groebner(gens, other), f)
+    # a generator that is nonzero in the quotient lies in I: a zero
+    # remainder, and the unit ideal
+    for g in gens:
+        if not normal_form(g, ring.relations).is_zero():
+            assert colon(gens, g) == colon(basis, g) == [ring.one()] == _colon_by_elimination(gens, g)
+    if normal_form(f, ring.relations).is_zero():
+        with pytest.raises(ZeroDivisionError):
+            colon(basis, f)
+        return
+    expected = _colon_by_elimination(gens, f)
+    assert colon(gens, f) == colon(basis, f) == expected
 
 
 class TestIntersect:
