@@ -114,8 +114,9 @@ def frobenius_closure_test(f: Poly, gens, e: int) -> bool:
 
 
 def tight_closure_witness(f: Poly, gens, c: Poly, e_max: int) -> list[bool]:
-    """For e = 1..e_max, whether c * f^(p^e) lies in I^[p^e] in the quotient."""
-    if normal_form(c, f.ring.relations).is_zero():
+    """For e = 1..e_max, whether c * f^(p^e) lies in I^[p^e] in the quotient;
+    c is tested against the relation whichever compatible ring it has."""
+    if normal_form(c, fermat_ring(f.ring.domain.p).relations).is_zero():
         raise ZeroDivisionError("multiplier reduces to zero in the quotient ring")
     gens = tuple(gens)
     return [
@@ -149,7 +150,11 @@ def find_multiplier(f: Poly, gens, deg_bound: int, e_max: int) -> Poly | None:
     """
     if deg_bound < 0 or e_max < 1:
         raise ValueError("deg_bound must be >= 0 and e_max >= 1")
-    ring = f.ring
+    # every bracket basis holds the relation, so f, the scan and the final
+    # nonzero test are all read in the quotient ring, whichever compatible
+    # ring f has
+    ring = fermat_ring(f.ring.domain.p)
+    f = f.moved(ring)
     gens = tuple(gens)
     bases = [_bracket_basis(ring.domain.p, gens, e) for e in range(1, e_max + 1)]
     powers = frobenius_ladder(f, gens, e_max)
@@ -171,8 +176,7 @@ def find_multiplier(f: Poly, gens, deg_bound: int, e_max: int) -> Poly | None:
     relations = list(ring.relations)
     current = None
     for fe, basis in zip(powers, bases):
-        # the basis lives in fermat_ring(p), whichever compatible ring f has
-        piece = colon(basis, fe.moved(basis.ring)) if fe else [ring.one()]
+        piece = colon(basis, fe) if fe else [ring.one()]
         current = piece if current is None else intersect(current + relations, piece + relations, ring)
     for g in groebner(current, ring).generators:
         if g.degree() <= deg_bound and not normal_form(g, ring.relations).is_zero():

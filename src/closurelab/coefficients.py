@@ -420,9 +420,7 @@ class RationalField:
     def inv(self, x: Fraction) -> Fraction:
         if not x:
             raise ZeroDivisionError("inverse of zero in QQ")
-        # +-1 invert to the shared one and minus_one, which sums take with
-        # no product
-        return self.one if x == 1 else self.minus_one if x == -1 else 1 / x
+        return 1 / x
 
     def unit_shift(self, x: Fraction):
         return None

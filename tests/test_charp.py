@@ -358,10 +358,13 @@ class TestTightClosure:
         assert got == [witness_oracle(mono, p, e) for e in range(1, e_max + 1)]
 
     def test_zero_multiplier_rejected(self):
-        ring = charp.fermat_ring(5)
-        gens = [ring.parse("x"), ring.parse("y")]
-        with pytest.raises(ZeroDivisionError):
-            charp.tight_closure_witness(ring.parse("z^2"), gens, ring.relations[0], 1)
+        # the relation is zero in the quotient, also when it comes from a
+        # compatible ring without the relation
+        fermat = charp.fermat_ring(5)
+        for ring in (fermat, RingPresentation(fermat.domain, fermat.variables)):
+            gens = [ring.parse("x"), ring.parse("y")]
+            with pytest.raises(ZeroDivisionError):
+                charp.tight_closure_witness(ring.parse("z^2"), gens, ring.parse("z^3 + x^3 + y^3"), 1)
 
 
 class TestFindMultiplier:
@@ -431,11 +434,11 @@ class TestIntersectionPath:
 
     @pytest.mark.parametrize("p, target, deg_bound", [(5, "1", 3), (7, "z^2", 0)])
     def test_a_ring_without_the_relation_meets_the_same_ideals(self, monkeypatch, p, target, deg_bound):
-        # each colon is taken from a bracket basis, which lives in
-        # fermat_ring(p) whatever compatible ring f has, so a ring without
-        # the relation meets the same colon ideals as the quotient (the
-        # final test differs: there the relation is not zero)
-        meets = []
+        # find_multiplier reads f in fermat_ring(p), where every bracket
+        # basis lives, so a ring without the relation meets the same colon
+        # ideals as the quotient and gets the same multiplier: None here,
+        # not the relation, which is zero in the quotient
+        meets, found = [], []
         intersect = charp.intersect
 
         def recording(gens_a, gens_b, ring):
@@ -448,8 +451,9 @@ class TestIntersectionPath:
         bare = RingPresentation(fermat.domain, fermat.variables)
         for ring in (fermat, bare):
             gens = [ring.parse("x"), ring.parse("y")]
-            charp.find_multiplier(ring.parse(target), gens, deg_bound, 2)
+            found.append(charp.find_multiplier(ring.parse(target), gens, deg_bound, 2))
         assert len(meets) == 2 and meets[0] == meets[1]
+        assert found == [None, None]
 
     def test_a_zero_rung_contributes_the_unit_ideal(self, monkeypatch):
         # NF(f^q) = 0 means f^q lies in I^[q]: every c qualifies at that q,
