@@ -6,40 +6,38 @@ A cyclotomic element is stored fraction-free, as six ints over one positive
 common denominator; products fold t^6 + t^3 + 1 inline and cancel with one
 gcd.  One table serves the 18 units +-t^k: it inverts them, and it gives
 the product with each as a signed coordinate shift with no gcd
-(``unit_shift``).  Every other element is inverted by the norm (Cohen, *A
-Course in Computational Algebraic Number Theory*, 4.2), cached.
+(``CyclotomicField9.unit_shift``).  Every other element is inverted by the
+norm (Cohen, *A Course in Computational Algebraic Number Theory*, 4.2),
+cached.
 
 An integer is a plain int, and so is a residue mod p^N, in [0, p^N): ZZ is
 the residue ring with no modulus.  ``Poly`` reduces each output coefficient
 modulo the domain's ``modulus`` once; ZZ, QQ and Q(zeta_9) have ``modulus =
 None``.  Every domain exposes ``zero``, ``one``, ``inv``, ``coerce``,
-``is_field``, ``modulus``, ``lift_pair``, ``unit_shift`` (None outside
-Q(zeta_9)) and ``format``; residue rings add ``val``.  An int or a
-Fraction becomes a coefficient only through ``coerce``: ``CycloNum``
-arithmetic takes ``CycloNum`` operands alone.
+``is_field``, ``modulus``, ``convolve`` and ``format``; residue rings add
+``val``.  An int or a Fraction becomes a coefficient only through
+``coerce``: ``CycloNum`` arithmetic takes ``CycloNum`` operands alone.
 
-``lift_pair`` serves the one big-int product of ``Poly.__mul__``: it maps
-two coefficient lists to Python ints whose products and sums stand for the
-products and sums of the coefficients, plus a ``lower`` function that maps
-an accumulated int back to one domain element, or returns None when it
-does not lift those lists and the product goes term by term.  Integers and
-residues are their own ints, and QQ lifts nothing.  Q(zeta_9) lifts two
-lists when every vector of each is zero outside coordinates r and r + 3
-for some r per list: the list is t^r times a polynomial in T = t^3, and
-those two coordinates are packed at T = 2^B (Kronecker substitution;
-Harvey, J. Symb. Comput. 44, 2009), so one big-int product is one 2x2
-convolution with three digits.  B is chosen from the actual operand sizes
-so that every accumulated coordinate stays a balanced base-2^B digit, and
-``lower`` unpacks the three digits, folds them by T^2 = -T - 1 into the
-two live coordinates and cancels with one gcd once per output term
-(delayed reduction; Monagan and Pearce, J. Symb. Comput. 46, 2011).
+``convolve`` serves the lifted products of ``Poly.__mul__``: it returns the
+product of two coefficient lists as one list of domain elements, or None
+when the domain does not lift them and the product goes term by term.  Each
+lifted product runs on ``_kronecker``, the one place that packs ints into
+one big int (Kronecker substitution; D. Harvey, J. Symb. Comput. 44, 2009).
+Integers and residues are convolved as they are and reduced once per output
+entry, and QQ lifts nothing.  Q(zeta_9) lifts two lists when every vector
+of each is zero outside coordinates r and r + 3 for some r per list: the
+list is t^r times a + b*T, T = t^3, with a and b int lists over one
+denominator.  The product (a + b*T)(c + d*T) takes three int convolutions,
+a*c, b*d and (a + b)(c + d) (Karatsuba and Ofman, Doklady 145, 1962), folds
+T^2 = -T - 1 into the two live coordinates and cancels with one gcd once per
+output entry (delayed reduction; Monagan and Pearce, J. Symb. Comput. 46,
+2011).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import gcd, lcm
 
 # Minimal polynomial of the generator zeta (a primitive 9th root of unity):
@@ -236,19 +234,6 @@ def _reduced(num: tuple, den: int) -> CycloNum:
     return _make(num, den)
 
 
-def _common_denominator(xs) -> tuple:
-    """The numerators of CycloNums over their lcm denominator, and that
-    denominator."""
-    den = lcm(*{x.den for x in xs})
-    return [x.num if x.den == den else [c * (den // x.den) for c in x.num] for x in xs], den
-
-
-def _abs_bits(vectors) -> int:
-    """Bit length of the largest absolute value among the coordinates, in
-    one pass over them."""
-    return max(map(abs, chain.from_iterable(vectors))).bit_length()
-
-
 def _coset(vectors):
     """The r in 0..2 such that the vectors are nonzero only at coordinates
     r and r + 3 (the vectors of t^r * Q(theta)), or None if there is none."""
@@ -256,10 +241,40 @@ def _coset(vectors):
     return live.pop() if len(live) == 1 else None
 
 
-def _pack(vectors, shift: int, bits: int) -> list:
-    """Each vector's coordinates shift and shift + 3 as one int: its
-    polynomial in T = t^3 evaluated at T = 2^bits (Kronecker substitution)."""
-    return [v[shift] + (v[shift + 3] << bits) for v in vectors]
+def _split(xs, r: int) -> tuple:
+    """Coordinates r and r + 3 of the CycloNums xs as two int lists over
+    their lcm denominator, and that denominator: a list in t^r * Q(theta)
+    is t^r * (a + b*T)/den, T = t^3."""
+    den = lcm(*{x.den for x in xs})
+    scales = [den // x.den for x in xs]
+    return [x.num[r] * s for x, s in zip(xs, scales)], [x.num[r + 3] * s for x, s in zip(xs, scales)], den
+
+
+def _kronecker(xs: list, ys: list) -> list:
+    """The coefficients of the product of the univariate polynomials with
+    int coefficient lists ``xs`` and ``ys``, from one big-int product.  Each
+    list is packed at 2^W per entry, W a whole number of bytes at least
+    ``bits(max|x|) + bits(max|y|) + bits(min(len)) + 1``, so every output
+    entry is a balanced digit in [-2^(W-1), 2^(W-1)); ``ys is xs`` squares
+    the one packed int.  Packing and reading back go through byte strings
+    with an offset of 2^(W-1) per digit, which makes every digit
+    non-negative, so both are linear in the size, with no shift per digit."""
+    la, lb = len(xs), len(ys)
+    bits = max(max(xs), -min(xs)).bit_length() + max(max(ys), -min(ys)).bit_length()
+    k = (bits + min(la, lb).bit_length() + 8) >> 3  # W / 8 bytes per digit
+    half = 1 << (8 * k - 1)
+    offset = bytes(k - 1) + b"\x80"  # one digit 2^(W-1), little-endian
+    from_bytes = int.from_bytes
+
+    def pack(zs):
+        raw = b"".join([(z + half).to_bytes(k, "little") for z in zs])
+        return from_bytes(raw, "little") - from_bytes(offset * len(zs), "little")
+
+    x = pack(xs)
+    n = la + lb - 1
+    prod = x * x if ys is xs else x * pack(ys)
+    raw = (prod + from_bytes(offset * n, "little")).to_bytes(n * k, "little")
+    return [from_bytes(raw[i:i + k], "little") - half for i in range(0, n * k, k)]
 
 
 def _fold(cs: list) -> tuple:
@@ -271,46 +286,6 @@ def _fold(cs: list) -> tuple:
             cs[k - 6] -= c
     cs += [0] * (CYCLO_DEGREE - len(cs))
     return tuple(cs[:CYCLO_DEGREE])
-
-
-def _coset_lower(bits: int, low: int, den: int):
-    """``lower`` for two packed coordinates: the three balanced
-    base-2^bits digits d0, d1, d2 of a sum are its coefficients of t^low
-    times 1, T, T^2 (T = t^3).  T^2 = -T - 1 makes that t^low * (a + b*T)
-    with a = d0 - d2 and b = d1 - d2, and when low >= 3, t^low is
-    t^(low - 3) * T and T * (a + b*T) = -b + (a - b)*T.  The two values
-    go straight to coordinates low % 3 and low % 3 + 3 of a CycloNum built
-    in place, and cancel against ``den`` with one gcd."""
-    half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    top = 2 * bits
-    # half in every digit: the digits of s + offset are d_j + half >= 0,
-    # so the halves cancel in a and b, and the top digit needs no mask
-    offset = half + (half << bits) + (half << top)
-    r = low % 3
-    wrap = low >= 3
-    new = object.__new__
-
-    def lower(s):
-        u = s + offset
-        e2 = u >> top
-        a = (u & mask) - e2
-        b = ((u >> bits) & mask) - e2
-        if wrap:
-            a, b = -b, a - b
-        d = den
-        if d != 1:
-            g = gcd(d, a, b)
-            if g != 1:
-                a //= g
-                b //= g
-                d //= g
-        x = new(CycloNum)
-        x.num = (a, 0, 0, b, 0, 0) if r == 0 else (0, a, 0, 0, b, 0) if r == 1 else (0, 0, a, 0, 0, b)
-        x.den = d
-        return x
-
-    return lower
 
 
 # a stored numerator padded to the nine coordinates of Z[t]/(t^9 - 1)
@@ -422,10 +397,7 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero in QQ")
         return 1 / x
 
-    def unit_shift(self, x: Fraction):
-        return None
-
-    def lift_pair(self, xs, ys):
+    def convolve(self, xs, ys):
         """None: products over QQ go term by term."""
         return None
 
@@ -470,28 +442,49 @@ class CyclotomicField9:
                 return unit[1]
         return None
 
-    def lift_pair(self, xs, ys):
-        """Both lists packed for ``_kronecker`` when each lies in some
+    def convolve(self, xs, ys):
+        """The product of two coefficient lists that each lie in some
         t^r * Q(theta) (coordinates r and r + 3 only; r per list), else
         None, and the product goes term by term.
 
-        Each list is taken over one denominator and each vector packed as
-        one int at T = t^3 = 2^B (``_pack``); a square (``ys is xs``) is
-        lifted once.  The product lives on t^(rx+ry) times three digits
-        (``_coset_lower``).  An output digit sums at most ``min(len xs,
-        len ys)`` term pairs of two products each, so its size is below
-        ``2 * min(len) * max|x| * max|y|``; B one bit above that bound
-        keeps it a balanced digit in [-2^(B-1), 2^(B-1))."""
+        The lists are t^rx * (a + b*T)/dx and t^ry * (c + d*T)/dy, T = t^3
+        (``_split``); a square (``ys is xs``) is split once and passes each
+        int list twice, so ``_kronecker`` squares it.  With p = a*c, q = b*d
+        and m = (a + b)(c + d), T^2 = -T - 1 makes the product
+        t^(rx+ry) * (u + v*T) with u = p - q and v = m - p - 2q, and when
+        rx + ry >= 3, t^(rx+ry) is t^(rx+ry-3) * T and T * (u + v*T) =
+        -v + (u - v)*T.  The two values go straight to coordinates
+        (rx + ry) % 3 and that + 3 of a CycloNum built in place, and cancel
+        against dx * dy with one gcd."""
         rx = _coset([x.num for x in xs])
         ry = rx if ys is xs else _coset([y.num for y in ys])
         if rx is None or ry is None:
             return None
-        vx, dx = _common_denominator(xs)
-        vy, dy = (vx, dx) if ys is xs else _common_denominator(ys)
-        bits = _abs_bits(vx) + _abs_bits(vy) + (2 * min(len(xs), len(ys))).bit_length() + 1
-        px = _pack(vx, rx, bits)
-        lower = _coset_lower(bits, rx + ry, dx * dy)
-        return px, px if ys is xs else _pack(vy, ry, bits), lower
+        a, b, dx = _split(xs, rx)
+        c, d, dy = (a, b, dx) if ys is xs else _split(ys, ry)
+        ps, qs = _kronecker(a, c), _kronecker(b, d)
+        ab = [u + v for u, v in zip(a, b)]
+        ms = _kronecker(ab, ab if ys is xs else [u + v for u, v in zip(c, d)])
+        low = rx + ry
+        r, wrap, den = low % 3, low >= 3, dx * dy
+        new = object.__new__
+        out = []
+        for p, m, q in zip(ps, ms, qs):
+            u, v = p - q, m - p - 2 * q
+            if wrap:
+                u, v = -v, u - v
+            e = den
+            if e != 1:
+                g = gcd(e, u, v)
+                if g != 1:
+                    u //= g
+                    v //= g
+                    e //= g
+            x = new(CycloNum)
+            x.num = (u, 0, 0, v, 0, 0) if r == 0 else (0, u, 0, 0, v, 0) if r == 1 else (0, 0, u, 0, 0, v)
+            x.den = e
+            out.append(x)
+        return out
 
     # format(x, parenthesize=False) is format_cyclo
     format = staticmethod(format_cyclo)
@@ -529,12 +522,9 @@ class IntegerRing:
             return x
         raise ZeroDivisionError(f"{x} is not a unit in {self.name}")
 
-    def unit_shift(self, x: int):
-        return None
-
-    def lift_pair(self, xs, ys):
-        """The ints themselves; ``lower`` reduces modulo ``modulus`` once."""
-        return xs, ys, self.coerce
+    def convolve(self, xs, ys):
+        """The int convolution, each entry reduced modulo ``modulus`` once."""
+        return list(map(self.coerce, _kronecker(xs, ys)))
 
     def format(self, x: int, parenthesize: bool = False) -> str:
         return str(x)

@@ -92,9 +92,9 @@ def compose_endo(e1: GradedEndo, e2: GradedEndo) -> GradedEndo:
         return cached_power(powers, v, images[v], e)
 
     return GradedEndo(
-        e1.x_image.substitute(images, ring, power),
-        e1.y_image.substitute(images, ring, power),
-        e1.z_image.substitute(images, ring, power),
+        e1.x_image.substitute(target=ring, power=power),
+        e1.y_image.substitute(target=ring, power=power),
+        e1.z_image.substitute(target=ring, power=power),
     )
 
 

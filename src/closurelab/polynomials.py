@@ -23,25 +23,25 @@ another ring only after checking that its order packs alike
 
 A product of two factors with at least ``LIFT_MIN_TERMS`` terms each whose
 key lists are arithmetic progressions with one step, as for a homogeneous
-form in (x^3, y^3) times a monomial, runs on Python ints when the
-coefficient domain's ``lift_pair`` lifts both coefficient lists (a square
-``p * p``, as ``cached_power`` forms, lifts its one list once).  Output j
-has key a0 + b0 + j * step, and the output ints are the digits of one
-big-int product (Kronecker substitution, ``_kronecker``): each lifted list
-is packed into one int at a whole number of bytes per entry, the two are
-multiplied (a square squares its one int), the product's bytes are read
-back, and each output term is lowered back once.  CPython's Karatsuba
-multiply makes this faster than a sum per output term at every tower
-level (D. Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", J. Symbolic Comput. 44 (2009); R. Fateman, "Can
-you save time in multiplying polynomials by encoding them as integers?",
-2010).  ZZ and the residue rings lift their ints as they are; Q(zeta_9)
-lifts two lists whose coefficients lie in t^r * Q(theta), r per list, on
-their two coordinates r and r + 3; QQ lifts nothing.  Every other product,
-including every product with fewer terms, another key shape or lists the
-domain does not lift, is multiplied term by term.  The threshold is where
-the lifted product starts to beat term-by-term arithmetic on dense
-homogeneous factors at tower coefficient sizes.
+form in (x^3, y^3) times a monomial, is the convolution of the two
+coefficient lists when the coefficient domain's ``convolve`` lifts them:
+output j has key a0 + b0 + j * step and is entry j of that convolution.
+Each lifted convolution runs on Kronecker substitution (``_kronecker`` in
+``coefficients``): int lists packed into one int each at a whole number of
+bytes per entry, one big-int product (a square ``p * p``, as
+``cached_power`` forms, squares its one int), its bytes read back.
+CPython's Karatsuba multiply makes this faster than a sum per output term
+at every tower level (D. Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symbolic Comput. 44 (2009); R.
+Fateman, "Can you save time in multiplying polynomials by encoding them as
+integers?", 2010).  ZZ and the residue rings convolve their ints as they
+are; Q(zeta_9) lifts two lists whose coefficients lie in t^r * Q(theta), r
+per list, as three int convolutions of their coordinates r and r + 3; QQ
+lifts nothing.  Every other product, including every product with fewer
+terms, another key shape or lists the domain does not lift, is multiplied
+term by term.  The threshold is where the lifted product starts to beat
+term-by-term arithmetic on dense homogeneous factors at tower coefficient
+sizes.
 
 ``Poly.linear_combination`` is the one accumulator: a sum, a difference,
 a term-by-term product and Buchberger's S-polynomials and cofactor rows
@@ -435,11 +435,11 @@ class Poly:
           factor's terms (``mul_term``); nothing is sorted again.
         - Factors of at least ``LIFT_MIN_TERMS`` terms each whose key
           lists are arithmetic progressions with one step, as a form in
-          (x^3, y^3) times a monomial is, are one big-int product when the
-          domain's ``lift_pair`` lifts their coefficient lists: output j
-          has key a0 + b0 + j * step and is digit j of the product of the
-          two packed lists (``_kronecker``; D. Harvey 2009, R. Fateman
-          2010), which for ``p * p`` squares one int, lowered back once.
+          (x^3, y^3) times a monomial is, are the convolution of their
+          coefficient lists when the domain's ``convolve`` lifts them:
+          output j has key a0 + b0 + j * step and is entry j of that
+          convolution (Kronecker substitution; D. Harvey 2009, R. Fateman
+          2010), which for ``p * p`` passes one list twice.
         - Every other product is the linear combination of ``other``
           shifted by each term of ``self`` and scaled by its coefficient
           (``linear_combination``): one dict, the coefficient products
@@ -464,14 +464,12 @@ class Poly:
                 square or [m for m, _ in b] == list(range(b0, b0 + len(b) * step, step))
             ):
                 ca = [c for _, c in a]
-                lifted = ring.domain.lift_pair(ca, ca if square else [c for _, c in b])
-                if lifted is not None:
-                    xs, ys, lower = lifted
+                cs = ring.domain.convolve(ca, ca if square else [c for _, c in b])
+                if cs is not None:
                     keys = range(a0 + b0, a0 + b0 + (len(a) + len(b) - 1) * step, step)
                     ring.order.check_fields(reduce(or_, keys, 0))
-                    # ascending keys and lowered (canonical) coefficients
-                    terms = zip(keys, map(lower, _kronecker(xs, ys)))
-                    return Poly._presorted(ring, tuple(filter(_coefficient, terms)))
+                    # ascending keys and canonical coefficients
+                    return Poly._presorted(ring, tuple(filter(_coefficient, zip(keys, cs))))
         return Poly.linear_combination(ring, [(c, m, other) for m, c in a])
 
     __rmul__ = __mul__
@@ -500,7 +498,7 @@ class Poly:
                 return self
             terms = tuple([(m + mono, c) for m, c in self.terms])
         else:
-            shift = dom.unit_shift(coeff)
+            shift = dom.unit_shift(coeff) if dom is CYCLO else None
             if shift is not None:
                 # a unit times a nonzero coefficient is nonzero
                 terms = tuple([(m + mono, shift(c)) for m, c in self.terms])
@@ -554,33 +552,6 @@ class Poly:
 
     def __repr__(self):
         return format_poly(self)
-
-
-def _kronecker(xs: list, ys: list) -> list:
-    """The coefficients of the product of the univariate polynomials with
-    coefficient lists ``xs`` and ``ys``, from one big-int product.  Each
-    list is packed at 2^W per entry, W a whole number of bytes at least
-    ``bits(max|x|) + bits(max|y|) + bits(min(len)) + 1``, so every output
-    entry is a balanced digit in [-2^(W-1), 2^(W-1)); ``ys is xs`` squares
-    the one packed int.  Packing and reading back go through byte strings
-    with an offset of 2^(W-1) per digit, which makes every digit
-    non-negative, so both are linear in the size, with no shift per digit."""
-    la, lb = len(xs), len(ys)
-    bits = max(max(xs), -min(xs)).bit_length() + max(max(ys), -min(ys)).bit_length()
-    k = (bits + min(la, lb).bit_length() + 8) >> 3  # W / 8 bytes per digit
-    half = 1 << (8 * k - 1)
-    offset = bytes(k - 1) + b"\x80"  # one digit 2^(W-1), little-endian
-    from_bytes = int.from_bytes
-
-    def pack(zs):
-        raw = b"".join([(z + half).to_bytes(k, "little") for z in zs])
-        return from_bytes(raw, "little") - from_bytes(offset * len(zs), "little")
-
-    x = pack(xs)
-    n = la + lb - 1
-    prod = x * x if ys is xs else x * pack(ys)
-    raw = (prod + from_bytes(offset * n, "little")).to_bytes(n * k, "little")
-    return [from_bytes(raw[i:i + k], "little") - half for i in range(0, n * k, k)]
 
 
 def cached_power(powers: dict, v, base: Poly, e: int, multiply=mul) -> Poly:

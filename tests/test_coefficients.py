@@ -15,7 +15,6 @@ from closurelab.coefficients import (
     IntegerRing,
     PrimeField,
     TruncatedPadicRing,
-    _coset_lower,
     _fold,
     _norm_inverse,
     _reduced,
@@ -134,46 +133,58 @@ class TestUnitShifts:
             assert CYCLO.unit_shift(x) is None
         # 1 + t^3 is -t^6 in its one stored form
         assert CYCLO.unit_shift(THETA + CYCLO.one) is CYCLO.unit_shift(-CycloNum.zeta_power(6))
-        assert QQ.unit_shift(Fraction(1)) is None
-        assert ZZ.unit_shift(-1) is None
-        assert PrimeField(5).unit_shift(1) is None
 
 
-# The lower of the lifted product against the generic one: digit j of a
-# sum placed at t^(low + 3 j), folded by ``_fold``, cancelled by one gcd.
-def _placed_lower(s, bits, low, den):
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    u = s + sum(half << (bits * j) for j in range(3))
+# The lifted Q(zeta_9) fold against the generic one: the unfolded product
+# of t^rx (a + b T) / dx and t^ry (c + d T) / dy, T = t^3, placed at
+# t^(rx + ry + 3 j), folded by ``_fold``, cancelled by one gcd.
+def _placed_fold(x, y, rx, ry):
+    a, b, c, d = x.num[rx], x.num[rx + 3], y.num[ry], y.num[ry + 3]
+    low = rx + ry
     cs = [0] * (low + 7)
-    cs[low::3] = [((u >> (bits * j)) & mask) - half for j in range(3)]
-    return _reduced(_fold(cs), den)
+    cs[low::3] = [a * c, a * d + b * c, b * d]
+    return _reduced(_fold(cs), x.den * y.den)
 
 
 @settings(max_examples=400, deadline=None)
-@given(data=st.data(), bits=st.integers(2, 200))
-def test_lowers_match_the_placed_fold(data, bits):
-    """Balanced digits up to both extremes, rx + ry = 0..4 on the two-
-    coordinate packing (low % 3 = r), ``den`` 1 or larger, digits with a
-    common factor of ``den``, and digit patterns whose fold cancels to 0:
-    equal digits on the packing at T = t^3 (1 + T + T^2 = 0)."""
-    half = 1 << (bits - 1)
-    low = data.draw(st.integers(0, 4))
-    den = data.draw(st.sampled_from([1, 2, 3, 9, 3 ** 41, (1 << 61) - 1]) | st.integers(1, 10 ** 6))
-    extreme = st.sampled_from([-half, half - 1, 0, 1, -1])
-    digit = extreme | st.integers(-half, half - 1)
-    shape = data.draw(st.sampled_from(["free", "common", "cancel"]))
-    if shape == "cancel":
-        ds = [data.draw(digit)] * 3
-    elif shape == "common":
-        g = data.draw(st.sampled_from([d for d in (2, 3, 9, den) if den % d == 0] or [1]))
-        ds = [g * data.draw(st.integers(-(half // g), (half - 1) // g)) for _ in range(3)]
+@given(data=st.data(), bits=st.integers(1, 200))
+def test_convolve_matches_the_placed_fold(data, bits):
+    """One coefficient in t^rx * Q(theta) times one in t^ry * Q(theta),
+    rx + ry = 0..4, through ``convolve``: coordinates up to both extremes
+    +-(2^bits - 1), ``den`` 1 or larger, coordinates with a common factor
+    of the other factor's ``den``, squares, and coordinates with a + b = 0,
+    whose Karatsuba middle product (a + b)(c + d) is 0.  Two-entry lists
+    [x, x] and [y, -y] cancel their middle entry to 0."""
+    top = (1 << bits) - 1
+    extreme = st.sampled_from([-top, top, 0, 1, -1])
+    coordinate = extreme | st.integers(-top, top)
+    dens = st.sampled_from([1, 2, 3, 9, 3 ** 41, (1 << 61) - 1]) | st.integers(1, 10 ** 6)
+    shape = data.draw(st.sampled_from(["free", "common", "karatsuba", "cancel", "square"]))
+
+    def element(r, den, g=1):
+        a, b = (g * data.draw(coordinate) for _ in range(2))
+        if shape == "karatsuba":
+            b = -a
+        if not a and not b:
+            a = g
+        return _reduced(tuple(a if k == r else b if k == r + 3 else 0 for k in range(6)), den), r
+
+    if shape == "common":
+        dy = data.draw(dens)
+        g = data.draw(st.sampled_from([d for d in (2, 3, 9, dy) if dy % d == 0] or [1]))
+        (x, rx), (y, ry) = element(data.draw(st.integers(0, 2)), 1, g), element(data.draw(st.integers(0, 2)), dy)
     else:
-        ds = [data.draw(digit) for _ in range(3)]
-    s = sum(d << (bits * j) for j, d in enumerate(ds))
-    got, ref = _coset_lower(bits, low, den)(s), _placed_lower(s, bits, low, den)
-    assert (got.num, got.den) == (ref.num, ref.den)
+        (x, rx), (y, ry) = (element(data.draw(st.integers(0, 2)), data.draw(dens)) for _ in range(2))
+    if shape == "square":
+        y, ry = x, rx
+    ref = _placed_fold(x, y, rx, ry)
     if shape == "cancel":
-        assert not got and got.den == 1
+        got = CYCLO.convolve([x, x], [y, -y])
+        assert [(c.num, c.den) for c in got] == [(ref.num, ref.den), ((0,) * 6, 1), ((-ref).num, ref.den)]
+        return
+    xs = [x]
+    (got,) = CYCLO.convolve(xs, xs if shape == "square" else [y])
+    assert (got.num, got.den) == (ref.num, ref.den) == ((x * y).num, (x * y).den)
 
 
 class TestCycloFieldAxioms:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closurelab import coefficients, polynomials, tower
+from closurelab import coefficients, tower
 from closurelab.charp import _bracket_basis, fermat_ring
 from closurelab.experiments import run_experiment
 from closurelab.coefficients import (
@@ -560,38 +560,41 @@ class TestWorkCounters:
         _cold_run([("tower-colon", {"max_level": 5})])
         assert counts == {"products": 25, "pairs": 33425}
 
-    def test_tower_colon_packs_two_coordinates_per_lifted_coefficient(self, monkeypatch):
+    def test_tower_colon_splits_two_coordinates_per_lifted_coefficient(self, monkeypatch):
         """Every coefficient of the tower's lifted products lies in
         t^r * Q(theta), so in a cold ``tower-colon --max-level 5`` each of
-        the 25 lifted products packs its lists on the two coordinates r and
-        r + 3: two lists for each of the 18 products of distinct factors,
-        one for each of the 7 squares."""
+        the 25 lifted products splits its lists into the two coordinates r
+        and r + 3 (``_split``): two lists for each of the 18 products of
+        distinct factors, one for each of the 7 squares."""
         calls = []
-        pack = coefficients._pack
+        split = coefficients._split
 
-        def counted_pack(vectors, shift, bits):
-            calls.append(shift)
-            return pack(vectors, shift, bits)
+        def counted_split(xs, r):
+            calls.append(r)
+            return split(xs, r)
 
-        monkeypatch.setattr(coefficients, "_pack", counted_pack)
+        monkeypatch.setattr(coefficients, "_split", counted_split)
         _cold_run([("tower-colon", {"max_level": 5})])
         assert len(calls) == 2 * 18 + 7
 
     def test_lifted_products_pick_their_loop_by_the_keys(self, monkeypatch):
         """Every lifted product of a cold ``tower-colon --max-level 5`` is a
         form in (x^3, y^3) times a monomial by another such form, two key
-        progressions with one step, and is one big-int product
-        (``_kronecker``): 18 products of distinct factors, which pass two
-        lists, and the 7 squares that ``cached_power`` forms, which pass one
-        list twice.  ``isogeny --n 3`` makes 42 products of that size over
-        ZZ and F_2: 6 squares of progressions over ZZ are big-int products,
-        and the other 36, whose keys are not progressions with one step, go
-        term by term.  It made 45 when Buchberger summed each cofactor
-        update from products q * r; it now adds the terms of the quotients
-        in one linear combination per coordinate."""
+        progressions with one step, and is three big-int products
+        (``_kronecker``), one per int convolution of the two coordinates:
+        18 products of distinct factors, which pass two lists each time,
+        and the 7 squares that ``cached_power`` forms, which pass one list
+        twice each time, 75 calls and 21 squares.  They were 25 calls and 7
+        squares when each product packed both coordinates into one int.
+        ``isogeny --n 3`` makes 42 products of that size over ZZ and F_2: 6
+        squares of progressions over ZZ are big-int products, and the other
+        36, whose keys are not progressions with one step, go term by term.
+        It made 45 when Buchberger summed each cofactor update from products
+        q * r; it now adds the terms of the quotients in one linear
+        combination per coordinate."""
         counts = {"lifted": 0, "kronecker": 0, "square": 0}
         mul = Poly.__mul__
-        kronecker = polynomials._kronecker
+        kronecker = coefficients._kronecker
 
         def counted_mul(self, other):
             if isinstance(other, Poly) and min(len(self.terms), len(other.terms)) >= LIFT_MIN_TERMS:
@@ -605,9 +608,9 @@ class TestWorkCounters:
 
         monkeypatch.setattr(Poly, "__mul__", counted_mul)
         monkeypatch.setattr(Poly, "__rmul__", counted_mul)
-        monkeypatch.setattr(polynomials, "_kronecker", counted_kronecker)
+        monkeypatch.setattr(coefficients, "_kronecker", counted_kronecker)
         _cold_run([("tower-colon", {"max_level": 5})])
-        assert counts == {"lifted": 25, "kronecker": 25, "square": 7}
+        assert counts == {"lifted": 25, "kronecker": 75, "square": 21}
         counts.update(lifted=0, kronecker=0, square=0)
         _cold_run([("isogeny", {"n": 3})])
         assert counts == {"lifted": 42, "kronecker": 6, "square": 6}

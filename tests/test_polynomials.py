@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from closurelab.charp import fermat_ring
 from closurelab.coefficients import CYCLO, QQ, ZZ, CycloNum, PrimeField, TruncatedPadicRing
 from closurelab.groebner import _divide, elimination_ring, exact_divide
-from closurelab import polynomials
+from closurelab import coefficients
 from closurelab.polynomials import (
     EXP_LIMIT,
     LIFT_MIN_TERMS,
@@ -678,7 +678,7 @@ def _coset_shapes(draw, terms):
     t^r * Q(theta) (coordinates r and r + 3 only), or moved there and then
     one coefficient taken out of it again by adding c * t^(r+1).  Half the
     lists go into some t^r * Q(theta), so a quarter of the products have
-    two lists that ``lift_pair`` lifts."""
+    two lists that ``convolve`` lifts."""
     shape = draw(st.sampled_from(["coset", "coset", "broken", "drawn"]))
     if shape == "drawn" or not terms:
         return terms
@@ -879,11 +879,20 @@ def test_lifted_coset_product_at_the_packing_width(k, n, signs, shifts):
 
 
 def _loops_taken(f, g):
-    """f * g and g * f, with the number of the two that went through the
-    big-int product ``_kronecker``."""
-    with mock.patch.object(polynomials, "_kronecker", wraps=polynomials._kronecker) as spy:
+    """f * g and g * f, with the number of the two whose coefficient lists
+    the domain's ``convolve`` lifted."""
+    domain = f.ring.domain
+    convolve = domain.convolve
+    lifted = []
+
+    def spy(xs, ys):
+        cs = convolve(xs, ys)
+        lifted.append(cs is not None)
+        return cs
+
+    with mock.patch.object(domain, "convolve", spy):
         fg, gf = f * g, g * f
-    return fg, gf, spy.call_count
+    return fg, gf, sum(lifted)
 
 
 def _in_coset(x, r):
@@ -891,16 +900,20 @@ def _in_coset(x, r):
     return CycloNum([c if k % 3 == r else 0 for k, c in enumerate(x.coords)])
 
 
-def _lifts(f, g):
-    """Whether ``lift_pair`` lifts the coefficient lists of f and g: ZZ and
+def _lists_lift(domain, xs, ys):
+    """Whether ``convolve`` lifts the coefficient lists xs and ys: ZZ and
     the residue rings always, QQ never, Q(zeta_9) when each list lies in
     some t^r * Q(theta), its nonzero coordinates all at r and r + 3."""
-    domain = f.ring.domain
     if domain == QQ:
         return False
     if domain != CYCLO:
         return True
-    return all(len({k % 3 for _, c in h.terms for k, x in enumerate(c.num) if x}) == 1 for h in (f, g))
+    return all(len({k % 3 for c in cs for k, x in enumerate(c.num) if x}) == 1 for cs in (xs, ys))
+
+
+def _lifts(f, g):
+    """Whether ``convolve`` lifts the coefficient lists of f and g."""
+    return _lists_lift(f.ring.domain, [c for _, c in f.terms], [c for _, c in g.terms])
 
 
 def _form(ring, coefficients, step, shift, gap=None):
@@ -953,8 +966,8 @@ def _progressions(draw, same_step=True, gap=False, domains=(QQ, CYCLO, ZZ, *_RES
 @given(problem=_progressions())
 def test_diagonal_product_matches_the_schoolbook_product(problem):
     """Two forms in (x^s, y^s) times monomials, both key lists progressions
-    with one step, go through ``_kronecker`` in either order when the
-    domain lifts both lists and term by term otherwise, and the product
+    with one step, are convolved in either order when the domain lifts
+    both lists and term by term otherwise, and the product
     equals the schoolbook product."""
     f, g, alternating = problem
     fg, gf, packed = _loops_taken(f, g)
@@ -982,7 +995,7 @@ def test_products_off_one_progression_take_the_dict_loop(problem):
 def test_progressions_the_domain_does_not_lift_go_term_by_term(problem, data):
     """Two progressions with one step over QQ, or over Q(zeta_9) with one
     list off every t^r * Q(theta) (one coefficient set to 1 + t, which has
-    coordinates 0 and 1), make no ``_kronecker`` call and equal the
+    coordinates 0 and 1), are not lifted by ``convolve`` and equal the
     schoolbook product."""
     f, g, _ = problem
 
@@ -1063,20 +1076,74 @@ def test_kronecker_matches_the_nested_loop_convolution(operands):
     shares no code with the engine; the examples put a middle digit at the
     width bound, as a square, as two equal lists and as a 6 x 90 pair."""
     xs, ys = operands
-    assert polynomials._kronecker(xs, ys) == _convolution(xs, ys)
+    assert coefficients._kronecker(xs, ys) == _convolution(xs, ys)
 
 
-def _lowered_square(f):
+def _domain_convolution(domain, xs, ys):
+    """The product of two coefficient lists by its definition, in domain
+    arithmetic: entry i + j collects xs[i] * ys[j], one pair at a time,
+    and residues are reduced once at the end."""
+    out = [domain.zero] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] = out[i + j] + x * y
+    return [domain.coerce(c) for c in out]
+
+
+@st.composite
+def _coefficient_lists(draw):
+    """Two coefficient lists over one domain, lengths 1 to 30, a third of
+    them one list twice (a square).  Each Q(zeta_9) list is drawn dense,
+    moved into t^r * Q(theta) with its own r (so rx + ry runs 0..4), moved
+    there with a + b = 0 in every entry (coordinate r + 3 the negative of
+    coordinate r, so the Karatsuba middle convolution cancels), or moved
+    there and then one entry taken out again; denominators are small, 3^j
+    or 2^j - 1, as ``_coefficients`` draws them."""
+    domain = draw(st.sampled_from([QQ, CYCLO, ZZ, *_RESIDUE_RINGS]))
+    coeff = _coefficients(domain, draw(st.integers(1, 200)))
+
+    def one_list():
+        xs = draw(st.lists(coeff, min_size=1, max_size=draw(st.sampled_from([3, 30]))))
+        if domain != CYCLO:
+            return xs
+        shape = draw(st.sampled_from(["coset", "coset", "cancel", "broken", "drawn"]))
+        if shape == "drawn":
+            return xs
+        r = draw(st.integers(0, 2))
+        xs = [_in_coset(x, r) for x in xs]
+        if shape == "cancel":
+            xs = [CycloNum([-x.coords[r] if k == r + 3 else c for k, c in enumerate(x.coords)]) for x in xs]
+        elif shape == "broken":
+            i = draw(st.integers(0, len(xs) - 1))
+            xs[i] = xs[i] + CycloNum.zeta_power(r + 1)
+        return xs
+
+    xs = one_list()
+    return domain, xs, xs if draw(st.integers(0, 2)) == 0 else one_list()
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_coefficient_lists())
+def test_convolve_matches_the_nested_loop_convolution(problem):
+    """Each domain's ``convolve`` equals the convolution in domain
+    arithmetic wherever it lifts the lists, squares among them, and
+    returns None exactly where the lists do not lift: QQ always, Q(zeta_9)
+    when some list lies in no t^r * Q(theta)."""
+    domain, xs, ys = problem
+    got = domain.convolve(xs, ys)
+    assert (got is None) == (not _lists_lift(domain, xs, ys))
+    if got is not None:
+        assert got == _domain_convolution(domain, xs, ys)
+
+
+def _convolved_square(f):
     """The square of a form ``f`` in (x^s, y^s) times a monomial through
-    ``_kronecker(xs, xs)`` alone, on the lifted coefficient list, at any
-    length: output j at the j-th key of the doubled progression."""
+    the domain's ``convolve`` of its one coefficient list with itself, at
+    any length: output j at the j-th key of the doubled progression."""
     cs = [c for _, c in f.terms]
-    xs, ys, lower = f.ring.domain.lift_pair(cs, cs)
-    assert ys is xs
     keys = [m for m, _ in f.terms]
     step = keys[1] - keys[0] if len(keys) > 1 else 0
-    sums = polynomials._kronecker(xs, xs)
-    return Poly(f.ring, {2 * keys[0] + j * step: lower(c) for j, c in enumerate(sums)})
+    return Poly(f.ring, {2 * keys[0] + j * step: c for j, c in enumerate(f.ring.domain.convolve(cs, cs))})
 
 
 @settings(max_examples=80, deadline=None)
@@ -1084,40 +1151,36 @@ def _lowered_square(f):
 def test_square_loop_matches_the_schoolbook_square(data):
     """A form with 1, 2, 89, 90 or up to 40 nonzero coefficients over QQ,
     Q(zeta_9) (dense or in some t^r * Q(theta)), ZZ, F_p or Z/p^N, against
-    the schoolbook square: squared as one packed int where ``lift_pair``
-    lifts its list.  From LIFT_MIN_TERMS terms on, ``f * f`` then passes
-    ``_kronecker`` one list for both factors, which squares it, and a
-    product of two equal factors that are not one object passes two lists
-    and multiplies; QQ and dense Q(zeta_9) squares make no such call.
-    Every way gives the same result."""
+    the schoolbook square: convolved with itself where ``convolve`` lifts
+    its list.  From LIFT_MIN_TERMS terms on, ``f * f`` then passes
+    ``convolve`` one list for both factors, and every ``_kronecker`` call
+    squares one int (one over ZZ and the residue rings, three over
+    Q(zeta_9)); a product of two equal factors that are not one object
+    passes two lists and multiplies; QQ and dense Q(zeta_9) squares make no
+    ``_kronecker`` call.  Every way gives the same result."""
     domain = data.draw(st.sampled_from([QQ, CYCLO, ZZ, *_RESIDUE_RINGS]))
     coeff = _coefficients(domain, data.draw(st.integers(1, 200))).filter(bool)
     if domain == CYCLO and data.draw(st.booleans()):
         r = data.draw(st.integers(0, 2))
-        coeff = coeff.map(
-            lambda x: CycloNum([c if k % 3 == r else 0 for k, c in enumerate(x.coords)])
-        ).filter(bool)
+        coeff = coeff.map(lambda x: _in_coset(x, r)).filter(bool)
     n = data.draw(st.sampled_from([1, 2, 89, 90]) | st.integers(1, 40))
     ring = RingPresentation(domain, ("x", "y", "z"))
-    coefficients = data.draw(st.lists(coeff, min_size=n, max_size=n))
+    cs = data.draw(st.lists(coeff, min_size=n, max_size=n))
     step, shift = data.draw(st.integers(1, 3)), data.draw(st.tuples(*[st.integers(0, 3)] * 3))
-    f = _form(ring, coefficients, step, shift)
+    f = _form(ring, cs, step, shift)
     expected = _schoolbook(f, f)
     lifts = _lifts(f, f)
     if lifts:
-        assert _lowered_square(f) == expected
+        assert _convolved_square(f) == expected
     if n >= LIFT_MIN_TERMS:
-        with mock.patch.object(polynomials, "_kronecker", wraps=polynomials._kronecker) as spy:
+        calls = (3 if domain == CYCLO else 1) if lifts else 0
+        kronecker = coefficients._kronecker
+        with mock.patch.object(coefficients, "_kronecker", wraps=kronecker) as spy:
             assert (f * f).terms == expected.terms
-            assert spy.call_count == lifts
-            if lifts:
-                xs, ys = spy.call_args.args
-                assert ys is xs
+            assert [c.args[1] is c.args[0] for c in spy.call_args_list] == [True] * calls
+            spy.reset_mock()
             assert (f * Poly(ring, dict(f.terms))).terms == expected.terms
-            assert spy.call_count == 2 * lifts
-            if lifts:
-                xs, ys = spy.call_args.args
-                assert ys is not xs and ys == xs
+            assert [c.args[1] is c.args[0] for c in spy.call_args_list] == [False] * calls
 
 
 @pytest.mark.parametrize("k", [1, 64, 200])
@@ -1138,8 +1201,8 @@ def test_square_loop_at_the_packing_width(k, n, r):
     d = (1 << 127) - 1
     scaled = Poly(ring, {m: c * CYCLO.coerce(Fraction(1, d)) for m, c in f.terms})
     if r is not None:
-        assert _lowered_square(f) == _schoolbook(f, f)
-        assert _lowered_square(scaled) == _schoolbook(scaled, scaled)
+        assert _convolved_square(f) == _schoolbook(f, f)
+        assert _convolved_square(scaled) == _schoolbook(scaled, scaled)
     assert (scaled * scaled).terms == _schoolbook(scaled, scaled).terms
 
 
@@ -1150,9 +1213,9 @@ def test_square_loop_at_the_packing_width(k, n, r):
 )
 def test_diagonals_that_cancel_to_zero(domain):
     """With u = x^3 / y^3, (1 + u + ... + u^5)(1 - u + ... - u^5) y^30 z is
-    (1 + u^2 + u^4 - u^6 - u^8 - u^10) y^30 z: the five odd digits of its
-    big-int product cancel to 0 and drop out, and the even ones are lowered
-    in order.  QQ lifts nothing and goes term by term, to the same result;
+    (1 + u^2 + u^4 - u^6 - u^8 - u^10) y^30 z: the five odd entries of its
+    convolution cancel to 0 and drop out, and the even ones are kept in
+    order.  QQ lifts nothing and goes term by term, to the same result;
     the rational integers of Q(zeta_9) lie in t^0 * Q(theta) and lift."""
     ring = RingPresentation(domain, ("x", "y", "z"))
     f = _form(ring, [1] * 6, 3, (0, 0, 1))
