@@ -3,12 +3,12 @@ generated by a primitive ninth root of unity, integers, and residues mod p^N
 (F_p is N = 1).
 
 A cyclotomic element is stored fraction-free, as six ints over one positive
-common denominator; products fold t^6 + t^3 + 1 inline and cancel with one
-gcd.  One table serves the 18 units +-t^k: it inverts them, and it gives
-the product with each as a signed coordinate shift with no gcd
-(``CyclotomicField9.unit_shift``).  Every other element is inverted by the
-norm (Cohen, *A Course in Computational Algebraic Number Theory*, 4.2),
-cached.
+common denominator.  ``CycloNum.__mul__`` is its one product: when either
+factor is one of the 18 units +-t^k, the product is a signed coordinate
+shift of the other with no gcd, and every other product folds
+t^6 + t^3 + 1 inline and cancels with one gcd.  The same table of units
+inverts them; every other element is inverted by the norm (Cohen, *A
+Course in Computational Algebraic Number Theory*, 4.2), cached.
 
 An integer is a plain int, and so is a residue mod p^N, in [0, p^N): ZZ is
 the residue ring with no modulus.  ``Poly`` reduces each output coefficient
@@ -156,7 +156,15 @@ class CycloNum:
         return NotImplemented
 
     def __mul__(self, other) -> "CycloNum":
+        """The product: a unit +-t^k times x is a signed coordinate shift of
+        x (``_UNITS``, at most one lookup per operand with ``den == 1``),
+        and every other product the 6x6 convolution folded inline and
+        cancelled with one gcd."""
         if isinstance(other, CycloNum):
+            if self.den == 1 and (unit := _UNITS.get(self.num)):
+                return unit[1](other)
+            if other.den == 1 and (unit := _UNITS.get(other.num)):
+                return unit[1](self)
             a0, a1, a2, a3, a4, a5 = self.num
             b0, b1, b2, b3, b4, b5 = other.num
             # coefficients of t^6 .. t^10 of the 6x6 convolution, folded by
@@ -292,7 +300,7 @@ def _fold(cs: list) -> tuple:
 _PAD = (0, 0, 0)
 
 
-def _unit_shift(k: int, negate: bool):
+def _times_unit(k: int, negate: bool):
     """x -> x * t^k, or x * -t^k when ``negate``: the numerator of x padded
     to the nine coordinates r of Z[t]/(t^9 - 1) is rotated by k, and
     t^(6+j) -> -t^(3+j) - t^j folds the rotation back, so coordinate i of
@@ -317,16 +325,17 @@ def _unit_shift(k: int, negate: bool):
 def _unit_table() -> dict:
     """The 18 units +-t^k (k = 0..8), keyed on their stored numerators
     (den 1, and each element has one stored form), mapped to their
-    inverses +-t^(9-k) and to the shift x -> x * (+-t^k) (``_unit_shift``),
-    which is unimodular, so a numerator in lowest terms over ``den`` stays
+    inverses +-t^(9-k), which ``inverse`` returns, and to the shift
+    x -> x * (+-t^k) (``_times_unit``), which ``__mul__`` applies and which
+    is unimodular, so a numerator in lowest terms over ``den`` stays
     so: no gcd.  Each unit is built once, so 1 and -1 invert to the very
     objects they are: the field's shared ``one`` and ``minus_one``."""
     powers = [CycloNum.zeta_power(k) for k in range(9)]
     negatives = [-u for u in powers]
     table = {}
     for k in range(9):
-        table[powers[k].num] = (powers[-k % 9], _unit_shift(k, False))
-        table[negatives[k].num] = (negatives[-k % 9], _unit_shift(k, True))
+        table[powers[k].num] = (powers[-k % 9], _times_unit(k, False))
+        table[negatives[k].num] = (negatives[-k % 9], _times_unit(k, True))
     return table
 
 
@@ -432,15 +441,6 @@ class CyclotomicField9:
 
     def inv(self, x: CycloNum) -> CycloNum:
         return x.inverse()
-
-    def unit_shift(self, x: CycloNum):
-        """The map c -> c * x as a signed coordinate shift with no gcd
-        when x is one of the 18 units +-t^k, else None."""
-        if x.den == 1:
-            unit = _UNITS.get(x.num)
-            if unit is not None:
-                return unit[1]
-        return None
 
     def convolve(self, xs, ys):
         """The product of two coefficient lists that each lie in some

@@ -3,9 +3,10 @@ multiplication-by-2 map of the Hesse cubic, and the digit-lifted membership
 m(z^2) in (p^n, m(x), m(y)).
 
 The doubling formula is taken from the Hessian-curve literature but treated
-as untrusted input: a candidate is accepted only after the symbolic
-relation-preservation check and agreement with the classical chord-tangent
-construction on actual curve points.
+as untrusted input: it is accepted only after three gates
+(``_doubling_rejection``), the symbolic relation-preservation check, a check
+that its images are not all zero modulo the relation, and agreement with
+the classical chord-tangent construction on actual curve points.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .polynomials import Poly, RingPresentation, cached_power, format_poly
 
 
 class CandidateRejectedError(RuntimeError):
-    """No doubling candidate passed the verification gates."""
+    """The doubling formula failed a verification gate."""
 
 
 class ConventionViolationError(ValueError):
@@ -211,46 +212,36 @@ def curve_points(p: int) -> list:
 # the doubling endomorphism
 
 
-def _doubling_candidates(ring: RingPresentation):
-    x, y, z = ring.var("x"), ring.var("y"), ring.var("z")
-    x3, y3, z3 = x ** 3, y ** 3, z ** 3
-    primary = (y * (z3 - x3), x * (y3 - z3), z * (x3 - y3))
-    # sign and coordinate-swap variants of the same projective formula; the
-    # x <-> y swap composes with inversion, which fixes doubling up to sign
-    swapped = (x * (z3 - y3), y * (x3 - z3), z * (y3 - x3))
-    variants = []
-    for base in (primary, swapped):
-        for s in (1, -1):
-            variants.append(tuple(img * s for img in base))
-    return variants
+def _doubling_rejection(e: GradedEndo) -> str | None:
+    """The first of the three gates that ``e`` fails, or None: its images'
+    cubes must sum into the relation ideal, some image must lie outside
+    that ideal, and ``e`` must agree with the chord-tangent double on six
+    points of the curve over F_7."""
+    if not verify_endo(e):
+        return "relation check"
+    if all(normal_form(img, e.x_image.ring.relations).is_zero() for img in e.images()):
+        return "images inside relation ideal"
+    field = PrimeField(7)
+    for pt in curve_points(7)[:6]:
+        if apply_endo_to_point(e, pt, field) != chord_tangent_double(pt, field):
+            return "point-level doubling mismatch"
+    return None
 
 
 @lru_cache(maxsize=None)
 def hesse_double() -> GradedEndo:
-    """Degree-4 lift of multiplication-by-2, pinned to the first candidate
-    that preserves the relation and doubles actual points correctly."""
+    """Degree-4 lift of multiplication-by-2, (y(z^3 - x^3), x(y^3 - z^3),
+    z(x^3 - y^3)), accepted only after it passes the three gates of
+    ``_doubling_rejection``; ``CandidateRejectedError`` names the gate it
+    fails otherwise."""
     ring = integral_ring()
-    field = PrimeField(7)
-    sample = curve_points(7)[:6]
-    rejected = []
-    for images in _doubling_candidates(ring):
-        e = GradedEndo(*images)
-        if not verify_endo(e):
-            rejected.append("relation check")
-            continue
-        if all(normal_form(img, ring.relations).is_zero() for img in e.images()):
-            rejected.append("images inside relation ideal")
-            continue
-        ok = True
-        for pt in sample:
-            if apply_endo_to_point(e, pt, field) != chord_tangent_double(pt, field):
-                ok = False
-                break
-        if not ok:
-            rejected.append("point-level doubling mismatch")
-            continue
-        return e
-    raise CandidateRejectedError(f"all doubling candidates failed: {rejected}")
+    x, y, z = ring.var("x"), ring.var("y"), ring.var("z")
+    x3, y3, z3 = x ** 3, y ** 3, z ** 3
+    e = GradedEndo(y * (z3 - x3), x * (y3 - z3), z * (x3 - y3))
+    rejection = _doubling_rejection(e)
+    if rejection is not None:
+        raise CandidateRejectedError(f"the doubling formula failed the {rejection}")
+    return e
 
 
 # ---------------------------------------------------------------------------

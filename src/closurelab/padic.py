@@ -150,16 +150,13 @@ class ApproxTrace(namedtuple("ApproxTrace", "p precision alpha steps")):
 
     __slots__ = ()
 
-    def partial_sums(self, k: int) -> tuple[Poly, Poly]:
-        """Canonical A_k = a_1 + ... + a_k and B_k = b_1 + ... + b_k."""
-        m = model(self.p, self.precision)
-        steps = self.steps[:k]
-        return m.combine([(1, 0, s.a) for s in steps]), m.combine([(1, 0, s.b) for s in steps])
-
     @property
     def sums(self) -> tuple[Poly, Poly]:
-        """(A, B): the final partial sums, from one pass over the steps."""
-        return self.partial_sums(len(self.steps))
+        """Canonical (A, B) = (a_1 + ... + a_k, b_1 + ... + b_k) over the
+        k steps; the sums of a prefix are ``trace._replace(steps=...)``'s."""
+        m = model(self.p, self.precision)
+        steps = self.steps
+        return m.combine([(1, 0, s.a) for s in steps]), m.combine([(1, 0, s.b) for s in steps])
 
     def to_json(self) -> dict:
         m = model(self.p, self.precision)

@@ -47,7 +47,11 @@ sizes.
 a term-by-term product and Buchberger's S-polynomials and cofactor rows
 are each one linear combination, summed into one dict and sorted once.
 ``cached_power`` is the one powering routine, for ``**``, the parser's
-``^`` and the power tables of substitution.
+``^`` and the power tables of substitution.  Outside the lifted products,
+every coefficient product is the domain's own ``*``: this module skips a
+product only for the shared ``one`` and ``minus_one`` and never picks
+among products, so a unit +-t^k of Q(zeta_9) is a coordinate shift
+inside ``CycloNum.__mul__`` wherever it is multiplied.
 
 Residues mod p^N are plain ints, reduced modulo the domain's ``modulus``
 once per output coefficient: in the constructor, in negation, in
@@ -298,19 +302,17 @@ class Poly:
         (S. C. Johnson, "Sparse polynomial arithmetic", 1974).  A scalar
         that is the domain's shared ``one`` or ``minus_one`` adds or
         subtracts with no product (an equal copy is scaled like any other
-        scalar, to the same sum); residues are reduced once, by the
-        constructor.  Over Q(zeta_9) any other unit scalar +-t^k shifts
-        coordinates (``unit_shift``) in place of each product; every other
-        domain multiplies inline.  When some part is shifted, one OR over
-        the output keys checks every exponent field, as ``mul_term`` does
-        (``OverflowError``).  A part with no terms adds nothing once its
+        scalar, to the same sum), and every other scalar multiplies each
+        coefficient as ``c * a``, the domain's one product (a unit +-t^k of
+        Q(zeta_9) shifts coordinates there); residues are reduced once, by
+        the constructor.  When some part moves its keys (m != 0), one OR
+        over the output keys checks every exponent field, as ``mul_term``
+        does (``OverflowError``).  A part with no terms adds nothing once its
         ring is checked, and a sum of such parts is the ring's shared
         zero."""
         out = {}
         get = out.get
-        dom = ring.domain
-        one, minus_one = dom.one, dom.minus_one
-        unit_shift = dom.unit_shift if dom is CYCLO else None
+        one, minus_one = ring.domain.one, ring.domain.minus_one
         shifted = 0
         for c, m, f in parts:
             if f.ring is not ring and not ring.compatible(f.ring):
@@ -329,11 +331,6 @@ class Poly:
                     k += m
                     s = get(k)
                     out[k] = -a if s is None else s - a
-            elif unit_shift is not None and (shift := unit_shift(c)) is not None:
-                for k, a in terms:
-                    k += m
-                    s = get(k)
-                    out[k] = shift(a) if s is None else s + shift(a)
             else:
                 for k, a in terms:
                     k += m
@@ -482,12 +479,15 @@ class Poly:
     def mul_term(self, mono: int, coeff) -> "Poly":
         """self * coeff * x^mono in ``self.ring``, for a packed ``mono``.  The
         packed key is linear in the exponents, so adding ``mono`` to every
-        key keeps the terms in order; residues are reduced modulo p^N and
-        products that vanish (zero divisors of Z/p^N) are dropped.  A
-        coefficient equal to the domain's ``one`` only moves keys, and a
-        unit +-t^k of Q(zeta_9) shifts coordinates (``unit_shift``).  Over
-        Q(zeta_9) ``one`` is told by identity, then by its stored form,
-        with no ``CycloNum`` comparison."""
+        key keeps the terms in order.  A coefficient equal to the domain's
+        ``one`` only moves keys; over Q(zeta_9) it is told by identity, then
+        by its stored form, with no ``CycloNum`` comparison.  Any other
+        coefficient multiplies each term's as ``c * coeff``, the domain's
+        one product (a unit +-t^k of Q(zeta_9) shifts coordinates there).
+        Residues are reduced modulo p^N and the products that vanish (zero
+        divisors of Z/p^N) are dropped; QQ, ZZ and Q(zeta_9) have no zero
+        divisors, so there a nonzero ``coeff`` drops nothing and a zero one
+        gives the ring's shared zero."""
         ring = self.ring
         dom = ring.domain
         one = dom.one
@@ -497,18 +497,12 @@ class Poly:
             if not mono:
                 return self
             terms = tuple([(m + mono, c) for m, c in self.terms])
+        elif mod := dom.modulus:
+            terms = tuple(filter(_coefficient, [(m + mono, c * coeff % mod) for m, c in self.terms]))
+        elif not coeff:
+            return ring.zero()
         else:
-            shift = dom.unit_shift(coeff) if dom is CYCLO else None
-            if shift is not None:
-                # a unit times a nonzero coefficient is nonzero
-                terms = tuple([(m + mono, shift(c)) for m, c in self.terms])
-            else:
-                mod = dom.modulus
-                if mod:
-                    terms = [(m + mono, c * coeff % mod) for m, c in self.terms]
-                else:
-                    terms = [(m + mono, c * coeff) for m, c in self.terms]
-                terms = tuple(filter(_coefficient, terms))
+            terms = tuple([(m + mono, c * coeff) for m, c in self.terms])
         if mono:  # a constant factor moves no exponent
             ring.order.check_fields(reduce(or_, map(_monomial, terms), 0))
         return Poly._presorted(ring, terms)

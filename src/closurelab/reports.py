@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 from . import __version__ as ENGINE_VERSION
 
@@ -102,10 +103,26 @@ class ExperimentReport:
         return report
 
 
+def _by_occurrence(checks: list) -> dict:
+    """Each check keyed by its name and the number of earlier checks of
+    that name, so a repeated name keeps every one of its checks."""
+    seen = Counter()
+    keyed = {}
+    for c in checks:
+        name = c["name"]
+        keyed[name, seen[name]] = c
+        seen[name] += 1
+    return keyed
+
+
 def diff_reports(a: ExperimentReport, b: ExperimentReport) -> list:
     """Structural differences between two reports of the same experiment.
 
-    Empty iff the fingerprints match; the engine version is excluded."""
+    Empty iff the fingerprints match; the engine version is excluded.  When
+    the sequences of check names differ (a check added, dropped, repeated or
+    moved), one entry gives both sequences.  Each check is then compared
+    with the check of the same name and occurrence on the other side (the
+    first ``p`` with the first ``p``), in order of name."""
     if a.experiment != b.experiment:
         raise ReportMismatchError(
             f"cannot diff {a.experiment!r} against {b.experiment!r}"
@@ -113,14 +130,17 @@ def diff_reports(a: ExperimentReport, b: ExperimentReport) -> list:
     diffs = []
     if a.config != b.config:
         diffs.append({"field": "config", "left": a.config, "right": b.config})
-    names_a = {c["name"]: c for c in a.checks}
-    names_b = {c["name"]: c for c in b.checks}
-    for name in sorted(set(names_a) | set(names_b)):
-        ca, cb = names_a.get(name), names_b.get(name)
+    names_a = [c["name"] for c in a.checks]
+    names_b = [c["name"] for c in b.checks]
+    if names_a != names_b:
+        diffs.append({"field": "check_names", "left": names_a, "right": names_b})
+    keyed_a, keyed_b = _by_occurrence(a.checks), _by_occurrence(b.checks)
+    for key in sorted(set(keyed_a) | set(keyed_b)):
+        ca, cb = keyed_a.get(key), keyed_b.get(key)
         if ca is None or cb is None:
-            diffs.append({"check": name, "left": ca, "right": cb})
+            diffs.append({"check": key[0], "left": ca, "right": cb})
         elif ca != cb:
             fields = sorted(set(ca) | set(cb))
             changed = {f: (ca.get(f), cb.get(f)) for f in fields if ca.get(f) != cb.get(f)}
-            diffs.append({"check": name, "changed": changed})
+            diffs.append({"check": key[0], "changed": changed})
     return diffs

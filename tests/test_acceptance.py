@@ -218,7 +218,7 @@ def test_criterion_09_successive_approximation():
                 if i >= 2:
                     ok &= min(m.coeff_val_floor(step.a), m.coeff_val_floor(step.b)) >= i - 1
             for stage in range(1, precision + 1):
-                A, B = trace.partial_sums(stage)
+                A, B = trace._replace(steps=trace.steps[:stage]).sums
                 c_k = trace.steps[stage - 1].c
                 total = m.canon(A * m.x + B * m.y + c_k * m.domain.coerce(p ** stage))
                 ok &= total == m.canon(alpha)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closurelab import coefficients
 from closurelab.coefficients import (
     CYCLO,
     PRIME_TEST_LIMIT,
@@ -112,27 +113,59 @@ class TestUnitInverses:
 
 
 class TestUnitShifts:
-    """Multiplying by one of the 18 units is a signed coordinate shift, read
-    from the same table as the unit's inverse, with no gcd."""
+    """A product with one of the 18 units is a signed coordinate shift that
+    ``CycloNum.__mul__`` reads from the same table as the unit's inverse,
+    on whichever side the unit stands.  ``x * u`` is now the shift itself,
+    so each product is compared with the schoolbook Fraction product
+    ``_ref_mul`` (and its text with ``_ref_format``), and a spy on the
+    table's shifts shows which products took one."""
+
+    @staticmethod
+    def _spied_units(monkeypatch):
+        """Replace each table shift with one that records the unit it
+        multiplies by; returns the record."""
+        taken = []
+
+        def spied(num, shift):
+            def counted(x):
+                taken.append(num)
+                return shift(x)
+
+            return counted
+
+        table = {num: (inv, spied(num, shift)) for num, (inv, shift) in coefficients._UNITS.items()}
+        monkeypatch.setattr(coefficients, "_UNITS", table)
+        return taken
 
     @pytest.mark.parametrize("u", UNITS, ids=str)
-    def test_shift_is_the_product(self, u):
-        shift = CYCLO.unit_shift(u)
+    def test_shift_is_the_product(self, u, monkeypatch):
         rng = random.Random(str(u))
         big = [
             CycloNum([Fraction(rng.randrange(-(1 << 90), 1 << 90), 3 ** 40) for _ in range(6)])
             for _ in range(5)
         ]
+        taken = self._spied_units(monkeypatch)
         for x in [CYCLO.zero, CYCLO.one, *UNITS, *big, *(rand_cyclo(rng) for _ in range(30))]:
-            y, ref = shift(x), x * u
-            assert (y.num, y.den) == (ref.num, ref.den)
+            ref = _ref_mul(x.coords, u.coords)
+            for y in (x * u, u * x):
+                _assert_matches(y, ref)
+            # one table shift per product, by u or by x when x is a unit too
+            assert len(taken) == 2 and set(taken) <= {u.num, x.num}
+            taken.clear()
 
-    def test_only_the_units_shift(self):
+    def test_only_the_units_shift(self, monkeypatch):
+        """A product of two elements that are not units is the convolution:
+        it reads no shift, though it may equal a unit (2 * 1/2 is 1).  An
+        element is told a unit by its one stored form: 1 + t^3 is -t^6."""
         others = (CycloNum([2]), CycloNum([1, 1]), CycloNum([Fraction(1, 2)]), CycloNum([1, 0, 0, 2]))
+        taken = self._spied_units(monkeypatch)
         for x in (*others, CYCLO.zero):
-            assert CYCLO.unit_shift(x) is None
-        # 1 + t^3 is -t^6 in its one stored form
-        assert CYCLO.unit_shift(THETA + CYCLO.one) is CYCLO.unit_shift(-CycloNum.zeta_power(6))
+            for y in others:
+                _assert_matches(x * y, _ref_mul(x.coords, y.coords))
+        assert not taken
+        y = others[1]
+        _assert_matches((THETA + CYCLO.one) * y, _ref_mul(CycloNum.zeta_power(6).coords, (-y).coords))
+        assert taken == [(-CycloNum.zeta_power(6)).num]
 
 
 # The lifted Q(zeta_9) fold against the generic one: the unfolded product

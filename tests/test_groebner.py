@@ -19,7 +19,6 @@ from closurelab.coefficients import (
     QQ,
     ZZ,
     CycloNum,
-    CyclotomicField9,
     DomainError,
     PrimeField,
     TruncatedPadicRing,
@@ -616,41 +615,40 @@ class TestWorkCounters:
         assert counts == {"lifted": 42, "kronecker": 6, "square": 6}
 
     def test_unit_shifts_and_norm_inversions_are_pinned(self, monkeypatch):
-        """In a cold ``tower-colon --max-level 5``, 42 ``mul_term`` calls
-        and linear-combination parts multiply by a unit +-t^k and shift 523
-        coefficients, where each was a CycloNum product; the norm formula
-        inverts 12 distinct elements, the other 14 of its 26 calls read its
-        cache.  The counts were 42 and 408 when Buchberger formed each
-        S-polynomial from two ``mul_term`` calls, 36 and 398 while the one
-        linear combination that replaced them multiplied by its unit
-        scalars instead of shifting, 74 and 611 (58 norm calls, 14
-        distinct) while ``colon`` eliminated from the raw generators and
-        the unreduced z^2 image, and 69 and 563 while the S-polynomial part
-        of a monic element negated the shared one into a -1 that shifted."""
-        counts = {"shifts": 0, "shifted": 0, "norm": 0}
-        unit_shift, norm = CyclotomicField9.unit_shift, coefficients._norm_inverse
+        """In a cold ``tower-colon --max-level 5``, 569 CycloNum products
+        are by a unit +-t^k and shift coordinates, each read from the unit
+        table by ``CycloNum.__mul__``; the norm formula inverts 12 distinct
+        elements, the other 14 of its 26 calls read its cache.  The shifts
+        were 523 (from 42 ``mul_term`` calls and linear-combination parts)
+        while the Poly layer picked them and the other 46 unit products,
+        such as ``_divide``'s by the relation's t^3 and t^6, went through
+        the convolution; before that 408 when Buchberger formed each
+        S-polynomial from two ``mul_term`` calls, 398 while the one linear
+        combination that replaced them multiplied by its unit scalars
+        instead of shifting, 611 (58 norm calls, 14 distinct) while
+        ``colon`` eliminated from the raw generators and the unreduced z^2
+        image, and 563 while the S-polynomial part of a monic element
+        negated the shared one into a -1 that shifted."""
+        counts = {"shifted": 0, "norm": 0}
+        norm = coefficients._norm_inverse
 
-        def counted_unit_shift(self, x):
-            shift = unit_shift(self, x)
-            if shift is None:
-                return None
-            counts["shifts"] += 1
-
-            def counted_shift(c):
+        def counted_shift(shift):
+            def counted(c):
                 counts["shifted"] += 1
                 return shift(c)
 
-            return counted_shift
+            return counted
 
         def counted_norm(a):
             counts["norm"] += 1
             return norm(a)
 
         counted_norm.cache_clear = norm.cache_clear
-        monkeypatch.setattr(CyclotomicField9, "unit_shift", counted_unit_shift)
+        table = {num: (inv, counted_shift(shift)) for num, (inv, shift) in coefficients._UNITS.items()}
+        monkeypatch.setattr(coefficients, "_UNITS", table)
         monkeypatch.setattr(coefficients, "_norm_inverse", counted_norm)
         _cold_run([("tower-colon", {"max_level": 5})])
-        assert counts == {"shifts": 42, "shifted": 523, "norm": 26}
+        assert counts == {"shifted": 569, "norm": 26}
         assert norm.cache_info().misses == 12
 
     def test_s_polynomials_subtract_by_the_shared_minus_one(self, monkeypatch):
@@ -680,17 +678,21 @@ class TestWorkCounters:
 
     @pytest.mark.parametrize(
         "config, products",
-        [({}, 432), ({"max_level": 5}, 872)],
+        [({}, 523), ({"max_level": 5}, 1395)],
         ids=["default", "max_level=5"],
     )
     def test_cyclotomic_products_are_pinned(self, monkeypatch, config, products):
-        """The CycloNum products of a cold ``tower-colon``: 804 and 1 352
-        before unit scalars of linear combinations shifted coordinates, the
-        inverse of +-1 became the shared ``one`` or ``minus_one`` (so
-        S-polynomials of monic elements add with no product) and
-        ``_divide`` stopped multiplying by the inverse of a monic
-        divisor's leading coefficient, and 584 and 1 024 while ``colon``
-        eliminated from the raw generators and the unreduced z^2 image."""
+        """The CycloNum products of a cold ``tower-colon``, unit shifts
+        included, since ``CycloNum.__mul__`` is the one entry point for
+        both: 432 and 872 while ``mul_term`` and ``linear_combination``
+        shifted their unit scalars outside it (91 and 523 shifts); before
+        that 804 and 1 352 before unit scalars of linear combinations
+        shifted coordinates, the inverse of +-1 became the shared ``one``
+        or ``minus_one`` (so S-polynomials of monic elements add with no
+        product) and ``_divide`` stopped multiplying by the inverse of a
+        monic divisor's leading coefficient, and 584 and 1 024 while
+        ``colon`` eliminated from the raw generators and the unreduced z^2
+        image."""
         calls = []
         mul = CycloNum.__mul__
 

@@ -78,6 +78,46 @@ class TestHesseDouble:
             assert doubled == oracle
 
 
+class TestDoublingGates:
+    """Each gate of ``_doubling_rejection`` rejects a formula that passes
+    the gates before it, and the pinned formula passes all three, as its
+    negation does (the same projective map), so no other candidate could
+    be reached."""
+
+    @staticmethod
+    def _endo(*texts):
+        ring = isogeny.integral_ring()
+        return isogeny.GradedEndo(*(ring.parse(t) for t in texts))
+
+    def test_the_formula_and_its_negation_pass_every_gate(self):
+        e = isogeny.hesse_double()
+        assert isogeny._doubling_rejection(e) is None
+        assert isogeny._doubling_rejection(isogeny.GradedEndo(*(-img for img in e.images()))) is None
+
+    def test_fourth_powers_fail_the_relation_check(self):
+        e = self._endo("x^4", "y^4", "z^4")
+        assert isogeny._doubling_rejection(e) == "relation check"
+
+    def test_multiples_of_the_relation_fail_the_relation_ideal_check(self):
+        rel = "(z^3 + x^3 + y^3)"
+        e = self._endo(f"x*{rel}", f"y*{rel}", f"z*{rel}")
+        assert isogeny.verify_endo(e)
+        assert isogeny._doubling_rejection(e) == "images inside relation ideal"
+
+    def test_the_swapped_formula_fails_the_point_check(self):
+        """Swapping x and y in the formula computes [-2], which keeps the
+        relation and is no multiple of it, but moves the F_7 points."""
+        e = self._endo("x*(z^3 - y^3)", "y*(x^3 - z^3)", "z*(y^3 - x^3)")
+        assert isogeny.verify_endo(e)
+        assert isogeny._doubling_rejection(e) == "point-level doubling mismatch"
+
+    def test_a_rejected_formula_raises_naming_its_gate(self, monkeypatch):
+        monkeypatch.setattr(isogeny, "_doubling_rejection", lambda e: "relation check")
+        isogeny.hesse_double.cache_clear()
+        with pytest.raises(isogeny.CandidateRejectedError, match="relation check"):
+            isogeny.hesse_double()
+
+
 class TestChordTangentOracle:
     @pytest.mark.parametrize("p", [7, 13])
     def test_formula_matches_geometry_everywhere(self, p):

@@ -207,7 +207,7 @@ class TestAdversarialRuns:
         alpha = padic.random_xy_element(m, rng)
         tr = padic.successive_approx(alpha, padic.adversarial_oracle(m, seed=9), 6)
         for k in range(1, 7):
-            A, B = tr.partial_sums(k)
+            A, B = tr._replace(steps=tr.steps[:k]).sums
             c_k = tr.steps[k - 1].c
             lhs = m.canon(A * m.x + B * m.y + c_k * m.domain.coerce(2 ** k))
             assert lhs == m.canon(alpha)
@@ -231,7 +231,7 @@ class TestVerifyTrace:
 
 
 def _reference_partial_sums(trace, k):
-    """``partial_sums(k)`` as it is defined: a fresh sum of steps 1..k."""
+    """The sums of steps 1..k as they are defined: each added afresh."""
     m = padic.model(trace.p, trace.precision)
     A = m.ring.zero()
     B = m.ring.zero()
@@ -298,7 +298,7 @@ class TestRunningSums:
         trace, alpha = case
         assert padic.verify_trace(trace, alpha) == _reference_verify_trace(trace, alpha)
         for k in range(len(trace.steps) + 1):
-            assert trace.partial_sums(k) == _reference_partial_sums(trace, k)
+            assert trace._replace(steps=trace.steps[:k]).sums == _reference_partial_sums(trace, k)
 
     def test_prefix_sums_add_each_step_once(self, monkeypatch):
         n = 8

@@ -816,7 +816,9 @@ def test_mul_term_by_one_matches_the_multiply_path(problem, data):
     """A coefficient equal to the domain's one only moves keys, and that
     gives the product with the monomial of coefficient one, term by term,
     in every domain; ``one`` itself and an equal element built afresh
-    alike, with or without a shift."""
+    alike, with or without a shift.  The domain's zero gives the zero
+    polynomial, also over QQ, ZZ and Q(zeta_9), where ``mul_term`` filters
+    no product for zero."""
     f, _ = problem
     ring = f.ring
     exps = data.draw(st.tuples(*[st.integers(0, 3)] * len(ring.variables)))
@@ -824,6 +826,8 @@ def test_mul_term_by_one_matches_the_multiply_path(problem, data):
         term = ring.monomial(exps, one)
         assert f.mul_term(term.lm(), one).terms == _schoolbook(f, term).terms
         assert f.mul_term(0, one).terms == _schoolbook(f, ring.one()).terms
+    assert f.mul_term(ring.order.key(exps), ring.domain.zero).terms == ()
+    assert (f * 0).terms == ()
 
 
 @pytest.mark.parametrize("k", [1, 2, 31, 64, 200])

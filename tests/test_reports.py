@@ -96,6 +96,51 @@ class TestDiff:
         with pytest.raises(ReportMismatchError):
             diff_reports(a, b)
 
+    def test_reordered_checks_differ(self):
+        """Checks [p, q] against [q, p]: every check is unchanged, so the
+        one entry is the two name sequences."""
+        p, q = _check("p", "pass"), _check("q", "pass")
+        diffs = diff_reports(_synthetic([p, q]), _synthetic([q, p]))
+        assert diffs == [{"field": "check_names", "left": ["p", "q"], "right": ["q", "p"]}]
+
+    def test_a_repeated_name_keeps_its_failed_check(self):
+        """[p: fail, p: pass] against [p: pass]: the name sequences differ,
+        the first p's changed to pass, and the second p is left only."""
+        diffs = diff_reports(
+            _synthetic([_check("p", "fail"), _check("p", "pass")]), _synthetic([_check("p", "pass")])
+        )
+        assert diffs == [
+            {"field": "check_names", "left": ["p", "p"], "right": ["p"]},
+            {"check": "p", "changed": {"status": ("fail", "pass")}},
+            {"check": "p", "left": _check("p", "pass"), "right": None},
+        ]
+
+    def test_a_repeated_name_compares_by_occurrence(self):
+        """[p: fail, p: pass] against [p: pass, p: pass]: the same names,
+        and the first occurrences differ."""
+        left = _synthetic([_check("p", "fail"), _check("p", "pass")])
+        right = _synthetic([_check("p", "pass"), _check("p", "pass")])
+        assert diff_reports(left, right) == [{"check": "p", "changed": {"status": ("fail", "pass")}}]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        left=st.lists(st.tuples(st.sampled_from("pqr"), st.sampled_from(["pass", "fail"])), max_size=4),
+        right=st.lists(st.tuples(st.sampled_from("pqr"), st.sampled_from(["pass", "fail"])), max_size=4),
+    )
+    def test_empty_exactly_when_the_checks_are_equal(self, left, right):
+        a = _synthetic([_check(*c) for c in left])
+        b = _synthetic([_check(*c) for c in right])
+        assert (diff_reports(a, b) == []) == (left == right) == (a.fingerprint() == b.fingerprint())
+
+
+def _check(name: str, status: str) -> dict:
+    return {"name": name, "status": status}
+
+
+def _synthetic(checks: list) -> ExperimentReport:
+    """A tower-verify report with the given checks and nothing run."""
+    return ExperimentReport("tower-verify", {"max_level": 1}, checks)
+
 
 class TestConfigValidation:
     def test_unknown_experiment(self):
@@ -313,6 +358,28 @@ class TestCli:
         data["checks"][0]["status"] = "fail"
         p2.write_text(json.dumps(data))
         assert main(["diff", str(p1), str(p2)]) == 1
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ([("p", "pass"), ("q", "pass")], [("q", "pass"), ("p", "pass")]),
+            ([("p", "fail"), ("p", "pass")], [("p", "pass")]),
+        ],
+        ids=["reordered", "repeated_name"],
+    )
+    def test_diff_exits_1_for_checks_that_differ(self, tmp_path, capsys, left, right):
+        """Reports whose check lists differ in order or in a repeated name
+        diff to exit 1, and the printed diff names every check."""
+        paths = []
+        for side, checks in (("left", left), ("right", right)):
+            path = tmp_path / f"{side}.json"
+            path.write_text(_synthetic([_check(*c) for c in checks]).to_json())
+            paths.append(str(path))
+        capsys.readouterr()
+        assert main(["diff", *paths]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert {"field": "check_names", "left": [n for n, _ in left], "right": [n for n, _ in right]} in out
+        assert main(["diff", paths[0], paths[0]]) == 0
 
     @pytest.mark.parametrize(
         "document",
