@@ -13,25 +13,28 @@ Course in Computational Algebraic Number Theory*, 4.2), cached.
 An integer is a plain int, and so is a residue mod p^N, in [0, p^N): ZZ is
 the residue ring with no modulus.  ``Poly`` reduces each output coefficient
 modulo the domain's ``modulus`` once; ZZ, QQ and Q(zeta_9) have ``modulus =
-None``.  Every domain exposes ``zero``, ``one``, ``inv``, ``coerce``,
-``is_field``, ``modulus``, ``convolve`` and ``format``; residue rings add
-``val``.  An int or a Fraction becomes a coefficient only through
-``coerce``: ``CycloNum`` arithmetic takes ``CycloNum`` operands alone.
+None``.  Every domain subclasses ``Domain`` and exposes ``zero``, ``one``,
+``minus_one``, ``inv``, ``coerce``, ``is_field``, ``modulus``, ``convolve``,
+``constant`` and ``format``; residue rings add ``val``.  Two domains are
+equal exactly when their type and ``modulus`` are.  An int or a Fraction
+becomes a coefficient only through ``coerce``: ``CycloNum`` arithmetic
+takes ``CycloNum`` operands alone.  ``constant`` gives the parser the one
+name a domain reads that is not a variable: ``t``, zeta_9, over Q(zeta_9);
+the other domains name none.
 
 ``convolve`` serves the lifted products of ``Poly.__mul__``: it returns the
 product of two coefficient lists as one list of domain elements, or None
-when the domain does not lift them and the product goes term by term.  Each
-lifted product runs on ``_kronecker``, the one place that packs ints into
-one big int (Kronecker substitution; D. Harvey, J. Symb. Comput. 44, 2009).
-Integers and residues are convolved as they are and reduced once per output
-entry, and QQ lifts nothing.  Q(zeta_9) lifts two lists when every vector
-of each is zero outside coordinates r and r + 3 for some r per list: the
-list is t^r times a + b*T, T = t^3, with a and b int lists over one
-denominator.  The product (a + b*T)(c + d*T) takes three int convolutions,
-a*c, b*d and (a + b)(c + d) (Karatsuba and Ofman, Doklady 145, 1962), folds
-T^2 = -T - 1 into the two live coordinates and cancels with one gcd once per
-output entry (delayed reduction; Monagan and Pearce, J. Symb. Comput. 46,
-2011).
+when the domain does not lift them and the product goes term by term.
+Q(zeta_9) is the one domain that lifts; QQ, ZZ and the residue rings keep
+``Domain``'s None.  It lifts two lists when every vector of each is zero
+outside coordinates r and r + 3 for some r per list: the list is t^r times
+a + b*T, T = t^3, with a and b int lists over one denominator.  The product
+(a + b*T)(c + d*T) takes three int convolutions, a*c, b*d and (a + b)(c + d)
+(Karatsuba and Ofman, Doklady 145, 1962), each on ``_kronecker``, the one
+place that packs ints into one big int (Kronecker substitution; D. Harvey,
+J. Symb. Comput. 44, 2009); it folds T^2 = -T - 1 into the two live
+coordinates and cancels with one gcd once per output entry (delayed
+reduction; Monagan and Pearce, J. Symb. Comput. 46, 2011).
 """
 
 from __future__ import annotations
@@ -385,10 +388,36 @@ def format_cyclo(value: CycloNum, parenthesize: bool = False) -> str:
 # coefficient domains
 
 
-class RationalField:
-    name = "QQ"
+class Domain:
+    """What the coefficient domains share: a field with no modulus, whose
+    products go term by term, which names no constant and prints its
+    elements with ``str``.  Equal domains share type and ``modulus``, so
+    ``PrimeField(5) != Z/5^1`` and ``ZZ == IntegerRing()``."""
+
     is_field = True
     modulus = None  # not a residue ring: Poly reduces nothing
+
+    def convolve(self, xs, ys):
+        """None: the product of two coefficient lists goes term by term."""
+        return None
+
+    def constant(self, name: str):
+        """The element the parser reads for ``name`` when it is not a
+        variable of the ring, or None when the domain names none."""
+        return None
+
+    def format(self, x, parenthesize: bool = False) -> str:
+        return str(x)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.modulus == self.modulus
+
+    def __hash__(self):
+        return hash((type(self), self.modulus))
+
+
+class RationalField(Domain):
+    name = "QQ"
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -406,26 +435,11 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero in QQ")
         return 1 / x
 
-    def convolve(self, xs, ys):
-        """None: products over QQ go term by term."""
-        return None
 
-    def format(self, x: Fraction, parenthesize: bool = False) -> str:
-        return str(x)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash(self.name)
-
-
-class CyclotomicField9:
+class CyclotomicField9(Domain):
     """Q(zeta_9); scalars are parsed and printed as polynomials in t."""
 
     name = "Q(zeta9)"
-    is_field = True
-    modulus = None
 
     zero = CycloNum([])
     # the unit table's 1 and -1, which ``inverse`` returns for them
@@ -486,25 +500,21 @@ class CyclotomicField9:
             out.append(x)
         return out
 
+    def constant(self, name: str):
+        """t, the generator zeta_9, for the name ``t``."""
+        return CycloNum.zeta_power(1) if name == "t" else None
+
     # format(x, parenthesize=False) is format_cyclo
     format = staticmethod(format_cyclo)
 
-    def __eq__(self, other):
-        return isinstance(other, CyclotomicField9)
 
-    def __hash__(self):
-        return hash(self.name)
-
-
-class IntegerRing:
+class IntegerRing(Domain):
     """Z as plain ints, and the base of the residue rings Z/p^N, which hold
     the same ints reduced modulo ``modulus``: Z is the one with no modulus.
-    Not a field, so the Groebner engine rejects it; only +-1 is a unit.
-    Equal rings share type and ``modulus``: ``PrimeField(5) != Z/5^1``."""
+    Not a field, so the Groebner engine rejects it; only +-1 is a unit."""
 
     name = "ZZ"
     is_field = False
-    modulus = None
     zero = 0
     one = 1
     minus_one = -1
@@ -521,19 +531,6 @@ class IntegerRing:
         if x == 1 or x == -1:
             return x
         raise ZeroDivisionError(f"{x} is not a unit in {self.name}")
-
-    def convolve(self, xs, ys):
-        """The int convolution, each entry reduced modulo ``modulus`` once."""
-        return list(map(self.coerce, _kronecker(xs, ys)))
-
-    def format(self, x: int, parenthesize: bool = False) -> str:
-        return str(x)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other.modulus == self.modulus
-
-    def __hash__(self):
-        return hash((type(self), self.modulus))
 
 
 class TruncatedPadicRing(IntegerRing):

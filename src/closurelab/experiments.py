@@ -505,12 +505,8 @@ _REGISTRY = {
 }
 
 
-def experiment_names() -> list:
-    return sorted(_REGISTRY)
-
-
 def run_experiment(name: str, config: dict | None = None) -> ExperimentReport:
     runner = _REGISTRY.get(name)
     if runner is None:
-        raise ConfigError(f"unknown experiment {name!r}; choose from {experiment_names()}")
+        raise ConfigError(f"unknown experiment {name!r}; choose from {sorted(_REGISTRY)}")
     return runner(config or {})

@@ -26,22 +26,22 @@ key lists are arithmetic progressions with one step, as for a homogeneous
 form in (x^3, y^3) times a monomial, is the convolution of the two
 coefficient lists when the coefficient domain's ``convolve`` lifts them:
 output j has key a0 + b0 + j * step and is entry j of that convolution.
-Each lifted convolution runs on Kronecker substitution (``_kronecker`` in
-``coefficients``): int lists packed into one int each at a whole number of
-bytes per entry, one big-int product (a square ``p * p``, as
-``cached_power`` forms, squares its one int), its bytes read back.
-CPython's Karatsuba multiply makes this faster than a sum per output term
-at every tower level (D. Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", J. Symbolic Comput. 44 (2009); R.
-Fateman, "Can you save time in multiplying polynomials by encoding them as
-integers?", 2010).  ZZ and the residue rings convolve their ints as they
-are; Q(zeta_9) lifts two lists whose coefficients lie in t^r * Q(theta), r
-per list, as three int convolutions of their coordinates r and r + 3; QQ
-lifts nothing.  Every other product, including every product with fewer
-terms, another key shape or lists the domain does not lift, is multiplied
-term by term.  The threshold is where the lifted product starts to beat
-term-by-term arithmetic on dense homogeneous factors at tower coefficient
-sizes.
+This module names no domain: which lists lift is the domain's decision.
+Only Q(zeta_9) lifts any, two lists whose coefficients lie in
+t^r * Q(theta), r per list, as three int convolutions of their coordinates
+r and r + 3 on Kronecker substitution (``_kronecker`` in ``coefficients``):
+int lists packed into one int each at a whole number of bytes per entry,
+one big-int product (a square ``p * p``, as ``cached_power`` forms,
+squares its one int), its bytes read back.  CPython's Karatsuba multiply
+makes this faster than a sum per output term at every tower level (D.
+Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 44 (2009); R. Fateman, "Can you save
+time in multiplying polynomials by encoding them as integers?", 2010).
+Every other product, including every product over QQ, ZZ or a residue
+ring and every product with fewer terms, another key shape or lists the
+domain does not lift, is multiplied term by term.  The threshold is where
+the lifted product starts to beat term-by-term arithmetic on dense
+homogeneous factors at tower coefficient sizes.
 
 ``Poly.linear_combination`` is the one accumulator: a sum, a difference,
 a term-by-term product and Buchberger's S-polynomials and cofactor rows
@@ -49,9 +49,12 @@ are each one linear combination, summed into one dict and sorted once.
 ``cached_power`` is the one powering routine, for ``**``, the parser's
 ``^`` and the power tables of substitution.  Outside the lifted products,
 every coefficient product is the domain's own ``*``: this module skips a
-product only for the shared ``one`` and ``minus_one`` and never picks
+product only for ``one`` (the shared object, or in ``mul_term`` any
+coefficient equal to it) and the shared ``minus_one``, and never picks
 among products, so a unit +-t^k of Q(zeta_9) is a coordinate shift
-inside ``CycloNum.__mul__`` wherever it is multiplied.
+inside ``CycloNum.__mul__`` wherever it is multiplied.  The parser too
+asks the domain: a name that is not a variable is the domain's
+``constant`` of that name (``t`` over Q(zeta_9)).
 
 Residues mod p^N are plain ints, reduced modulo the domain's ``modulus``
 once per output coefficient: in the constructor, in negation, in
@@ -67,8 +70,6 @@ import re
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter, mul, or_
-
-from .coefficients import CYCLO, CycloNum
 
 # bits per exponent field of a packed monomial; the top one is the guard
 # bit, so exponents run below EXP_LIMIT = 2^19, nine times the z^(2 * 13^4)
@@ -433,10 +434,11 @@ class Poly:
         - Factors of at least ``LIFT_MIN_TERMS`` terms each whose key
           lists are arithmetic progressions with one step, as a form in
           (x^3, y^3) times a monomial is, are the convolution of their
-          coefficient lists when the domain's ``convolve`` lifts them:
-          output j has key a0 + b0 + j * step and is entry j of that
-          convolution (Kronecker substitution; D. Harvey 2009, R. Fateman
-          2010), which for ``p * p`` passes one list twice.
+          coefficient lists when the domain's ``convolve`` lifts them
+          (only Q(zeta_9) does, for lists in some t^r * Q(theta)): output
+          j has key a0 + b0 + j * step and is entry j of that convolution
+          (Kronecker substitution; D. Harvey 2009, R. Fateman 2010), which
+          for ``p * p`` passes one list twice.
         - Every other product is the linear combination of ``other``
           shifted by each term of ``self`` and scaled by its coefficient
           (``linear_combination``): one dict, the coefficient products
@@ -479,11 +481,10 @@ class Poly:
     def mul_term(self, mono: int, coeff) -> "Poly":
         """self * coeff * x^mono in ``self.ring``, for a packed ``mono``.  The
         packed key is linear in the exponents, so adding ``mono`` to every
-        key keeps the terms in order.  A coefficient equal to the domain's
-        ``one`` only moves keys; over Q(zeta_9) it is told by identity, then
-        by its stored form, with no ``CycloNum`` comparison.  Any other
-        coefficient multiplies each term's as ``c * coeff``, the domain's
-        one product (a unit +-t^k of Q(zeta_9) shifts coordinates there).
+        key keeps the terms in order.  A coefficient that is the domain's
+        ``one``, or equals it, only moves keys.  Any other coefficient
+        multiplies each term's as ``c * coeff``, the domain's one product
+        (a unit +-t^k of Q(zeta_9) shifts coordinates there).
         Residues are reduced modulo p^N and the products that vanish (zero
         divisors of Z/p^N) are dropped; QQ, ZZ and Q(zeta_9) have no zero
         divisors, so there a nonzero ``coeff`` drops nothing and a zero one
@@ -491,9 +492,7 @@ class Poly:
         ring = self.ring
         dom = ring.domain
         one = dom.one
-        if coeff is one or (
-            coeff.den == 1 and coeff.num == one.num if dom is CYCLO else coeff == one
-        ):
+        if coeff is one or coeff == one:
             if not mono:
                 return self
             terms = tuple([(m + mono, c) for m, c in self.terms])
@@ -683,10 +682,11 @@ def _total_degree(f: Poly) -> int:
 
 
 class _Parser:
-    """Recursive descent over + - * ^ ( ); `t` denotes the cyclotomic
-    generator when the coefficient domain is Q(zeta_9).  Each product, sum
-    and negation is charged to the budget before it is formed, and a sum of
-    several terms is one ``linear_combination``."""
+    """Recursive descent over + - * ^ ( ); a name that is not a variable
+    is the domain's ``constant`` of that name, if it has one (``t`` over
+    Q(zeta_9)).  Each product, sum and negation is charged to the budget
+    before it is formed, and a sum of several terms is one
+    ``linear_combination``."""
 
     def __init__(self, ring: RingPresentation, tokens, budget: ParseBudget):
         self.ring = ring
@@ -788,8 +788,8 @@ class _Parser:
         if kind == "name":
             if val in self.ring._var_keys:
                 return self.ring.var(val)
-            if val == "t" and self.ring.domain == CYCLO:
-                return self.ring.const(CycloNum.zeta_power(1))
+            if (c := self.ring.domain.constant(val)) is not None:
+                return self.ring.const(c)
             raise PolyParseError(f"unknown variable {val!r} (ring has {self.ring.variables})")
         if kind == "op" and val == "(":
             inner = self.parse_expr()

@@ -50,18 +50,11 @@ class ExperimentReport:
         digest.update(f"{canonical_json(self.experiment)}}}".encode("utf-8"))
         return digest.hexdigest()
 
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config": self.config,
-            "checks": self.checks,
-            "engine_version": self.engine_version,
-            "fingerprint": self.fingerprint(),
-        }
-
     def to_json(self) -> str:
-        """``canonical_json(self.to_dict())``, with the checks serialized
-        once for both the fingerprint and the body, which is one join."""
+        """The report as canonical JSON, keys sorted: ``checks``,
+        ``config``, ``engine_version``, ``experiment`` and ``fingerprint``.
+        The checks are serialized once for both the fingerprint and the
+        body, which is one join."""
         checks = canonical_json(self.checks)
         return "".join((
             '{"checks":', checks,

@@ -13,8 +13,11 @@ from closurelab.coefficients import (
     QQ,
     ZZ,
     CycloNum,
+    CyclotomicField9,
+    Domain,
     IntegerRing,
     PrimeField,
+    RationalField,
     TruncatedPadicRing,
     _fold,
     _norm_inverse,
@@ -566,6 +569,43 @@ class TestIntegerRing:
         assert ZZ == IntegerRing() and hash(ZZ) == hash(IntegerRing())
         for other in (QQ, CYCLO, PrimeField(5), TruncatedPadicRing(5, 1)):
             assert ZZ != other and other != ZZ
+
+
+# a fresh instance of each kind of domain per call
+_DOMAIN_MAKERS = {
+    "QQ": RationalField,
+    "cyclo9": CyclotomicField9,
+    "ZZ": IntegerRing,
+    "F5": lambda: PrimeField(5),
+    "Z5^3": lambda: TruncatedPadicRing(5, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_DOMAIN_MAKERS))
+def test_domain_protocol(name):
+    """Every domain is a ``Domain``.  Two domains are equal, with equal
+    hashes, exactly when their type and modulus are, so two separately
+    built copies are equal and ``PrimeField(5) != Z/5^1``.  Q(zeta_9) alone
+    convolves a coefficient list, names a constant (``t``, zeta_9) and
+    formats other than ``str``; every other domain keeps ``Domain``'s
+    None, None and ``str``."""
+    domain, twin = _DOMAIN_MAKERS[name](), _DOMAIN_MAKERS[name]()
+    assert isinstance(domain, Domain)
+    assert domain is not twin and domain == twin and hash(domain) == hash(twin)
+    others = [make() for key, make in _DOMAIN_MAKERS.items() if key != name]
+    for other in [*others, TruncatedPadicRing(5, 1), PrimeField(7)]:
+        assert domain != other and other != domain
+    cyclo = name == "cyclo9"
+    xs = [domain.one, domain.coerce(2), domain.minus_one]
+    assert (domain.convolve(xs, xs) is None) != cyclo
+    assert (domain.constant("t") is not None) == cyclo
+    assert domain.constant("s") is None
+    if cyclo:
+        assert domain.constant("t") == CycloNum.zeta_power(1)
+        assert domain.format(domain.constant("t"), parenthesize=True) == "(t)"
+    else:
+        for x in (domain.zero, domain.one, domain.minus_one, domain.coerce(3)):
+            assert domain.format(x) == domain.format(x, parenthesize=True) == str(x)
 
 
 class TestResidueRingContract:

@@ -54,11 +54,23 @@ def test_cyclo_scalar_coefficients():
     assert format_poly(p) == "(t^3 + 1)*x1^2*y1"
     ((_, t3),) = ring.parse("t^3").terms
     assert t3.coords[3] == 1
+    assert ring.parse("t^9*x1") == ring.var("x1")
+    # a variable named t wins over the generator
+    with_t = RingPresentation(CYCLO, ("t", "x"))
+    assert with_t.parse("t") == with_t.var("t")
+    assert with_t.parse("t^2*x").terms == with_t.monomial((2, 1)).terms
 
 
 def test_unknown_variable_rejected(qq_ring):
+    """A name that is not a variable is refused, ``t`` too over QQ, ZZ and
+    F_5: only Q(zeta_9) names it."""
     with pytest.raises(PolyParseError, match="unknown variable"):
         qq_ring.parse("x + w")
+    for domain in (QQ, ZZ, PrimeField(5)):
+        ring = RingPresentation(domain, ("x", "y"))
+        for text in ("t", "t*x + 1", "x^2 - t^3"):
+            with pytest.raises(PolyParseError, match="unknown variable 't'"):
+                ring.parse(text)
 
 
 def test_zero_polynomial_is_empty(qq_ring):
@@ -905,14 +917,12 @@ def _in_coset(x, r):
 
 
 def _lists_lift(domain, xs, ys):
-    """Whether ``convolve`` lifts the coefficient lists xs and ys: ZZ and
-    the residue rings always, QQ never, Q(zeta_9) when each list lies in
-    some t^r * Q(theta), its nonzero coordinates all at r and r + 3."""
-    if domain == QQ:
-        return False
-    if domain != CYCLO:
-        return True
-    return all(len({k % 3 for c in cs for k, x in enumerate(c.num) if x}) == 1 for cs in (xs, ys))
+    """Whether ``convolve`` lifts the coefficient lists xs and ys: only
+    over Q(zeta_9), and there when each list lies in some t^r * Q(theta),
+    its nonzero coordinates all at r and r + 3."""
+    return domain == CYCLO and all(
+        len({k % 3 for c in cs for k, x in enumerate(c.num) if x}) == 1 for cs in (xs, ys)
+    )
 
 
 def _lifts(f, g):
@@ -1131,8 +1141,9 @@ def _coefficient_lists(draw):
 def test_convolve_matches_the_nested_loop_convolution(problem):
     """Each domain's ``convolve`` equals the convolution in domain
     arithmetic wherever it lifts the lists, squares among them, and
-    returns None exactly where the lists do not lift: QQ always, Q(zeta_9)
-    when some list lies in no t^r * Q(theta)."""
+    returns None exactly where the lists do not lift: QQ, ZZ and the
+    residue rings always, Q(zeta_9) when some list lies in no
+    t^r * Q(theta)."""
     domain, xs, ys = problem
     got = domain.convolve(xs, ys)
     assert (got is None) == (not _lists_lift(domain, xs, ys))
@@ -1143,7 +1154,8 @@ def test_convolve_matches_the_nested_loop_convolution(problem):
 def _convolved_square(f):
     """The square of a form ``f`` in (x^s, y^s) times a monomial through
     the domain's ``convolve`` of its one coefficient list with itself, at
-    any length: output j at the j-th key of the doubled progression."""
+    any length, for a list that ``convolve`` lifts: output j at the j-th
+    key of the doubled progression."""
     cs = [c for _, c in f.terms]
     keys = [m for m, _ in f.terms]
     step = keys[1] - keys[0] if len(keys) > 1 else 0
@@ -1157,11 +1169,12 @@ def test_square_loop_matches_the_schoolbook_square(data):
     Q(zeta_9) (dense or in some t^r * Q(theta)), ZZ, F_p or Z/p^N, against
     the schoolbook square: convolved with itself where ``convolve`` lifts
     its list.  From LIFT_MIN_TERMS terms on, ``f * f`` then passes
-    ``convolve`` one list for both factors, and every ``_kronecker`` call
-    squares one int (one over ZZ and the residue rings, three over
-    Q(zeta_9)); a product of two equal factors that are not one object
-    passes two lists and multiplies; QQ and dense Q(zeta_9) squares make no
-    ``_kronecker`` call.  Every way gives the same result."""
+    ``convolve`` one list for both factors, and each of its three
+    ``_kronecker`` calls squares one int; a product of two equal factors
+    that are not one object passes two lists and multiplies.  Squares over
+    QQ, ZZ, the residue rings and dense Q(zeta_9) make no ``_kronecker``
+    call (one over ZZ and the residue rings while those convolved their
+    ints).  Every way gives the same result."""
     domain = data.draw(st.sampled_from([QQ, CYCLO, ZZ, *_RESIDUE_RINGS]))
     coeff = _coefficients(domain, data.draw(st.integers(1, 200))).filter(bool)
     if domain == CYCLO and data.draw(st.booleans()):
@@ -1177,7 +1190,7 @@ def test_square_loop_matches_the_schoolbook_square(data):
     if lifts:
         assert _convolved_square(f) == expected
     if n >= LIFT_MIN_TERMS:
-        calls = (3 if domain == CYCLO else 1) if lifts else 0
+        calls = 3 if lifts else 0
         kronecker = coefficients._kronecker
         with mock.patch.object(coefficients, "_kronecker", wraps=kronecker) as spy:
             assert (f * f).terms == expected.terms
@@ -1219,13 +1232,15 @@ def test_diagonals_that_cancel_to_zero(domain):
     """With u = x^3 / y^3, (1 + u + ... + u^5)(1 - u + ... - u^5) y^30 z is
     (1 + u^2 + u^4 - u^6 - u^8 - u^10) y^30 z: the five odd entries of its
     convolution cancel to 0 and drop out, and the even ones are kept in
-    order.  QQ lifts nothing and goes term by term, to the same result;
-    the rational integers of Q(zeta_9) lie in t^0 * Q(theta) and lift."""
+    order.  Only Q(zeta_9) lifts: its rational integers lie in
+    t^0 * Q(theta).  QQ, ZZ and the residue rings go term by term, to the
+    same result (ZZ and the residue rings lifted both orders, ``packed``
+    2, while they convolved their ints)."""
     ring = RingPresentation(domain, ("x", "y", "z"))
     f = _form(ring, [1] * 6, 3, (0, 0, 1))
     g = _form(ring, [1, -1] * 3, 3, (0, 0, 0))
     fg, gf, packed = _loops_taken(f, g)
-    assert packed == (0 if domain == QQ else 2)
+    assert packed == (2 if domain == CYCLO else 0)
     expected = ring.parse("(y^30 + x^6*y^24 + x^12*y^18 - x^18*y^12 - x^24*y^6 - x^30)*z")
     assert fg == gf == _schoolbook(f, g) == expected
     assert len(fg.terms) == 6

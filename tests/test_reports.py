@@ -85,7 +85,7 @@ class TestDiff:
 
     def test_version_excluded_from_fingerprint(self):
         r = run_experiment("tower-verify", {"max_level": 1})
-        other = ExperimentReport.from_dict(r.to_dict())
+        other = ExperimentReport.from_dict(json.loads(r.to_json()))
         other.engine_version = "99.0.0"
         assert diff_reports(r, other) == []
         assert r.fingerprint() == other.fingerprint()
