@@ -29,12 +29,14 @@ Q(zeta_9) is the one domain that lifts; QQ, ZZ and the residue rings keep
 ``Domain``'s None.  It lifts two lists when every vector of each is zero
 outside coordinates r and r + 3 for some r per list: the list is t^r times
 a + b*T, T = t^3, with a and b int lists over one denominator.  The product
-(a + b*T)(c + d*T) takes three int convolutions, a*c, b*d and (a + b)(c + d)
-(Karatsuba and Ofman, Doklady 145, 1962), each on ``_kronecker``, the one
-place that packs ints into one big int (Kronecker substitution; D. Harvey,
-J. Symb. Comput. 44, 2009); it folds T^2 = -T - 1 into the two live
-coordinates and cancels with one gcd once per output entry (delayed
-reduction; Monagan and Pearce, J. Symb. Comput. 46, 2011).
+(a + b*T)(c + d*T) packs a, b, c and d once each into one big int apiece
+at one width (``_pack``, the one place that packs ints: Kronecker
+substitution; D. Harvey, J. Symb. Comput. 44, 2009), makes the three
+big-int products a*c, b*d and (a + b)(c + d) in ``_karatsuba`` (Karatsuba
+and Ofman, Doklady 145, 1962) and folds T^2 = -T - 1 in sums of those big
+ints, so only the two live coordinates are read back (``_unpack``); each
+output entry cancels with one gcd (delayed reduction; Monagan and Pearce,
+J. Symb. Comput. 46, 2011).
 """
 
 from __future__ import annotations
@@ -261,31 +263,37 @@ def _split(xs, r: int) -> tuple:
     return [x.num[r] * s for x, s in zip(xs, scales)], [x.num[r + 3] * s for x, s in zip(xs, scales)], den
 
 
-def _kronecker(xs: list, ys: list) -> list:
-    """The coefficients of the product of the univariate polynomials with
-    int coefficient lists ``xs`` and ``ys``, from one big-int product.  Each
-    list is packed at 2^W per entry, W a whole number of bytes at least
-    ``bits(max|x|) + bits(max|y|) + bits(min(len)) + 1``, so every output
-    entry is a balanced digit in [-2^(W-1), 2^(W-1)); ``ys is xs`` squares
-    the one packed int.  Packing and reading back go through byte strings
-    with an offset of 2^(W-1) per digit, which makes every digit
-    non-negative, so both are linear in the size, with no shift per digit."""
-    la, lb = len(xs), len(ys)
-    bits = max(max(xs), -min(xs)).bit_length() + max(max(ys), -min(ys)).bit_length()
-    k = (bits + min(la, lb).bit_length() + 8) >> 3  # W / 8 bytes per digit
-    half = 1 << (8 * k - 1)
-    offset = bytes(k - 1) + b"\x80"  # one digit 2^(W-1), little-endian
+def _pack(zs: list, k: int) -> int:
+    """The int list zs as one int, entry i the balanced digit of 2^(W*i),
+    W = 8k bits (Kronecker substitution); an entry outside [-2^(W-1),
+    2^(W-1)) raises ``OverflowError``.  The entries go through one byte
+    string in W-bit two's complement, and one XOR with 2^(W-1) per digit
+    turns each into its offset form z + 2^(W-1), which is non-negative,
+    so the offsets come off in one subtraction: packing is linear in the
+    size, with no shift per digit."""
+    offset = int.from_bytes((bytes(k - 1) + b"\x80") * len(zs), "little")  # 2^(W-1) per digit
+    raw = b"".join([z.to_bytes(k, "little", signed=True) for z in zs])
+    return (int.from_bytes(raw, "little") ^ offset) - offset
+
+
+def _unpack(x: int, n: int, k: int) -> list:
+    """The n balanced digits of x at 2^W, W = 8k bits: the inverse of
+    ``_pack`` for an x whose digits each lie in [-2^(W-1), 2^(W-1)).  The
+    same offset and XOR turn them into two's complement digits, read back
+    from one byte string."""
+    offset = int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
+    raw = ((x + offset) ^ offset).to_bytes(n * k, "little")
     from_bytes = int.from_bytes
+    return [from_bytes(raw[i:i + k], "little", signed=True) for i in range(0, n * k, k)]
 
-    def pack(zs):
-        raw = b"".join([(z + half).to_bytes(k, "little") for z in zs])
-        return from_bytes(raw, "little") - from_bytes(offset * len(zs), "little")
 
-    x = pack(xs)
-    n = la + lb - 1
-    prod = x * x if ys is xs else x * pack(ys)
-    raw = (prod + from_bytes(offset * n, "little")).to_bytes(n * k, "little")
-    return [from_bytes(raw[i:i + k], "little") - half for i in range(0, n * k, k)]
+def _karatsuba(a: int, b: int, c: int, d: int) -> tuple:
+    """The three big-int products of a lifted product of packed ints:
+    a*c, b*d and (a + b)(c + d), three squarings when c is a and d is b."""
+    if c is a and d is b:
+        s = a + b
+        return a * a, b * b, s * s
+    return a * c, b * d, (a + b) * (c + d)
 
 
 def _fold(cs: list) -> tuple:
@@ -462,31 +470,44 @@ class CyclotomicField9(Domain):
         None, and the product goes term by term.
 
         The lists are t^rx * (a + b*T)/dx and t^ry * (c + d*T)/dy, T = t^3
-        (``_split``); a square (``ys is xs``) is split once and passes each
-        int list twice, so ``_kronecker`` squares it.  With p = a*c, q = b*d
-        and m = (a + b)(c + d), T^2 = -T - 1 makes the product
-        t^(rx+ry) * (u + v*T) with u = p - q and v = m - p - 2q, and when
-        rx + ry >= 3, t^(rx+ry) is t^(rx+ry-3) * T and T * (u + v*T) =
-        -v + (u - v)*T.  The two values go straight to coordinates
-        (rx + ry) % 3 and that + 3 of a CycloNum built in place, and cancel
-        against dx * dy with one gcd."""
+        (``_split``); a square (``ys is xs``) is split and packed once.
+        With p = a*c, q = b*d and m = (a + b)(c + d), T^2 = -T - 1 makes
+        the product t^(rx+ry) * (u + v*T) with u = p - q and v = m - p - 2q,
+        and when rx + ry >= 3, t^(rx+ry) is t^(rx+ry-3) * T and
+        T * (u + v*T) = -v + (u - v)*T.  All of it runs on the packed ints
+        (``_pack``): a, b, c and d are packed once each at one width W,
+        ``_karatsuba`` makes the three big-int products (three squarings
+        for a square), and u, v and the wrap are sums of them; packing is
+        linear, so only u and v are read back (``_unpack``), and p, q, m
+        and a + b may carry past their digits.  Every entry of u, v, -v and
+        u - v is at most 3 n A C in size, n the shorter length and A, C
+        the largest |a|, |b| and |c|, |d|, so W >= bits(A) + bits(C) +
+        bits(n) + 3, in whole bytes, holds it as a balanced digit.  The
+        two values go straight to coordinates (rx + ry) % 3 and that + 3
+        of a CycloNum built in place, and cancel against dx * dy with one
+        gcd."""
         rx = _coset([x.num for x in xs])
-        ry = rx if ys is xs else _coset([y.num for y in ys])
+        square = ys is xs
+        ry = rx if square else _coset([y.num for y in ys])
         if rx is None or ry is None:
             return None
         a, b, dx = _split(xs, rx)
-        c, d, dy = (a, b, dx) if ys is xs else _split(ys, ry)
-        ps, qs = _kronecker(a, c), _kronecker(b, d)
-        ab = [u + v for u, v in zip(a, b)]
-        ms = _kronecker(ab, ab if ys is xs else [u + v for u, v in zip(c, d)])
+        c, d, dy = (a, b, dx) if square else _split(ys, ry)
+        bits = max(max(a), -min(a), max(b), -min(b)).bit_length()
+        bits += bits if square else max(max(c), -min(c), max(d), -min(d)).bit_length()
+        k = (bits + min(len(a), len(c)).bit_length() + 10) >> 3  # W / 8 bytes per digit
+        pa, pb = _pack(a, k), _pack(b, k)
+        pc, pd = (pa, pb) if square else (_pack(c, k), _pack(d, k))
+        p, q, m = _karatsuba(pa, pb, pc, pd)
+        pu, pv = p - q, m - p - 2 * q
         low = rx + ry
-        r, wrap, den = low % 3, low >= 3, dx * dy
+        if low >= 3:
+            pu, pv = -pv, pu - pv
+        n = len(a) + len(c) - 1
+        r, den = low % 3, dx * dy
         new = object.__new__
         out = []
-        for p, m, q in zip(ps, ms, qs):
-            u, v = p - q, m - p - 2 * q
-            if wrap:
-                u, v = -v, u - v
+        for u, v in zip(_unpack(pu, n, k), _unpack(pv, n, k)):
             e = den
             if e != 1:
                 g = gcd(e, u, v)

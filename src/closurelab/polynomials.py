@@ -28,11 +28,12 @@ coefficient lists when the coefficient domain's ``convolve`` lifts them:
 output j has key a0 + b0 + j * step and is entry j of that convolution.
 This module names no domain: which lists lift is the domain's decision.
 Only Q(zeta_9) lifts any, two lists whose coefficients lie in
-t^r * Q(theta), r per list, as three int convolutions of their coordinates
-r and r + 3 on Kronecker substitution (``_kronecker`` in ``coefficients``):
-int lists packed into one int each at a whole number of bytes per entry,
-one big-int product (a square ``p * p``, as ``cached_power`` forms,
-squares its one int), its bytes read back.  CPython's Karatsuba multiply
+t^r * Q(theta), r per list, on Kronecker substitution (``convolve`` in
+``coefficients``): the int coordinates r and r + 3 of each list packed into
+one int apiece at a whole number of bytes per entry, three big-int
+products of those ints and their sums (a square ``p * p``, as
+``cached_power`` forms, makes three squarings), and the two output
+coordinates, sums of those products, read back.  CPython's Karatsuba multiply
 makes this faster than a sum per output term at every tower level (D.
 Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 44 (2009); R. Fateman, "Can you save

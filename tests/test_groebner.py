@@ -36,7 +36,7 @@ from closurelab.groebner import (
     normal_form,
 )
 from closurelab.polynomials import LIFT_MIN_TERMS, Poly, RingPresentation, WeightedGrevlex, format_poly
-from test_polynomials import _dict_sum, _fraction_key, _schoolbook, exponent_terms
+from test_polynomials import _dict_sum, _fraction_key, _schoolbook, _squares, exponent_terms
 
 
 def mono_divides(a, b):
@@ -579,41 +579,55 @@ class TestWorkCounters:
     def test_lifted_products_pick_their_loop_by_the_keys(self, monkeypatch):
         """Every lifted product of a cold ``tower-colon --max-level 5`` is a
         form in (x^3, y^3) times a monomial by another such form, two key
-        progressions with one step, and is three big-int products
-        (``_kronecker``), one per int convolution of the two coordinates:
-        18 products of distinct factors, which pass two lists each time,
-        and the 7 squares that ``cached_power`` forms, which pass one list
-        twice each time, 75 calls and 21 squares.  They were 25 calls and 7
-        squares when each product packed both coordinates into one int.
-        ``isogeny --n 3`` makes 42 products of that size over ZZ and F_2,
-        and none is a big-int product: only Q(zeta_9) lifts, so all 42 go
-        term by term.  6 of them, squares of progressions over ZZ, were 6
-        ``_kronecker`` calls and 6 squares while ZZ and the residue rings
-        convolved their ints.  It made 45 products when Buchberger summed
-        each cofactor update from products q * r; it now adds the terms of
-        the quotients in one linear combination per coordinate."""
-        counts = {"lifted": 0, "kronecker": 0, "square": 0}
+        progressions with one step, and runs on packed ints: each of the 18
+        products of distinct factors packs its four coordinate lists
+        (``_pack``) and each of the 7 squares that ``cached_power`` forms
+        its two, 86 packs; each makes its three big-int products in one
+        ``_karatsuba`` call, 75 products of which 21 squarings; and each
+        reads back its two output coordinates (``_unpack``), 50 unpacks.
+        They were 75 ``_kronecker`` calls and 21 squares when each of the
+        three int convolutions packed both its lists, multiplied and read
+        its digits back in one call, and 25 calls and 7 squares when each
+        product packed both coordinates into one int.  ``isogeny --n 3``
+        makes 42 products of that size over ZZ and F_2, and none is a
+        big-int product: only Q(zeta_9) lifts, so all 42 go term by term.
+        6 of them, squares of progressions over ZZ, were 6 ``_kronecker``
+        calls and 6 squares while ZZ and the residue rings convolved their
+        ints.  It made 45 products when Buchberger summed each cofactor
+        update from products q * r; it now adds the terms of the quotients
+        in one linear combination per coordinate."""
+        counts = dict.fromkeys(("lifted", "packs", "products", "squarings", "unpacks"), 0)
         mul = Poly.__mul__
-        kronecker = coefficients._kronecker
+        pack, karatsuba, unpack = coefficients._pack, coefficients._karatsuba, coefficients._unpack
 
         def counted_mul(self, other):
             if isinstance(other, Poly) and min(len(self.terms), len(other.terms)) >= LIFT_MIN_TERMS:
                 counts["lifted"] += 1
             return mul(self, other)
 
-        def counted_kronecker(xs, ys):
-            counts["kronecker"] += 1
-            counts["square"] += ys is xs
-            return kronecker(xs, ys)
+        def counted_pack(zs, k):
+            counts["packs"] += 1
+            return pack(zs, k)
+
+        def counted_karatsuba(a, b, c, d):
+            counts["products"] += 3
+            counts["squarings"] += 3 * _squares((a, b, c, d))
+            return karatsuba(a, b, c, d)
+
+        def counted_unpack(x, n, k):
+            counts["unpacks"] += 1
+            return unpack(x, n, k)
 
         monkeypatch.setattr(Poly, "__mul__", counted_mul)
         monkeypatch.setattr(Poly, "__rmul__", counted_mul)
-        monkeypatch.setattr(coefficients, "_kronecker", counted_kronecker)
+        monkeypatch.setattr(coefficients, "_pack", counted_pack)
+        monkeypatch.setattr(coefficients, "_karatsuba", counted_karatsuba)
+        monkeypatch.setattr(coefficients, "_unpack", counted_unpack)
         _cold_run([("tower-colon", {"max_level": 5})])
-        assert counts == {"lifted": 25, "kronecker": 75, "square": 21}
-        counts.update(lifted=0, kronecker=0, square=0)
+        assert counts == {"lifted": 25, "packs": 86, "products": 75, "squarings": 21, "unpacks": 50}
+        counts.update(dict.fromkeys(counts, 0))
         _cold_run([("isogeny", {"n": 3})])
-        assert counts == {"lifted": 42, "kronecker": 0, "square": 0}
+        assert counts == {"lifted": 42, "packs": 0, "products": 0, "squarings": 0, "unpacks": 0}
 
     def test_unit_shifts_and_norm_inversions_are_pinned(self, monkeypatch):
         """In a cold ``tower-colon --max-level 5``, 569 CycloNum products

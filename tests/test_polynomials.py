@@ -1049,10 +1049,10 @@ def _alternating(n, k, sign=1):
 
 @st.composite
 def _int_lists(draw):
-    """Two int lists for ``_kronecker``: lengths 1 to 100, lopsided pairs
-    such as 6 x 90 among them; entries signed, all negative or alternating
-    +-(2^k - 1), k up to about 3000 bits per list; a third of the pairs
-    are one list twice (``ys is xs``), a square."""
+    """Two int lists for one packed product: lengths 1 to 100, lopsided
+    pairs such as 6 x 90 among them; entries signed, all negative or
+    alternating +-(2^k - 1), k up to about 3000 bits per list; a third of
+    the pairs are one list twice (``ys is xs``), a square."""
     rng = draw(st.randoms(use_true_random=False))
     la, lb = draw(
         st.sampled_from([(6, 90), (90, 6), (1, 100), (100, 100)])
@@ -1086,11 +1086,21 @@ def _square(xs):
 @example(operands=(_alternating(6, 8, -1), _alternating(90, 8)))
 @example(operands=_square([-1]))
 def test_kronecker_matches_the_nested_loop_convolution(operands):
-    """The big-int product equals the convolution by its definition, which
-    shares no code with the engine; the examples put a middle digit at the
-    width bound, as a square, as two equal lists and as a 6 x 90 pair."""
+    """Kronecker substitution: packing each list (``_pack``), one big-int
+    product, a squaring when both lists are one object, and reading the
+    digits back (``_unpack``) give the convolution by its definition,
+    which shares no code with the engine, at the least whole number of
+    bytes W per digit with W >= bits(max|x|) + bits(max|y|) +
+    bits(min(len)) + 1; each list also reads back as itself.  The examples
+    put a middle digit at the width bound, as a square, as two equal lists
+    and as a 6 x 90 pair."""
     xs, ys = operands
-    assert coefficients._kronecker(xs, ys) == _convolution(xs, ys)
+    bits = max(map(abs, xs)).bit_length() + max(map(abs, ys)).bit_length()
+    k = (bits + min(len(xs), len(ys)).bit_length() + 8) >> 3
+    x = coefficients._pack(xs, k)
+    product = x * x if ys is xs else x * coefficients._pack(ys, k)
+    assert coefficients._unpack(product, len(xs) + len(ys) - 1, k) == _convolution(xs, ys)
+    assert coefficients._unpack(x, len(xs), k) == xs
 
 
 def _domain_convolution(domain, xs, ys):
@@ -1151,36 +1161,57 @@ def test_convolve_matches_the_nested_loop_convolution(problem):
         assert got == _domain_convolution(domain, xs, ys)
 
 
-def _convolved_square(f):
-    """The square of a form ``f`` in (x^s, y^s) times a monomial through
-    the domain's ``convolve`` of its one coefficient list with itself, at
-    any length, for a list that ``convolve`` lifts: output j at the j-th
-    key of the doubled progression."""
+def _convolved_product(f, g):
+    """The product of forms ``f`` and ``g`` in (x^s, y^s) times monomials
+    (one s, and as many terms in f as in g) through the domain's
+    ``convolve`` of their coefficient lists, at any length, for lists that
+    ``convolve`` lifts: output j at the j-th key of the summed progression.
+    ``g is f`` passes one list twice."""
     cs = [c for _, c in f.terms]
+    ds = cs if g is f else [c for _, c in g.terms]
     keys = [m for m, _ in f.terms]
     step = keys[1] - keys[0] if len(keys) > 1 else 0
-    return Poly(f.ring, {2 * keys[0] + j * step: c for j, c in enumerate(f.ring.domain.convolve(cs, cs))})
+    low = keys[0] + g.terms[0][0]
+    return Poly(f.ring, {low + j * step: c for j, c in enumerate(f.ring.domain.convolve(cs, ds))})
+
+
+def _convolved_square(f):
+    """The square of a form ``f`` through ``convolve`` of its one
+    coefficient list with itself (``_convolved_product``)."""
+    return _convolved_product(f, f)
+
+
+def _squares(packed):
+    """Whether ``_karatsuba`` squares the packed ints (a, b, c, d)."""
+    a, b, c, d = packed
+    return c is a and d is b
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_square_loop_matches_the_schoolbook_square(data):
-    """A form with 1, 2, 89, 90 or up to 40 nonzero coefficients over QQ,
-    Q(zeta_9) (dense or in some t^r * Q(theta)), ZZ, F_p or Z/p^N, against
-    the schoolbook square: convolved with itself where ``convolve`` lifts
-    its list.  From LIFT_MIN_TERMS terms on, ``f * f`` then passes
-    ``convolve`` one list for both factors, and each of its three
-    ``_kronecker`` calls squares one int; a product of two equal factors
-    that are not one object passes two lists and multiplies.  Squares over
-    QQ, ZZ, the residue rings and dense Q(zeta_9) make no ``_kronecker``
-    call (one over ZZ and the residue rings while those convolved their
-    ints).  Every way gives the same result."""
+    """A form with 1, 2 or up to 40 nonzero coefficients over QQ,
+    Q(zeta_9) (dense or in some t^r * Q(theta)), ZZ, F_p or Z/p^N, or with
+    89 or 90 in some t^r * Q(theta), against the schoolbook square:
+    convolved with itself where ``convolve`` lifts its list.  From
+    LIFT_MIN_TERMS terms on, ``f * f`` then passes ``convolve`` one list
+    for both factors, which packs the two coordinate lists of that one list
+    (``_pack``) and makes its three big-int products as squarings
+    (``_karatsuba``); a product of two equal factors that are not one
+    object passes two lists, packs four and multiplies.  Squares over QQ,
+    ZZ, the residue rings and dense Q(zeta_9) pack nothing.  Every way
+    gives the same result.  89 and 90 terms were drawn over every domain
+    while ZZ and the residue rings lifted too; only Q(zeta_9) lists in
+    some t^r * Q(theta) lift now, so only they draw them.  The spy was on
+    ``_kronecker``, three calls per lifted square, each squaring one int,
+    before each lifted product packed its lists once."""
     domain = data.draw(st.sampled_from([QQ, CYCLO, ZZ, *_RESIDUE_RINGS]))
     coeff = _coefficients(domain, data.draw(st.integers(1, 200))).filter(bool)
+    r = None
     if domain == CYCLO and data.draw(st.booleans()):
         r = data.draw(st.integers(0, 2))
         coeff = coeff.map(lambda x: _in_coset(x, r)).filter(bool)
-    n = data.draw(st.sampled_from([1, 2, 89, 90]) | st.integers(1, 40))
+    n = data.draw(st.sampled_from([1, 2] if r is None else [1, 2, 89, 90]) | st.integers(1, 40))
     ring = RingPresentation(domain, ("x", "y", "z"))
     cs = data.draw(st.lists(coeff, min_size=n, max_size=n))
     step, shift = data.draw(st.integers(1, 3)), data.draw(st.tuples(*[st.integers(0, 3)] * 3))
@@ -1190,14 +1221,23 @@ def test_square_loop_matches_the_schoolbook_square(data):
     if lifts:
         assert _convolved_square(f) == expected
     if n >= LIFT_MIN_TERMS:
-        calls = 3 if lifts else 0
-        kronecker = coefficients._kronecker
-        with mock.patch.object(coefficients, "_kronecker", wraps=kronecker) as spy:
+        with (
+            mock.patch.object(coefficients, "_pack", wraps=coefficients._pack) as pack,
+            mock.patch.object(coefficients, "_karatsuba", wraps=coefficients._karatsuba) as karatsuba,
+        ):
             assert (f * f).terms == expected.terms
-            assert [c.args[1] is c.args[0] for c in spy.call_args_list] == [True] * calls
-            spy.reset_mock()
+            packed = [c.args[0] for c in pack.call_args_list]
+            if lifts:
+                xs = [c for _, c in f.terms]
+                assert packed == list(coefficients._split(xs, coefficients._coset([x.num for x in xs]))[:2])
+                assert [_squares(c.args) for c in karatsuba.call_args_list] == [True]
+            else:
+                assert packed == [] and karatsuba.call_args_list == []
+            pack.reset_mock()
+            karatsuba.reset_mock()
             assert (f * Poly(ring, dict(f.terms))).terms == expected.terms
-            assert [c.args[1] is c.args[0] for c in spy.call_args_list] == [False] * calls
+            assert len(pack.call_args_list) == (4 if lifts else 0)
+            assert [_squares(c.args) for c in karatsuba.call_args_list] == [False] * lifts
 
 
 @pytest.mark.parametrize("k", [1, 64, 200])
@@ -1221,6 +1261,34 @@ def test_square_loop_at_the_packing_width(k, n, r):
         assert _convolved_square(f) == _schoolbook(f, f)
         assert _convolved_square(scaled) == _schoolbook(scaled, scaled)
     assert (scaled * scaled).terms == _schoolbook(scaled, scaled).terms
+
+
+@pytest.mark.parametrize("k", [1, 64, 200])
+@pytest.mark.parametrize("n", [1, LIFT_MIN_TERMS, 63, 90])
+@pytest.mark.parametrize("rx", [0, 1, 2])
+@pytest.mark.parametrize("ry", [0, 1, 2])
+def test_distinct_factors_at_the_packing_width(k, n, rx, ry):
+    """Two different lists, every coefficient t^rx * (A - A*T) and
+    t^ry * (-C + C*T), A = C = 2^k - 1, T = t^3: with p = a*c, q = b*d and
+    m = (a + b)(c + d), the middle entry has u = p - q = 0 and
+    v = m - p - 2q = 3 n A C, and when rx + ry >= 3 the wrap makes it
+    -v and u - v = -3 n A C, the largest sizes the packing width must
+    hold as balanced digits.  n = 63 is where bits(A) + bits(C) + bits(n)
+    + 3 is one past a whole number of bytes, so a width one bit short of
+    the bound rounds down to a byte fewer and these digits overflow it."""
+    ring = RingPresentation(CYCLO, ("x", "y"))
+    top = (1 << k) - 1
+
+    def form(r, low, high):
+        coeff = CycloNum([low if j == r else high if j == r + 3 else 0 for j in range(6)])
+        return ring.poly({(i, n - 1 - i): coeff for i in range(n)})
+
+    f, g = form(rx, top, -top), form(ry, -top, top)
+    expected = _schoolbook(f, g)
+    assert _convolved_product(f, g) == _convolved_product(g, f) == expected
+    assert (f * g).terms == (g * f).terms == expected.terms
+    middle = dict(exponent_terms(expected))[(n - 1, n - 1)]
+    assert max(map(abs, middle.num)) == 3 * n * top * top
 
 
 @pytest.mark.parametrize(

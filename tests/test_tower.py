@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from closurelab import tower
 from closurelab.coefficients import CYCLO, CycloNum
 from closurelab.groebner import VerificationError, normal_form
 from closurelab.polynomials import RingPresentation, format_poly
+from closurelab.reports import canonical_json
 
 
 def rand_cyclo(rng):
@@ -210,6 +212,22 @@ class TestColonProbe:
         for n in (1, 2):
             probe = tower.colon_probe(n)
             assert format_poly(probe.witness_element) == tower.level_variables(n)[1]
+
+    @pytest.mark.parametrize(
+        "n, size, digest",
+        [
+            (5, 66264, "20f572ed285dd3260ef3f05f810e66feb998edede9d56017790b59a5b1a78c46"),
+            (6, 422079, "cec3f78e85e6cc6734ce6abfc210ab42317eadb5b763db90465c09dfd43afde2"),
+        ],
+        ids=["level5", "level6"],
+    )
+    def test_certificate_text_is_pinned(self, n, size, digest):
+        """The canonical JSON text of the level-n certificate, pinned by
+        its length in bytes and its SHA-256.  Level 6 is past the schema's
+        ``--max-level`` bound and no experiment forms its 243 x 244-term
+        lifted products, so this pin is the one tier-1 check of them."""
+        text = canonical_json(tower.colon_probe(n).witness.to_json()).encode()
+        assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)
 
 
 def _clear_tower_caches():
