@@ -16,7 +16,10 @@ and ``frobenius_ladder`` climbs e = 1..e_max with one Frobenius step and
 one normal form per rung.  A normal form is the unique remainder of its
 coset, so each rung is exactly ``NF_e(f^q)``; products and colons then use
 it in place of ``f^q``, since ``NF(c * f^q) = NF(c * NF(f^q))`` and
-``(I : f^q) = (I : NF_I(f^q))``.
+``(I : f^q) = (I : NF_I(f^q))``.  Each rung is formed once per process and
+(p, f, I, e), cached like the bracket bases, and shared by all three
+callers: the Frobenius-closure test, ``find_multiplier`` and
+``tight_closure_witness``.
 
 Tight closure is only ever tested up to a finite Frobenius exponent e_max;
 reports therefore state "verified for e <= e_max" rather than claiming the
@@ -91,19 +94,30 @@ def _bracket_basis(p: int, gens: tuple[Poly, ...], e: int) -> GroebnerBasis:
     return groebner(frobenius_power(gens, e), fermat_ring(p))
 
 
+@lru_cache(maxsize=None)
+def _rung(p: int, f: Poly, gens: tuple[Poly, ...], e: int) -> Poly:
+    """NF_e(f^(p^e)) for e >= 1, the Frobenius of rung e - 1 (f itself for
+    e = 1) reduced modulo ``_bracket_basis(p, gens, e)``; cached on the same
+    key as the basis plus f, so each rung is formed once per process.  Poly
+    equality ignores which compatible ring f has, so the entry is in the
+    ring of whichever f filled it first."""
+    below = f if e == 1 else _rung(p, f, gens, e - 1)
+    return normal_form(frobenius(below), _bracket_basis(p, gens, e))
+
+
 def frobenius_ladder(f: Poly, gens, e_max: int) -> list[Poly]:
     """[NF_e(f^(p^e)) for e = 1..e_max], NF_e the normal form modulo
     I^[p^e] + (rel): each rung is the Frobenius of the one below, reduced
-    once (see the module docstring for why that is exact)."""
+    once (see the module docstring for why that is exact).  Each rung is
+    formed once per (p, f, I, e) and shared by all three callers (the
+    closure test, ``find_multiplier`` and ``tight_closure_witness``); it
+    comes back in f's ring, whichever compatible ring filled the entry."""
     if e_max < 0:
         raise ValueError("Frobenius exponent must be >= 0")
-    gens = tuple(gens)
-    out = []
-    g = f
-    for e in range(1, e_max + 1):
-        g = normal_form(frobenius(g), _bracket_basis(f.ring.domain.p, gens, e))
-        out.append(g)
-    return out
+    # a domain with no prime has no Frobenius, which ``frobenius`` refuses
+    ring, p, gens = f.ring, getattr(f.ring.domain, "p", None), tuple(gens)
+    rungs = [_rung(p, f, gens, e) for e in range(1, e_max + 1)]
+    return [r if r.ring is ring else r.moved(ring) for r in rungs]
 
 
 def frobenius_closure_test(f: Poly, gens, e: int) -> bool:
@@ -194,8 +208,9 @@ def contrast_row(p: int, e_max: int = 2, deg_bound: int = 3) -> ContrastRow:
     """One line of the ordinary/supersingular experiment matrix for z^2
     against (x, y)."""
     ring = fermat_ring(p)
-    z2 = ring.parse("z^2")
-    gens = [ring.parse("x"), ring.parse("y")]
+    z = ring.var("z")
+    z2 = z * z
+    gens = [ring.var("x"), ring.var("y")]
     member = frobenius_closure_test(z2, gens, 0)
     frob = frobenius_closure_test(z2, gens, 1)
     c = find_multiplier(z2, gens, deg_bound, e_max)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closurelab import charp
+from closurelab.cli import main
 from closurelab.coefficients import QQ, TruncatedPadicRing
 from closurelab.groebner import groebner, normal_form
 from closurelab.polynomials import EXP_LIMIT, Poly, RingPresentation, format_poly
@@ -97,6 +98,8 @@ class TestFrobeniusPower:
             charp.frobenius(ring.parse("x + y"))
         with pytest.raises(ValueError, match="only over F_p"):
             charp.frobenius_power([ring.parse("x")], 1)
+        with pytest.raises(ValueError, match="only over F_p"):
+            charp.frobenius_ladder(ring.parse("x"), [ring.parse("y")], 1)
 
     def test_frobenius_refuses_exponents_past_the_field(self):
         # at p = 5 the exponent 209716 would scale to 2^20 + 4: past the
@@ -130,7 +133,9 @@ class TestExponentBound:
         frobenius, nf = charp.frobenius, charp.normal_form
         monkeypatch.setattr(charp, "frobenius", lambda g: record(frobenius(g)))
         monkeypatch.setattr(charp, "normal_form", lambda f, basis: nf(record(f), basis))
+        # both memos start cold, so the spies see every basis and every rung
         charp._bracket_basis.cache_clear()
+        charp._rung.cache_clear()
         charp.contrast_row(p, e_max=e_max, deg_bound=deg_bound)
         assert p ** e_max <= widest <= charp.exponent_bound(p, e_max, deg_bound) < EXP_LIMIT
 
@@ -305,6 +310,105 @@ class TestFrobeniusLadder:
         assert all(r.is_zero() for r in charp.frobenius_ladder(ring.parse("x + z*y"), gens, 3))
         with pytest.raises(ValueError):
             charp.frobenius_ladder(ring.parse("x"), gens, -1)
+
+
+def fresh_climb(f: Poly, gens, e_max: int) -> list[Poly]:
+    """The ladder climbed without the rung memo: one Frobenius and one
+    normal form per rung, each from the rung just formed."""
+    p, g, out = f.ring.domain.p, f, []
+    for e in range(1, e_max + 1):
+        g = normal_form(charp.frobenius(g), charp._bracket_basis(p, tuple(gens), e))
+        out.append(g)
+    return out
+
+
+@st.composite
+def ladder_inputs(draw):
+    """(f, gens, e_max, kind) over F_p, p in the matrix primes and
+    e_max <= 3; f is of the kind "random", "zero" or "in_ideal" (a
+    combination of the generators).  A generator has z only when
+    q = p^e_max <= 49: bracket powers with z past that can keep Buchberger
+    busy for minutes."""
+    p = draw(st.sampled_from((2, 5, 7, 13)))
+    e_max = draw(st.integers(0, 3))
+    ring = charp.fermat_ring(p)
+    z_top = 2 if p ** e_max <= 49 else 0
+
+    def poly(z_max, exp_max, size):
+        terms = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, z_max), st.integers(0, exp_max), st.integers(0, exp_max)),
+                st.integers(1, p - 1),
+                min_size=1,
+                max_size=size,
+            )
+        )
+        return ring.poly(terms)
+
+    gens = [poly(z_top, 2, 2) for _ in range(draw(st.sampled_from((1, 2, 0))))]
+    kind = draw(st.sampled_from(("random", "zero", "in_ideal")))
+    if kind == "zero":
+        f = ring.zero()
+    elif kind == "in_ideal":
+        f = sum((poly(2, 2, 2) * g for g in gens), ring.zero())
+    else:
+        f = poly(2, 3, 4)
+    return f, gens, e_max, kind
+
+
+class TestRungMemo:
+    """``frobenius_ladder`` forms each rung once per (p, f, I, e)."""
+
+    @pytest.mark.parametrize("p", [2, 5, 7, 13])
+    def test_a_row_forms_two_rungs(self, monkeypatch, p):
+        # the closure test at e = 1, the multiplier search and the witness
+        # checks all read the same two rungs; the row parses nothing
+        def no_parse(text, budget=None):
+            raise AssertionError(f"contrast_row parsed {text!r}")
+
+        monkeypatch.setattr(charp.fermat_ring(p), "parse", no_parse)
+        charp._rung.cache_clear()
+        row = charp.contrast_row(p, e_max=2, deg_bound=3)
+        assert charp._rung.cache_info().misses == 2
+        assert row.multiplier == ("x" if p % 3 == 1 else "1")
+
+    def test_the_default_run_forms_eight_rungs(self, capsys):
+        # 20 rung steps when each caller climbed its own ladder
+        charp._rung.cache_clear()
+        assert main(["charp"]) == 0
+        capsys.readouterr()
+        assert charp._rung.cache_info().misses == 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=ladder_inputs())
+    def test_the_memo_matches_a_fresh_climb(self, inputs):
+        f, gens, e_max, kind = inputs
+        fresh = fresh_climb(f, gens, e_max)
+        # a cold climb and the warm one after it both match
+        for _ in range(2):
+            rungs = charp.frobenius_ladder(f, gens, e_max)
+            assert rungs == fresh and all(r.ring is f.ring for r in rungs)
+        if kind != "random":
+            assert all(r.is_zero() for r in rungs)
+
+    @pytest.mark.parametrize("first", ["fermat", "bare"])
+    def test_a_rung_comes_back_in_the_callers_ring(self, first):
+        # f in fermat_ring(7) equals f in a compatible ring without the
+        # relation, so both share the entries, whichever ring fills them
+        fermat = charp.fermat_ring(7)
+        bare = RingPresentation(fermat.domain, fermat.variables)
+        fs = {"fermat": fermat.parse("z^2 + x*y"), "bare": bare.parse("z^2 + x*y")}
+        assert fs["fermat"] == fs["bare"]
+        gens = [fermat.var("x"), fermat.var("y")]
+        charp._rung.cache_clear()
+        ladders = []
+        for name in (first, "bare" if first == "fermat" else "fermat"):
+            f = fs[name]
+            rungs = charp.frobenius_ladder(f, gens, 2)
+            assert all(r.ring is f.ring for r in rungs)
+            ladders.append(rungs)
+        assert ladders[0] == ladders[1] and not ladders[0][1].is_zero()
+        assert charp._rung.cache_info().misses == 2
 
 
 class TestTightClosure:
